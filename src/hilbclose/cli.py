@@ -247,7 +247,6 @@ def build_parser():
     pv.add_argument("--n-max", type=int, default=8)
     pv.add_argument("--char", type=int, default=None)
     pv.add_argument("--e-max", type=int, default=4)
-    pv.add_argument("--report", choices=REPORT_FORMATS, default="json")
     pv.add_argument("--out", default=None)
 
     pf = sub.add_parser("fuzz", help="generate and verify a random corpus")
@@ -257,7 +256,6 @@ def build_parser():
     pf.add_argument("--n-max", type=int, default=8)
     pf.add_argument("--char", type=int, default=None)
     pf.add_argument("--e-max", type=int, default=4)
-    pf.add_argument("--report", choices=REPORT_FORMATS, default="json")
     pf.add_argument("--out", default=None)
 
     pe = sub.add_parser("example", help="replay a built-in example")
@@ -274,12 +272,11 @@ def config_from_args(args):
                       report=args.report, out=args.out)
     elif args.command == "verify":
         kwargs.update(corpus_path=args.corpus, n_max=args.n_max,
-                      characteristic=args.char, e_max=args.e_max,
-                      report=args.report, out=args.out)
+                      characteristic=args.char, e_max=args.e_max, out=args.out)
     elif args.command == "fuzz":
         kwargs.update(seed=args.seed, count=args.count, max_coord=args.max_coord,
                       n_max=args.n_max, characteristic=args.char, e_max=args.e_max,
-                      report=args.report, out=args.out)
+                      out=args.out)
     else:
         kwargs.update(example_name=args.name, out=args.out)
     return RunConfig(**kwargs)

@@ -11,7 +11,6 @@ the Frobenius candidate.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 from .errors import NotMPrimaryError, NotStabilizedError, UnsupportedRingError
@@ -185,16 +184,12 @@ def lim_intersection(q, total, t_cap=LIMIT_T_CAP, window=LIMIT_WINDOW):
     return MonomialIdeal(ring, extract_min_gens(ring, up), _reduced=True)
 
 
-_LIM_CACHE_LOCK = threading.Lock()
-
-
 def _limit_closure_cached(q, alpha, t_cap, window):
-    with _LIM_CACHE_LOCK:
-        cache = q.__dict__.setdefault("_split_limit_cache", {})
-        key = (alpha, t_cap, window)
-        if key not in cache:
-            cache[key] = limit_closure(q.split(alpha), t_cap, window)
-        return cache[key]
+    cache = q.__dict__.setdefault("_split_limit_cache", {})
+    key = (alpha, t_cap, window)
+    if key not in cache:
+        cache[key] = limit_closure(q.split(alpha), t_cap, window)
+    return cache[key]
 
 
 # ---------------------------------------------------------------------------

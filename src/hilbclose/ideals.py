@@ -12,12 +12,18 @@ extreme ray, membership in an up-set is monotone, so the up-set restricted to
 the line is a final segment described by one integer.  Minimal generators are
 exactly the points that start their column and their row, which turns
 extraction into a bounded sweep of line-first queries.
+
+Complements, and so colengths, of two-dimensional ideals do not use
+``line_first``.  On each coset, an S-stable up-set is a nonincreasing
+staircase: line -> first index.  ``_line_firsts`` gets the whole profile of
+an ideal from its generators in one ascending sweep per coset and axis.  Only
+generators within the ring's stabilization index of a line query the grid
+engine; the rest contribute constants (``_Grid2.stabilization``).
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 
 from .errors import (
     DimensionMismatchError,
@@ -304,32 +310,78 @@ def _extract_free3(ring, upset):
     return cands
 
 
-def _complement_grid2(ring, up, ray_powers):
+def _line_firsts(eng, gens, key, axis, count):
+    """The ideal's first index on lines 0..count-1 of coset ``key`` along ``axis``.
+
+    Line m is box[key] + m*g_fix + t*g_axis for t >= 0, g_fix being the other
+    extreme generator; None where no generator reaches the line.  Generator u
+    sees line m as the grid line m + c_u of its own coset, shifted by m_u
+    along the line, so one ascending sweep over m serves every line.  Sorted
+    by c_u, the generators form three runs: not yet on the grid (m + c_u < 0),
+    a band that queries ``grid_first``, and those at or past the
+    stabilization index, whose first index no longer changes and is merged
+    into a running minimum when they leave the band.
+    """
+    stable, consts = eng.stabilization(axis)
+    if axis == 1:
+        lam_fix, d_fix, lam_trav, d_trav = eng.lam1, eng.D1, eng.lam2, eng.D2
+        k_fix, k_trav = key
+    else:
+        lam_fix, d_fix, lam_trav, d_trav = eng.lam2, eng.D2, eng.lam1, eng.D1
+        k_trav, k_fix = key
+    rows = []
+    for u in gens:
+        c, r_fix = divmod(k_fix - vdot(lam_fix, u), d_fix)
+        m_u, r_trav = divmod(k_trav - vdot(lam_trav, u), d_trav)
+        # u lies in S, so m_u <= 0 and the shift -m_u is never negative
+        rows.append((c, (r_fix, r_trav) if axis == 1 else (r_trav, r_fix), m_u))
+    rows.sort(reverse=True)  # by c_u, descending
+    firsts = []
+    merged = None
+    lo = hi = 0  # rows[:lo] are merged, rows[lo:hi] form the band
+    for m in range(count):
+        while hi < len(rows) and m + rows[hi][0] >= 0:
+            hi += 1
+        while lo < hi and m + rows[lo][0] >= stable:
+            _, k, m_u = rows[lo]
+            t = consts[k] - m_u
+            if merged is None or t < merged:
+                merged = t
+            lo += 1
+        best = merged
+        for c, k, m_u in rows[lo:hi]:
+            t = eng.grid_first(k, axis, m + c)
+            if t is not None and (best is None or t - m_u < best):
+                best = t - m_u
+        firsts.append(best)
+    return firsts
+
+
+def _complement_grid2(ring, gens, ray_powers):
     eng = ring._engine
     k1, k2 = ray_powers
+    wit = eng._witnesses()
     points = []
     for key in sorted(eng.box):
         r = eng.box[key]
-        b1, b2 = eng._witnesses()[key]
+        b1, b2 = wit[key]
         cap1, cap2 = k1 + b1, k2 + b2
-        for mu in range(cap1):
-            v0 = vadd(r, vscale(mu, eng.g1))
-            ts = ring._first_shift(v0, 1, 1)
+        for mu, ti in enumerate(_line_firsts(eng, gens, key, 1, cap1)):
+            ts = eng.grid_first(key, 1, mu)
             if ts is None:
                 continue
-            ti = up.line_first(v0, 1, 1)
             if ti is None or ti > ts + k2:
                 raise UncertifiedError("complement line bound violated (internal)")
+            v0 = vadd(r, vscale(mu, eng.g1))
             for t in range(ts, ti):
                 points.append(vadd(v0, vscale(t, eng.g2)))
-        for nu in range(cap2):
-            v0 = vadd(r, vscale(nu, eng.g2))
-            ss = ring._first_shift(v0, 0, 1)
+        for nu, si in enumerate(_line_firsts(eng, gens, key, 0, cap2)):
+            ss = eng.grid_first(key, 0, nu)
             if ss is None:
                 continue
-            si = up.line_first(v0, 0, 1)
             if si is None:
                 raise UncertifiedError("complement row bound violated (internal)")
+            v0 = vadd(r, vscale(nu, eng.g2))
             for s in range(max(ss, cap1), si):
                 points.append(vadd(v0, vscale(s, eng.g1)))
     return sorted(set(points))
@@ -353,7 +405,6 @@ class MonomialIdeal:
         else:
             self.min_generators = antichain_reduce(ring, gens)
         self._up = _IdealUp(ring, self.min_generators)
-        self._lock = threading.RLock()
         self._cache = {}
 
     def __eq__(self, other):
@@ -388,25 +439,24 @@ class MonomialIdeal:
 
     def _ray_powers(self):
         """Per extreme direction, least k with k*g_axis in the ideal (None if none)."""
-        with self._lock:
-            if "ray_powers" not in self._cache:
-                naxes = 1 if self.ring.kind == "num1" else self.ring.dim
-                origin = (0,) * self.ring.dim
-                if self.ring.kind == "free3":
-                    ks = []
-                    for axis in range(3):
-                        e = tuple(1 if i == axis else 0 for i in range(3))
-                        k, found = 0, None
-                        while k <= 4096:
-                            if self._up.member(vscale(k, e)):
-                                found = k
-                                break
-                            k += 1
-                        ks.append(found)
-                else:
-                    ks = [self._up.line_first(origin, axis, 1) for axis in range(naxes)]
-                self._cache["ray_powers"] = tuple(ks)
-            return self._cache["ray_powers"]
+        if "ray_powers" not in self._cache:
+            naxes = 1 if self.ring.kind == "num1" else self.ring.dim
+            origin = (0,) * self.ring.dim
+            if self.ring.kind == "free3":
+                ks = []
+                for axis in range(3):
+                    e = tuple(1 if i == axis else 0 for i in range(3))
+                    k, found = 0, None
+                    while k <= 4096:
+                        if self._up.member(vscale(k, e)):
+                            found = k
+                            break
+                        k += 1
+                    ks.append(found)
+            else:
+                ks = [self._up.line_first(origin, axis, 1) for axis in range(naxes)]
+            self._cache["ray_powers"] = tuple(ks)
+        return self._cache["ray_powers"]
 
     @property
     def is_m_primary(self):
@@ -414,32 +464,31 @@ class MonomialIdeal:
 
     def complement(self):
         """The certified finite set of S-points outside the ideal."""
-        with self._lock:
-            if "complement" not in self._cache:
-                if not self.is_m_primary:
-                    raise NotMPrimaryError(
-                        "ideal %r does not positively span the cone" % (self,))
-                ring_memo = self.ring._cache.setdefault("complements", {})
-                hit = ring_memo.get(self.min_generators)
-                if hit is not None:
-                    self._cache["complement"] = hit
-                    return hit
-                kind = self.ring.kind
-                if kind == "grid2":
-                    pts = _complement_grid2(self.ring, self._up, self._ray_powers())
-                elif kind == "num1":
-                    eng = self.ring._engine
-                    top = min(sum(g) for g in self.min_generators) + eng.conductor
-                    pts = [(x,) for x in range(0, top + 1, eng.step)
-                           if eng.member((x,)) and not self._up.member((x,))]
-                else:
-                    ks = self._ray_powers()
-                    pts = [v for v in itertools.product(*(range(k) for k in ks))
-                           if not self._up.member(v)]
-                out = tuple(ExponentVector(p) for p in sorted(pts))
-                ring_memo[self.min_generators] = out
-                self._cache["complement"] = out
-            return self._cache["complement"]
+        if "complement" not in self._cache:
+            if not self.is_m_primary:
+                raise NotMPrimaryError(
+                    "ideal %r does not positively span the cone" % (self,))
+            ring_memo = self.ring._cache.setdefault("complements", {})
+            hit = ring_memo.get(self.min_generators)
+            if hit is not None:
+                self._cache["complement"] = hit
+                return hit
+            kind = self.ring.kind
+            if kind == "grid2":
+                pts = _complement_grid2(self.ring, self.min_generators, self._ray_powers())
+            elif kind == "num1":
+                eng = self.ring._engine
+                top = min(sum(g) for g in self.min_generators) + eng.conductor
+                pts = [(x,) for x in range(0, top + 1, eng.step)
+                       if eng.member((x,)) and not self._up.member((x,))]
+            else:
+                ks = self._ray_powers()
+                pts = [v for v in itertools.product(*(range(k) for k in ks))
+                       if not self._up.member(v)]
+            out = tuple(ExponentVector(p) for p in sorted(pts))
+            ring_memo[self.min_generators] = out
+            self._cache["complement"] = out
+        return self._cache["complement"]
 
     @property
     def complement_witness(self):
@@ -470,13 +519,12 @@ def ideal_product(a, b):
 def ideal_power(a, n):
     if n < 1:
         raise ValueError("power must be >= 1")
-    with a._lock:
-        powers = a._cache.setdefault("powers", {1: a})
-        top = max(powers)
-        while top < n:
-            powers[top + 1] = ideal_product(powers[top], a)
-            top += 1
-        return powers[n]
+    powers = a._cache.setdefault("powers", {1: a})
+    top = max(powers)
+    while top < n:
+        powers[top + 1] = ideal_product(powers[top], a)
+        top += 1
+    return powers[n]
 
 
 def ideal_colon(a, f):

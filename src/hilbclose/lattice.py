@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from fractions import Fraction
 from math import gcd
 
@@ -340,11 +339,11 @@ class _Grid2:
                     if in_lattice(self.basis, p):
                         self.box[(a, b)] = p
 
-        self._lock = threading.RLock()
         self._table = None
         self._table_size = 0
         self._firsts = {}
         self._witness = None
+        self._stable = {}
 
     # -- bounded membership table (accelerator; certified logic sits above it)
 
@@ -384,32 +383,31 @@ class _Grid2:
         search reaches every coset; grid coordinates only grow along sums, so
         the first pop per coset has minimal max-coordinate.
         """
-        with self._lock:
-            if self._witness is not None:
-                return self._witness
-            found = {}
-            heap = [(0, 0, 0, (0, 0))]
-            pops = 0
-            cap = 64 * len(self.box) * len(self.ring.generators) + 4096
-            while heap and len(found) < len(self.box):
-                pops += 1
-                if pops > cap:
-                    raise UncertifiedError(
-                        "could not locate coset witnesses in certified range")
-                mx, m1, m2, v = heapq.heappop(heap)
-                key, k1, k2 = self._decompose(v)
-                if key in found:
-                    continue
-                found[key] = (k1, k2)
-                for g in self.ring.generators:
-                    w = (v[0] + g[0], v[1] + g[1])
-                    _, w1, w2 = self._decompose(w)
-                    heapq.heappush(heap, (max(w1, w2), w1, w2, w))
-            if len(found) < len(self.box):
+        if self._witness is not None:
+            return self._witness
+        found = {}
+        heap = [(0, 0, 0, (0, 0))]
+        pops = 0
+        cap = 64 * len(self.box) * len(self.ring.generators) + 4096
+        while heap and len(found) < len(self.box):
+            pops += 1
+            if pops > cap:
                 raise UncertifiedError(
                     "could not locate coset witnesses in certified range")
-            self._witness = found
-            return self._witness
+            mx, m1, m2, v = heapq.heappop(heap)
+            key, k1, k2 = self._decompose(v)
+            if key in found:
+                continue
+            found[key] = (k1, k2)
+            for g in self.ring.generators:
+                w = (v[0] + g[0], v[1] + g[1])
+                _, w1, w2 = self._decompose(w)
+                heapq.heappush(heap, (max(w1, w2), w1, w2, w))
+        if len(found) < len(self.box):
+            raise UncertifiedError(
+                "could not locate coset witnesses in certified range")
+        self._witness = found
+        return self._witness
 
     def _decompose(self, v):
         l1 = vdot(self.lam1, v)
@@ -424,46 +422,75 @@ class _Grid2:
     # -- exact per-line first-membership index
 
     def grid_first(self, key, axis, fixed):
-        """First t with box[key] + (fixed, t) (axis order) in S; None if the line misses S."""
+        """First t with box[key] + (fixed, t) (axis order) in S; None if the line misses S.
+
+        For ``fixed`` at or past the witness bound b_fix the far branch
+        answers: the least t < b_trav whose cross line starts at or before
+        ``fixed``, else b_trav.  That is nonincreasing in ``fixed`` and
+        constant once ``fixed`` also reaches every finite cross-line first;
+        ``stabilization`` returns that index and the constants.
+        """
         ck = (key, axis, fixed)
         hit = self._firsts.get(ck, _MISS)
         if hit is not _MISS:
             return hit
-        with self._lock:
-            if ck in self._firsts:
-                return self._firsts[ck]
-            wit = self._witnesses()[key]
-            b_fix = wit[0] if axis == 1 else wit[1]
-            b_trav = wit[1] if axis == 1 else wit[0]
-            if fixed >= b_fix:
-                # the far point (fixed, b_trav) is in S, so the first index is <= b_trav
-                best = b_trav
-                for t in range(b_trav):
-                    h = self.grid_first(key, 1 - axis, t)
-                    if h is not None and h <= fixed:
-                        best = t
-                        break
-                self._firsts[ck] = best
-                return best
-            r = self.box[key]
-            gfix = self.g1 if axis == 1 else self.g2
-            gtrav = self.g2 if axis == 1 else self.g1
-            v0 = vadd(r, vscale(fixed, gfix))
-            # fast path: scan inside the bounded table
-            self._ensure_table(max(64, 2 * (max(v0) + max(max(g) for g in self.ring.generators) + 1)))
-            t = 0
-            while True:
-                p = vadd(v0, vscale(t, gtrav))
-                known = self._table_member(p)
-                if known is None:
+        wit = self._witnesses()[key]
+        b_fix = wit[0] if axis == 1 else wit[1]
+        b_trav = wit[1] if axis == 1 else wit[0]
+        if fixed >= b_fix:
+            # the far point (fixed, b_trav) is in S, so the first index is <= b_trav
+            best = b_trav
+            for t in range(b_trav):
+                h = self.grid_first(key, 1 - axis, t)
+                if h is not None and h <= fixed:
+                    best = t
                     break
-                if known:
-                    self._firsts[ck] = t
-                    return t
-                t += 1
-            result = self._line_dp(v0, axis)
-            self._firsts[ck] = result
-            return result
+            self._firsts[ck] = best
+            return best
+        r = self.box[key]
+        gfix = self.g1 if axis == 1 else self.g2
+        gtrav = self.g2 if axis == 1 else self.g1
+        v0 = vadd(r, vscale(fixed, gfix))
+        # fast path: scan inside the bounded table
+        self._ensure_table(max(64, 2 * (max(v0) + max(max(g) for g in self.ring.generators) + 1)))
+        t = 0
+        while True:
+            p = vadd(v0, vscale(t, gtrav))
+            known = self._table_member(p)
+            if known is None:
+                break
+            if known:
+                self._firsts[ck] = t
+                return t
+            t += 1
+        result = self._line_dp(v0, axis)
+        self._firsts[ck] = result
+        return result
+
+    def stabilization(self, axis):
+        """(S, consts) with grid_first(key, axis, f) == consts[key] for every f >= S.
+
+        S is the largest witness bound b_fix and finite cross-line first over
+        all cosets, so every line at or past it takes the far branch of
+        ``grid_first`` with every cross line already entered.
+        """
+        hit = self._stable.get(axis)
+        if hit is not None:
+            return hit
+        wit = self._witnesses()
+        stable = 0
+        consts = {}
+        for key in sorted(self.box):
+            b_fix, b_trav = wit[key] if axis == 1 else wit[key][::-1]
+            stable = max(stable, b_fix)
+            consts[key] = b_trav
+            for t in range(b_trav):
+                h = self.grid_first(key, 1 - axis, t)
+                if h is not None:
+                    stable = max(stable, h)
+                    consts[key] = min(consts[key], t)
+        self._stable[axis] = (stable, consts)
+        return self._stable[axis]
 
     def _line_dp(self, v0, axis):
         """Exact first t >= 0 with v0 + t*g_axis in S via a residue knapsack."""
@@ -674,7 +701,6 @@ class AffineSemigroup:
             if not units <= set(map(tuple, self.generators)):
                 raise UnsupportedRingError("dimension 3 supports only the free semigroup Z^3_{>=0}")
             self._engine = _Free3(self)
-        self._lock = threading.RLock()
         self._cache = {}
 
     # value semantics
@@ -713,12 +739,11 @@ class AffineSemigroup:
 
     def minimal_generators(self):
         """The irreducible elements of S (they form its unique minimal generating set)."""
-        with self._lock:
-            if "irreducible" not in self._cache:
-                out = [g for g in self.generators
-                       if not any(h != g and self._member_diff(g, h) for h in self.generators)]
-                self._cache["irreducible"] = tuple(sorted(out))
-            return self._cache["irreducible"]
+        if "irreducible" not in self._cache:
+            out = [g for g in self.generators
+                   if not any(h != g and self._member_diff(g, h) for h in self.generators)]
+            self._cache["irreducible"] = tuple(sorted(out))
+        return self._cache["irreducible"]
 
     def _member_diff(self, g, h):
         d = vsub(g, h)
@@ -730,23 +755,21 @@ class AffineSemigroup:
 
     def conductor(self):
         """A vector c in S with c + (saturation of S) ⊆ S, from the certified scan."""
-        with self._lock:
-            if "conductor" not in self._cache:
-                self._cache["conductor"] = ExponentVector(self._engine.conductor_vector())
-            return self._cache["conductor"]
+        if "conductor" not in self._cache:
+            self._cache["conductor"] = ExponentVector(self._engine.conductor_vector())
+        return self._cache["conductor"]
 
     def saturation(self):
         """Gaps (finite part and full rays) of the saturation, plus the conductor."""
-        with self._lock:
-            if "saturation" not in self._cache:
-                finite, rays = self._engine.saturation_data()
-                self._cache["saturation"] = SaturationResult(
-                    ring=self,
-                    gaps=tuple(ExponentVector(p) for p in finite),
-                    gap_rays=tuple((ExponentVector(b), ExponentVector(d)) for b, d in rays),
-                    conductor=self.conductor(),
-                )
-            return self._cache["saturation"]
+        if "saturation" not in self._cache:
+            finite, rays = self._engine.saturation_data()
+            self._cache["saturation"] = SaturationResult(
+                ring=self,
+                gaps=tuple(ExponentVector(p) for p in finite),
+                gap_rays=tuple((ExponentVector(b), ExponentVector(d)) for b, d in rays),
+                conductor=self.conductor(),
+            )
+        return self._cache["saturation"]
 
     def extreme_generators(self):
         """One generator per extreme ray of the cone, in ray order."""
@@ -758,11 +781,10 @@ class AffineSemigroup:
 
     def group_lattice(self):
         """Triangular row basis of the subgroup of Z^d the generators span."""
-        with self._lock:
-            if "lattice" not in self._cache:
-                self._cache["lattice"] = tuple(
-                    tuple(r) for r in lattice_basis(self.generators, self.dim))
-            return self._cache["lattice"]
+        if "lattice" not in self._cache:
+            self._cache["lattice"] = tuple(
+                tuple(r) for r in lattice_basis(self.generators, self.dim))
+        return self._cache["lattice"]
 
     def cone_halfspaces(self):
         """Primitive inward normals of the real cone the generators span."""

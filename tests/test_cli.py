@@ -122,6 +122,15 @@ class TestFuzz:
         assert code == 0
         assert data["summary"]["instances"] == "0"
 
+    @pytest.mark.parametrize("command", [["fuzz", "--seed", "42", "--count", "0"],
+                                         ["verify", "--corpus", "corpus.json"]])
+    def test_no_report_option(self, command, capsys):
+        # verify and fuzz always write JSON, so they take no --report
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--report", "csv"])
+        assert exc.value.code == 2
+        assert "--report" in capsys.readouterr().err
+
     def test_byte_determinism_in_process(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REMARK_GENS, brute_complement, brute_ideal_member
-from hilbclose.errors import NotMPrimaryError, RingMismatchError
+from hilbclose.errors import NotMPrimaryError, RingMismatchError, UnsupportedRingError
 from hilbclose.ideals import (
     MonomialIdeal,
     ParameterIdeal,
+    _line_firsts,
     ideal_colon,
     ideal_colon_ideal,
     ideal_intersection,
@@ -20,7 +21,7 @@ from hilbclose.ideals import (
     maximal_ideal,
     nu_m_mod_q,
 )
-from hilbclose.lattice import AffineSemigroup
+from hilbclose.lattice import AffineSemigroup, vadd, vscale, vsub
 
 
 def gens_of(ideal):
@@ -214,26 +215,62 @@ class TestColength:
         assert larger.contains_ideal(smaller)
         assert smaller.colength() >= larger.colength()
 
-    def test_concurrent_reads(self, remark_ring):
-        import threading
 
-        q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
-        results = []
+# rings for the sweep: finite gaps, gap rays, several cosets
+SWEEP_RINGS = [
+    REMARK_GENS,  # finite gap (0, 1), two cosets
+    [(2, 0), (0, 2), (3, 1), (1, 3)],  # finite gap (1, 1), two cosets
+    [(2, 0), (3, 0), (0, 1)],  # gap ray (1, 0) + t(0, 1), two cosets
+    [(4, 0), (0, 2), (1, 1), (3, 1)],  # gap ray (2, 0) + t(4, 0), four cosets
+    [(3, 0), (0, 2), (1, 2), (2, 2)],  # two gap rays along (3, 0), three cosets
+    [(3, 0), (1, 1), (0, 3)],  # normal, three cosets
+]
 
-        def worker():
-            out = []
-            for n in (1, 2, 3):
-                out.append(ideal_power(q, n).colength())
-            out.append(remark_ring.member((5, 7)))
-            results.append(out)
 
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r == results[0] for r in results)
-        assert results[0][:3] == [3, 8, 15]
+def _ring_or_none(gens):
+    try:
+        return AffineSemigroup(2, gens)
+    except (UnsupportedRingError, ValueError):
+        return None
+
+
+sweep_rings = st.one_of(
+    st.sampled_from(SWEEP_RINGS),
+    st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=4)
+    .map(sorted).filter(lambda gens: (0, 0) not in gens and _ring_or_none(gens)),
+)
+
+
+class TestStaircaseSweep:
+    """The per-coset complement sweep against the per-generator minimum it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_rings, st.integers(1, 3), st.integers(1, 3),
+           st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), max_size=3))
+    def test_sweep_matches_generator_minimum(self, sgens, k1, k2, combos):
+        ring = AffineSemigroup(2, sgens)
+        eng = ring._engine
+        extra = [tuple(sum(c * g[i] for c, g in zip(combo, ring.generators)) for i in (0, 1))
+                 for combo in combos]
+        ideal = MonomialIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)]
+                              + [v for v in extra if any(v)])
+        gens = ideal.min_generators
+        for axis in (0, 1):
+            stable, consts = eng.stabilization(axis)
+            gfix = eng.g1 if axis == 1 else eng.g2
+            for key in sorted(eng.box):
+                for f in range(stable, stable + 6):
+                    assert eng.grid_first(key, axis, f) == consts[key]
+                count = stable + 6
+                got = _line_firsts(eng, gens, key, axis, count)
+                for m in range(count):
+                    v0 = vadd(eng.box[key], vscale(m, gfix))
+                    firsts = [eng.first_shift(vsub(v0, u), axis) for u in gens]
+                    firsts = [t for t in firsts if t is not None]
+                    assert got[m] == (min(firsts) if firsts else None), (key, axis, m)
+        comp = sorted(map(tuple, ideal.complement()))
+        box = max(max(map(max, comp), default=0), max(map(max, gens))) + 4
+        assert comp == brute_complement(sgens, gens_of(ideal), box)
 
 
 class TestExtractionOracle:
