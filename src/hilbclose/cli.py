@@ -2,8 +2,9 @@
 built-in examples.
 
 Exit codes: 0 success, 1 input error, 2 partial report (a fit did not
-stabilize), 3 theorem violation or example mismatch.  Reports are
-byte-deterministic for a fixed configuration.
+stabilize), 3 theorem violation or example mismatch, 4 internal error (a
+certification check failed).  Reports are byte-deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import comb
 
 from . import formats
 from .closures import _is_prime
-from .errors import HilbcloseError
+from .errors import HilbcloseError, NonIntegralCoefficientError, UncertifiedError
 from .hilbert import FiltrationKind, coefficient_report, multiplicity_volume
 from .ideals import ParameterIdeal
 from .theorems import fuzz_corpus, verify_instances
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PARTIAL = 2
 EXIT_VIOLATION = 3
+EXIT_INTERNAL = 4
 
 REPORT_FORMATS = ("json", "csv", "table")
 
@@ -294,6 +296,10 @@ def main(argv=None):
               "fuzz": run_fuzz, "example": run_example}[config.command]
     try:
         return runner(config)
+    except (UncertifiedError, NonIntegralCoefficientError) as exc:
+        # a certificate the theory guarantees did not hold: a bug, not bad input
+        sys.stderr.write("internal error [%s]: %s\n" % (exc.code, exc))
+        return EXIT_INTERNAL
     except HilbcloseError as exc:
         sys.stderr.write("error [%s]: %s\n" % (exc.code, exc))
         return EXIT_INPUT

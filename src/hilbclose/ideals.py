@@ -4,21 +4,22 @@ Ideals are S-stable up-sets held by their minimal generators.  Every derived
 ideal (colon, intersection, closure, Frobenius candidate) is first modelled as
 an abstract up-set exposing two exact oracles
 
-    member(v)                  -- point membership
-    line_first(v0, axis, step) -- least t >= 0 with v0 + t*step*g_axis inside
+    member(v)                   -- point membership
+    profile(key, axis, count)   -- first index on lines 0..count-1 of a coset
 
-and then materialized by ``extract_min_gens``.  Along any line parallel to an
-extreme ray, membership in an up-set is monotone, so the up-set restricted to
-the line is a final segment described by one integer.  Minimal generators are
-exactly the points that start their column and their row, which turns
-extraction into a bounded sweep of line-first queries.
+and then materialized by ``extract_min_gens``.  In dimension 2, the lattice
+points of each coset of Z g1 + Z g2 form a grid whose lines run parallel to
+an extreme ray.  Along such a line membership in an up-set is monotone, so
+the up-set restricted to the line is a final segment described by one
+integer, and on each coset those integers form a nonincreasing staircase.
+Minimal generators sit at its corners: extraction reads one row profile and
+one column profile per coset and keeps the columns whose first index drops.
 
-Complements, and so colengths, of two-dimensional ideals do not use
-``line_first``.  On each coset, an S-stable up-set is a nonincreasing
-staircase: line -> first index.  ``_line_firsts`` gets the whole profile of
-an ideal from its generators in one ascending sweep per coset and axis.  Only
-generators within the ring's stabilization index of a line query the grid
-engine; the rest contribute constants (``_Grid2.stabilization``).
+``_line_firsts`` gets the profile of an ideal from its generators in one
+ascending sweep per coset and axis; derived up-sets combine their parts'
+profiles pointwise.  Complements, and so colengths, read the same sweep.
+Only generators within the ring's stabilization index of a line query the
+grid engine; the rest contribute constants (``_Grid2.stabilization``).
 """
 
 from __future__ import annotations
@@ -77,23 +78,23 @@ class _IdealUp:
                 return True
         return False
 
-    def line_first(self, v0, axis, step=1):
-        eng = self._eng
+    def line_first(self, v0, axis):
+        """Least t >= 0 with v0 + t*g_axis inside, or None."""
+        first_shift = self.ring._engine.first_shift
         best = None
-        if eng is not None:
-            x, y = v0
-            for ux, uy in self.gens:
-                t = eng.first_shift((x - ux, y - uy), axis, step)
-                if t is not None and (best is None or t < best):
-                    if t == 0:
-                        return 0
-                    best = t
-            return best
         for u in self.gens:
-            t = self.ring._first_shift(vsub(v0, u), axis, step)
+            t = first_shift(vsub(v0, u), axis)
             if t is not None and (best is None or t < best):
+                if t == 0:
+                    return 0
                 best = t
         return best
+
+    def profile(self, key, axis, count, shift=None):
+        """First indices on lines 0..count-1 of coset ``key``; with ``shift`` f,
+        those of the up-set {v : v + f in I}, which may be negative."""
+        gens = self.gens if shift is None else [vsub(u, shift) for u in self.gens]
+        return _line_firsts(self._eng, gens, key, axis, count)
 
     def seed(self):
         return self.gens[0]
@@ -112,14 +113,13 @@ class _ColonUp:
             return False
         return self.base.member(vadd(v, self.f))
 
-    def line_first(self, v0, axis, step=1):
-        ts = self.ring._first_shift(v0, axis, step)
-        if ts is None:
-            return None
-        ti = self.base.line_first(vadd(v0, self.f), axis, step)
-        if ti is None:
-            return None
-        return max(ts, ti)
+    def profile(self, key, axis, count):
+        eng = self.ring._engine
+        out = []
+        for m, ti in enumerate(self.base.profile(key, axis, count, self.f)):
+            ts = eng.grid_first(key, axis, m)
+            out.append(None if ts is None or ti is None else max(ts, ti))
+        return out
 
     def seed(self):
         return self.base.seed()
@@ -135,14 +135,12 @@ class _MeetUp:
     def member(self, v):
         return all(p.member(v) for p in self.parts)
 
-    def line_first(self, v0, axis, step=1):
-        worst = 0
-        for p in self.parts:
-            t = p.line_first(v0, axis, step)
-            if t is None:
-                return None
-            worst = max(worst, t)
-        return worst
+    def profile(self, key, axis, count):
+        out = self.parts[0].profile(key, axis, count)
+        for p in self.parts[1:]:
+            out = [None if a is None or b is None else max(a, b)
+                   for a, b in zip(out, p.profile(key, axis, count))]
+        return out
 
     def seed(self):
         s = self.parts[0].seed()
@@ -165,20 +163,28 @@ class _PolyUp:
             return False
         return self.poly.contains(v, self.nscale) and self.ring.member(v)
 
-    def line_first(self, v0, axis, step=1):
-        g = self.ring._axis_generator(axis)
-        lo = 0
-        for n, h in self.poly.halfspaces:
-            coeff = step * vdot(n, g)
-            val = vdot(n, v0)
-            need = self.nscale * h
-            if coeff == 0:
-                if val < need:
-                    return None
-            else:
-                lo = max(lo, -((val - need) // coeff))
-        t = self.ring._first_shift(vadd(v0, vscale(lo * step, g)), axis, step)
-        return None if t is None else lo + t
+    def profile(self, key, axis, count):
+        eng = self.ring._engine
+        gfix, g = (eng.g1, eng.g2) if axis == 1 else (eng.g2, eng.g1)
+        r = eng.box[key]
+        # per halfspace n.v >= scale*h: slope along the line, slack at t = 0 of line 0,
+        # and the slack's growth per line; inward normals make both slopes >= 0
+        sides = [(vdot(n, g), vdot(n, r) - self.nscale * h, vdot(n, gfix))
+                 for n, h in self.poly.halfspaces]
+        out = []
+        for m in range(count):
+            lo = eng.grid_first(key, axis, m)
+            for coeff, slack, grow in sides:
+                if lo is None:
+                    break
+                val = slack + m * grow
+                if coeff == 0:
+                    if val < 0:
+                        lo = None
+                else:
+                    lo = max(lo, -(val // coeff))
+            out.append(lo)
+        return out
 
     def seed(self):
         return self._seed
@@ -199,16 +205,19 @@ class _FrobUp:
             return False
         return all(up.member(vadd(self.c, vscale(q, v))) for q, up in self.scaled)
 
-    def line_first(self, v0, axis, step=1):
-        worst = self.ring._first_shift(v0, axis, step)
-        if worst is None:
-            return None
+    def profile(self, key, axis, count):
+        eng = self.ring._engine
+        out = [eng.grid_first(key, axis, m) for m in range(count)]
         for q, up in self.scaled:
-            t = up.line_first(vadd(self.c, vscale(q, v0)), axis, q * step)
-            if t is None:
-                return None
-            worst = max(worst, t)
-        return worst
+            # c + q*(box[key] + m*g_fix + t*g_axis) is box[kw] + (a_fix + q*m)*g_fix
+            # + (a_ax + q*t)*g_axis, so line m reads line a_fix + q*m of coset kw
+            kw, a1, a2 = eng._decompose(vadd(self.c, vscale(q, eng.box[key])))
+            a_fix, a_ax = (a1, a2) if axis == 1 else (a2, a1)
+            firsts = _line_firsts(eng, up.gens, kw, axis, count, a_fix, q)
+            for m, f in enumerate(firsts):
+                if out[m] is not None:
+                    out[m] = None if f is None else max(out[m], -((a_ax - f) // q))
+        return out
 
     def seed(self):
         # any generator u of I satisfies c + q*u in I^[q] for every q
@@ -251,31 +260,26 @@ def _extract_grid2(ring, upset):
     for key in sorted(eng.box):
         dk = ((key[0] - skey[0]) % eng.D1, (key[1] - skey[1]) % eng.D2)
         seed_k = vadd(seed, wvec[dk])
-        _, s1, s2 = eng._decompose(seed_k)
+        _, _, s2 = eng._decompose(seed_k)
         r = eng.box[key]
-
-        def vert(mu):
-            return upset.line_first(vadd(r, vscale(mu, eng.g1)), 1, 1)
-
-        def horiz(nu):
-            return upset.line_first(vadd(r, vscale(nu, eng.g2)), 0, 1)
-
-        mu_star = None
-        for mu in range(s1 + 1):
-            if vert(mu) is not None:
-                mu_star = mu
-                break
+        rows = upset.profile(key, 0, s2 + 1)
+        nu_star = next((nu for nu, s in enumerate(rows) if s is not None), None)
+        if nu_star is None:
+            raise UncertifiedError("up-set row scan failed to certify a seed row")
+        # rows past nu_star start at or before mu_max, so no generator lies right of it
+        mu_max = rows[nu_star]
+        cols = upset.profile(key, 1, mu_max + 1)
+        mu_star = next((mu for mu, t in enumerate(cols) if t is not None), None)
         if mu_star is None:
             raise UncertifiedError("up-set column scan failed to certify a seed column")
-        nu_star = None
-        for nu in range(s2 + 1):
-            if horiz(nu) is not None:
-                nu_star = nu
-                break
-        mu_max = horiz(nu_star)
+        # only staircase corners: a column starting where its left neighbour
+        # starts holds that start plus g1, which is not minimal
+        prev = None
         for mu in range(mu_star, mu_max + 1):
-            t = vert(mu)
-            cands.append(vadd(r, vadd(vscale(mu, eng.g1), vscale(t, eng.g2))))
+            t = cols[mu]
+            if t != prev:
+                cands.append(vadd(r, vadd(vscale(mu, eng.g1), vscale(t, eng.g2))))
+                prev = t
     return cands
 
 
@@ -310,17 +314,19 @@ def _extract_free3(ring, upset):
     return cands
 
 
-def _line_firsts(eng, gens, key, axis, count):
-    """The ideal's first index on lines 0..count-1 of coset ``key`` along ``axis``.
+def _line_firsts(eng, gens, key, axis, count, start=0, stride=1):
+    """The up-set's first index on lines start + stride*m, m < count, of coset ``key``.
 
-    Line m is box[key] + m*g_fix + t*g_axis for t >= 0, g_fix being the other
-    extreme generator; None where no generator reaches the line.  Generator u
-    sees line m as the grid line m + c_u of its own coset, shifted by m_u
-    along the line, so one ascending sweep over m serves every line.  Sorted
-    by c_u, the generators form three runs: not yet on the grid (m + c_u < 0),
+    Line m is box[key] + m*g_fix + t*g_axis, g_fix being the other extreme
+    generator; None where no generator reaches the line.  Generator u sees
+    line m as the grid line m + c_u of its own coset, shifted by m_u along
+    the line, so one ascending sweep over m serves every line.  Sorted by
+    c_u, the generators form three runs: not yet on the grid (m + c_u < 0),
     a band that queries ``grid_first``, and those at or past the
     stabilization index, whose first index no longer changes and is merged
-    into a running minimum when they leave the band.
+    into a running minimum when they leave the band.  Generators in S have
+    m_u <= 0 and so nonnegative firsts; shifted generators u - f need not
+    lie in S, and there m_u > 0 can make a first negative.
     """
     stable, consts = eng.stabilization(axis)
     if axis == 1:
@@ -333,13 +339,12 @@ def _line_firsts(eng, gens, key, axis, count):
     for u in gens:
         c, r_fix = divmod(k_fix - vdot(lam_fix, u), d_fix)
         m_u, r_trav = divmod(k_trav - vdot(lam_trav, u), d_trav)
-        # u lies in S, so m_u <= 0 and the shift -m_u is never negative
         rows.append((c, (r_fix, r_trav) if axis == 1 else (r_trav, r_fix), m_u))
     rows.sort(reverse=True)  # by c_u, descending
     firsts = []
     merged = None
     lo = hi = 0  # rows[:lo] are merged, rows[lo:hi] form the band
-    for m in range(count):
+    for m in range(start, start + stride * count, stride):
         while hi < len(rows) and m + rows[hi][0] >= 0:
             hi += 1
         while lo < hi and m + rows[lo][0] >= stable:
@@ -454,7 +459,7 @@ class MonomialIdeal:
                         k += 1
                     ks.append(found)
             else:
-                ks = [self._up.line_first(origin, axis, 1) for axis in range(naxes)]
+                ks = [self._up.line_first(origin, axis) for axis in range(naxes)]
             self._cache["ray_powers"] = tuple(ks)
         return self._cache["ray_powers"]
 

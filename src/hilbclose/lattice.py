@@ -240,10 +240,10 @@ class _Num1:
             return bool(self.tab[x])
         return x >= self.conductor
 
-    def first_shift(self, w, axis, step=1):
-        """Least t >= 0 with w + t*step*amin in S, or None."""
+    def first_shift(self, w, axis):
+        """Least t >= 0 with w + t*amin in S, or None."""
         x = w[0]
-        inc = step * self.amin
+        inc = self.amin
         if x % self.step != 0:
             return None
         t = 0 if x >= 0 else _ceil_div(-x, inc)
@@ -571,8 +571,8 @@ class _Grid2:
         t = self.grid_first(key, 0, m2)
         return t is not None and m1 >= t
 
-    def first_shift(self, w, axis, step=1):
-        """Least t >= 0 with w + t*step*g_axis in S, or None."""
+    def first_shift(self, w, axis):
+        """Least t >= 0 with w + t*g_axis in S, or None."""
         x, y = w
         if not self._in_lat2(x, y):
             return None
@@ -592,9 +592,7 @@ class _Grid2:
             if T is None:
                 return None
             mT = l1 // self.D1
-        if mT >= T:
-            return 0
-        return -((mT - T) // step)
+        return max(0, T - mT)
 
     # -- saturation
 
@@ -793,21 +791,6 @@ class AffineSemigroup:
         if self.kind == "num1":
             return ((1,),)
         return tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-
-    # grid plumbing used by the ideal engine
-    def _first_shift(self, w, axis, step=1):
-        if self.kind == "grid2":
-            return self._engine.first_shift(w, axis, step)
-        if self.kind == "num1":
-            return self._engine.first_shift(w, axis, step)
-        raise UnsupportedRingError("line oracles are only defined for ambient dimension <= 2")
-
-    def _axis_generator(self, axis):
-        if self.kind == "grid2":
-            return self._engine.g1 if axis == 0 else self._engine.g2
-        if self.kind == "num1":
-            return (self._engine.amin,)
-        return tuple(1 if i == axis else 0 for i in range(3))
 
     def newton_polyhedron(self, points):
         """conv(points) + cone(S) as a halfspace list (exact)."""

@@ -227,6 +227,20 @@ class TestExitContracts:
         gens, _ = formats.ideal_from_record(repro["ideal"], ring)
         assert gens == [(1, 0), (0, 1)]
 
+    def test_analyze_internal_error_exit_4(self, tmp_path, monkeypatch, capsys):
+        import hilbclose.cli as cli_mod
+        from hilbclose.errors import UncertifiedError
+
+        def broken(ring, q, **kw):
+            raise UncertifiedError("complement line bound violated (internal)")
+
+        monkeypatch.setattr(cli_mod, "coefficient_report", broken)
+        ring = write(tmp_path, "ring.json", REMARK_RING)
+        ideal = write(tmp_path, "q.json", REMARK_Q)
+        code = main(["analyze", "--ring", ring, "--ideal", ideal, "--n-max", "6"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("internal error [UNCERTIFIED]")
+
     def test_analyze_byte_determinism(self, tmp_path):
         ring = write(tmp_path, "ring.json", REMARK_RING)
         ideal = write(tmp_path, "q.json", REMARK_Q)

@@ -10,7 +10,12 @@ from hilbclose.errors import NotMPrimaryError, RingMismatchError, UnsupportedRin
 from hilbclose.ideals import (
     MonomialIdeal,
     ParameterIdeal,
+    _ColonUp,
+    _FrobUp,
+    _IdealUp,
     _line_firsts,
+    _MeetUp,
+    _PolyUp,
     ideal_colon,
     ideal_colon_ideal,
     ideal_intersection,
@@ -21,7 +26,7 @@ from hilbclose.ideals import (
     maximal_ideal,
     nu_m_mod_q,
 )
-from hilbclose.lattice import AffineSemigroup, vadd, vscale, vsub
+from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale, vsub
 
 
 def gens_of(ideal):
@@ -273,6 +278,69 @@ class TestStaircaseSweep:
         assert comp == brute_complement(sgens, gens_of(ideal), box)
 
 
+class _ShiftedUp:
+    """{v : v + f in I}, whose profile is the shifted generator sweep."""
+
+    def __init__(self, ideal_up, f):
+        self.base = ideal_up
+        self.f = f
+
+    def member(self, v):
+        return self.base.member(vadd(v, self.f))
+
+    def profile(self, key, axis, count):
+        return self.base.profile(key, axis, count, self.f)
+
+
+class TestProfiles:
+    """Every up-set's per-coset profile against a bounded scan of ``member``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_rings, st.integers(1, 3), st.integers(1, 3),
+           st.lists(st.integers(0, 2), min_size=4, max_size=4),
+           st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), max_size=2))
+    def test_profile_matches_member_scan(self, sgens, k1, k2, fcombo, combos):
+        ring = AffineSemigroup(2, sgens)
+        eng = ring._engine
+
+        def element(combo):
+            return tuple(sum(c * g[i] for c, g in zip(combo, ring.generators)) for i in (0, 1))
+
+        extra = [v for v in map(element, combos) if any(v)]
+        gens = MonomialIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)] + extra)
+        gens = gens.min_generators
+        up = _IdealUp(ring, gens)
+        small = element(fcombo)
+        large = vadd(small, vscale(3, vadd(eng.g1, eng.g2)))
+        other = _IdealUp(ring, [vscale(k1 + 1, eng.g1), vadd(eng.g1, eng.g2),
+                                vscale(k2 + 1, eng.g2)])
+        poly = ring.newton_polyhedron(gens)
+        upsets = [
+            up,
+            _ShiftedUp(up, small),
+            _ShiftedUp(up, large),
+            _ColonUp(up, large),
+            _MeetUp([up, other, _ColonUp(other, small)]),
+            _PolyUp(ring, poly, 2, vscale(2, gens[0])),
+        ] + [_FrobUp(ring, gens, [(1, up), (q, _IdealUp(ring, [vscale(q, u) for u in gens]))],
+                     small) for q in (2, 3)]
+        # a shifted first is at least -(lam1 + lam2)(f), and every first here is small
+        lo = -(vdot(eng.lam1, large) + vdot(eng.lam2, large)) - 1
+        hi = 12 * (k1 + k2 + 4)
+        for axis in (0, 1):
+            gfix, gax = (eng.g1, eng.g2) if axis == 1 else (eng.g2, eng.g1)
+            count = eng.stabilization(axis)[0] + 4
+            for key in sorted(eng.box):
+                for upset in upsets:
+                    prof = upset.profile(key, axis, count)
+                    assert len(prof) == count
+                    for m in range(count):
+                        v0 = vadd(eng.box[key], vscale(m, gfix))
+                        first = next((t for t in range(lo, hi)
+                                      if upset.member(vadd(v0, vscale(t, gax)))), None)
+                        assert prof[m] == first, (type(upset).__name__, key, axis, m)
+
+
 class TestExtractionOracle:
     """Cross-check extraction sweeps against a box brute force.
 
@@ -324,6 +392,34 @@ class TestExtractionOracle:
             member = lambda v: all(c >= 0 for c in v) and ring.member(v) and poly.contains(v)
             expected = self.brute_min_gens(ring, member, 14)
             assert sorted(map(tuple, closed.min_generators)) == expected, gens
+
+    def test_frobenius_candidate_extraction(self, remark_ring, cm_ring):
+        from hilbclose.closures import FrobeniusContext, _tight_candidate_at
+
+        four_cosets = AffineSemigroup(2, SWEEP_RINGS[3])
+        cases = [
+            (remark_ring, [(3, 0), (2, 1), (0, 4)]),
+            (cm_ring, [(4, 0), (2, 2), (0, 3)]),  # gap ray (1, 0) + t(0, 1)
+            (four_cosets, [(8, 0), (2, 2), (0, 4)]),
+        ]
+        for ring, gens in cases:
+            sgens = [tuple(g) for g in ring.generators]
+            for p, e_top in ((2, 2), (3, 1)):
+                ctx = FrobeniusContext(ring, p, e_max=2)
+                c = tuple(ctx.test_element)
+                brackets = [(q, [vscale(q, g) for g in gens]) for q in ctx.powers(e_top)]
+                memo = {}
+
+                def member(v):
+                    if v not in memo:
+                        memo[v] = ring.member(v) and all(
+                            brute_ideal_member(sgens, qgens, vadd(c, vscale(q, v)))
+                            for q, qgens in brackets)
+                    return memo[v]
+
+                cand = _tight_candidate_at(MonomialIdeal(ring, gens), ctx, e_top)
+                expected = self.brute_min_gens(ring, member, 12)
+                assert sorted(map(tuple, cand.min_generators)) == expected, (gens, p)
 
 
 class TestParameterIdeal:
