@@ -10,7 +10,6 @@ the Frobenius candidate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import NotMPrimaryError, NotStabilizedError, UnsupportedRingError
@@ -23,7 +22,6 @@ from .ideals import (
     _PolyUp,
     extract_min_gens,
     ideal_colon,
-    ideal_power,
 )
 from .lattice import ExponentVector, vadd, vdot, vscale
 
@@ -36,14 +34,7 @@ LIMIT_WINDOW = 2
 
 def integral_closure(ideal):
     """Lattice points of the Newton polyhedron of the generators, inside S."""
-    ring = ideal.ring
-    poly = ring.newton_polyhedron([tuple(g) for g in ideal.min_generators])
-    up = _PolyUp(ring, poly, 1, tuple(ideal.min_generators[0]))
-    if ring.kind == "free3":
-        gens = _closure_free3(ring, up, ideal)
-    else:
-        gens = extract_min_gens(ring, up)
-    return MonomialIdeal(ring, gens, _reduced=True)
+    return integral_closure_power(ideal, 1)
 
 
 def integral_closure_power(ideal, n):
@@ -51,27 +42,14 @@ def integral_closure_power(ideal, n):
     if n < 1:
         raise ValueError("power must be >= 1")
     ring = ideal.ring
+    # free-Z^3 extraction bounds its box by pure powers on the x and y axes;
+    # 2-D extraction needs none and also closes non-m-primary ideals
+    if ring.dim == 3 and not ideal.is_m_primary:
+        raise NotMPrimaryError("closure extraction in dimension 3 needs an m-primary ideal")
     poly = ring.newton_polyhedron([tuple(g) for g in ideal.min_generators])
     seed = tuple(ideal.min_generators[0].scaled(n))
     up = _PolyUp(ring, poly, n, seed)
-    if ring.kind == "free3":
-        gens = _closure_free3(ring, up, ideal_power(ideal, n))
-    else:
-        gens = extract_min_gens(ring, up)
-    return MonomialIdeal(ring, gens, _reduced=True)
-
-
-def _closure_free3(ring, up, inner):
-    """Free-Z^3 extraction: closure generators live inside the power's pure-power box."""
-    ks = inner._ray_powers()
-    if any(k is None for k in ks):
-        raise NotMPrimaryError("closure extraction in dimension 3 needs an m-primary ideal")
-    cands = [v for v in itertools.product(*(range(k + 1) for k in ks)) if up.member(v)]
-    out = []
-    for v in sorted(cands):
-        if not any(up.member(tuple(a - b for a, b in zip(v, g))) for g in ring.generators):
-            out.append(v)
-    return tuple(ExponentVector(v) for v in out)
+    return MonomialIdeal(ring, extract_min_gens(ring, up), _reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +150,6 @@ def lim_intersection(q, total, t_cap=LIMIT_T_CAP, window=LIMIT_WINDOW):
         parts.append(cert.ideal)
     if len(parts) == 1:
         return parts[0]
-    if ring.kind == "free3":
-        gens = parts[0].min_generators
-        cur = parts[0]
-        for other in parts[1:]:
-            lcms = [tuple(max(a, b) for a, b in zip(u, v))
-                    for u in cur.min_generators for v in other.min_generators]
-            cur = MonomialIdeal(ring, lcms)
-        return cur
     up = _MeetUp([p._up for p in parts])
     return MonomialIdeal(ring, extract_min_gens(ring, up), _reduced=True)
 
@@ -289,23 +259,6 @@ def _tight_candidate_at(ideal, ctx, e_top):
     scaled = [(q, _IdealUp(ring, [g.scaled(q) for g in ideal.min_generators]))
               for q in ctx.powers(e_top)]
     up = _FrobUp(ring, [tuple(g) for g in ideal.min_generators], scaled, c)
-    if ring.kind == "free3":
-        # the candidate's generators sit inside its pure-power box
-        ks = []
-        for axis in range(3):
-            e = tuple(1 if i == axis else 0 for i in range(3))
-            k = 0
-            while not up.member(vscale(k, e)):
-                k += 1
-            ks.append(k)
-        cands = [v for v in itertools.product(*(range(k + 1) for k in ks))
-                 if up.member(v)]
-        gens = []
-        for v in sorted(cands):
-            if not any(up.member(tuple(a - b for a, b in zip(v, g)))
-                       for g in ring.generators):
-                gens.append(ExponentVector(v))
-        return MonomialIdeal(ring, tuple(gens), _reduced=True)
     return MonomialIdeal(ring, extract_min_gens(ring, up), _reduced=True)
 
 

@@ -20,11 +20,20 @@ ascending sweep per coset and axis; derived up-sets combine their parts'
 profiles pointwise.  Complements, and so colengths, read the same sweep.
 Only generators within the ring's stabilization index of a line query the
 grid engine; the rest contribute constants (``_Grid2.stabilization``).
+
+In free Z^3 an up-set is a nonincreasing height function on the (x, y)
+plane, so up-sets there expose a third oracle
+
+    heights(nx, ny)             -- least z on each column x < nx, y < ny
+
+``_column_heights`` gets it from generators with a 2-D prefix minimum, and
+derived up-sets combine it pointwise as they do profiles.  Extraction scans
+the x and y axes for pure powers, reads one height array and keeps the
+corners, the columns lying below both their left and lower neighbours;
+complements are the points below each column's height.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import (
     DimensionMismatchError,
@@ -93,8 +102,15 @@ class _IdealUp:
     def profile(self, key, axis, count, shift=None):
         """First indices on lines 0..count-1 of coset ``key``; with ``shift`` f,
         those of the up-set {v : v + f in I}, which may be negative."""
-        gens = self.gens if shift is None else [vsub(u, shift) for u in self.gens]
-        return _line_firsts(self._eng, gens, key, axis, count)
+        return _line_firsts(self._eng, self._shifted(shift), key, axis, count)
+
+    def heights(self, nx, ny, shift=None):
+        """Column heights for x < nx, y < ny; with ``shift`` f, those of the
+        up-set {v : v + f in I}, which may be negative."""
+        return _column_heights(self._shifted(shift), nx, ny)
+
+    def _shifted(self, shift):
+        return self.gens if shift is None else [vsub(u, shift) for u in self.gens]
 
     def seed(self):
         return self.gens[0]
@@ -121,6 +137,10 @@ class _ColonUp:
             out.append(None if ts is None or ti is None else max(ts, ti))
         return out
 
+    def heights(self, nx, ny):
+        return [[None if h is None else max(0, h) for h in col]
+                for col in self.base.heights(nx, ny, self.f)]
+
     def seed(self):
         return self.base.seed()
 
@@ -140,6 +160,12 @@ class _MeetUp:
         for p in self.parts[1:]:
             out = [None if a is None or b is None else max(a, b)
                    for a, b in zip(out, p.profile(key, axis, count))]
+        return out
+
+    def heights(self, nx, ny):
+        out = self.parts[0].heights(nx, ny)
+        for p in self.parts[1:]:
+            out = _max_heights(out, p.heights(nx, ny))
         return out
 
     def seed(self):
@@ -186,6 +212,30 @@ class _PolyUp:
             out.append(lo)
         return out
 
+    def heights(self, nx, ny):
+        # per halfspace a*x + b*y + c*z >= scale*h: with c > 0 a floor on z
+        # per column, with c = 0 a test of the column alone
+        sides = []
+        for (a, b, c), h in self.poly.halfspaces:
+            if c < 0:
+                raise UncertifiedError("halfspace bounds z from above (internal)")
+            sides.append((a, b, c, self.nscale * h))
+        out = []
+        for x in range(nx):
+            col = []
+            for y in range(ny):
+                lo = 0
+                for a, b, c, h in sides:
+                    slack = a * x + b * y - h
+                    if c:
+                        lo = max(lo, -(slack // c))
+                    elif slack < 0:
+                        lo = None
+                        break
+                col.append(lo)
+            out.append(col)
+        return out
+
     def seed(self):
         return self._seed
 
@@ -217,6 +267,15 @@ class _FrobUp:
             for m, f in enumerate(firsts):
                 if out[m] is not None:
                     out[m] = None if f is None else max(out[m], -((a_ax - f) // q))
+        return out
+
+    def heights(self, nx, ny):
+        # c + q*s >= q*u exactly when s >= u - floor(c/q), coordinatewise
+        out = [[0] * ny for _ in range(nx)]
+        for q, _ in self.scaled:
+            shift = tuple(ci // q for ci in self.c)
+            out = _max_heights(out, _column_heights(
+                [vsub(u, shift) for u in self.base_gens], nx, ny))
         return out
 
     def seed(self):
@@ -299,19 +358,57 @@ def _extract_num1(ring, upset):
 
 def _extract_free3(ring, upset):
     bounds = []
-    for axis in range(3):
-        e = tuple(1 if i == axis else 0 for i in range(3))
+    for e in ((1, 0, 0), (0, 1, 0)):
         k = 0
         while not upset.member(vscale(k, e)):
             k += 1
             if k > 4096:
                 raise UncertifiedError("axis scan exceeded certified range (not m-primary?)")
         bounds.append(k)
+    # a generator past a pure power on the x or y axis is not minimal
+    nx, ny = bounds[0] + 1, bounds[1] + 1
+    hts = upset.heights(nx, ny)
     cands = []
-    for v in itertools.product(*(range(b + 1) for b in bounds)):
-        if upset.member(v):
-            cands.append(v)
+    for x in range(nx):
+        for y in range(ny):
+            z = hts[x][y]
+            if z is None:
+                continue
+            left = hts[x - 1][y] if x else None
+            below = hts[x][y - 1] if y else None
+            if (left is None or z < left) and (below is None or z < below):
+                cands.append((x, y, z))
     return cands
+
+
+def _column_heights(gens, nx, ny):
+    """Least z with (x, y, z) above some generator, per column x < nx, y < ny.
+
+    Generator (a, b, c) starts every column x >= a, y >= b at height c, so
+    each generator goes on its own column, clamped at 0 for shifted
+    generators, and a 2-D prefix minimum spreads it.  None where no generator
+    reaches the column.
+    """
+    hts = [[None] * ny for _ in range(nx)]
+    for a, b, c in gens:
+        a, b = max(a, 0), max(b, 0)
+        if a < nx and b < ny and (hts[a][b] is None or c < hts[a][b]):
+            hts[a][b] = c
+    for x in range(nx):
+        col = hts[x]
+        prev = hts[x - 1] if x else [None] * ny
+        for y in range(ny):
+            best = col[y]
+            for h in (prev[y], col[y - 1] if y else None):
+                if h is not None and (best is None or h < best):
+                    best = h
+            col[y] = best
+    return hts
+
+
+def _max_heights(a, b):
+    return [[None if s is None or t is None else max(s, t) for s, t in zip(ca, cb)]
+            for ca, cb in zip(a, b)]
 
 
 def _line_firsts(eng, gens, key, axis, count, start=0, stride=1):
@@ -445,20 +542,15 @@ class MonomialIdeal:
     def _ray_powers(self):
         """Per extreme direction, least k with k*g_axis in the ideal (None if none)."""
         if "ray_powers" not in self._cache:
-            naxes = 1 if self.ring.kind == "num1" else self.ring.dim
-            origin = (0,) * self.ring.dim
             if self.ring.kind == "free3":
-                ks = []
-                for axis in range(3):
-                    e = tuple(1 if i == axis else 0 for i in range(3))
-                    k, found = 0, None
-                    while k <= 4096:
-                        if self._up.member(vscale(k, e)):
-                            found = k
-                            break
-                        k += 1
-                    ks.append(found)
+                # k*e_i is in the ideal iff some generator off axis i is zero
+                # and at most k on it
+                ks = [min((g[i] for g in self.min_generators
+                           if not any(c for j, c in enumerate(g) if j != i)), default=None)
+                      for i in range(3)]
             else:
+                naxes = 1 if self.ring.kind == "num1" else self.ring.dim
+                origin = (0,) * self.ring.dim
                 ks = [self._up.line_first(origin, axis) for axis in range(naxes)]
             self._cache["ray_powers"] = tuple(ks)
         return self._cache["ray_powers"]
@@ -487,9 +579,11 @@ class MonomialIdeal:
                 pts = [(x,) for x in range(0, top + 1, eng.step)
                        if eng.member((x,)) and not self._up.member((x,))]
             else:
-                ks = self._ray_powers()
-                pts = [v for v in itertools.product(*(range(k) for k in ks))
-                       if not self._up.member(v)]
+                # below each column's height; h(x, y) <= h(0, 0) = kz
+                kx, ky, _ = self._ray_powers()
+                hts = self._up.heights(kx, ky)
+                pts = [(x, y, z) for x in range(kx) for y in range(ky)
+                       for z in range(hts[x][y])]
             out = tuple(ExponentVector(p) for p in sorted(pts))
             ring_memo[self.min_generators] = out
             self._cache["complement"] = out

@@ -6,10 +6,20 @@ in the tests were computed with these oracles and then frozen.
 """
 
 import itertools
+import os
 
 import pytest
 
+import hilbclose
 from hilbclose.lattice import AffineSemigroup
+
+
+def child_env():
+    """The environment for a child interpreter that imports this same hilbclose."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hilbclose.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def brute_member(gens, v):

@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from conftest import brute_member
+from conftest import brute_member, child_env
 from hilbclose.cli import example_instance
 from hilbclose.closures import (
     FrobeniusContext,
@@ -219,7 +219,7 @@ def test_criterion_8_fuzz_determinism(tmp_path):
              "--seed", str(SEED), "--count", str(CORPUS_SIZE),
              "--max-coord", str(MAX_COORD), "--n-max", str(N_MAX),
              "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     elapsed = time.time() - t0

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import child_env
 from hilbclose.cli import main
 
 REMARK_RING = {"dim": 2, "generators": [[1, 0], [1, 1], [0, 2], [0, 3]]}
@@ -258,6 +259,6 @@ class TestSubprocess:
         proc = subprocess.run(
             [sys.executable, "-m", "hilbclose.cli", "analyze", "--ring", ring,
              "--ideal", ideal, "--n-max", "6"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["e0"] == "2"

@@ -61,6 +61,13 @@ class TestIntegralClosure:
         assert closed.member((1, 1, 0)) and closed.member((1, 0, 1)) and closed.member((0, 1, 1))
         assert not closed.member((1, 0, 0))
 
+    def test_free3_not_m_primary(self, free3):
+        ideal = MonomialIdeal(free3, [(1, 0, 0), (0, 1, 0)])
+        with pytest.raises(NotMPrimaryError):
+            integral_closure(ideal)
+        with pytest.raises(NotMPrimaryError):
+            integral_closure_power(ideal, 2)
+
 
 class TestIntegralClosurePower:
     def test_power_one_matches(self, free2):

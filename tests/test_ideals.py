@@ -11,11 +11,13 @@ from hilbclose.ideals import (
     MonomialIdeal,
     ParameterIdeal,
     _ColonUp,
+    _extract_free3,
     _FrobUp,
     _IdealUp,
     _line_firsts,
     _MeetUp,
     _PolyUp,
+    extract_min_gens,
     ideal_colon,
     ideal_colon_ideal,
     ideal_intersection,
@@ -422,6 +424,69 @@ class TestExtractionOracle:
                 assert sorted(map(tuple, cand.min_generators)) == expected, (gens, p)
 
 
+FREE3_GENS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+small3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+
+
+class TestFree3Heights:
+    """Free-Z^3 corner extraction from column heights against a box brute force."""
+
+    @staticmethod
+    def brute_min_gens(member, box):
+        return [v for v in itertools.product(range(box + 1), repeat=3)
+                if member(v) and not any(member(vsub(v, e)) for e in FREE3_GENS)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.lists(small3, max_size=4), st.lists(small3, max_size=3),
+           st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), small3)
+    def test_extraction_matches_brute_force(self, a, b, c, extra, other_extra, f, t):
+        ring = AffineSemigroup(3, FREE3_GENS)
+        gens = gens_of(MonomialIdeal(
+            ring, [(a, 0, 0), (0, b, 0), (0, 0, c)] + [v for v in extra if any(v)]))
+        other = [(4, 0, 0), (0, 4, 0), (0, 0, 4)] + [v for v in other_extra if any(v)]
+        up = _IdealUp(ring, gens)
+        other_up = _IdealUp(ring, other)
+        poly = ring.newton_polyhedron(gens)
+
+        def in_ideal(igens, v):
+            return all(x >= 0 for x in v) and brute_ideal_member(FREE3_GENS, igens, v)
+
+        def bracket(q):
+            return [vscale(q, u) for u in gens]
+
+        cases = [
+            (up, lambda v: in_ideal(gens, v), 4),
+            (_ColonUp(up, f), lambda v: min(v) >= 0 and in_ideal(gens, vadd(v, f)), 4),
+            (_MeetUp([up, other_up, _ColonUp(other_up, f)]),
+             lambda v: in_ideal(gens, v) and in_ideal(other, v)
+             and in_ideal(other, vadd(v, f)), 4),
+        ] + [
+            (_PolyUp(ring, poly, n, vscale(n, gens[0])),
+             lambda v, n=n: min(v) >= 0 and poly.contains(v, n), 4 * n) for n in (1, 2)
+        ] + [
+            (_FrobUp(ring, gens, [(1, up), (q, _IdealUp(ring, bracket(q)))], t),
+             lambda v, q=q: min(v) >= 0 and in_ideal(gens, vadd(t, v))
+             and in_ideal(bracket(q), vadd(t, vscale(q, v))), 4)
+            for q in (2, 3)
+        ]
+        for upset, member, box in cases:
+            memo = {}
+
+            def cached(v):
+                if v not in memo:
+                    memo[v] = member(v)
+                return memo[v]
+
+            expected = self.brute_min_gens(cached, box)
+            name = type(upset).__name__
+            # corners are exactly the minimal generators, before any filter
+            assert sorted(_extract_free3(ring, upset)) == expected, name
+            assert list(map(tuple, extract_min_gens(ring, upset))) == expected, name
+        comp = sorted(map(tuple, MonomialIdeal(ring, gens).complement()))
+        assert comp == brute_complement(FREE3_GENS, gens, 4)
+
+
 class TestParameterIdeal:
     def test_remark_parameter(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
@@ -445,6 +510,15 @@ class TestParameterIdeal:
     def test_not_spanning(self, free2):
         with pytest.raises(NotMPrimaryError):
             ParameterIdeal(free2, [(0, 1), (0, 2)])
+
+    def test_large_pure_power(self, free2, free3):
+        # pure powers are read off the generators, with no cap on their size
+        q2 = ParameterIdeal(free2, [(5000, 0), (0, 1)])
+        q3 = ParameterIdeal(free3, [(5000, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert q2.base.is_m_primary and q3.base.is_m_primary
+        assert q3.base._ray_powers() == (5000, 1, 1)
+        assert q3.colength() == 5000
+        assert not MonomialIdeal(free3, [(5000, 0, 0), (0, 1, 0)]).is_m_primary
 
     def test_is_parameter_on_plain_ideal(self, remark_ring):
         assert is_parameter_ideal(MonomialIdeal(remark_ring, [(1, 0), (0, 2)]))
