@@ -20,7 +20,7 @@ from .ideals import (
     _IdealUp,
     _MeetUp,
     _PolyUp,
-    extract_min_gens,
+    extract_ideal,
     ideal_colon,
 )
 from .lattice import ExponentVector, vadd, vdot, vscale
@@ -48,8 +48,7 @@ def integral_closure_power(ideal, n):
         raise NotMPrimaryError("closure extraction in dimension 3 needs an m-primary ideal")
     poly = ring.newton_polyhedron([tuple(g) for g in ideal.min_generators])
     seed = tuple(ideal.min_generators[0].scaled(n))
-    up = _PolyUp(ring, poly, n, seed)
-    return MonomialIdeal(ring, extract_min_gens(ring, up), _reduced=True)
+    return extract_ideal(ring, _PolyUp(ring, poly, n, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +149,7 @@ def lim_intersection(q, total, t_cap=LIMIT_T_CAP, window=LIMIT_WINDOW):
         parts.append(cert.ideal)
     if len(parts) == 1:
         return parts[0]
-    up = _MeetUp([p._up for p in parts])
-    return MonomialIdeal(ring, extract_min_gens(ring, up), _reduced=True)
+    return extract_ideal(ring, _MeetUp([p._up for p in parts]))
 
 
 def _limit_closure_cached(q, alpha, t_cap, window):
@@ -259,7 +257,7 @@ def _tight_candidate_at(ideal, ctx, e_top):
     scaled = [(q, _IdealUp(ring, [g.scaled(q) for g in ideal.min_generators]))
               for q in ctx.powers(e_top)]
     up = _FrobUp(ring, [tuple(g) for g in ideal.min_generators], scaled, c)
-    return MonomialIdeal(ring, extract_min_gens(ring, up), _reduced=True)
+    return extract_ideal(ring, up)
 
 
 def tight_closure_candidate(ideal, ctx):

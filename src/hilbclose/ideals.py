@@ -15,22 +15,34 @@ integer, and on each coset those integers form a nonincreasing staircase.
 Minimal generators sit at its corners: extraction reads one row profile and
 one column profile per coset and keeps the columns whose first index drops.
 
-``_line_firsts`` gets the profile of an ideal from its generators in one
+Those two profiles determine the up-set on the whole coset, so extraction
+keeps them as the ideal's staircase.  A corner v is minimal when no v - g,
+g a ring generator, lies on the staircase: a lookup, not a membership query.
+The extracted ideal answers ``member`` and unshifted ``profile`` from its
+staircase; lines past the stored ones read the other array through one
+falling pointer (``_stair_profile``).
+
+``_line_firsts`` gets the profile of an ideal held only by generators in one
 ascending sweep per coset and axis; derived up-sets combine their parts'
-profiles pointwise.  Complements, and so colengths, read the same sweep.
-Only generators within the ring's stabilization index of a line query the
-grid engine; the rest contribute constants (``_Grid2.stabilization``).
+profiles pointwise.  Only generators within the ring's stabilization index
+of a line query the grid engine; the rest contribute constants
+(``_Grid2.stabilization``).  Colengths are counted per line from the same
+profiles (``_grid2_runs``) without materializing the complement, and are
+memoized per ring.
 
 In free Z^3 an up-set is a nonincreasing height function on the (x, y)
-plane, so up-sets there expose a third oracle
+plane, so up-sets there expose two more oracles
 
     heights(nx, ny)             -- least z on each column x < nx, y < ny
+    reach(i)                    -- least k with k*e_i inside
 
-``_column_heights`` gets it from generators with a 2-D prefix minimum, and
-derived up-sets combine it pointwise as they do profiles.  Extraction scans
-the x and y axes for pure powers, reads one height array and keeps the
-corners, the columns lying below both their left and lower neighbours;
-complements are the points below each column's height.
+``_column_heights`` gets the heights from generators with a 2-D prefix
+minimum, ``_axis_reach`` the reach in closed form, and derived up-sets
+combine both as they do profiles.  Extraction reads the pure powers on the
+x and y axes, one height array, and keeps the corners, the columns lying
+below both their left and lower neighbours; corners are minimal as found.
+Complements are the points below each column's height, and colengths the
+sum of the heights.
 """
 
 from __future__ import annotations
@@ -64,16 +76,20 @@ def antichain_reduce(ring, vectors):
 # abstract up-sets
 
 class _IdealUp:
-    """Up-set generated by explicit monomial generators."""
+    """Up-set generated by explicit monomial generators; an extracted 2-D
+    ideal also keeps its per-coset staircase."""
 
-    def __init__(self, ring, gens):
+    def __init__(self, ring, gens, stair=None):
         self.ring = ring
         self.gens = [tuple(g) for g in gens]
         self._eng = ring._engine if ring.kind == "grid2" else None
+        self.stair = stair
 
     def member(self, v):
         eng = self._eng
         if eng is not None:
+            if self.stair is not None:
+                return _stair_member(eng, self.stair, v)
             x, y = v
             for ux, uy in self.gens:
                 dx = x - ux
@@ -87,27 +103,22 @@ class _IdealUp:
                 return True
         return False
 
-    def line_first(self, v0, axis):
-        """Least t >= 0 with v0 + t*g_axis inside, or None."""
-        first_shift = self.ring._engine.first_shift
-        best = None
-        for u in self.gens:
-            t = first_shift(vsub(v0, u), axis)
-            if t is not None and (best is None or t < best):
-                if t == 0:
-                    return 0
-                best = t
-        return best
-
     def profile(self, key, axis, count, shift=None):
         """First indices on lines 0..count-1 of coset ``key``; with ``shift`` f,
         those of the up-set {v : v + f in I}, which may be negative."""
+        if shift is None and self.stair is not None:
+            return _stair_profile(self.stair[key], axis, count)
         return _line_firsts(self._eng, self._shifted(shift), key, axis, count)
 
     def heights(self, nx, ny, shift=None):
         """Column heights for x < nx, y < ny; with ``shift`` f, those of the
         up-set {v : v + f in I}, which may be negative."""
         return _column_heights(self._shifted(shift), nx, ny)
+
+    def reach(self, i, shift=None):
+        """Least k >= 0 with k*e_i inside (free Z^3), or None; with ``shift`` f,
+        for the up-set {v : v + f in I}."""
+        return _axis_reach(self._shifted(shift), i)
 
     def _shifted(self, shift):
         return self.gens if shift is None else [vsub(u, shift) for u in self.gens]
@@ -141,6 +152,9 @@ class _ColonUp:
         return [[None if h is None else max(0, h) for h in col]
                 for col in self.base.heights(nx, ny, self.f)]
 
+    def reach(self, i):
+        return self.base.reach(i, self.f)
+
     def seed(self):
         return self.base.seed()
 
@@ -167,6 +181,10 @@ class _MeetUp:
         for p in self.parts[1:]:
             out = _max_heights(out, p.heights(nx, ny))
         return out
+
+    def reach(self, i):
+        ks = [p.reach(i) for p in self.parts]
+        return None if None in ks else max(ks)
 
     def seed(self):
         s = self.parts[0].seed()
@@ -212,14 +230,19 @@ class _PolyUp:
             out.append(lo)
         return out
 
+    def _sides(self, axis):
+        """Halfspaces n.v >= scale*h as (n, scale*h); none may bound ``axis`` above."""
+        out = []
+        for n, h in self.poly.halfspaces:
+            if n[axis] < 0:
+                raise UncertifiedError("halfspace bounds an axis from above (internal)")
+            out.append((n, self.nscale * h))
+        return out
+
     def heights(self, nx, ny):
         # per halfspace a*x + b*y + c*z >= scale*h: with c > 0 a floor on z
         # per column, with c = 0 a test of the column alone
-        sides = []
-        for (a, b, c), h in self.poly.halfspaces:
-            if c < 0:
-                raise UncertifiedError("halfspace bounds z from above (internal)")
-            sides.append((a, b, c, self.nscale * h))
+        sides = [(a, b, c, h) for (a, b, c), h in self._sides(2)]
         out = []
         for x in range(nx):
             col = []
@@ -235,6 +258,15 @@ class _PolyUp:
                 col.append(lo)
             out.append(col)
         return out
+
+    def reach(self, i):
+        lo = 0
+        for n, h in self._sides(i):
+            if n[i]:
+                lo = max(lo, -(-h // n[i]))
+            elif h > 0:
+                return None
+        return lo
 
     def seed(self):
         return self._seed
@@ -270,13 +302,20 @@ class _FrobUp:
         return out
 
     def heights(self, nx, ny):
-        # c + q*s >= q*u exactly when s >= u - floor(c/q), coordinatewise
         out = [[0] * ny for _ in range(nx)]
+        for gens in self._floor_shifted():
+            out = _max_heights(out, _column_heights(gens, nx, ny))
+        return out
+
+    def reach(self, i):
+        ks = [_axis_reach(gens, i) for gens in self._floor_shifted()]
+        return None if None in ks else max(ks)
+
+    def _floor_shifted(self):
+        # c + q*s >= q*u exactly when s >= u - floor(c/q), coordinatewise
         for q, _ in self.scaled:
             shift = tuple(ci // q for ci in self.c)
-            out = _max_heights(out, _column_heights(
-                [vsub(u, shift) for u in self.base_gens], nx, ny))
-        return out
+            yield [vsub(u, shift) for u in self.base_gens]
 
     def seed(self):
         # any generator u of I satisfies c + q*u in I^[q] for every q
@@ -286,28 +325,43 @@ class _FrobUp:
 # ---------------------------------------------------------------------------
 # extraction and complements
 
-def extract_min_gens(ring, upset):
-    """Exact minimal generators of an up-set of S."""
+def extract_min_gens(ring, upset, stair=None):
+    """Exact minimal generators of an up-set of S.
+
+    In dimension 2 the up-set's staircase is written into ``stair`` (a dict,
+    key -> (rows, cols)), and a corner v is minimal when no v - g, g a ring
+    generator, lies on the staircase.  Free-Z^3 corners are minimal as found.
+    """
     kind = ring.kind
     if kind == "grid2":
-        cands = _extract_grid2(ring, upset)
+        stair = {} if stair is None else stair
+        cands = _extract_grid2(ring, upset, stair)
+        eng = ring._engine
+        inside = lambda v: _stair_member(eng, stair, v)
     elif kind == "num1":
         cands = _extract_num1(ring, upset)
+        inside = upset.member
     else:
-        cands = _extract_free3(ring, upset)
-    out = []
-    for v in sorted(set(cands)):
-        minimal = True
-        for g in ring.generators:
-            if upset.member(vsub(v, g)):
-                minimal = False
-                break
-        if minimal:
-            out.append(ExponentVector(v))
-    return tuple(sorted(out))
+        return tuple(sorted(ExponentVector(v) for v in _extract_free3(ring, upset)))
+    gens = ring.generators
+    return tuple(sorted(ExponentVector(v) for v in cands
+                        if not any(inside(vsub(v, g)) for g in gens)))
 
 
-def _extract_grid2(ring, upset):
+def extract_ideal(ring, upset):
+    """The ideal of an up-set of S; in dimension 2 it keeps the staircase."""
+    stair = {} if ring.kind == "grid2" else None
+    gens = extract_min_gens(ring, upset, stair)
+    return MonomialIdeal(ring, gens, _reduced=True, _stair=stair)
+
+
+def _extract_grid2(ring, upset, stair):
+    """Corner candidates of a 2-D up-set; its staircase goes into ``stair``.
+
+    Per coset, ``rows`` holds the first g1-index on the lines nu <= s2 and
+    ``cols`` the first g2-index on the lines mu <= mu_max, where row s2 holds
+    the translated seed and (mu_max, nu_star) starts the first row met.
+    """
     eng = ring._engine
     seed = tuple(upset.seed())
     wit = eng._witnesses()
@@ -331,6 +385,7 @@ def _extract_grid2(ring, upset):
         mu_star = next((mu for mu, t in enumerate(cols) if t is not None), None)
         if mu_star is None:
             raise UncertifiedError("up-set column scan failed to certify a seed column")
+        stair[key] = (rows, cols)
         # only staircase corners: a column starting where its left neighbour
         # starts holds that start plus g1, which is not minimal
         prev = None
@@ -340,6 +395,44 @@ def _extract_grid2(ring, upset):
                 cands.append(vadd(r, vadd(vscale(mu, eng.g1), vscale(t, eng.g2))))
                 prev = t
     return cands
+
+
+def _stair_member(eng, stair, v):
+    """Membership of a lattice point in the up-set with staircase ``stair``.
+
+    Columns mu <= mu_max read ``cols``, rows nu <= s2 right of them read
+    ``rows``, and every point beyond both dominates (mu_max, nu_star).
+    """
+    key, m1, m2 = eng._decompose(v)
+    lines = stair.get(key)  # None off the group lattice
+    if lines is None or m1 < 0 or m2 < 0:
+        return False
+    rows, cols = lines
+    if m1 < len(cols):
+        t = cols[m1]
+        return t is not None and m2 >= t
+    if m2 < len(rows):
+        s = rows[m2]
+        return s is not None and m1 >= s
+    return True
+
+
+def _stair_profile(lines, axis, count):
+    """First indices on lines 0..count-1 of one coset, read off its staircase.
+
+    Past the stored lines, the first index on line m is the least index of
+    the other array whose entry is at most m; both arrays fall, so one
+    pointer walking down the other array serves every later line.
+    """
+    rows, cols = lines
+    own, other = (cols, rows) if axis == 1 else (rows, cols)
+    out = own[:count]
+    p = len(other)
+    for m in range(len(own), count):
+        while p and other[p - 1] is not None and other[p - 1] <= m:
+            p -= 1
+        out.append(p)
+    return out
 
 
 def _extract_num1(ring, upset):
@@ -357,14 +450,11 @@ def _extract_num1(ring, upset):
 
 
 def _extract_free3(ring, upset):
-    bounds = []
-    for e in ((1, 0, 0), (0, 1, 0)):
-        k = 0
-        while not upset.member(vscale(k, e)):
-            k += 1
-            if k > 4096:
-                raise UncertifiedError("axis scan exceeded certified range (not m-primary?)")
-        bounds.append(k)
+    """Corners of a free-Z^3 up-set's height function: every column lying
+    below both its left and its lower neighbour, so each is minimal."""
+    bounds = [upset.reach(i) for i in (0, 1)]
+    if None in bounds:
+        raise UncertifiedError("up-set has no pure power on the x or y axis (not m-primary)")
     # a generator past a pure power on the x or y axis is not minimal
     nx, ny = bounds[0] + 1, bounds[1] + 1
     hts = upset.heights(nx, ny)
@@ -406,6 +496,16 @@ def _column_heights(gens, nx, ny):
     return hts
 
 
+def _axis_reach(gens, i):
+    """Least k >= 0 with k*e_i above some generator, or None.
+
+    k*e_i >= u needs u_j <= 0 off axis i and k >= u_i; shifted generators
+    may have negative coordinates, hence the clamp at 0.
+    """
+    return min((max(0, u[i]) for u in gens
+                if all(c <= 0 for j, c in enumerate(u) if j != i)), default=None)
+
+
 def _max_heights(a, b):
     return [[None if s is None or t is None else max(s, t) for s, t in zip(ca, cb)]
             for ca, cb in zip(a, b)]
@@ -421,11 +521,15 @@ def _line_firsts(eng, gens, key, axis, count, start=0, stride=1):
     c_u, the generators form three runs: not yet on the grid (m + c_u < 0),
     a band that queries ``grid_first``, and those at or past the
     stabilization index, whose first index no longer changes and is merged
-    into a running minimum when they leave the band.  Generators in S have
-    m_u <= 0 and so nonnegative firsts; shifted generators u - f need not
-    lie in S, and there m_u > 0 can make a first negative.
+    into a running minimum when they leave the band.  That index is at least
+    every coset's witness bound, so it is computed only once a generator
+    reaches the bound; a sweep of the lines near the origin, such as a ray
+    power, never needs it.  Generators in S have m_u <= 0 and so nonnegative
+    firsts; shifted generators u - f need not lie in S, and there m_u > 0
+    can make a first negative.
     """
-    stable, consts = eng.stabilization(axis)
+    stable = max(b[0] if axis == 1 else b[1] for b in eng._witnesses().values())
+    consts = None  # until known, ``stable`` is the lower bound
     if axis == 1:
         lam_fix, d_fix, lam_trav, d_trav = eng.lam1, eng.D1, eng.lam2, eng.D2
         k_fix, k_trav = key
@@ -445,6 +549,9 @@ def _line_firsts(eng, gens, key, axis, count, start=0, stride=1):
         while hi < len(rows) and m + rows[hi][0] >= 0:
             hi += 1
         while lo < hi and m + rows[lo][0] >= stable:
+            if consts is None:
+                stable, consts = eng.stabilization(axis)
+                continue
             _, k, m_u = rows[lo]
             t = consts[k] - m_u
             if merged is None or t < merged:
@@ -459,40 +566,45 @@ def _line_firsts(eng, gens, key, axis, count, start=0, stride=1):
     return firsts
 
 
-def _complement_grid2(ring, gens, ray_powers):
-    eng = ring._engine
+def _grid2_runs(up, ray_powers):
+    """The S-points outside an m-primary 2-D ideal, as nonempty runs
+    (v0, g, lo, hi): the points v0 + t*g for lo <= t < hi.
+
+    Per coset, columns mu < k1 + b1 run along g2 from the ring's first index
+    to the ideal's; rows nu < k2 + b2 run along g1 from past those columns.
+    """
+    eng = up.ring._engine
     k1, k2 = ray_powers
     wit = eng._witnesses()
-    points = []
+    runs = []
     for key in sorted(eng.box):
         r = eng.box[key]
         b1, b2 = wit[key]
         cap1, cap2 = k1 + b1, k2 + b2
-        for mu, ti in enumerate(_line_firsts(eng, gens, key, 1, cap1)):
+        for mu, ti in enumerate(up.profile(key, 1, cap1)):
             ts = eng.grid_first(key, 1, mu)
             if ts is None:
                 continue
             if ti is None or ti > ts + k2:
                 raise UncertifiedError("complement line bound violated (internal)")
-            v0 = vadd(r, vscale(mu, eng.g1))
-            for t in range(ts, ti):
-                points.append(vadd(v0, vscale(t, eng.g2)))
-        for nu, si in enumerate(_line_firsts(eng, gens, key, 0, cap2)):
+            if ts < ti:
+                runs.append((vadd(r, vscale(mu, eng.g1)), eng.g2, ts, ti))
+        for nu, si in enumerate(up.profile(key, 0, cap2)):
             ss = eng.grid_first(key, 0, nu)
             if ss is None:
                 continue
             if si is None:
                 raise UncertifiedError("complement row bound violated (internal)")
-            v0 = vadd(r, vscale(nu, eng.g2))
-            for s in range(max(ss, cap1), si):
-                points.append(vadd(v0, vscale(s, eng.g1)))
-    return sorted(set(points))
+            lo = max(ss, cap1)
+            if lo < si:
+                runs.append((vadd(r, vscale(nu, eng.g2)), eng.g1, lo, si))
+    return runs
 
 
 class MonomialIdeal:
     """An S-stable up-set of exponents, held by minimal generators."""
 
-    def __init__(self, ring, generators, _reduced=False):
+    def __init__(self, ring, generators, _reduced=False, _stair=None):
         self.ring = ring
         gens = [ExponentVector(g) for g in generators]
         if not gens:
@@ -506,7 +618,7 @@ class MonomialIdeal:
             self.min_generators = tuple(sorted(gens))
         else:
             self.min_generators = antichain_reduce(ring, gens)
-        self._up = _IdealUp(ring, self.min_generators)
+        self._up = _IdealUp(ring, self.min_generators, _stair)
         self._cache = {}
 
     def __eq__(self, other):
@@ -542,16 +654,16 @@ class MonomialIdeal:
     def _ray_powers(self):
         """Per extreme direction, least k with k*g_axis in the ideal (None if none)."""
         if "ray_powers" not in self._cache:
-            if self.ring.kind == "free3":
-                # k*e_i is in the ideal iff some generator off axis i is zero
-                # and at most k on it
-                ks = [min((g[i] for g in self.min_generators
-                           if not any(c for j, c in enumerate(g) if j != i)), default=None)
-                      for i in range(3)]
+            kind = self.ring.kind
+            if kind == "grid2":
+                # the ray through g1 (g2) is line 0 of coset (0, 0) along axis 0 (1)
+                ks = [self._up.profile((0, 0), axis, 1)[0] for axis in (0, 1)]
+            elif kind == "num1":
+                first_shift = self.ring._engine.first_shift
+                ts = [first_shift(vscale(-1, u), 0) for u in self.min_generators]
+                ks = [min((t for t in ts if t is not None), default=None)]
             else:
-                naxes = 1 if self.ring.kind == "num1" else self.ring.dim
-                origin = (0,) * self.ring.dim
-                ks = [self._up.line_first(origin, axis) for axis in range(naxes)]
+                ks = [self._up.reach(i) for i in range(3)]
             self._cache["ray_powers"] = tuple(ks)
         return self._cache["ray_powers"]
 
@@ -559,20 +671,19 @@ class MonomialIdeal:
     def is_m_primary(self):
         return all(k is not None for k in self._ray_powers())
 
+    def _check_m_primary(self):
+        if not self.is_m_primary:
+            raise NotMPrimaryError("ideal %r does not positively span the cone" % (self,))
+
     def complement(self):
         """The certified finite set of S-points outside the ideal."""
         if "complement" not in self._cache:
-            if not self.is_m_primary:
-                raise NotMPrimaryError(
-                    "ideal %r does not positively span the cone" % (self,))
-            ring_memo = self.ring._cache.setdefault("complements", {})
-            hit = ring_memo.get(self.min_generators)
-            if hit is not None:
-                self._cache["complement"] = hit
-                return hit
+            self._check_m_primary()
             kind = self.ring.kind
             if kind == "grid2":
-                pts = _complement_grid2(self.ring, self.min_generators, self._ray_powers())
+                pts = [vadd(v0, vscale(t, g))
+                       for v0, g, lo, hi in _grid2_runs(self._up, self._ray_powers())
+                       for t in range(lo, hi)]
             elif kind == "num1":
                 eng = self.ring._engine
                 top = min(sum(g) for g in self.min_generators) + eng.conductor
@@ -584,9 +695,7 @@ class MonomialIdeal:
                 hts = self._up.heights(kx, ky)
                 pts = [(x, y, z) for x in range(kx) for y in range(ky)
                        for z in range(hts[x][y])]
-            out = tuple(ExponentVector(p) for p in sorted(pts))
-            ring_memo[self.min_generators] = out
-            self._cache["complement"] = out
+            self._cache["complement"] = tuple(ExponentVector(p) for p in sorted(pts))
         return self._cache["complement"]
 
     @property
@@ -597,8 +706,24 @@ class MonomialIdeal:
         return self.complement()
 
     def colength(self):
-        """Exact length of R/I (number of standard monomials)."""
-        return len(self.complement())
+        """Exact length of R/I (number of standard monomials), counted per
+        line in dimensions 2 and 3 and memoized per ring."""
+        if "colength" not in self._cache:
+            memo = self.ring._cache.setdefault("colengths", {})
+            n = memo.get(self.min_generators)
+            if n is None:
+                self._check_m_primary()
+                kind = self.ring.kind
+                if kind == "grid2":
+                    n = sum(hi - lo for _, _, lo, hi in _grid2_runs(self._up, self._ray_powers()))
+                elif kind == "num1":
+                    n = len(self.complement())
+                else:
+                    kx, ky, _ = self._ray_powers()
+                    n = sum(map(sum, self._up.heights(kx, ky)))
+                memo[self.min_generators] = n
+            self._cache["colength"] = n
+        return self._cache["colength"]
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +756,12 @@ def ideal_colon(a, f):
     f = ExponentVector(f)
     if not a.ring.member(f):
         raise ValueError("colon element %r is not in the semigroup" % (tuple(f),))
-    up = _ColonUp(a._up, f)
-    return MonomialIdeal(a.ring, extract_min_gens(a.ring, up), _reduced=True)
+    return extract_ideal(a.ring, _ColonUp(a._up, f))
 
 
 def ideal_colon_ideal(a, b):
     a._check_ring(b)
-    up = _MeetUp([_ColonUp(a._up, f) for f in b.min_generators])
-    return MonomialIdeal(a.ring, extract_min_gens(a.ring, up), _reduced=True)
+    return extract_ideal(a.ring, _MeetUp([_ColonUp(a._up, f) for f in b.min_generators]))
 
 
 def ideal_intersection(ideals):
@@ -648,8 +771,7 @@ def ideal_intersection(ideals):
         first._check_ring(other)
     if len(ideals) == 1:
         return ideals[0]
-    up = _MeetUp([i._up for i in ideals])
-    return MonomialIdeal(first.ring, extract_min_gens(first.ring, up), _reduced=True)
+    return extract_ideal(first.ring, _MeetUp([i._up for i in ideals]))
 
 
 def maximal_ideal(ring):

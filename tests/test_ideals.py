@@ -17,6 +17,9 @@ from hilbclose.ideals import (
     _line_firsts,
     _MeetUp,
     _PolyUp,
+    _stair_member,
+    _stair_profile,
+    extract_ideal,
     extract_min_gens,
     ideal_colon,
     ideal_colon_ideal,
@@ -343,6 +346,59 @@ class TestProfiles:
                         assert prof[m] == first, (type(upset).__name__, key, axis, m)
 
 
+class TestStoredStaircase:
+    """An extracted 2-D ideal's staircase against its up-set's oracles, and its
+    counted colength against the materialized and brute-force complements."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(sweep_rings, st.integers(1, 2), st.integers(1, 2),
+           st.lists(st.integers(0, 1), min_size=4, max_size=4),
+           st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), max_size=2))
+    def test_lookup_and_colength(self, sgens, k1, k2, fcombo, combos):
+        from hilbclose.closures import integral_closure_power, limit_closure
+
+        ring = AffineSemigroup(2, sgens)
+        eng = ring._engine
+
+        def element(combo):
+            return tuple(sum(c * g[i] for c, g in zip(combo, ring.generators)) for i in (0, 1))
+
+        powers = [vscale(k1, eng.g1), vscale(k2, eng.g2)]
+        ideal = MonomialIdeal(ring, powers + [v for v in map(element, combos) if any(v)])
+        other = MonomialIdeal(ring, [vscale(k1 + 1, eng.g1), vadd(eng.g1, eng.g2),
+                                     vscale(k2 + 1, eng.g2)])
+        split = limit_closure(ParameterIdeal(ring, powers).split((1, 2))).ideal
+        poly = ring.newton_polyhedron(gens_of(ideal))
+        upsets = [
+            _ColonUp(ideal._up, element(fcombo)),
+            _MeetUp([ideal._up, ideal_power(other, 2)._up]),
+            _PolyUp(ring, poly, 2, vscale(2, ideal.min_generators[0])),
+            _IdealUp(ring, split.min_generators),
+        ]
+        assert integral_closure_power(ideal, 2).min_generators == \
+            extract_min_gens(ring, upsets[2])
+        for upset in upsets:
+            name = type(upset).__name__
+            extracted = extract_ideal(ring, upset)
+            stair = extracted._up.stair
+            assert sorted(stair) == sorted(eng.box), name
+            gens = extracted.min_generators
+            for key in sorted(eng.box):
+                rows, cols = stair[key]
+                span = max(len(rows), len(cols)) + 3
+                for m1 in range(-1, span):
+                    for m2 in range(-1, span):
+                        v = vadd(eng.box[key], vadd(vscale(m1, eng.g1), vscale(m2, eng.g2)))
+                        assert _stair_member(eng, stair, v) == upset.member(v), (name, v)
+                for axis in (0, 1):
+                    assert _stair_profile(stair[key], axis, span) == \
+                        _line_firsts(eng, gens, key, axis, span), (name, key, axis)
+            comp = sorted(map(tuple, extracted.complement()))
+            box = max(max(map(max, comp), default=0), max(map(max, gens))) + 4
+            assert extracted.colength() == len(comp) == \
+                len(brute_complement(sgens, gens_of(extracted), box)), name
+
+
 class TestExtractionOracle:
     """Cross-check extraction sweeps against a box brute force.
 
@@ -480,6 +536,9 @@ class TestFree3Heights:
 
             expected = self.brute_min_gens(cached, box)
             name = type(upset).__name__
+            for i, e in enumerate(FREE3_GENS):
+                reach = next((k for k in range(box + 1) if cached(vscale(k, e))), None)
+                assert upset.reach(i) == reach, (name, i)
             # corners are exactly the minimal generators, before any filter
             assert sorted(_extract_free3(ring, upset)) == expected, name
             assert list(map(tuple, extract_min_gens(ring, upset))) == expected, name
@@ -519,6 +578,16 @@ class TestParameterIdeal:
         assert q3.base._ray_powers() == (5000, 1, 1)
         assert q3.colength() == 5000
         assert not MonomialIdeal(free3, [(5000, 0, 0), (0, 1, 0)]).is_m_primary
+
+    def test_large_pure_power_closure_and_colon(self, free3):
+        # extraction reads the pure powers in closed form, so no scan cap applies
+        from hilbclose.closures import integral_closure
+
+        base = ParameterIdeal(free3, [(5000, 0, 0), (0, 1, 0), (0, 0, 1)]).base
+        assert integral_closure(base) == base
+        colon = ideal_colon(base, (1, 0, 0))
+        assert gens_of(colon) == [(0, 0, 1), (0, 1, 0), (4999, 0, 0)]
+        assert colon.colength() == 4999
 
     def test_is_parameter_on_plain_ideal(self, remark_ring):
         assert is_parameter_ideal(MonomialIdeal(remark_ring, [(1, 0), (0, 2)]))
