@@ -4,16 +4,16 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload corpus --pairs 10 \\
-        --seed-start 11 --out BENCH_example.json
+        --out BENCH_example.json
 
 The parent revision is exported with ``git archive REV | tar -x`` into a
-temporary directory; the change is the working tree, or ``--change REV``,
-exported the same way.  Each tree runs its own ``perfbench/run.py``, so the
-script refuses to run when ``perfbench/`` or ``BENCHMARK.json`` differ
-between the two trees: the pairs would not measure the same work.
+temporary directory; the change is the working tree.  Each tree runs its own
+``perfbench/run.py`` for the benchmark's 30 seconds, so the script refuses to
+run when ``perfbench/`` or ``BENCHMARK.json`` differ between the two trees:
+the pairs would not measure the same work.
 
-Pair i runs with seed ``seed-start + i``; odd pairs (1st, 3rd, ...) run the
-parent first and even pairs the change first.  Each value is the median over
+Odd pairs (1st, 3rd, ...) run the parent first and even pairs the change
+first.  Each value is the median over
 one run's repeats, as ``perfbench/run.py`` prints it.  For every end-to-end
 metric the output lists both sides' values, their medians, the parent's
 interquartile range and how many pairs the change won (lower is better).
@@ -57,20 +57,19 @@ def export(rev, dest):
         raise PairError("git archive %s failed" % rev)
 
 
-def shared_files(rev):
-    """Contents of the files under SHARED in ``rev`` (None: the working tree)."""
-    if rev is None:
-        names = git("ls-files", "--cached", "--others", "--exclude-standard", "--", *SHARED,
-                    text=True).split()
-        return {name: (ROOT / name).read_bytes() for name in names if (ROOT / name).is_file()}
-    names = git("ls-tree", "-r", "--name-only", rev, "--", *SHARED, text=True).split()
-    return {name: git("show", "%s:%s" % (rev, name)) for name in names}
+def shared_differ(rev):
+    """Whether the files under SHARED differ between ``rev`` and the working tree."""
+    changed = subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", rev, "--", *SHARED])
+    if changed.returncode not in (0, 1):
+        raise PairError("git diff against %s failed" % rev)
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", *SHARED)
+    return changed.returncode == 1 or bool(untracked)
 
 
-def run_bench(tree, workload, seed, seconds):
+def run_bench(tree, workload):
     """One ``perfbench/run.py`` run in ``tree``: (metrics, correct, digests)."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seconds", "30", "--trace", "0"],
                           cwd=str(tree), capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -97,25 +96,12 @@ def summarize(parent, change):
             "change": [round(v, 4) for v in change]}
 
 
-def layout(obj, indent=0):
-    """JSON with one line per innermost dict, as in the committed BENCH files."""
-    if isinstance(obj, dict) and any(isinstance(v, dict) for v in obj.values()):
-        pad = " " * (indent + 1)
-        items = [pad + json.dumps(k) + ": " + layout(v, indent + 1) for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
-    return json.dumps(obj)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent revision")
-    parser.add_argument("--change", default=None,
-                        help="change revision (default: the working tree)")
     parser.add_argument("--workload", action="append", required=True,
                         choices=("corpus", "deep", "free3"))
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed-start", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--out", required=True, help="the BENCH_*.json to write")
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -127,37 +113,30 @@ def main(argv=None):
         parent_tree = Path(tmp) / "parent"
         parent_tree.mkdir()
         export(args.parent, parent_tree)
-        change_tree = ROOT
-        if args.change is not None:
-            change_tree = Path(tmp) / "change"
-            change_tree.mkdir()
-            export(args.change, change_tree)
-        if shared_files(args.parent) != shared_files(args.change):
+        if shared_differ(args.parent):
             raise PairError("perfbench/ or BENCHMARK.json differ between the trees; "
                             "pairs would not measure the same work")
-        trees = {"parent": parent_tree, "change": change_tree}
+        trees = {"parent": parent_tree, "change": ROOT}
 
         doc = {
             "what": "alternating parent/change pairs of `python3 perfbench/run.py "
-                    "--workload W --seed S --seconds %g --trace 0`; odd pairs run the "
+                    "--workload W --seconds 30 --trace 0`; odd pairs run the "
                     "parent first, even pairs the change first; each value is the "
-                    "median over that run's repeats" % args.seconds,
+                    "median over that run's repeats",
             "parent": git("rev-parse", "--short", args.parent, text=True).strip(),
-            "change": "working tree" if args.change is None else
-                      git("rev-parse", "--short", args.change, text=True).strip(),
+            "change": "working tree",
             "machine": "Python %s, %d CPUs, one benchmark process at a time"
                        % (platform.python_version(), os.cpu_count() or 0),
             "workloads": {},
         }
         for workload in args.workload:
-            seeds = list(range(args.seed_start, args.seed_start + args.pairs))
             values = {side: {m: [] for m in METRICS} for side in trees}
             correct = True
             digests = {side: set() for side in trees}
-            for i, seed in enumerate(seeds):
+            for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    got, ok, dig = run_bench(trees[side], workload, seed, args.seconds)
+                    got, ok, dig = run_bench(trees[side], workload)
                     correct = correct and ok
                     digests[side].update(dig)
                     for m in METRICS:
@@ -165,13 +144,13 @@ def main(argv=None):
                 print("%s pair %d/%d: wall_s parent %.3f change %.3f"
                       % (workload, i + 1, args.pairs, values["parent"]["wall_s"][-1],
                          values["change"]["wall_s"][-1]), file=sys.stderr)
-            entry = {"seeds": seeds, "all_runs_correct": correct,
+            entry = {"all_runs_correct": correct,
                      "report_digests": {side: sorted(d) for side, d in digests.items()},
                      "digests_equal": digests["parent"] == digests["change"]}
             for m in METRICS:
                 entry[m] = summarize(values["parent"][m], values["change"][m])
             doc["workloads"][workload] = entry
-    Path(args.out).write_text(layout(doc) + "\n")
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     for workload, entry in doc["workloads"].items():
         w = entry["wall_s"]
         print("%s wall_s median %.3f -> %.3f s, change wins %s, parent IQR %.3f"
