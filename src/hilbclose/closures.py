@@ -1,18 +1,19 @@
 """Closure operations on monomial ideals: integral, limit, split-intersection,
 Frobenius bracket powers and tight-closure candidates.
 
-Integral closures come from Newton polyhedra.  Limit closures are stabilized
-colon chains.  The big-CM closure of a power is never computed directly (no
-such algebra is constructed); it is bracketed between the split intersection
-below and the integral closure above, and in characteristic p additionally by
-the Frobenius candidate.
+Integral closures come from Newton polyhedra, limit closures from their
+closed form S ∩ ⋃_i (u_i + S_{w_i}), S_w the localization of S at w.  The
+big-CM closure of a power is never computed directly (no such algebra is
+constructed); it is bracketed between the split intersection below and the
+integral closure above, and in characteristic p additionally by the
+Frobenius candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotMPrimaryError, NotStabilizedError, UnsupportedRingError
+from .errors import NotMPrimaryError, UncertifiedError, UnsupportedRingError
 from .ideals import (
     MonomialIdeal,
     ParameterIdeal,
@@ -21,13 +22,8 @@ from .ideals import (
     _MeetUp,
     _PolyUp,
     extract_ideal,
-    ideal_colon,
 )
-from .lattice import ExponentVector, vadd, vdot, vscale
-
-LIMIT_T_CAP = 16
-LIMIT_WINDOW = 2
-
+from .lattice import ExponentVector, vadd, vdot, vscale, vsub
 
 # ---------------------------------------------------------------------------
 # integral closure
@@ -54,52 +50,101 @@ def integral_closure_power(ideal, n):
 # ---------------------------------------------------------------------------
 # limit closure
 
+class _LimUp:
+    """The limit closure S ∩ ((u1 + S_u2) ∪ (u2 + S_u1)) of a 2-D parameter
+    ideal, S_w being the localization S - N w.  The parameters lie on the
+    two extreme rays, so s - u_i lies in S_uj iff the grid line through
+    s - u_i along u_j's ray meets S.  On a line along u_j's ray that test is
+    one lookup for the whole line; the other test reads the cross line
+    through each point and, as cross lines meeting S stay so, passes from
+    one index on."""
+
+    def __init__(self, ring, q):
+        self.ring = ring
+        self._eng = eng = ring._engine
+        u1, u2 = map(tuple, q.ordered_generators)
+        if vdot(eng.lam2, u1) == 0:
+            u1, u2 = u2, u1
+        # per axis, the parameter off the ray along that axis
+        self._off = (u1, u2)
+        self._seed = q.base._up.seed()
+
+    def _line_meets(self, w, axis):
+        """Whether the grid line through w along ``axis`` meets S."""
+        key, m1, m2 = self._eng._decompose(w)
+        fixed = m1 if axis == 1 else m2
+        return fixed >= 0 and self._eng.grid_first(key, axis, fixed) is not None
+
+    def member(self, v):
+        return self._eng.member(v) and any(self._line_meets(vsub(v, u), axis)
+                                           for axis, u in enumerate(self._off))
+
+    def profile(self, key, axis, count):
+        eng = self._eng
+        # the whole-line test of line m reads line m + base of coset kw
+        kw, w1, w2 = eng._decompose(vsub(eng.box[key], self._off[axis]))
+        base = w1 if axis == 1 else w2
+        # the cross-line test of index t reads cross line c + t of coset kc; at
+        # the witness bound of kc at the latest, every cross line meets S
+        kc, c1, c2 = eng._decompose(vsub(eng.box[key], self._off[1 - axis]))
+        bound = eng._witnesses()[kc][axis]
+        first = next(f for f in range(bound + 1)
+                     if f == bound or eng.grid_first(kc, 1 - axis, f) is not None)
+        thresh = max(0, first - (c2 if axis == 1 else c1))
+        out = []
+        for m in range(count):
+            ts = eng.grid_first(key, axis, m)
+            if ts is not None and not (m + base >= 0
+                                       and eng.grid_first(kw, axis, m + base) is not None):
+                ts = max(ts, thresh)
+            out.append(ts)
+        return out
+
+    def seed(self):
+        return self._seed
+
+    def chain_index(self, s):
+        """Least t with s - u_i + t*u_j in S for i != j: the first member of the
+        colon chain that holds s.  A passing line test makes t exist."""
+        if not self.member(s):
+            raise UncertifiedError("limit-closure generator fails the closed form (internal)")
+        member, (u, v) = self._eng.member, self._off
+        t = 0
+        while not (member(vadd(vsub(s, u), vscale(t, v)))
+                   or member(vadd(vsub(s, v), vscale(t, u)))):
+            t += 1
+        return t
+
+
 @dataclass(frozen=True)
 class LimitClosureCertificate:
-    """A stabilized colon chain: the closure, where it stabilized, and the
-    window of extra chain indices checked equal."""
+    """The limit closure and the exact index at which the colon chain
+    (u1^(t+1), ..., ud^(t+1)) : (u1...ud)^t reaches it.  ``window`` is
+    always 0; it remains for readers of the former windowed certificate."""
 
     ideal: MonomialIdeal
     stabilized_t: int
-    window: int
+    window: int = 0
 
 
-def _limit_chain_member(q, t):
-    """The t-th colon (u1^(t+1), ..., ud^(t+1)) : (u1...ud)^t as an ideal."""
-    ring = q.ring
-    gens = [g.scaled(t + 1) for g in q.ordered_generators]
-    if t == 0:
-        return MonomialIdeal(ring, gens)
-    prod = (0,) * ring.dim
-    for g in q.ordered_generators:
-        prod = vadd(prod, g)
-    return ideal_colon(MonomialIdeal(ring, gens), vscale(t, prod))
+def limit_closure(q):
+    """Q^lim = S ∩ ⋃_i (u_i + S_{w_i}), w_i the product of the other parameters.
 
-
-def limit_closure(q, t_cap=LIMIT_T_CAP, window=LIMIT_WINDOW):
-    """Union of the colon chain, certified by an equality window."""
+    Cohen-Macaulay rings (free Z^3, numerical semigroups) have Q^lim = Q.  In
+    dimension 2 the closure is extracted from its closed form, and
+    ``stabilized_t`` is the largest least chain index of a minimal generator.
+    """
     if not isinstance(q, ParameterIdeal):
         raise NotMPrimaryError("limit closure is defined for parameter ideals")
-    prev = _limit_chain_member(q, 0)
-    stable_at = 0
-    run = 0
-    t = 1
-    while t <= t_cap + window:
-        cur = _limit_chain_member(q, t)
-        if cur == prev:
-            run += 1
-            if run >= window:
-                return LimitClosureCertificate(ideal=prev, stabilized_t=stable_at,
-                                               window=window)
-        else:
-            if t > t_cap:
-                break
-            prev = cur
-            stable_at = t
-            run = 0
-        t += 1
-    raise NotStabilizedError(
-        "limit-closure colon chain did not stabilize by t = %d" % t_cap)
+    ring = q.ring
+    up = _LimUp(ring, q) if ring.kind == "grid2" else None
+    closed = q.base if up is None else extract_ideal(ring, up)
+    if closed == q.base:
+        # Q again, without a staircase or q.base's cached values: splits stay cached
+        return LimitClosureCertificate(
+            ideal=MonomialIdeal(ring, q.base.min_generators, _reduced=True), stabilized_t=0)
+    return LimitClosureCertificate(
+        ideal=closed, stabilized_t=max(up.chain_index(s) for s in closed.min_generators))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +179,7 @@ def parameter_splits(total, parts):
     return [ParameterSplit(alpha=a, total=total) for a in compositions(total, parts)]
 
 
-def lim_intersection(q, total, t_cap=LIMIT_T_CAP, window=LIMIT_WINDOW):
+def lim_intersection(q, total):
     """Intersection of limit closures of all splits with |alpha| = total.
 
     Contains Q^total; contained in the integral closure of Q^(total - d + 1).
@@ -143,21 +188,18 @@ def lim_intersection(q, total, t_cap=LIMIT_T_CAP, window=LIMIT_WINDOW):
     d = ring.dim
     if total < d:
         raise ValueError("split total must be at least the ring dimension")
-    parts = []
-    for split in parameter_splits(total, d):
-        cert = _limit_closure_cached(q, split.alpha, t_cap, window)
-        parts.append(cert.ideal)
+    parts = [_limit_closure_cached(q, split.alpha).ideal
+             for split in parameter_splits(total, d)]
     if len(parts) == 1:
         return parts[0]
     return extract_ideal(ring, _MeetUp([p._up for p in parts]))
 
 
-def _limit_closure_cached(q, alpha, t_cap, window):
+def _limit_closure_cached(q, alpha):
     cache = q.__dict__.setdefault("_split_limit_cache", {})
-    key = (alpha, t_cap, window)
-    if key not in cache:
-        cache[key] = limit_closure(q.split(alpha), t_cap, window)
-    return cache[key]
+    if (alpha,) not in cache:
+        cache[(alpha,)] = limit_closure(q.split(alpha))
+    return cache[(alpha,)]
 
 
 # ---------------------------------------------------------------------------

@@ -182,27 +182,16 @@ class HilbertReport:
 def fit_filtration(filtration, n_max=DEFAULT_N_MAX, window=DEFAULT_WINDOW,
                    retry_n_max=RETRY_N_MAX):
     """Length sequence plus fit, with one adaptive extension before giving up."""
-    try:
-        lengths = length_sequence(filtration, n_max)
-    except NotStabilizedError:
-        # a member's colon chain hit the t-cap; report, never guess
-        return HilbertReport(filtration.kind, n_max, (), None, None, "NOT_STABILIZED")
-    try:
-        coeffs, n0 = fit_polynomial(lengths, filtration.ring.dim, window)
-    except NotStabilizedError:
-        if n_max >= retry_n_max:
-            return HilbertReport(filtration.kind, n_max, tuple(lengths), None, None,
-                                 "NOT_STABILIZED")
-        lengths = length_sequence(filtration, retry_n_max)
+    for n in sorted({n_max, max(n_max, retry_n_max)}):
+        lengths = length_sequence(filtration, n)
         try:
             coeffs, n0 = fit_polynomial(lengths, filtration.ring.dim, window)
-            n_max = retry_n_max
         except NotStabilizedError:
-            return HilbertReport(filtration.kind, retry_n_max, tuple(lengths), None,
-                                 None, "NOT_STABILIZED")
-    if coeffs[0] < 1:
-        raise UncertifiedError("fitted multiplicity %d < 1 (internal bug)" % coeffs[0])
-    return HilbertReport(filtration.kind, n_max, tuple(lengths), coeffs, n0, "ok")
+            continue
+        if coeffs[0] < 1:
+            raise UncertifiedError("fitted multiplicity %d < 1 (internal bug)" % coeffs[0])
+        return HilbertReport(filtration.kind, n, tuple(lengths), coeffs, n0, "ok")
+    return HilbertReport(filtration.kind, n, tuple(lengths), None, None, "NOT_STABILIZED")
 
 
 def multiplicity_volume(ideal):

@@ -47,6 +47,8 @@ sum of the heights.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import (
     DimensionMismatchError,
     NotMPrimaryError,
@@ -335,17 +337,17 @@ def extract_min_gens(ring, upset, stair=None):
     kind = ring.kind
     if kind == "grid2":
         stair = {} if stair is None else stair
-        cands = _extract_grid2(ring, upset, stair)
         eng = ring._engine
-        inside = lambda v: _stair_member(eng, stair, v)
-    elif kind == "num1":
-        cands = _extract_num1(ring, upset)
-        inside = upset.member
-    else:
-        return tuple(sorted(ExponentVector(v) for v in _extract_free3(ring, upset)))
-    gens = ring.generators
-    return tuple(sorted(ExponentVector(v) for v in cands
-                        if not any(inside(vsub(v, g)) for g in gens)))
+        # v - g on integers: its lam values are those of v minus those of g
+        offs = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in ring.generators]
+        return tuple(sorted(
+            ExponentVector(v) for l1, l2, v in _extract_grid2(ring, upset, stair)
+            if not any(_stair_at(eng, stair, l1 - a, l2 - b) for a, b in offs)))
+    if kind == "num1":
+        gens = ring.generators
+        return tuple(sorted(ExponentVector(v) for v in _extract_num1(ring, upset)
+                            if not any(upset.member(vsub(v, g)) for g in gens)))
+    return tuple(sorted(ExponentVector(v) for v in _extract_free3(ring, upset)))
 
 
 def extract_ideal(ring, upset):
@@ -356,7 +358,8 @@ def extract_ideal(ring, upset):
 
 
 def _extract_grid2(ring, upset, stair):
-    """Corner candidates of a 2-D up-set; its staircase goes into ``stair``.
+    """Corner candidates of a 2-D up-set as (lam1, lam2, point); its
+    staircase goes into ``stair``.
 
     Per coset, ``rows`` holds the first g1-index on the lines nu <= s2 and
     ``cols`` the first g2-index on the lines mu <= mu_max, where row s2 holds
@@ -392,7 +395,8 @@ def _extract_grid2(ring, upset, stair):
         for mu in range(mu_star, mu_max + 1):
             t = cols[mu]
             if t != prev:
-                cands.append(vadd(r, vadd(vscale(mu, eng.g1), vscale(t, eng.g2))))
+                cands.append((key[0] + mu * eng.D1, key[1] + t * eng.D2,
+                              vadd(r, vadd(vscale(mu, eng.g1), vscale(t, eng.g2)))))
                 prev = t
     return cands
 
@@ -403,8 +407,14 @@ def _stair_member(eng, stair, v):
     Columns mu <= mu_max read ``cols``, rows nu <= s2 right of them read
     ``rows``, and every point beyond both dominates (mu_max, nu_star).
     """
-    key, m1, m2 = eng._decompose(v)
-    lines = stair.get(key)  # None off the group lattice
+    return _stair_at(eng, stair, vdot(eng.lam1, v), vdot(eng.lam2, v))
+
+
+def _stair_at(eng, stair, l1, l2):
+    """``_stair_member`` of the lattice point with lam values (l1, l2)."""
+    lines = stair.get((l1 % eng.D1, l2 % eng.D2))  # None off the group lattice
+    m1 = l1 // eng.D1
+    m2 = l2 // eng.D2
     if lines is None or m1 < 0 or m2 < 0:
         return False
     rows, cols = lines
@@ -659,9 +669,9 @@ class MonomialIdeal:
                 # the ray through g1 (g2) is line 0 of coset (0, 0) along axis 0 (1)
                 ks = [self._up.profile((0, 0), axis, 1)[0] for axis in (0, 1)]
             elif kind == "num1":
-                first_shift = self.ring._engine.first_shift
-                ts = [first_shift(vscale(-1, u), 0) for u in self.min_generators]
-                ks = [min((t for t in ts if t is not None), default=None)]
+                # k*amin lies in I once it passes a generator by the conductor
+                amin = self.ring._engine.amin
+                ks = [next(k for k in itertools.count() if self._up.member((k * amin,)))]
             else:
                 ks = [self._up.reach(i) for i in range(3)]
             self._cache["ray_powers"] = tuple(ks)

@@ -42,11 +42,6 @@ def vdot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _ceil_div(a, b):
-    # b > 0
-    return -((-a) // b)
-
-
 class ExponentVector(tuple):
     """A monomial exponent: fixed-length tuple of nonnegative integers."""
 
@@ -239,20 +234,6 @@ class _Num1:
         if x < len(self.tab):
             return bool(self.tab[x])
         return x >= self.conductor
-
-    def first_shift(self, w, axis):
-        """Least t >= 0 with w + t*amin in S, or None."""
-        x = w[0]
-        inc = self.amin
-        if x % self.step != 0:
-            return None
-        t = 0 if x >= 0 else _ceil_div(-x, inc)
-        limit = _ceil_div(self.conductor + inc, inc) + t + 2
-        while t <= limit:
-            if self.member((x + t * inc,)):
-                return t
-            t += 1
-        return None  # unreachable: conductor guarantees a hit
 
     def saturation_data(self):
         gaps = [(x,) for x in range(0, self.conductor, self.step) if not self.tab[x]]
@@ -544,7 +525,7 @@ class _Grid2:
                 best = t
         return best
 
-    # -- membership and shifted line-firsts
+    # -- membership
 
     def member(self, v):
         x, y = v
@@ -570,29 +551,6 @@ class _Grid2:
             return t is not None and m2 >= t
         t = self.grid_first(key, 0, m2)
         return t is not None and m1 >= t
-
-    def first_shift(self, w, axis):
-        """Least t >= 0 with w + t*g_axis in S, or None."""
-        x, y = w
-        if not self._in_lat2(x, y):
-            return None
-        l1 = self._l1x * x + self._l1y * y
-        l2 = self._l2x * x + self._l2y * y
-        if axis == 1:
-            if l1 < 0:
-                return None
-            T = self.grid_first((l1 % self.D1, l2 % self.D2), 1, l1 // self.D1)
-            if T is None:
-                return None
-            mT = l2 // self.D2
-        else:
-            if l2 < 0:
-                return None
-            T = self.grid_first((l1 % self.D1, l2 % self.D2), 0, l2 // self.D2)
-            if T is None:
-                return None
-            mT = l1 // self.D1
-        return max(0, T - mT)
 
     # -- saturation
 

@@ -2,7 +2,11 @@
 
 The oracles here deliberately avoid the package's grid machinery: membership
 is a plain bounded search, complements are box enumerations.  Expected values
-in the tests were computed with these oracles and then frozen.
+in the tests were computed with these oracles and then frozen.  The two
+limit-closure oracles are the exception: they reach the closure by another
+route than the library's closed form, the colon chain at a fixed index and a
+bounded search over the chain index, through the package's own colon and
+membership.
 """
 
 import itertools
@@ -11,7 +15,8 @@ import os
 import pytest
 
 import hilbclose
-from hilbclose.lattice import AffineSemigroup
+from hilbclose.ideals import MonomialIdeal, ideal_colon
+from hilbclose.lattice import AffineSemigroup, vadd, vscale, vsub
 
 
 def child_env():
@@ -61,6 +66,28 @@ def brute_complement(sgens, igens, box):
         if brute_member(sgens, v) and not brute_ideal_member(sgens, igens, v):
             out.append(v)
     return sorted(out)
+
+
+def limit_chain_member(q, t):
+    """The t-th colon (u1^(t+1), ..., ud^(t+1)) : (u1...ud)^t of the limit-closure
+    chain, computed as an ideal colon (a test oracle for the closed form)."""
+    ring = q.ring
+    gens = [g.scaled(t + 1) for g in q.ordered_generators]
+    if t == 0:
+        return MonomialIdeal(ring, gens)
+    prod = (0,) * ring.dim
+    for g in q.ordered_generators:
+        prod = vadd(prod, g)
+    return ideal_colon(MonomialIdeal(ring, gens), vscale(t, prod))
+
+
+def limit_member_by_search(q, v, t_max):
+    """v in S with v - u_i + t*u_j in S for some i, j != i and t <= t_max (2-D)."""
+    ring = q.ring
+    u1, u2 = q.ordered_generators
+    return ring.member(v) and any(
+        ring.member(vadd(vsub(v, ui), vscale(t, uj)))
+        for ui, uj in ((u1, u2), (u2, u1)) for t in range(t_max + 1))
 
 
 REMARK_GENS = [(1, 0), (1, 1), (0, 2), (0, 3)]

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import limit_chain_member, limit_member_by_search
 from hilbclose.closures import (
     FrobeniusContext,
+    _LimUp,
     compositions,
     default_test_element,
     frobenius_power,
@@ -18,7 +20,9 @@ from hilbclose.closures import (
 )
 from hilbclose.errors import NotMPrimaryError
 from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power
-from hilbclose.lattice import AffineSemigroup
+from hilbclose.lattice import AffineSemigroup, vdot, vscale
+from hilbclose.theorems import fuzz_corpus
+from test_ideals import sweep_rings
 
 
 def gens_of(ideal):
@@ -146,13 +150,13 @@ class TestLimitClosure:
         assert not q.base.member((1, 1))
         assert cert.stabilized_t == 1
 
-    def test_window_certificate(self, remark_ring):
+    def test_exact_certificate(self, remark_ring):
+        # the chain reaches the closure exactly at stabilized_t, not before
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        cert = limit_closure(q, window=3)
-        from hilbclose.closures import _limit_chain_member
-
-        for t in range(cert.stabilized_t, cert.stabilized_t + cert.window + 1):
-            assert _limit_chain_member(q, t) == cert.ideal
+        cert = limit_closure(q)
+        assert cert.window == 0
+        assert limit_chain_member(q, cert.stabilized_t) == cert.ideal
+        assert limit_chain_member(q, cert.stabilized_t - 1) != cert.ideal
 
     def test_cm_instance_closed(self, cm_ring):
         # colength(Q) = e0(Q) here, so the limit closure is Q itself
@@ -163,6 +167,70 @@ class TestLimitClosure:
         ring = AffineSemigroup(1, [(2,), (3,)])
         q = ParameterIdeal(ring, [(4,)])
         assert limit_closure(q).ideal == q.base
+
+    def test_cm_kinds_return_q(self, free3, monkeypatch):
+        # numerical semigroups and free Z^3 are Cohen-Macaulay: Q^lim is Q,
+        # returned without an extraction
+        import hilbclose.closures as closures_mod
+
+        monkeypatch.setattr(closures_mod, "extract_ideal", None)
+        for q in (ParameterIdeal(AffineSemigroup(1, [(3,), (5,)]), [(6,)]),
+                  ParameterIdeal(free3, [(2, 0, 0), (0, 3, 0), (0, 0, 1)])):
+            cert = limit_closure(q)
+            assert cert.ideal == q.base
+            assert cert.stabilized_t == 0
+
+    def test_flat_then_growing_chain(self):
+        # fz42-032: members t = 1..7 agree, and (0, 6) enters only at t = 8,
+        # because (0, 6) + 8*(1, 4) = (0, 36) + 2*(4, 1)
+        ring = AffineSemigroup(2, [(0, 4), (0, 6), (1, 0), (4, 1), (4, 6)])
+        cert = limit_closure(ParameterIdeal(ring, [(1, 0), (0, 4)]))
+        assert gens_of(cert.ideal) == [(0, 4), (0, 6), (1, 0), (8, 2)]
+        assert cert.ideal.colength() == 2
+        assert cert.stabilized_t == 8
+
+    def test_max_coord_14_split(self):
+        ring = AffineSemigroup(2, [(1, 13), (2, 6), (8, 1), (10, 0)])
+        q = ParameterIdeal(ring, [(20, 0), (1, 13)]).split((1, 3))
+        cert = limit_closure(q)
+        assert cert.ideal.colength() == 480
+        assert cert.stabilized_t == 7
+
+
+CORPUS_RINGS = sorted({tuple(map(tuple, inst.ring.generators))
+                       for inst in fuzz_corpus(42, 40, max_coord=6)})
+
+
+class TestLimitClosedForm:
+    """The closed form against the colon chain at large t and a direct search
+    over the chain index, with the exact certificate."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(sweep_rings, st.sampled_from(CORPUS_RINGS)),
+           st.integers(1, 2), st.integers(1, 2), st.integers(0, 5), st.booleans(),
+           st.sampled_from(compositions(2, 2) + compositions(3, 2) + compositions(4, 2)))
+    def test_matches_chain_and_search(self, sgens, k1, k2, pick, swap, alpha):
+        ring = AffineSemigroup(2, sgens)
+        eng = ring._engine
+        # a parameter on each extreme ray, not always a multiple of g1 or g2
+        ray1 = [g for g in ring.generators if vdot(eng.lam2, g) == 0]
+        ray2 = [g for g in ring.generators if vdot(eng.lam1, g) == 0]
+        params = [vscale(k1, ray1[pick % len(ray1)]), vscale(k2, ray2[pick % len(ray2)])]
+        q = ParameterIdeal(ring, params[::-1] if swap else params).split(alpha)
+        cert = limit_closure(q)
+        closed = cert.ideal
+        assert closed == limit_chain_member(q, 48) == limit_chain_member(q, 96)
+        assert limit_chain_member(q, cert.stabilized_t) == closed
+        if cert.stabilized_t > 0:
+            assert limit_chain_member(q, cert.stabilized_t - 1) != closed
+        else:
+            assert closed == q.base and closed._up.stair is None
+        up = _LimUp(ring, q)
+        box = max(max(map(max, closed.min_generators)), max(map(max, sgens))) + 3
+        for v in itertools.product(range(box + 1), repeat=2):
+            inside = limit_member_by_search(q, v, 90)
+            assert closed.member(v) == inside, v
+            assert up.member(v) == inside, v
 
 
 class TestCompositions:

@@ -207,19 +207,19 @@ class TestCoefficientReport:
         assert bundle.e1_integral == 1
         assert bundle.report(FiltrationKind.INTEGRAL).lengths[:4] == (1, 4, 9, 16)
 
-    def test_chain_cap_yields_partial_report(self, remark_ring, monkeypatch):
-        # a colon chain that hits its t-cap surfaces as a NOT_STABILIZED report
-        # (partial bundle, exit 2 at the CLI), never as a wrong answer
-        import hilbclose.closures as closures_mod
+    def test_unstabilized_fit_yields_partial_report(self, remark_ring, monkeypatch):
+        # a fit that does not stabilize, even after the retry, surfaces as a
+        # NOT_STABILIZED report (partial bundle, exit 2 at the CLI), never as
+        # a wrong answer
+        import hilbclose.hilbert as hilbert_mod
 
-        real = closures_mod.limit_closure
+        def unstable(lengths, d, window):
+            raise NotStabilizedError("no constant window (forced)")
 
-        def capped(q, t_cap=closures_mod.LIMIT_T_CAP, window=closures_mod.LIMIT_WINDOW):
-            return real(q, t_cap=0, window=window)
-
-        monkeypatch.setattr(closures_mod, "limit_closure", capped)
+        monkeypatch.setattr(hilbert_mod, "fit_polynomial", unstable)
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
         filt = Filtration(FiltrationKind.LIM_INTERSECT, q)
         rep = fit_filtration(filt, 6)
         assert rep.status == "NOT_STABILIZED"
         assert rep.coefficients is None
+        assert rep.e1 is None

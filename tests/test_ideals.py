@@ -251,6 +251,18 @@ sweep_rings = st.one_of(
 )
 
 
+def _first_shift(eng, w, axis):
+    """Least t >= 0 with w + t*g_axis in S, or None: per generator, the
+    reference the staircase sweep replaced."""
+    l1, l2 = vdot(eng.lam1, w), vdot(eng.lam2, w)
+    key = (l1 % eng.D1, l2 % eng.D2)
+    if key not in eng.box:  # off the group lattice
+        return None
+    fixed, trav = (l1 // eng.D1, l2 // eng.D2) if axis == 1 else (l2 // eng.D2, l1 // eng.D1)
+    t = eng.grid_first(key, axis, fixed) if fixed >= 0 else None
+    return None if t is None else max(0, t - trav)
+
+
 class TestStaircaseSweep:
     """The per-coset complement sweep against the per-generator minimum it replaced."""
 
@@ -275,7 +287,7 @@ class TestStaircaseSweep:
                 got = _line_firsts(eng, gens, key, axis, count)
                 for m in range(count):
                     v0 = vadd(eng.box[key], vscale(m, gfix))
-                    firsts = [eng.first_shift(vsub(v0, u), axis) for u in gens]
+                    firsts = [_first_shift(eng, vsub(v0, u), axis) for u in gens]
                     firsts = [t for t in firsts if t is not None]
                     assert got[m] == (min(firsts) if firsts else None), (key, axis, m)
         comp = sorted(map(tuple, ideal.complement()))
