@@ -84,12 +84,10 @@ class _LimUp:
         # the whole-line test of line m reads line m + base of coset kw
         kw, w1, w2 = eng._decompose(vsub(eng.box[key], self._off[axis]))
         base = w1 if axis == 1 else w2
-        # the cross-line test of index t reads cross line c + t of coset kc; at
-        # the witness bound of kc at the latest, every cross line meets S
+        # the cross-line test of index t reads cross line c + t of coset kc;
+        # the first cross line to meet S is the constant tail of kc on ``axis``
         kc, c1, c2 = eng._decompose(vsub(eng.box[key], self._off[1 - axis]))
-        bound = eng._witnesses()[kc][axis]
-        first = next(f for f in range(bound + 1)
-                     if f == bound or eng.grid_first(kc, 1 - axis, f) is not None)
+        first = eng.stabilization(axis)[1][kc]
         thresh = max(0, first - (c2 if axis == 1 else c1))
         out = []
         for m in range(count):
@@ -140,7 +138,7 @@ def limit_closure(q):
     up = _LimUp(ring, q) if ring.kind == "grid2" else None
     closed = q.base if up is None else extract_ideal(ring, up)
     if closed == q.base:
-        # Q again, without a staircase or q.base's cached values: splits stay cached
+        # Q again, without a staircase or q.base's cached values
         return LimitClosureCertificate(
             ideal=MonomialIdeal(ring, q.base.min_generators, _reduced=True), stabilized_t=0)
     return LimitClosureCertificate(
@@ -188,18 +186,11 @@ def lim_intersection(q, total):
     d = ring.dim
     if total < d:
         raise ValueError("split total must be at least the ring dimension")
-    parts = [_limit_closure_cached(q, split.alpha).ideal
+    parts = [limit_closure(q.split(split.alpha)).ideal
              for split in parameter_splits(total, d)]
     if len(parts) == 1:
         return parts[0]
     return extract_ideal(ring, _MeetUp([p._up for p in parts]))
-
-
-def _limit_closure_cached(q, alpha):
-    cache = q.__dict__.setdefault("_split_limit_cache", {})
-    if (alpha,) not in cache:
-        cache[(alpha,)] = limit_closure(q.split(alpha))
-    return cache[(alpha,)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +227,9 @@ def inversion_frees(ring, c):
     if l1 > 0 and l2 > 0:
         return True
     axis = 0 if l2 == 0 else 1
-    # lines parallel to the c-ray must all meet S; beyond the witness bound
-    # they do automatically, so the finitely many near lines decide
-    for key in sorted(eng.box):
-        b = eng._witnesses()[key]
-        bound = b[1] if axis == 0 else b[0]
-        for fixed in range(bound):
-            if eng.grid_first(key, axis, fixed) is None:
-                return False
-    return True
+    # lines parallel to the c-ray must all meet S; adding the other extreme
+    # generator keeps a line meeting S, so line 0 of each coset decides
+    return all(eng.grid_first(key, axis, 0) is not None for key in eng.box)
 
 
 def default_test_element(ring):

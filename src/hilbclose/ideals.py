@@ -16,19 +16,20 @@ Minimal generators sit at its corners: extraction reads one row profile and
 one column profile per coset and keeps the columns whose first index drops.
 
 Those two profiles determine the up-set on the whole coset, so extraction
-keeps them as the ideal's staircase.  A corner v is minimal when no v - g,
-g a ring generator, lies on the staircase: a lookup, not a membership query.
-The extracted ideal answers ``member`` and unshifted ``profile`` from its
-staircase; lines past the stored ones read the other array through one
-falling pointer (``_stair_profile``).
+keeps them as the ideal's staircase, in the format of the ring's own Apéry
+staircase (``lattice._stair_at``, ``lattice._stair_profile``).  A corner v
+is minimal when no v - g, g a ring generator, lies on the staircase: a
+lookup, not a membership query.  The extracted ideal answers ``member`` and
+unshifted ``profile`` from its staircase; lines past the stored ones read
+the other array through one falling pointer.
 
 ``_line_firsts`` gets the profile of an ideal held only by generators in one
 ascending sweep per coset and axis; derived up-sets combine their parts'
-profiles pointwise.  Only generators within the ring's stabilization index
-of a line query the grid engine; the rest contribute constants
-(``_Grid2.stabilization``).  Colengths are counted per line from the same
-profiles (``_grid2_runs``) without materializing the complement, and are
-memoized per ring.
+profiles pointwise.  Generators within the ring's stabilization index of a
+line read the ring's staircase line by line; the rest contribute its
+constant tails (``_Grid2.stabilization``).  Colengths are counted per line
+from the same profiles (``_grid2_runs``) without materializing the
+complement, and are memoized per ring.
 
 In free Z^3 an up-set is a nonincreasing height function on the (x, y)
 plane, so up-sets there expose two more oracles
@@ -55,7 +56,7 @@ from .errors import (
     RingMismatchError,
     UncertifiedError,
 )
-from .lattice import ExponentVector, vadd, vdot, vscale, vsub
+from .lattice import ExponentVector, _stair_at, _stair_profile, vadd, vdot, vscale, vsub
 
 
 def antichain_reduce(ring, vectors):
@@ -367,7 +368,7 @@ def _extract_grid2(ring, upset, stair):
     """
     eng = ring._engine
     seed = tuple(upset.seed())
-    wit = eng._witnesses()
+    wit = eng.witness
     wvec = {}
     for key, (b1, b2) in wit.items():
         wvec[key] = vadd(eng.box[key], vadd(vscale(b1, eng.g1), vscale(b2, eng.g2)))
@@ -408,41 +409,6 @@ def _stair_member(eng, stair, v):
     ``rows``, and every point beyond both dominates (mu_max, nu_star).
     """
     return _stair_at(eng, stair, vdot(eng.lam1, v), vdot(eng.lam2, v))
-
-
-def _stair_at(eng, stair, l1, l2):
-    """``_stair_member`` of the lattice point with lam values (l1, l2)."""
-    lines = stair.get((l1 % eng.D1, l2 % eng.D2))  # None off the group lattice
-    m1 = l1 // eng.D1
-    m2 = l2 // eng.D2
-    if lines is None or m1 < 0 or m2 < 0:
-        return False
-    rows, cols = lines
-    if m1 < len(cols):
-        t = cols[m1]
-        return t is not None and m2 >= t
-    if m2 < len(rows):
-        s = rows[m2]
-        return s is not None and m1 >= s
-    return True
-
-
-def _stair_profile(lines, axis, count):
-    """First indices on lines 0..count-1 of one coset, read off its staircase.
-
-    Past the stored lines, the first index on line m is the least index of
-    the other array whose entry is at most m; both arrays fall, so one
-    pointer walking down the other array serves every later line.
-    """
-    rows, cols = lines
-    own, other = (cols, rows) if axis == 1 else (rows, cols)
-    out = own[:count]
-    p = len(other)
-    for m in range(len(own), count):
-        while p and other[p - 1] is not None and other[p - 1] <= m:
-            p -= 1
-        out.append(p)
-    return out
 
 
 def _extract_num1(ring, upset):
@@ -529,17 +495,13 @@ def _line_firsts(eng, gens, key, axis, count, start=0, stride=1):
     line m as the grid line m + c_u of its own coset, shifted by m_u along
     the line, so one ascending sweep over m serves every line.  Sorted by
     c_u, the generators form three runs: not yet on the grid (m + c_u < 0),
-    a band that queries ``grid_first``, and those at or past the
+    a band that reads ``grid_first``, and those at or past the ring's
     stabilization index, whose first index no longer changes and is merged
-    into a running minimum when they leave the band.  That index is at least
-    every coset's witness bound, so it is computed only once a generator
-    reaches the bound; a sweep of the lines near the origin, such as a ray
-    power, never needs it.  Generators in S have m_u <= 0 and so nonnegative
-    firsts; shifted generators u - f need not lie in S, and there m_u > 0
-    can make a first negative.
+    into a running minimum when they leave the band.  Generators in S have
+    m_u <= 0 and so nonnegative firsts; shifted generators u - f need not lie
+    in S, and there m_u > 0 can make a first negative.
     """
-    stable = max(b[0] if axis == 1 else b[1] for b in eng._witnesses().values())
-    consts = None  # until known, ``stable`` is the lower bound
+    stable, consts = eng.stabilization(axis)
     if axis == 1:
         lam_fix, d_fix, lam_trav, d_trav = eng.lam1, eng.D1, eng.lam2, eng.D2
         k_fix, k_trav = key
@@ -559,9 +521,6 @@ def _line_firsts(eng, gens, key, axis, count, start=0, stride=1):
         while hi < len(rows) and m + rows[hi][0] >= 0:
             hi += 1
         while lo < hi and m + rows[lo][0] >= stable:
-            if consts is None:
-                stable, consts = eng.stabilization(axis)
-                continue
             _, k, m_u = rows[lo]
             t = consts[k] - m_u
             if merged is None or t < merged:
@@ -585,7 +544,7 @@ def _grid2_runs(up, ray_powers):
     """
     eng = up.ring._engine
     k1, k2 = ray_powers
-    wit = eng._witnesses()
+    wit = eng.witness
     runs = []
     for key in sorted(eng.box):
         r = eng.box[key]

@@ -1,23 +1,27 @@
 """Exact lattice substrate: exponent vectors, affine semigroups, rational polyhedra.
 
-Everything here runs on arbitrary-precision integers (plus fractions.Fraction
-for polyhedron bookkeeping); no floating point participates in any decision.
+Everything here runs on arbitrary-precision integers; no floating point
+participates in any decision.
 
 The workhorse for two-dimensional semigroups is a per-coset grid: writing the
 group lattice L as a disjoint union of cosets of Z·g1 + Z·g2 (g1, g2 generators
 on the two extreme rays), every lattice point in the cone is box_point + m1*g1
-+ m2*g2 with m >= 0.  Membership in S along any line parallel to a ray is
-monotone (adding a generator stays in S), so each line is described by a single
-"first index in S", cached per line and computed either from a bounded table or
-from an exact residue knapsack.  That makes membership and line-first queries
-O(1) for points of any size, which the ideal engine relies on.
++ m2*g2 with m >= 0.  S is the union of the translates a + N·g1 + N·g2 of its
+finitely many Apéry elements a, those with a - g1 and a - g2 outside S
+(Rosales and García-Sánchez, Proc. Edinburgh Math. Soc. 41, 1998), so on each
+coset S is an up-set of the grid with the Apéry elements as its corners.
+The engine computes them once per ring and keeps each coset's staircase in
+the format extracted ideals use: ``rows`` and ``cols``, the first index in S
+on the lines parallel to g1 and to g2 up to the last corner.  Membership and
+line-first queries are array reads for points of any size, which the ideal
+engine relies on, and S is Cohen-Macaulay exactly when every coset has one
+corner.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionMismatchError, UncertifiedError, UnsupportedRingError
@@ -184,7 +188,59 @@ def _hull2(points):
     return lower[:-1] + upper[:-1]
 
 
-_MISS = object()
+def _fill_forward(corners):
+    """First traversal index on lines 0..max fixed of one coset's Apéry
+    corners (fixed, trav), sorted by fixed: the trav of the last corner at
+    or before the line, None before the first.  Corners form an antichain,
+    so trav falls as fixed grows and the last corner passed is the least."""
+    line = [None] * (corners[-1][0] + 1)
+    for a, b in corners:
+        line[a] = b
+    for m in range(1, len(line)):
+        if line[m] is None:
+            line[m] = line[m - 1]
+    return line
+
+
+def _stair_at(eng, stair, l1, l2):
+    """Membership of the lattice point with lam values (l1, l2) in the
+    up-set with staircase ``stair`` (key -> (rows, cols)) over the grid of
+    ``eng``.
+
+    Columns mu < len(cols) read ``cols``, rows nu < len(rows) right of them
+    read ``rows``, and every point beyond both lies in the up-set.
+    """
+    lines = stair.get((l1 % eng.D1, l2 % eng.D2))  # None off the group lattice
+    m1 = l1 // eng.D1
+    m2 = l2 // eng.D2
+    if lines is None or m1 < 0 or m2 < 0:
+        return False
+    rows, cols = lines
+    if m1 < len(cols):
+        t = cols[m1]
+        return t is not None and m2 >= t
+    if m2 < len(rows):
+        s = rows[m2]
+        return s is not None and m1 >= s
+    return True
+
+
+def _stair_profile(lines, axis, count):
+    """First indices on lines 0..count-1 of one coset, read off its staircase.
+
+    Past the stored lines, the first index on line m is the least index of
+    the other array whose entry is at most m; both arrays fall, so one
+    pointer walking down the other array serves every later line.
+    """
+    rows, cols = lines
+    own, other = (cols, rows) if axis == 1 else (rows, cols)
+    out = own[:count]
+    p = len(other)
+    for m in range(len(own), count):
+        while p and other[p - 1] is not None and other[p - 1] <= m:
+            p -= 1
+        out.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +250,7 @@ class _Num1:
     """Numerical-semigroup engine for ambient dimension 1."""
 
     kind = "num1"
+    is_cm = True
 
     def __init__(self, ring):
         self.ring = ring
@@ -247,6 +304,7 @@ class _Free3:
     """Engine for the free semigroup Z>=0^3."""
 
     kind = "free3"
+    is_cm = True
 
     def __init__(self, ring):
         self.ring = ring
@@ -262,11 +320,10 @@ class _Free3:
 
 
 class _Grid2:
-    """Coset-grid engine for rank-2 semigroups in ambient dimension 2."""
+    """Coset-grid engine for rank-2 semigroups in ambient dimension 2, held
+    as the Apéry staircase of each coset."""
 
     kind = "grid2"
-
-    _TABLE_CAP = 4096
 
     def __init__(self, ring):
         self.ring = ring
@@ -297,286 +354,109 @@ class _Grid2:
         self.D2 = vdot(self.lam2, self.g2)
         assert self.D1 > 0 and self.D2 > 0
         assert all(vdot(self.lam1, g) >= 0 and vdot(self.lam2, g) >= 0 for g in gens)
-
-        self.basis = lattice_basis(gens, 2)
-        if len(self.basis) != 2:
-            raise UnsupportedRingError("generators must span a rank-2 lattice")
-        # triangular basis rows (a, b), (0, c) for the unrolled membership test
-        assert self.basis[0][0] > 0 and self.basis[1][0] == 0
-        self._lat_a = self.basis[0][0]
-        self._lat_b = self.basis[0][1]
-        self._lat_c = self.basis[1][1]
         self._l1x, self._l1y = self.lam1
         self._l2x, self._l2y = self.lam2
 
         # box points: lattice points of the fundamental parallelepiped of (g1, g2)
-        self.box = {}
-        for a in range(self.D1):
-            for b in range(self.D2):
-                x = Fraction(a, self.D1) * self.g1[0] + Fraction(b, self.D2) * self.g2[0]
-                y = Fraction(a, self.D1) * self.g1[1] + Fraction(b, self.D2) * self.g2[1]
-                if x.denominator == 1 and y.denominator == 1:
-                    p = (int(x), int(y))
-                    if in_lattice(self.basis, p):
-                        self.box[(a, b)] = p
+        self.box, corners = self._apery()
+        # S is CM iff each coset holds exactly one Apéry element (Rosales and
+        # García-Sánchez, Proc. Edinburgh Math. Soc. 41, 1998)
+        self.is_cm = all(len(pts) == 1 for pts in corners.values())
+        self.stair = {key: (_fill_forward(sorted((b, a) for a, b in pts)),
+                            _fill_forward(sorted(pts)))
+                      for key, pts in corners.items()}
+        # one in-S point per coset with small grid coordinates
+        self.witness = {key: min(pts, key=lambda p: (max(p), p))
+                        for key, pts in corners.items()}
+        self._stable = tuple(
+            (max(len(lines[axis]) for lines in self.stair.values()) - 1,
+             {key: lines[axis][-1] for key, lines in self.stair.items()})
+            for axis in (0, 1))
 
-        self._table = None
-        self._table_size = 0
-        self._firsts = {}
-        self._witness = None
-        self._stable = {}
+    def _apery(self):
+        """Box point and grid coordinates (m1, m2) of the Apéry elements of
+        each coset: the s in S with s - g1 and s - g2 outside S.
 
-    # -- bounded membership table (accelerator; certified logic sits above it)
-
-    def _ensure_table(self, size):
-        size = min(size, self._TABLE_CAP)
-        if self._table is not None and self._table_size >= size:
-            return
-        gens = self.ring.generators
-        n = size + 1
-        tab = [bytearray(n) for _ in range(n)]
-        tab[0][0] = 1
-        for x in range(n):
-            row = tab[x]
-            for y in range(n):
-                if x == 0 and y == 0:
-                    continue
-                for g in gens:
-                    if x >= g[0] and y >= g[1] and tab[x - g[0]][y - g[1]]:
-                        row[y] = 1
-                        break
-        self._table = tab
-        self._table_size = size
-
-    def _table_member(self, p):
-        if p[0] < 0 or p[1] < 0:
-            return None
-        if p[0] <= self._table_size and p[1] <= self._table_size:
-            return bool(self._table[p[0]][p[1]])
-        return None
-
-    # -- witnesses: one in-S point per coset, with small grid coordinates
-
-    def _witnesses(self):
-        """Dijkstra over generator sums: a small in-S point in every coset.
-
-        The image of S in L/(Z g1 + Z g2) is the whole (finite) group, so the
-        search reaches every coset; grid coordinates only grow along sums, so
-        the first pop per coset has minimal max-coordinate.
+        The image of S in L / (Z g1 + Z g2) is a submonoid of a finite group
+        that generates it, so S meets every coset.  Apéry elements are sums
+        of the other generators.  A Dijkstra over those sums by coordinate
+        sum pops each point after every point of its coset it dominates, so a
+        point that no earlier survivor dominates is an Apéry element.  A dominated point is dropped unexpanded, since its
+        successors are dominated as well; every Apéry element is reached,
+        since its partial sums are Apéry elements too.
         """
-        if self._witness is not None:
-            return self._witness
-        found = {}
-        heap = [(0, 0, 0, (0, 0))]
-        pops = 0
-        cap = 64 * len(self.box) * len(self.ring.generators) + 4096
-        while heap and len(found) < len(self.box):
-            pops += 1
-            if pops > cap:
-                raise UncertifiedError(
-                    "could not locate coset witnesses in certified range")
-            mx, m1, m2, v = heapq.heappop(heap)
-            key, k1, k2 = self._decompose(v)
-            if key in found:
+        others = [g for g in self.ring.generators if g != self.g1 and g != self.g2]
+        box, corners = {}, {}
+        heap = [(0, (0, 0))]
+        seen = {(0, 0)}
+        while heap:
+            _, v = heapq.heappop(heap)
+            key, m1, m2 = self._decompose(v)
+            pts = corners.setdefault(key, [])
+            if any(a <= m1 and b <= m2 for a, b in pts):
                 continue
-            found[key] = (k1, k2)
-            for g in self.ring.generators:
+            if not pts:
+                box[key] = vsub(v, vadd(vscale(m1, self.g1), vscale(m2, self.g2)))
+            pts.append((m1, m2))
+            for g in others:
                 w = (v[0] + g[0], v[1] + g[1])
-                _, w1, w2 = self._decompose(w)
-                heapq.heappush(heap, (max(w1, w2), w1, w2, w))
-        if len(found) < len(self.box):
-            raise UncertifiedError(
-                "could not locate coset witnesses in certified range")
-        self._witness = found
-        return self._witness
+                if w not in seen:
+                    seen.add(w)
+                    heapq.heappush(heap, (w[0] + w[1], w))
+        return box, corners
 
     def _decompose(self, v):
         l1 = vdot(self.lam1, v)
         l2 = vdot(self.lam2, v)
         return (l1 % self.D1, l2 % self.D2), l1 // self.D1, l2 // self.D2
 
-    def _in_lat2(self, x, y):
-        if x % self._lat_a:
-            return False
-        return (y - (x // self._lat_a) * self._lat_b) % self._lat_c == 0
-
-    # -- exact per-line first-membership index
+    # -- per-line first-membership index
 
     def grid_first(self, key, axis, fixed):
         """First t with box[key] + (fixed, t) (axis order) in S; None if the line misses S.
 
-        For ``fixed`` at or past the witness bound b_fix the far branch
-        answers: the least t < b_trav whose cross line starts at or before
-        ``fixed``, else b_trav.  That is nonincreasing in ``fixed`` and
-        constant once ``fixed`` also reaches every finite cross-line first;
-        ``stabilization`` returns that index and the constants.
+        ``fixed`` must be >= 0.  Past the coset's last stored line the
+        answer is constant.
         """
-        ck = (key, axis, fixed)
-        hit = self._firsts.get(ck, _MISS)
-        if hit is not _MISS:
-            return hit
-        wit = self._witnesses()[key]
-        b_fix = wit[0] if axis == 1 else wit[1]
-        b_trav = wit[1] if axis == 1 else wit[0]
-        if fixed >= b_fix:
-            # the far point (fixed, b_trav) is in S, so the first index is <= b_trav
-            best = b_trav
-            for t in range(b_trav):
-                h = self.grid_first(key, 1 - axis, t)
-                if h is not None and h <= fixed:
-                    best = t
-                    break
-            self._firsts[ck] = best
-            return best
-        r = self.box[key]
-        gfix = self.g1 if axis == 1 else self.g2
-        gtrav = self.g2 if axis == 1 else self.g1
-        v0 = vadd(r, vscale(fixed, gfix))
-        # fast path: scan inside the bounded table
-        self._ensure_table(max(64, 2 * (max(v0) + max(max(g) for g in self.ring.generators) + 1)))
-        t = 0
-        while True:
-            p = vadd(v0, vscale(t, gtrav))
-            known = self._table_member(p)
-            if known is None:
-                break
-            if known:
-                self._firsts[ck] = t
-                return t
-            t += 1
-        result = self._line_dp(v0, axis)
-        self._firsts[ck] = result
-        return result
+        line = self.stair[key][axis]
+        return line[fixed] if fixed < len(line) else line[-1]
 
     def stabilization(self, axis):
         """(S, consts) with grid_first(key, axis, f) == consts[key] for every f >= S.
 
-        S is the largest witness bound b_fix and finite cross-line first over
-        all cosets, so every line at or past it takes the far branch of
-        ``grid_first`` with every cross line already entered.
+        S is the largest Apéry coordinate along the fixed axis over all
+        cosets, and consts[key] the least along the other.
         """
-        hit = self._stable.get(axis)
-        if hit is not None:
-            return hit
-        wit = self._witnesses()
-        stable = 0
-        consts = {}
-        for key in sorted(self.box):
-            b_fix, b_trav = wit[key] if axis == 1 else wit[key][::-1]
-            stable = max(stable, b_fix)
-            consts[key] = b_trav
-            for t in range(b_trav):
-                h = self.grid_first(key, 1 - axis, t)
-                if h is not None:
-                    stable = max(stable, h)
-                    consts[key] = min(consts[key], t)
-        self._stable[axis] = (stable, consts)
         return self._stable[axis]
-
-    def _line_dp(self, v0, axis):
-        """Exact first t >= 0 with v0 + t*g_axis in S via a residue knapsack."""
-        if axis == 1:
-            lamB, lamT, gamma = self.lam1, self.lam2, self.D2
-        else:
-            lamB, lamT, gamma = self.lam2, self.lam1, self.D1
-        cstar = vdot(lamB, v0)
-        nu0 = vdot(lamT, v0)
-        if cstar < 0:
-            return None
-        off = [(vdot(lamB, h), vdot(lamT, h)) for h in self.ring.generators if vdot(lamB, h) > 0]
-        ray = sorted({vdot(lamT, h) for h in self.ring.generators if vdot(lamB, h) == 0})
-        # minimal ray-sum per residue mod gamma (Dijkstra; gamma itself is a ray value)
-        rho = {0: 0}
-        heap = [(0, 0)]
-        while heap:
-            val, res = heapq.heappop(heap)
-            if rho.get(res, None) != val:
-                continue
-            for a in ray:
-                nres = (res + a) % gamma
-                nval = val + a
-                if nres not in rho or rho[nres] > nval:
-                    rho[nres] = nval
-                    heapq.heappush(heap, (nval, nres))
-        # knapsack over off-ray generators: minimal lamT-sum per (budget, residue)
-        table = [dict() for _ in range(cstar + 1)]
-        table[0][0] = 0
-        for bud in range(cstar + 1):
-            entries = table[bud]
-            if not entries:
-                continue
-            for res, nuM in list(entries.items()):
-                for a, bt in off:
-                    nb = bud + a
-                    if nb > cstar:
-                        continue
-                    nr = (res + bt) % gamma
-                    nn = nuM + bt
-                    if table[nb].get(nr, None) is None or table[nb][nr] > nn:
-                        table[nb][nr] = nn
-        best = None
-        for res, nuM in table[cstar].items():
-            need = (nu0 - nuM) % gamma
-            if need not in rho:
-                continue
-            total = nuM + rho[need]
-            t = max(0, (total - nu0) // gamma)
-            if best is None or t < best:
-                best = t
-        return best
-
-    # -- membership
 
     def member(self, v):
         x, y = v
-        if x < 0 or y < 0:
-            return False
-        if not self._in_lat2(x, y):
-            return False
-        l1 = self._l1x * x + self._l1y * y
-        l2 = self._l2x * x + self._l2y * y
-        if l1 < 0 or l2 < 0:
-            return False
-        key = (l1 % self.D1, l2 % self.D2)
-        wit = self._witness
-        if wit is None:
-            wit = self._witnesses()
-        b1, b2 = wit[key]
-        m1 = l1 // self.D1
-        m2 = l2 // self.D2
-        if m1 >= b1 and m2 >= b2:
-            return True
-        if m1 < b1:
-            t = self.grid_first(key, 1, m1)
-            return t is not None and m2 >= t
-        t = self.grid_first(key, 0, m2)
-        return t is not None and m1 >= t
+        return _stair_at(self, self.stair, self._l1x * x + self._l1y * y,
+                         self._l2x * x + self._l2y * y)
 
     # -- saturation
+
+    def _line_bases(self):
+        """(base, direction, first index in S) of every stored line of every
+        coset; each point past both stored arrays of its coset lies in S."""
+        for key in sorted(self.box):
+            r = self.box[key]
+            rows, cols = self.stair[key]
+            for mu, t0 in enumerate(cols):
+                yield vadd(r, vscale(mu, self.g1)), self.g2, t0
+            for nu, s0 in enumerate(rows):
+                yield vadd(r, vscale(nu, self.g2)), self.g1, s0
 
     def saturation_data(self):
         """Finite gaps and full gap rays of (cone ∩ lattice) \\ S."""
         finite = set()
         rays = []
-        for key in sorted(self.box):
-            r = self.box[key]
-            b1, b2 = self._witnesses()[key]
-            for mu in range(b1):
-                t0 = self.grid_first(key, 1, mu)
-                base = vadd(r, vscale(mu, self.g1))
-                if t0 is None:
-                    rays.append((base, self.g2))
-                else:
-                    for t in range(t0):
-                        finite.add(vadd(base, vscale(t, self.g2)))
-            for nu in range(b2):
-                s0 = self.grid_first(key, 0, nu)
-                base = vadd(r, vscale(nu, self.g2))
-                if s0 is None:
-                    rays.append((base, self.g1))
-                else:
-                    for s in range(s0):
-                        finite.add(vadd(base, vscale(s, self.g1)))
+        for base, d, first in self._line_bases():
+            if first is None:
+                rays.append((base, d))
+            else:
+                for t in range(first):
+                    finite.add(vadd(base, vscale(t, d)))
         # points absorbed by a full ray are reported once, via the ray
         pruned = []
         for p in finite:
@@ -594,21 +474,18 @@ class _Grid2:
 
     def conductor_vector(self):
         """Least (|c|_1, lex) element of S with c + saturation ⊆ S, certified."""
-        bases = []
-        for key in sorted(self.box):
-            r = self.box[key]
-            b1, b2 = self._witnesses()[key]
-            for mu in range(b1):
-                bases.append(vadd(r, vscale(mu, self.g1)))
-            for nu in range(b2):
-                bases.append(vadd(r, vscale(nu, self.g2)))
+        bases = [base for base, _, _ in self._line_bases()]
+        # M1*g1 + M2*g2, Mi the largest i-th Apéry coordinate, qualifies:
+        # added to a saturation point it dominates every Apéry element there
+        ceiling = sum(vadd(vscale(self._stable[1][0], self.g1),
+                           vscale(self._stable[0][0], self.g2)))
         total = 0
-        while total <= 8 * self._TABLE_CAP:
+        while total <= ceiling:
             for x in range(total + 1):
                 c = (x, total - x)
                 if not self.member(c):
                     continue
-                # monotone line argument: checking each near-region line base suffices
+                # monotone line argument: checking each stored line base suffices
                 if all(self.member(vadd(c, base)) for base in bases):
                     return c
             total += 1
@@ -674,6 +551,12 @@ class AffineSemigroup:
     @property
     def kind(self):
         return self._engine.kind
+
+    @property
+    def is_cm(self):
+        """Whether k[S] is Cohen-Macaulay: always for free Z^3 and numerical
+        semigroups, in dimension 2 iff each coset has one Apéry element."""
+        return self._engine.is_cm
 
     @property
     def is_free(self):

@@ -72,7 +72,7 @@ class InstanceAnalysis:
             rep = self.report(FiltrationKind.ORDINARY)
             colen = self.q.colength()
             e0 = rep.e0
-            is_cm = colen == e0
+            is_cm = self.ring.is_cm
             embdim = len(self.ring.minimal_generators())
             is_regular = embdim == self.ring.dim
             is_s2 = is_cm if self.ring.dim == 2 else True
@@ -89,11 +89,14 @@ class InstanceAnalysis:
 
 
 def ring_profile(ring, q, analysis=None):
-    """Regularity, Cohen-Macaulayness and S2 from one parameter ideal.
+    """Regularity, Cohen-Macaulayness and S2 of the ring, with the
+    parameter ideal's colength and ordinary fit as evidence.
 
-    CM detection uses the multiplicity criterion colength(Q) = e0(Q), valid
-    because semigroup-ring models are domains (hence analytically unmixed);
-    S2 reduces to CM in dimension 2 and is automatic in dimension 1.
+    CM is read off the ring's Apéry elements (``AffineSemigroup.is_cm``),
+    not from the fit: in dimension 2, S is CM iff each coset of Z g1 + Z g2
+    holds one Apéry element (Rosales and García-Sánchez, 1998).  The evidence
+    shows the equivalent multiplicity criterion colength(Q) = e0(Q).  S2
+    reduces to CM in dimension 2 and is automatic in dimension 1.
     """
     if analysis is None:
         analysis = InstanceAnalysis(ring, q)

@@ -18,7 +18,6 @@ from hilbclose.ideals import (
     _MeetUp,
     _PolyUp,
     _stair_member,
-    _stair_profile,
     extract_ideal,
     extract_min_gens,
     ideal_colon,
@@ -31,7 +30,7 @@ from hilbclose.ideals import (
     maximal_ideal,
     nu_m_mod_q,
 )
-from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale, vsub
+from hilbclose.lattice import AffineSemigroup, _stair_profile, vadd, vdot, vscale, vsub
 
 
 def gens_of(ideal):

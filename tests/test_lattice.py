@@ -13,6 +13,8 @@ from hilbclose.lattice import (
     newton_polyhedron,
     saturation,
     semigroup_membership,
+    vadd,
+    vscale,
 )
 
 
@@ -106,6 +108,14 @@ class TestMembership:
         assert remark_ring.member((1, big))
         assert not remark_ring.member((0, 1))
 
+    def test_large_parallelogram(self):
+        # (1000,1) and (1,1000) span a parallelogram of 999,999 lattice points
+        # but one coset, whose only Apéry element is the origin
+        ring = AffineSemigroup(2, [(1, 1000), (1000, 1)])
+        assert ring.is_cm
+        assert ring.member((1001, 1001)) and ring.member((2000, 2))
+        assert not ring.member((1, 1)) and not ring.member((999, 999))
+
     def test_deep_thin_slab(self):
         # only every fifth level is reachable at first coordinate zero
         ring = AffineSemigroup(2, [(1, 0), (1, 1), (0, 5)])
@@ -128,15 +138,21 @@ class TestMembership:
                 assert ring.member(v) == brute_member(gens, v), (gens, v)
 
 
+def _brute_table(gens, nx, ny):
+    """Membership DP over the box [0, nx) x [0, ny)."""
+    tab = [[False] * ny for _ in range(nx)]
+    tab[0][0] = True
+    for x in range(nx):
+        for y in range(ny):
+            tab[x][y] = tab[x][y] or any(
+                x >= g[0] and y >= g[1] and tab[x - g[0]][y - g[1]] for g in gens)
+    return tab
+
+
 class TestResidueDecisionPath:
-    """Shrink the bounded table so every line-first query runs the exact
-    residue knapsack, then re-check membership against brute force."""
-
-    @pytest.fixture(autouse=True)
-    def tiny_table(self, monkeypatch):
-        from hilbclose.lattice import _Grid2
-
-        monkeypatch.setattr(_Grid2, "_TABLE_CAP", 4)
+    """Membership and line firsts, decided per residue class (coset of
+    Z g1 + Z g2) from the Apéry staircase, against a brute-force DP over a
+    box past the stabilization index on both axes."""
 
     @pytest.mark.parametrize("gens", [
         [(1, 0), (1, 1), (0, 2), (0, 3)],
@@ -144,14 +160,40 @@ class TestResidueDecisionPath:
         [(1, 0), (1, 1), (0, 5)],
         [(2, 1), (1, 3), (3, 0), (0, 4)],
         [(5, 1), (1, 5), (3, 3)],
+        # cosets whose least in-S point is not found first along generator sums
+        [(0, 5), (2, 4), (2, 5), (5, 2), (6, 0)],
+        [(0, 3), (0, 5), (2, 1), (2, 6), (4, 0)],
+        # coordinates up to 14, Apéry elements far from the origin
+        [(1, 13), (2, 6), (8, 1), (10, 0)],
     ])
     def test_membership_matches_bruteforce(self, gens):
-        try:
-            ring = AffineSemigroup(2, gens)
-        except UnsupportedRingError:
-            return
-        for v in itertools.product(range(11), repeat=2):
-            assert ring.member(v) == brute_member(gens, v), (gens, v)
+        ring = AffineSemigroup(2, gens)
+        eng = ring._engine
+        stable = [eng.stabilization(axis)[0] for axis in (0, 1)]
+        # line f of each axis up to stable + 2, walked to the other's stable + 2
+        lines = []
+        for axis in (0, 1):
+            gfix, gtrav = (eng.g1, eng.g2) if axis == 1 else (eng.g2, eng.g1)
+            for key in sorted(eng.box):
+                for f in range(stable[axis] + 3):
+                    v0 = vadd(eng.box[key], vscale(f, gfix))
+                    lines.append((key, axis, f, [vadd(v0, vscale(t, gtrav))
+                                                 for t in range(stable[1 - axis] + 3)]))
+        nx = max(p[0] for *_, pts in lines for p in pts) + 1
+        ny = max(p[1] for *_, pts in lines for p in pts) + 1
+        tab = _brute_table(gens, nx, ny)
+        for key, axis, f, pts in lines:
+            first = next((t for t, p in enumerate(pts) if tab[p[0]][p[1]]), None)
+            assert eng.grid_first(key, axis, f) == first, (key, axis, f)
+        for v in itertools.product(range(nx), range(ny)):
+            assert ring.member(v) == tab[v[0]][v[1]], v
+
+    def test_witness_is_least_corner(self):
+        # the least (max, m1, m2) in-S point of the coset, an Apéry element
+        eng = AffineSemigroup(2, [(0, 5), (2, 4), (2, 5), (5, 2), (6, 0)])._engine
+        assert eng.witness[(5, 0)] == eng.witness[(5, 1)] == (2, 2)
+        eng = AffineSemigroup(2, [(0, 3), (0, 5), (2, 1), (2, 6), (4, 0)])._engine
+        assert eng.witness[(2, 0)] == (1, 1)
 
     def test_colength_still_exact(self):
         from hilbclose.ideals import MonomialIdeal

@@ -3,6 +3,7 @@ import pytest
 from hilbclose.closures import FrobeniusContext
 from hilbclose.errors import GenerationExhaustedError, UnsupportedRingError
 from hilbclose.ideals import ParameterIdeal
+from hilbclose.lattice import AffineSemigroup
 from hilbclose.theorems import (
     check_claim_bound,
     check_e1_zero_implies_cm,
@@ -37,6 +38,21 @@ class TestRingProfile:
         assert prof.is_cm and prof.is_s2
         assert not prof.is_regular
         assert prof.embedding_dim == 3
+
+    def test_cm_from_apery_staircase(self, remark_ring, cm_ring, free3):
+        # remark: coset (0, 1) of Z(1,0) + Z(0,2) holds the Apéry elements (1,1), (0,3)
+        assert not remark_ring.is_cm
+        assert cm_ring.is_cm and free3.is_cm
+        assert AffineSemigroup(1, [(3,), (5,)]).is_cm
+
+    def test_cm_matches_multiplicity_on_corpus(self):
+        verdicts = []
+        for inst in fuzz_corpus(42, 25, max_coord=6):
+            prof = ring_profile(inst.ring, inst.parameter)
+            ev = prof.evidence
+            assert prof.is_cm == (ev["colength"] == ev["e0"]), inst.instance_id
+            verdicts.append(prof.is_cm)
+        assert True in verdicts and False in verdicts
 
 
 class TestChain:
