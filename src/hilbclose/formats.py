@@ -13,6 +13,7 @@ from .errors import HilbcloseError
 from .hilbert import FiltrationKind
 from .ideals import ParameterIdeal
 from .lattice import AffineSemigroup
+from .theorems import Instance, result_passed
 
 
 class FormatError(HilbcloseError):
@@ -64,8 +65,6 @@ def corpus_to_record(instances):
 
 def corpus_from_record(record):
     """Parse a corpus file: {'instances': [...]} or a bare list."""
-    from .theorems import Instance
-
     if isinstance(record, dict):
         rows = record.get("instances")
         if rows is None:
@@ -104,18 +103,16 @@ def dumps_report(obj):
     return json.dumps(stringify(obj), sort_keys=True, indent=2) + "\n"
 
 
-_KIND_LABEL = {
-    FiltrationKind.ORDINARY: "ordinary",
-    FiltrationKind.INTEGRAL: "integral",
-    FiltrationKind.LIM_INTERSECT: "lim_intersect",
-    FiltrationKind.TIGHT_CANDIDATE: "tight_candidate",
-}
+def _fitted(bundle):
+    """The fitted kinds in enum order, and the length of the longest length sequence."""
+    kinds = [k for k in FiltrationKind if k in bundle.reports]
+    return kinds, max(len(bundle.reports[k].lengths) for k in kinds)
 
 
 def bundle_to_report(bundle, ring, ideal_record):
     filtrations = {}
     for kind, rep in bundle.reports.items():
-        filtrations[_KIND_LABEL[kind]] = {
+        filtrations[kind.value] = {
             "lengths": list(rep.lengths),
             "coefficients": None if rep.coefficients is None else list(rep.coefficients),
             "stabilization_index": rep.stabilization_index,
@@ -147,11 +144,8 @@ def bundle_to_report(bundle, ring, ideal_record):
 
 def bundle_to_csv(bundle):
     """Length table only; one column per filtration."""
-    kinds = [k for k in (FiltrationKind.ORDINARY, FiltrationKind.INTEGRAL,
-                         FiltrationKind.LIM_INTERSECT, FiltrationKind.TIGHT_CANDIDATE)
-             if k in bundle.reports]
-    header = ["n"] + [_KIND_LABEL[k] for k in kinds]
-    depth = max(len(bundle.reports[k].lengths) for k in kinds)
+    kinds, depth = _fitted(bundle)
+    header = ["n"] + [k.value for k in kinds]
     lines = [",".join(header)]
     for n in range(depth):
         row = [str(n)]
@@ -165,22 +159,16 @@ def bundle_to_csv(bundle):
 def bundle_to_table(bundle):
     """Human-readable summary; coefficient signs follow the alternating basis,
     so e1 is printed with its defining sign (not negated)."""
+    kinds, depth = _fitted(bundle)
     lines = []
     lines.append("filtration        status           coefficients (e0, e1, ...)")
-    for kind in (FiltrationKind.ORDINARY, FiltrationKind.INTEGRAL,
-                 FiltrationKind.LIM_INTERSECT, FiltrationKind.TIGHT_CANDIDATE):
-        rep = bundle.reports.get(kind)
-        if rep is None:
-            continue
+    for kind in kinds:
+        rep = bundle.reports[kind]
         coeffs = "-" if rep.coefficients is None else str(tuple(rep.coefficients))
-        lines.append("%-17s %-16s %s" % (_KIND_LABEL[kind], rep.status, coeffs))
+        lines.append("%-17s %-16s %s" % (kind.value, rep.status, coeffs))
     lines.append("")
     lines.append("lengths (n: ordinary / integral / lim_intersect%s)"
                  % (" / tight" if FiltrationKind.TIGHT_CANDIDATE in bundle.reports else ""))
-    kinds = [k for k in (FiltrationKind.ORDINARY, FiltrationKind.INTEGRAL,
-                         FiltrationKind.LIM_INTERSECT, FiltrationKind.TIGHT_CANDIDATE)
-             if k in bundle.reports]
-    depth = max(len(bundle.reports[k].lengths) for k in kinds)
     for n in range(depth):
         vals = []
         for k in kinds:
@@ -200,21 +188,19 @@ def summary_to_report(summary, command, params):
     for res in summary.results:
         inst = res["instance"]
         chain = res["chain"]
-        vanish = res["vanishing"]
         e1cm = res["e1_zero_cm"]
         verdicts.append({
             "instance_id": inst.instance_id,
             "ring": ring_to_record(inst.ring),
             "ideal": ideal_to_record(inst.parameter),
-            "passed": chain.passed and not vanish.failed and
-                      (not e1cm.applicable or e1cm.ok),
+            "passed": result_passed(res),
             "inclusions_ok": chain.inclusions_ok,
             "claim_bound_ok": all(chain.claim_bound_ok),
             "coefficient_chain_ok": chain.coefficient_chain_ok,
             "e1_ordinary": chain.details.get("e1_ordinary"),
             "e1_integral": chain.details.get("e1_integral"),
             "e1_lim": chain.details.get("e1_lim"),
-            "vanishing": vanish.classification,
+            "vanishing": res["vanishing"].classification,
             "e1_zero_cm_ok": (not e1cm.applicable) or e1cm.ok,
             "lim_chain_nested": chain.details.get("lim_chain_nested"),
         })

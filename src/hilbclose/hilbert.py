@@ -6,6 +6,10 @@ constant trailing window of d-th forward differences and then solves exactly
 basis
 
     ell(R/F_{n+1}) = e_0 C(n+d, d) - e_1 C(n+d-1, d-1) + ... + (-1)^d e_d.
+
+A ``CoefficientBundle`` holds the filtrations and fits of one parameter ideal
+and makes each on first use; ``analyze``, ``verify``, ``fuzz`` and the
+theorem checks all read their coefficients and claim bounds from it.
 """
 
 from __future__ import annotations
@@ -236,43 +240,70 @@ class ClaimRow:
         return self.length <= self.bound
 
 
-@dataclass(frozen=True)
 class CoefficientBundle:
-    """Fits for all filtrations of one parameter ideal, plus the brackets."""
+    """The filtrations and fits of one parameter ideal, made on first use.
 
-    ring: object
-    parameter: ParameterIdeal
-    n_max: int
-    reports: dict
-    claim_rows: tuple
-    characteristic: int | None = None
-    e_max: int | None = None
+    ``analyze``, ``verify``, ``fuzz`` and the theorem checks all read one
+    bundle per instance, so each filtration is built and fitted at most once.
+    ``reports`` holds the fits made so far.
+    """
+
+    def __init__(self, ring, q, n_max=DEFAULT_N_MAX, frobenius=None, window=DEFAULT_WINDOW):
+        if not isinstance(q, ParameterIdeal):
+            q = ParameterIdeal(ring, [tuple(g) for g in q.min_generators])
+        self.ring = ring
+        self.parameter = q
+        self.n_max = n_max
+        self.frobenius = frobenius
+        self.window = window
+        self.reports = {}
+        self._filtrations = {}
+
+    @property
+    def kinds(self):
+        """The applicable filtrations, in enum order."""
+        kinds = (FiltrationKind.ORDINARY, FiltrationKind.INTEGRAL, FiltrationKind.LIM_INTERSECT)
+        return kinds if self.frobenius is None else kinds + (FiltrationKind.TIGHT_CANDIDATE,)
+
+    @property
+    def characteristic(self):
+        return None if self.frobenius is None else self.frobenius.p
+
+    @property
+    def e_max(self):
+        return None if self.frobenius is None else self.frobenius.e_max
+
+    def filtration(self, kind):
+        if kind not in self._filtrations:
+            self._filtrations[kind] = Filtration(kind, self.parameter, frobenius=self.frobenius)
+        return self._filtrations[kind]
 
     def report(self, kind):
-        return self.reports.get(kind)
+        if kind not in self.reports:
+            self.reports[kind] = fit_filtration(self.filtration(kind), self.n_max, self.window)
+        return self.reports[kind]
 
     @property
     def e0(self):
-        rep = self.reports[FiltrationKind.ORDINARY]
-        return rep.e0
+        return self.report(FiltrationKind.ORDINARY).e0
 
     @property
     def e1_ordinary(self):
-        return self.reports[FiltrationKind.ORDINARY].e1
+        return self.report(FiltrationKind.ORDINARY).e1
 
     @property
     def e1_integral(self):
-        return self.reports[FiltrationKind.INTEGRAL].e1
+        return self.report(FiltrationKind.INTEGRAL).e1
 
     @property
     def e1_lim(self):
-        rep = self.reports.get(FiltrationKind.LIM_INTERSECT)
-        return None if rep is None else rep.e1
+        return self.report(FiltrationKind.LIM_INTERSECT).e1
 
     @property
     def e1_tight(self):
-        rep = self.reports.get(FiltrationKind.TIGHT_CANDIDATE)
-        return None if rep is None else rep.e1
+        if self.frobenius is None:
+            return None
+        return self.report(FiltrationKind.TIGHT_CANDIDATE).e1
 
     @property
     def bcm_bracket(self):
@@ -289,35 +320,30 @@ class CoefficientBundle:
 
     @property
     def e0_agreement(self):
-        vals = {rep.e0 for rep in self.reports.values() if rep.e0 is not None}
+        vals = {self.report(k).e0 for k in self.kinds} - {None}
         return len(vals) == 1
+
+    def claim_row(self, n):
+        """The split-count bound at index n: the colength of split-intersection
+        member n+1 against C(n+d, d) e0(Q)."""
+        d = self.ring.dim
+        length = self.filtration(FiltrationKind.LIM_INTERSECT).member(n + 1).colength()
+        return ClaimRow(n=n, length=length, bound=comb(n + d, d) * self.e0)
+
+    @property
+    def claim_rows(self):
+        """One row per fitted split-intersection length; none without e0."""
+        if self.e0 is None:
+            return ()
+        lengths = self.report(FiltrationKind.LIM_INTERSECT).lengths
+        return tuple(self.claim_row(n) for n in range(len(lengths)))
 
 
 def coefficient_report(ring, q, n_max=DEFAULT_N_MAX, characteristic=None, e_max=4,
                        window=DEFAULT_WINDOW):
-    """Fit every applicable filtration of a parameter ideal and assemble brackets."""
-    if not isinstance(q, ParameterIdeal):
-        q = ParameterIdeal(ring, [tuple(g) for g in q.min_generators])
-    reports = {}
-    reports[FiltrationKind.ORDINARY] = fit_filtration(
-        Filtration(FiltrationKind.ORDINARY, q), n_max, window)
-    reports[FiltrationKind.INTEGRAL] = fit_filtration(
-        Filtration(FiltrationKind.INTEGRAL, q), n_max, window)
-    lim_filt = Filtration(FiltrationKind.LIM_INTERSECT, q)
-    reports[FiltrationKind.LIM_INTERSECT] = fit_filtration(lim_filt, n_max, window)
-    ctx = None
-    if characteristic is not None:
-        ctx = FrobeniusContext(ring, characteristic, e_max=e_max)
-        reports[FiltrationKind.TIGHT_CANDIDATE] = fit_filtration(
-            Filtration(FiltrationKind.TIGHT_CANDIDATE, q, frobenius=ctx), n_max, window)
-    e0 = reports[FiltrationKind.ORDINARY].e0
-    claim_rows = []
-    if e0 is not None:
-        lim_lengths = reports[FiltrationKind.LIM_INTERSECT].lengths
-        d = ring.dim
-        for n, ell in enumerate(lim_lengths):
-            claim_rows.append(ClaimRow(n=n, length=ell, bound=comb(n + d, d) * e0))
-    return CoefficientBundle(
-        ring=ring, parameter=q, n_max=n_max, reports=reports,
-        claim_rows=tuple(claim_rows), characteristic=characteristic,
-        e_max=None if ctx is None else ctx.e_max)
+    """Fit every applicable filtration of a parameter ideal and return the bundle."""
+    ctx = None if characteristic is None else FrobeniusContext(ring, characteristic, e_max=e_max)
+    bundle = CoefficientBundle(ring, q, n_max=n_max, frobenius=ctx, window=window)
+    for kind in bundle.kinds:
+        bundle.report(kind)
+    return bundle

@@ -1,6 +1,10 @@
 """Instance-level verification of the coefficient theorems, ring predicates,
 and the randomized corpus driver.
 
+Every check reads one ``hilbert.CoefficientBundle`` per instance;
+``verify_instances`` builds it once and passes it as ``bundle=`` to each
+check, so no filtration is built or fitted twice.
+
 A FAIL from the chain or bound checks is a bug somewhere in the artifact (the
 statements are theorems); the vanishing check additionally classifies
 hypothesis-violating witnesses, which are expected to exist.
@@ -10,13 +14,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import comb
 
-from .closures import FrobeniusContext, lim_intersection, limit_closure
+from .closures import (
+    FrobeniusContext,
+    lim_intersection,
+    limit_closure,
+    tight_closure_candidate,
+)
 from .errors import GenerationExhaustedError, NotMPrimaryError, UnsupportedRingError
-from .hilbert import Filtration, FiltrationKind, fit_filtration
+from .hilbert import CoefficientBundle, FiltrationKind
 from .ideals import ParameterIdeal, ideal_product, nu_m_mod_q
 from .lattice import AffineSemigroup, vscale
+
+CHECK_N_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -36,59 +46,17 @@ class RingProfile:
         assert (self.embedding_dim == self.dim) == self.is_regular
 
 
-class InstanceAnalysis:
-    """Shared lazily-computed filtrations, fits and profile for one instance.
+def _bundle(ring, q, bundle, n_max=CHECK_N_MAX, frobenius=None):
+    """The caller's bundle, or a fresh one for a standalone check.
 
-    Every theorem check on the same (ring, Q) reuses the same members and
-    colengths through this object.
+    A given bundle's n_max and Frobenius context win over the arguments.
     """
-
-    def __init__(self, ring, q, n_max=8, frobenius=None):
-        if not isinstance(q, ParameterIdeal):
-            q = ParameterIdeal(ring, [tuple(g) for g in q.min_generators])
-        self.ring = ring
-        self.q = q
-        self.n_max = n_max
-        self.frobenius = frobenius
-        self._filts = {}
-        self._reps = {}
-        self._profile = None
-
-    def filtration(self, kind):
-        if kind not in self._filts:
-            if kind is FiltrationKind.TIGHT_CANDIDATE:
-                self._filts[kind] = Filtration(kind, self.q, frobenius=self.frobenius)
-            else:
-                self._filts[kind] = Filtration(kind, self.q)
-        return self._filts[kind]
-
-    def report(self, kind):
-        if kind not in self._reps:
-            self._reps[kind] = fit_filtration(self.filtration(kind), self.n_max)
-        return self._reps[kind]
-
-    def profile(self):
-        if self._profile is None:
-            rep = self.report(FiltrationKind.ORDINARY)
-            colen = self.q.colength()
-            e0 = rep.e0
-            is_cm = self.ring.is_cm
-            embdim = len(self.ring.minimal_generators())
-            is_regular = embdim == self.ring.dim
-            is_s2 = is_cm if self.ring.dim == 2 else True
-            self._profile = RingProfile(
-                is_regular=is_regular, is_cm=is_cm, is_s2=is_s2, dim=self.ring.dim,
-                embedding_dim=embdim,
-                evidence={
-                    "parameter": [tuple(g) for g in self.q.ordered_generators],
-                    "colength": colen,
-                    "e0": e0,
-                    "ordinary_lengths": list(rep.lengths),
-                })
-        return self._profile
+    if bundle is None:
+        bundle = CoefficientBundle(ring, q, n_max=n_max, frobenius=frobenius)
+    return bundle
 
 
-def ring_profile(ring, q, analysis=None):
+def ring_profile(ring, q, bundle=None):
     """Regularity, Cohen-Macaulayness and S2 of the ring, with the
     parameter ideal's colength and ordinary fit as evidence.
 
@@ -98,9 +66,19 @@ def ring_profile(ring, q, analysis=None):
     shows the equivalent multiplicity criterion colength(Q) = e0(Q).  S2
     reduces to CM in dimension 2 and is automatic in dimension 1.
     """
-    if analysis is None:
-        analysis = InstanceAnalysis(ring, q)
-    return analysis.profile()
+    bundle = _bundle(ring, q, bundle)
+    rep = bundle.report(FiltrationKind.ORDINARY)
+    embdim = len(ring.minimal_generators())
+    is_cm = ring.is_cm
+    return RingProfile(
+        is_regular=embdim == ring.dim, is_cm=is_cm,
+        is_s2=is_cm if ring.dim == 2 else True, dim=ring.dim, embedding_dim=embdim,
+        evidence={
+            "parameter": [tuple(g) for g in bundle.parameter.ordered_generators],
+            "colength": bundle.parameter.colength(),
+            "e0": rep.e0,
+            "ordinary_lengths": list(rep.lengths),
+        })
 
 
 @dataclass
@@ -120,29 +98,28 @@ class ChainVerdict:
         return all(parts)
 
 
-def check_nonnegativity_chain(ring, q, n_max=8, frobenius=None, instance_id="",
-                              analysis=None):
+def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, frobenius=None, instance_id="",
+                              bundle=None):
     """Verify the inclusion sandwich, the split-count bound, and the sign chain.
 
     With a Frobenius context the candidate is wedged into the sandwich as
     well; a failure of candidate ⊆ integral closure is reported loudly as a
     test-element failure rather than silently accepted.
     """
-    if analysis is None:
-        analysis = InstanceAnalysis(ring, q, n_max=n_max, frobenius=frobenius)
-    q = analysis.q
-    ord_f = analysis.filtration(FiltrationKind.ORDINARY)
-    lim_f = analysis.filtration(FiltrationKind.LIM_INTERSECT)
-    int_f = analysis.filtration(FiltrationKind.INTEGRAL)
+    bundle = _bundle(ring, q, bundle, n_max, frobenius)
+    q = bundle.parameter
+    ord_f = bundle.filtration(FiltrationKind.ORDINARY)
+    lim_f = bundle.filtration(FiltrationKind.LIM_INTERSECT)
+    int_f = bundle.filtration(FiltrationKind.INTEGRAL)
     tight_f = None
-    if frobenius is not None:
-        tight_f = analysis.filtration(FiltrationKind.TIGHT_CANDIDATE)
+    if bundle.frobenius is not None:
+        tight_f = bundle.filtration(FiltrationKind.TIGHT_CANDIDATE)
 
     details = {"instance": [tuple(g) for g in q.ordered_generators],
                "ring": [tuple(g) for g in ring.generators]}
     inclusions_ok = True
     lim_nested = True
-    for n in range(1, n_max + 1):
+    for n in range(1, bundle.n_max + 1):
         low, mid, high = ord_f.member(n), lim_f.member(n), int_f.member(n)
         ok = mid.contains_ideal(low) and high.contains_ideal(mid)
         if tight_f is not None and ok:
@@ -163,21 +140,12 @@ def check_nonnegativity_chain(ring, q, n_max=8, frobenius=None, instance_id="",
             lim_nested = False
     details["lim_chain_nested"] = lim_nested  # experiment, not asserted
 
-    ord_rep = analysis.report(FiltrationKind.ORDINARY)
-    lim_rep = analysis.report(FiltrationKind.LIM_INTERSECT)
-    int_rep = analysis.report(FiltrationKind.INTEGRAL)
-    e0 = ord_rep.e0
+    ord_rep = bundle.report(FiltrationKind.ORDINARY)
+    lim_rep = bundle.report(FiltrationKind.LIM_INTERSECT)
+    int_rep = bundle.report(FiltrationKind.INTEGRAL)
     details["e1_ordinary"] = ord_rep.e1
     details["e1_integral"] = int_rep.e1
     details["e1_lim"] = lim_rep.e1
-
-    claim_rows = []
-    d = ring.dim
-    if e0 is not None:
-        for n, ell in enumerate(lim_rep.lengths):
-            claim_rows.append(ell <= comb(n + d, d) * e0)
-    else:
-        claim_rows.append(False)
 
     coeff_ok = True
     if ord_rep.e1 is None or ord_rep.e1 > 0:
@@ -201,22 +169,17 @@ def check_nonnegativity_chain(ring, q, n_max=8, frobenius=None, instance_id="",
     return ChainVerdict(
         instance_id=instance_id,
         inclusions_ok=inclusions_ok,
-        claim_bound_ok=tuple(claim_rows),
+        claim_bound_ok=tuple(r.ok for r in bundle.claim_rows) or (False,),
         coefficient_chain_ok=coeff_ok,
         vanishing_implication_ok=None,
         details=details)
 
 
-def check_claim_bound(ring, q, n, analysis=None):
+def check_claim_bound(ring, q, n, bundle=None):
     """Exact check of the split-count length bound at one index."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    if analysis is None:
-        analysis = InstanceAnalysis(ring, q)
-    d = ring.dim
-    rep = analysis.report(FiltrationKind.ORDINARY)
-    left = analysis.filtration(FiltrationKind.LIM_INTERSECT).member(n + 1).colength()
-    return left <= comb(n + d, d) * rep.e0
+    return _bundle(ring, q, bundle).claim_row(n).ok
 
 
 @dataclass(frozen=True)
@@ -231,18 +194,17 @@ class VanishingVerdict:
         return self.classification == "VIOLATION"
 
 
-def check_vanishing(ring, q, analysis=None):
+def check_vanishing(ring, q, bundle=None):
     """The vanishing implication: integral e1 = 0 with S2 forces regularity.
 
     Instances with vanishing integral e1 but without S2 are recorded as
     hypothesis-violating witnesses (they are expected to exist), never as
     failures.
     """
-    if analysis is None:
-        analysis = InstanceAnalysis(ring, q)
-    q = analysis.q
-    rep = analysis.report(FiltrationKind.INTEGRAL)
-    profile = analysis.profile()
+    bundle = _bundle(ring, q, bundle)
+    q = bundle.parameter
+    rep = bundle.report(FiltrationKind.INTEGRAL)
+    profile = ring_profile(ring, q, bundle)
     details = {"e1_integral": rep.e1}
     if rep.e1 is None or rep.e1 != 0:
         return VanishingVerdict("vacuous", rep.e1, profile, details)
@@ -262,36 +224,33 @@ class ImplicationVerdict:
     details: dict
 
 
-def check_e1_zero_implies_cm(ring, q, frobenius=None, analysis=None):
+def check_e1_zero_implies_cm(ring, q, frobenius=None, bundle=None):
     """Fitted e1(Q) = 0 forces Cohen-Macaulayness, and then a trivial limit closure.
 
     The characteristic-p collapse (tight candidate of Q equal to Q) is asserted
     only when the bracket certifies the first big-CM coefficient to be zero,
     i.e. on instances the vanishing theorem makes regular.
     """
-    if analysis is None:
-        analysis = InstanceAnalysis(ring, q, frobenius=frobenius)
-    q = analysis.q
-    ord_rep = analysis.report(FiltrationKind.ORDINARY)
+    bundle = _bundle(ring, q, bundle, frobenius=frobenius)
+    q = bundle.parameter
+    ord_rep = bundle.report(FiltrationKind.ORDINARY)
     details = {"e1_ordinary": ord_rep.e1}
     if ord_rep.e1 is None or ord_rep.e1 != 0:
         return ImplicationVerdict(False, True, details)
-    profile = analysis.profile()
+    profile = ring_profile(ring, q, bundle)
     ok = profile.is_cm
     details["is_cm"] = profile.is_cm
-    lim_rep = analysis.report(FiltrationKind.LIM_INTERSECT)
+    lim_rep = bundle.report(FiltrationKind.LIM_INTERSECT)
     details["e1_lim"] = lim_rep.e1
     if lim_rep.e1 == 0:
         closed = limit_closure(q).ideal
         trivial = closed == q.base
         details["limit_closure_trivial"] = trivial
         ok = ok and trivial
-        if frobenius is not None:
-            int_rep = analysis.report(FiltrationKind.INTEGRAL)
+        if bundle.frobenius is not None:
+            int_rep = bundle.report(FiltrationKind.INTEGRAL)
             if int_rep.e1 == 0:
-                from .closures import tight_closure_candidate
-
-                cand, _ = tight_closure_candidate(q.base, frobenius)
+                cand, _ = tight_closure_candidate(q.base, bundle.frobenius)
                 details["tight_candidate_trivial"] = cand == q.base
                 ok = ok and cand == q.base
     return ImplicationVerdict(True, ok, details)
@@ -366,7 +325,14 @@ class VerificationSummary:
         return not self.violations
 
 
-def verify_instances(instances, n_max=8, characteristic=None, e_max=4):
+def result_passed(result):
+    """Whether one instance of ``verify_instances`` passed every check."""
+    e1cm = result["e1_zero_cm"]
+    return (result["chain"].passed and not result["vanishing"].failed
+            and (not e1cm.applicable or e1cm.ok))
+
+
+def verify_instances(instances, n_max=CHECK_N_MAX, characteristic=None, e_max=4):
     """Run every check on every instance; collect witnesses and violations."""
     summary = VerificationSummary()
     for inst in instances:
@@ -374,13 +340,12 @@ def verify_instances(instances, n_max=8, characteristic=None, e_max=4):
         ctx = None
         if characteristic is not None:
             ctx = FrobeniusContext(ring, characteristic, e_max=e_max)
-        analysis = InstanceAnalysis(ring, q, n_max=n_max, frobenius=ctx)
-        chain = check_nonnegativity_chain(ring, q, n_max=n_max, frobenius=ctx,
-                                          instance_id=inst.instance_id,
-                                          analysis=analysis)
-        vanish = check_vanishing(ring, q, analysis=analysis)
+        bundle = CoefficientBundle(ring, q, n_max=n_max, frobenius=ctx)
+        chain = check_nonnegativity_chain(ring, q, instance_id=inst.instance_id,
+                                          bundle=bundle)
+        vanish = check_vanishing(ring, q, bundle=bundle)
         chain.vanishing_implication_ok = not vanish.failed
-        e1cm = check_e1_zero_implies_cm(ring, q, frobenius=ctx, analysis=analysis)
+        e1cm = check_e1_zero_implies_cm(ring, q, bundle=bundle)
         result = {
             "instance": inst,
             "chain": chain,
@@ -389,7 +354,7 @@ def verify_instances(instances, n_max=8, characteristic=None, e_max=4):
         }
         summary.results.append(result)
         summary.instances += 1
-        if chain.passed and not vanish.failed and (not e1cm.applicable or e1cm.ok):
+        if result_passed(result):
             summary.chain_passes += 1
         else:
             summary.violations.append(result)

@@ -1,10 +1,16 @@
+from collections import Counter
+from math import comb
+
 import pytest
 
+from hilbclose import hilbert
 from hilbclose.closures import FrobeniusContext
 from hilbclose.errors import GenerationExhaustedError, UnsupportedRingError
+from hilbclose.hilbert import CoefficientBundle, FiltrationKind, coefficient_report
 from hilbclose.ideals import ParameterIdeal
 from hilbclose.lattice import AffineSemigroup
 from hilbclose.theorems import (
+    CHECK_N_MAX,
     check_claim_bound,
     check_e1_zero_implies_cm,
     check_nonnegativity_chain,
@@ -94,6 +100,21 @@ class TestClaimBound:
         # maximal ideal: the bound is met with equality
         q = ParameterIdeal(free2, [(1, 0), (0, 1)])
         assert check_claim_bound(free2, q, 3)
+
+    def test_one_formula(self, remark_ring, free2):
+        # the bundle's rows, the standalone check and the chain verdict agree
+        cases = [(remark_ring, ParameterIdeal(remark_ring, [(1, 0), (0, 2)])),
+                 (free2, ParameterIdeal(free2, [(2, 0), (0, 3)]))]
+        cases += [(inst.ring, inst.parameter) for inst in fuzz_corpus(42, 5)]
+        for ring, q in cases:
+            bundle = CoefficientBundle(ring, q, n_max=CHECK_N_MAX)
+            lengths = bundle.report(FiltrationKind.LIM_INTERSECT).lengths
+            rows = bundle.claim_rows
+            assert [(r.n, r.length, r.bound) for r in rows] == [
+                (n, ell, comb(n + 2, 2) * bundle.e0) for n, ell in enumerate(lengths)]
+            oks = tuple(r.ok for r in rows)
+            assert check_nonnegativity_chain(ring, q).claim_bound_ok == oks
+            assert tuple(check_claim_bound(ring, q, n) for n in range(len(rows))) == oks
 
 
 class TestVanishing:
@@ -206,6 +227,30 @@ class TestVerifyInstances:
         summary = verify_instances(corpus, n_max=6, characteristic=2, e_max=3)
         assert summary.ok
         assert summary.chain_passes == 4
+
+    def test_one_bundle_per_instance(self, monkeypatch):
+        fits = Counter()
+        real = hilbert.fit_filtration
+
+        def counting(filtration, *args, **kwargs):
+            fits[id(filtration.parameter), filtration.kind] += 1
+            return real(filtration, *args, **kwargs)
+
+        monkeypatch.setattr(hilbert, "fit_filtration", counting)
+        corpus = fuzz_corpus(42, 2)
+        base = (FiltrationKind.ORDINARY, FiltrationKind.INTEGRAL,
+                FiltrationKind.LIM_INTERSECT)
+        want = Counter({(id(inst.parameter), k): 1 for inst in corpus for k in base})
+        verify_instances(corpus)
+        assert fits == want
+        # verify reads only the members of the tight filtration, never its fit
+        fits.clear()
+        verify_instances(corpus, characteristic=2)
+        assert fits == want
+        fits.clear()
+        bundle = coefficient_report(corpus[0].ring, corpus[0].parameter, characteristic=2)
+        assert set(bundle.reports) == set(FiltrationKind)
+        assert fits == Counter({(id(corpus[0].parameter), k): 1 for k in FiltrationKind})
 
 
 class TestExperiments:
