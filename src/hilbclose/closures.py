@@ -2,11 +2,12 @@
 Frobenius bracket powers and tight-closure candidates.
 
 Integral closures come from Newton polyhedra, limit closures from their
-closed form S ∩ ⋃_i (u_i + S_{w_i}), S_w the localization of S at w.  The
-big-CM closure of a power is never computed directly (no such algebra is
-constructed); it is bracketed between the split intersection below and the
-integral closure above, and in characteristic p additionally by the
-Frobenius candidate.
+closed form S ∩ ⋃_i (u_i + S_{w_i}), S_w the localization of S at w.  In
+dimension 2 the split intersections form the filtration {s : A(s) + B(s) >= k}
+(``_LimUp``), of which Q^lim is slot 1.  The big-CM closure of a power is
+never computed directly (no such algebra is constructed); it is bracketed
+between the split intersection below and the integral closure above, and in
+characteristic p additionally by the Frobenius candidate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .ideals import (
     _PolyUp,
     extract_ideal,
 )
-from .lattice import ExponentVector, vadd, vdot, vscale, vsub
+from .lattice import ExponentVector, _stair_profile, vadd, vdot, vscale, vsub
 
 # ---------------------------------------------------------------------------
 # integral closure
@@ -51,55 +52,52 @@ def integral_closure_power(ideal, n):
 # limit closure
 
 class _LimUp:
-    """The limit closure S ∩ ((u1 + S_u2) ∪ (u2 + S_u1)) of a 2-D parameter
-    ideal, S_w being the localization S - N w.  The parameters lie on the
-    two extreme rays, so s - u_i lies in S_uj iff the grid line through
-    s - u_i along u_j's ray meets S.  On a line along u_j's ray that test is
-    one lookup for the whole line; the other test reads the cross line
-    through each point and, as cross lines meeting S stay so, passes from
-    one index on."""
+    """{s ∈ S : A(s) + B(s) >= k} for a 2-D parameter ideal (u1, u2), u1 on
+    g2's ray: A(s) is the largest a <= k with s - a*u1 in S_u2, B(s) the
+    largest b <= k with s - b*u2 in S_u1, S_w the localization S - N w.  As
+    s ∈ (Q(a1, a2))^lim iff a1 <= A(s) or a2 <= B(s), order 1 is Q^lim and
+    order N - 1 the split intersection over |alpha| = N.  On a line along a
+    ray the count of the parameter off that ray is a constant c, not falling
+    from line to line, and the other count reaches k - c from one index on."""
 
-    def __init__(self, ring, q):
+    def __init__(self, ring, q, k=1):
         self.ring = ring
         self._eng = eng = ring._engine
         u1, u2 = map(tuple, q.ordered_generators)
         if vdot(eng.lam2, u1) == 0:
             u1, u2 = u2, u1
-        # per axis, the parameter off the ray along that axis
+        # per axis, the parameter off the ray along that axis, and its lam values
         self._off = (u1, u2)
-        self._seed = q.base._up.seed()
+        self._lams = [(vdot(eng.lam1, u), vdot(eng.lam2, u)) for u in self._off]
+        self.k = k
 
-    def _line_meets(self, w, axis):
-        """Whether the grid line through w along ``axis`` meets S."""
-        key, m1, m2 = self._eng._decompose(w)
-        fixed = m1 if axis == 1 else m2
-        return fixed >= 0 and self._eng.grid_first(key, axis, fixed) is not None
+    def _bars(self, key, axis):
+        """For c = 0..k, the least fixed index from which the lines of coset
+        ``key`` along ``axis`` moved by -c*u, u the parameter off that ray, meet
+        S (so lie in S_w); nondecreasing in c.  box[key] has lam values key."""
+        eng, (d1, d2) = self._eng, self._lams[axis]
+        first = eng.stabilization(1 - axis)[1]
+        lams = ((key[0] - c * d1, key[1] - c * d2) for c in range(self.k + 1))
+        return [first[l1 % eng.D1, l2 % eng.D2] - (l1 // eng.D1 if axis == 1 else l2 // eng.D2)
+                for l1, l2 in lams]
 
     def member(self, v):
-        return self._eng.member(v) and any(self._line_meets(vsub(v, u), axis)
-                                           for axis, u in enumerate(self._off))
+        key, m1, m2 = self._eng._decompose(v)
+        return self._eng.member(v) and sum(m >= bar for axis, m in ((0, m2), (1, m1))
+                                           for bar in self._bars(key, axis)[1:]) >= self.k
 
     def profile(self, key, axis, count):
-        eng = self._eng
-        # the whole-line test of line m reads line m + base of coset kw
-        kw, w1, w2 = eng._decompose(vsub(eng.box[key], self._off[axis]))
-        base = w1 if axis == 1 else w2
-        # the cross-line test of index t reads cross line c + t of coset kc;
-        # the first cross line to meet S is the constant tail of kc on ``axis``
-        kc, c1, c2 = eng._decompose(vsub(eng.box[key], self._off[1 - axis]))
-        first = eng.stabilization(axis)[1][kc]
-        thresh = max(0, first - (c2 if axis == 1 else c1))
-        out = []
-        for m in range(count):
-            ts = eng.grid_first(key, axis, m)
-            if ts is not None and not (m + base >= 0
-                                       and eng.grid_first(kw, axis, m + base) is not None):
-                ts = max(ts, thresh)
-            out.append(ts)
+        own, need = self._bars(key, axis), self._bars(key, 1 - axis)
+        out, c = [], 0
+        for m, ts in enumerate(_stair_profile(self._eng.stair[key], axis, count)):
+            # c, the count constant on line m, by one pointer over its bars
+            while c < self.k and own[c + 1] <= m:
+                c += 1
+            out.append(None if ts is None else max(ts, need[self.k - c]))
         return out
 
     def seed(self):
-        return self._seed
+        return vscale(self.k, min(self._off))
 
     def chain_index(self, s):
         """Least t with s - u_i + t*u_j in S for i != j: the first member of the
@@ -181,11 +179,14 @@ def lim_intersection(q, total):
     """Intersection of limit closures of all splits with |alpha| = total.
 
     Contains Q^total; contained in the integral closure of Q^(total - d + 1).
+    In dimension 2 it is {s ∈ S : A(s) + B(s) >= total - 1} (``_LimUp``).
     """
     ring = q.ring
     d = ring.dim
     if total < d:
         raise ValueError("split total must be at least the ring dimension")
+    if ring.kind == "grid2":
+        return extract_ideal(ring, _LimUp(ring, q, total - 1))
     parts = [limit_closure(q.split(split.alpha)).ideal
              for split in parameter_splits(total, d)]
     if len(parts) == 1:

@@ -92,13 +92,12 @@ def length_sequence(filtration, n_max):
     if not filtration.ideal.is_m_primary:
         raise NotMPrimaryError("length sequences need an m-primary base ideal")
     out = [filtration.member(n + 1).colength() for n in range(n_max + 1)]
-    if filtration.kind is not FiltrationKind.LIM_INTERSECT:
-        # theorem-backed monotonicity; the split intersection is only recorded
-        for i in range(n_max):
-            if out[i] > out[i + 1]:
-                raise UncertifiedError(
-                    "non-monotone %s lengths at n=%d: %r (internal bug)"
-                    % (filtration.kind.value, i, out))
+    # theorem-backed monotonicity; split slots nest as {A + B >= k} do
+    for i in range(n_max):
+        if out[i] > out[i + 1]:
+            raise UncertifiedError(
+                "non-monotone %s lengths at n=%d: %r (internal bug)"
+                % (filtration.kind.value, i, out))
     return out
 
 

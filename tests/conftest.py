@@ -2,11 +2,12 @@
 
 The oracles here deliberately avoid the package's grid machinery: membership
 is a plain bounded search, complements are box enumerations.  Expected values
-in the tests were computed with these oracles and then frozen.  The two
-limit-closure oracles are the exception: they reach the closure by another
-route than the library's closed form, the colon chain at a fixed index and a
-bounded search over the chain index, through the package's own colon and
-membership.
+in the tests were computed with these oracles and then frozen.  The
+limit-closure oracles are the exception: they reach a closure by another
+route than the library's closed form, through the package's own colon,
+membership and intersection: the colon chain at a fixed index, a bounded
+search over the chain index, and the split intersection as a meet of
+per-split chain members.
 """
 
 import itertools
@@ -15,7 +16,8 @@ import os
 import pytest
 
 import hilbclose
-from hilbclose.ideals import MonomialIdeal, ideal_colon
+from hilbclose.closures import compositions
+from hilbclose.ideals import MonomialIdeal, ideal_colon, ideal_intersection
 from hilbclose.lattice import AffineSemigroup, vadd, vscale, vsub
 
 
@@ -88,6 +90,15 @@ def limit_member_by_search(q, v, t_max):
     return ring.member(v) and any(
         ring.member(vadd(vsub(v, ui), vscale(t, uj)))
         for ui, uj in ((u1, u2), (u2, u1)) for t in range(t_max + 1))
+
+
+def split_meet(q, total):
+    """The intersection of the limit closures of the splits Q(alpha),
+    |alpha| = total, as a meet of extracted closures.  Each closure is the
+    colon chain at t = 48, which reaches it on the rings the tests draw, so
+    the oracle shares no code with the closed form."""
+    return ideal_intersection(limit_chain_member(q.split(alpha), 48)
+                              for alpha in compositions(total, q.ring.dim))
 
 
 REMARK_GENS = [(1, 0), (1, 1), (0, 2), (0, 3)]

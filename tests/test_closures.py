@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import limit_chain_member, limit_member_by_search
+from conftest import limit_chain_member, limit_member_by_search, split_meet
 from hilbclose.closures import (
     FrobeniusContext,
     _LimUp,
@@ -19,6 +19,7 @@ from hilbclose.closures import (
     tight_closure_candidate,
 )
 from hilbclose.errors import NotMPrimaryError
+from hilbclose.hilbert import CoefficientBundle, FiltrationKind
 from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power
 from hilbclose.lattice import AffineSemigroup, vdot, vscale
 from hilbclose.theorems import fuzz_corpus
@@ -201,6 +202,16 @@ CORPUS_RINGS = sorted({tuple(map(tuple, inst.ring.generators))
                        for inst in fuzz_corpus(42, 40, max_coord=6)})
 
 
+def ray_parameters(ring, k1, k2, pick, swap):
+    """A parameter on each extreme ray, not always a multiple of g1 or g2,
+    listed in either order."""
+    eng = ring._engine
+    ray1 = [g for g in ring.generators if vdot(eng.lam2, g) == 0]
+    ray2 = [g for g in ring.generators if vdot(eng.lam1, g) == 0]
+    params = [vscale(k1, ray1[pick % len(ray1)]), vscale(k2, ray2[pick % len(ray2)])]
+    return ParameterIdeal(ring, params[::-1] if swap else params)
+
+
 class TestLimitClosedForm:
     """The closed form against the colon chain at large t and a direct search
     over the chain index, with the exact certificate."""
@@ -211,12 +222,7 @@ class TestLimitClosedForm:
            st.sampled_from(compositions(2, 2) + compositions(3, 2) + compositions(4, 2)))
     def test_matches_chain_and_search(self, sgens, k1, k2, pick, swap, alpha):
         ring = AffineSemigroup(2, sgens)
-        eng = ring._engine
-        # a parameter on each extreme ray, not always a multiple of g1 or g2
-        ray1 = [g for g in ring.generators if vdot(eng.lam2, g) == 0]
-        ray2 = [g for g in ring.generators if vdot(eng.lam1, g) == 0]
-        params = [vscale(k1, ray1[pick % len(ray1)]), vscale(k2, ray2[pick % len(ray2)])]
-        q = ParameterIdeal(ring, params[::-1] if swap else params).split(alpha)
+        q = ray_parameters(ring, k1, k2, pick, swap).split(alpha)
         cert = limit_closure(q)
         closed = cert.ideal
         assert closed == limit_chain_member(q, 48) == limit_chain_member(q, 96)
@@ -231,6 +237,34 @@ class TestLimitClosedForm:
             inside = limit_member_by_search(q, v, 90)
             assert closed.member(v) == inside, v
             assert up.member(v) == inside, v
+
+
+class TestSplitClosedForm:
+    """Split intersections {s : A(s) + B(s) >= total - 1} against the meet of
+    the limit closures of the splits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(sweep_rings, st.sampled_from(CORPUS_RINGS)),
+           st.integers(1, 2), st.integers(1, 2), st.integers(0, 5), st.booleans(),
+           st.integers(2, 6))
+    def test_matches_meet_of_limit_closures(self, sgens, k1, k2, pick, swap, total):
+        ring = AffineSemigroup(2, sgens)
+        q = ray_parameters(ring, k1, k2, pick, swap)
+        meet = split_meet(q, total)
+        ideal = lim_intersection(q, total)
+        assert ideal == meet
+        assert ideal.colength() == meet.colength()
+        up = _LimUp(ring, q, total - 1)
+        box = max(max(map(max, meet.min_generators)), max(map(max, sgens))) + 3
+        for v in itertools.product(range(box + 1), repeat=2):
+            assert up.member(v) == meet.member(v), v
+
+    def test_max_coord_14_fit(self):
+        # the slowest split fit of fuzz_corpus(7, 6, max_coord=14)
+        ring = AffineSemigroup(2, [(1, 13), (2, 6), (8, 1), (10, 0)])
+        q = ParameterIdeal(ring, [(20, 0), (1, 13)])
+        rep = CoefficientBundle(ring, q, n_max=8).report(FiltrationKind.LIM_INTERSECT)
+        assert (rep.coefficients, rep.status) == ((260, 0, -1260), "ok")
 
 
 class TestCompositions:

@@ -5,6 +5,7 @@ from hilbclose.closures import FrobeniusContext
 from hilbclose.errors import (
     NotMPrimaryError,
     NotStabilizedError,
+    UncertifiedError,
     UnsupportedRingError,
 )
 from hilbclose.hilbert import (
@@ -16,7 +17,7 @@ from hilbclose.hilbert import (
     length_sequence,
     multiplicity_volume,
 )
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal
+from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power
 from hilbclose.lattice import AffineSemigroup
 
 
@@ -53,6 +54,17 @@ class TestLengthSequence:
         filt = Filtration(FiltrationKind.ORDINARY, bad)
         with pytest.raises(NotMPrimaryError):
             length_sequence(filt, 6)
+
+    def test_split_lengths_must_nest(self, remark_ring, monkeypatch):
+        # split slots nest as {A + B >= k} do, so falling lengths are an
+        # internal error for this kind too
+        import hilbclose.hilbert as hilbert_mod
+
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        monkeypatch.setattr(hilbert_mod, "lim_intersection",
+                            lambda q, total: ideal_power(q.base, max(1, 6 - total)))
+        with pytest.raises(UncertifiedError):
+            length_sequence(Filtration(FiltrationKind.LIM_INTERSECT, q), 5)
 
     def test_n_max_too_small(self, free2):
         q = ParameterIdeal(free2, [(1, 0), (0, 1)])
