@@ -4,14 +4,11 @@ ideals in affine semigroup rings."""
 from .closures import (
     FrobeniusContext,
     LimitClosureCertificate,
-    ParameterSplit,
-    compositions,
     frobenius_power,
     integral_closure,
     integral_closure_power,
     lim_intersection,
     limit_closure,
-    parameter_splits,
     tight_closure_candidate,
 )
 from .errors import (

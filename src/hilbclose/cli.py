@@ -76,12 +76,22 @@ def _load_json(path, what):
             % (what, path, exc.lineno, exc.colno, exc.msg))
 
 
+def _check_n_max(n_max, rings):
+    """Length fits need n_max >= dim + 3; RunConfig checks n_max before the
+    rings are read, so only the 2-D bound."""
+    dim = max((ring.dim for ring in rings), default=0)
+    if n_max < dim + 3:
+        raise ValueError("n-max must be at least %d for a %d-dimensional ring"
+                         % (dim + 3, dim))
+
+
 def run_analyze(config):
     try:
         ring = formats.ring_from_record(_load_json(config.ring_path, "ring"))
         record = _load_json(config.ideal_path, "ideal")
         gens, _ = formats.ideal_from_record(record, ring)
         q = ParameterIdeal(ring, gens)
+        _check_n_max(config.n_max, [ring])
     except (HilbcloseError, ValueError) as exc:
         sys.stderr.write("input error [%s]: %s\n"
                          % (getattr(exc, "code", "INVALID"), exc))
@@ -122,6 +132,7 @@ def _run_verification(config, instances, params, command):
 def run_verify(config):
     try:
         instances = formats.corpus_from_record(_load_json(config.corpus_path, "corpus"))
+        _check_n_max(config.n_max, [inst.ring for inst in instances])
     except (HilbcloseError, ValueError) as exc:
         sys.stderr.write("input error [%s]: %s\n"
                          % (getattr(exc, "code", "INVALID"), exc))

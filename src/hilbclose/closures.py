@@ -2,8 +2,11 @@
 Frobenius bracket powers and tight-closure candidates.
 
 Integral closures come from Newton polyhedra, limit closures from their
-closed form S ∩ ⋃_i (u_i + S_{w_i}), S_w the localization of S at w.  In
-dimension 2 the split intersections form the filtration {s : A(s) + B(s) >= k}
+closed form S ∩ ⋃_i (u_i + S_{w_i}), S_w the localization of S at w.  The
+split intersections follow one rule per ring.  In a Cohen-Macaulay ring the
+parameters form a regular sequence, so Q(alpha)^lim = Q(alpha) and, the map
+Z[X1..Xd] -> R, X_i -> u_i, being flat, slot k is the ordinary power Q^k.
+Only a 2-D grid can fail to be CM; there slot k is {s : A(s) + B(s) >= k}
 (``_LimUp``), of which Q^lim is slot 1.  The big-CM closure of a power is
 never computed directly (no such algebra is constructed); it is bracketed
 between the split intersection below and the integral closure above, and in
@@ -20,9 +23,9 @@ from .ideals import (
     ParameterIdeal,
     _FrobUp,
     _IdealUp,
-    _MeetUp,
     _PolyUp,
     extract_ideal,
+    ideal_power,
 )
 from .lattice import ExponentVector, _stair_profile, vadd, vdot, vscale, vsub
 
@@ -126,19 +129,20 @@ class LimitClosureCertificate:
 def limit_closure(q):
     """Q^lim = S ∩ ⋃_i (u_i + S_{w_i}), w_i the product of the other parameters.
 
-    Cohen-Macaulay rings (free Z^3, numerical semigroups) have Q^lim = Q.  In
-    dimension 2 the closure is extracted from its closed form, and
-    ``stabilized_t`` is the largest least chain index of a minimal generator.
+    Cohen-Macaulay rings (free Z^3, numerical semigroups, CM 2-D grids) have
+    Q^lim = Q.  Otherwise the ring is a 2-D grid and Q^lim is larger than Q;
+    the closure is extracted from its closed form, and ``stabilized_t`` is
+    the largest least chain index of a minimal generator.
     """
     if not isinstance(q, ParameterIdeal):
         raise NotMPrimaryError("limit closure is defined for parameter ideals")
     ring = q.ring
-    up = _LimUp(ring, q) if ring.kind == "grid2" else None
-    closed = q.base if up is None else extract_ideal(ring, up)
-    if closed == q.base:
+    if ring.is_cm:
         # Q again, without a staircase or q.base's cached values
         return LimitClosureCertificate(
             ideal=MonomialIdeal(ring, q.base.min_generators, _reduced=True), stabilized_t=0)
+    up = _LimUp(ring, q)
+    closed = extract_ideal(ring, up)
     return LimitClosureCertificate(
         ideal=closed, stabilized_t=max(up.chain_index(s) for s in closed.min_generators))
 
@@ -146,52 +150,24 @@ def limit_closure(q):
 # ---------------------------------------------------------------------------
 # split intersections
 
-@dataclass(frozen=True)
-class ParameterSplit:
-    """A composition alpha of a total, indexing the split (u1^a1, ..., ud^ad)."""
-
-    alpha: tuple
-    total: int
-
-    def __post_init__(self):
-        if any(a < 1 for a in self.alpha):
-            raise ValueError("split entries must be >= 1")
-        if sum(self.alpha) != self.total:
-            raise ValueError("split entries must sum to the declared total")
-
-
-def compositions(total, parts):
-    """All compositions of ``total`` into ``parts`` positive entries, lex order."""
-    if parts == 1:
-        return [(total,)] if total >= 1 else []
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
-
-
-def parameter_splits(total, parts):
-    return [ParameterSplit(alpha=a, total=total) for a in compositions(total, parts)]
-
-
 def lim_intersection(q, total):
-    """Intersection of limit closures of all splits with |alpha| = total.
+    """Intersection of the limit closures of the splits Q(alpha), |alpha| = total.
 
     Contains Q^total; contained in the integral closure of Q^(total - d + 1).
-    In dimension 2 it is {s ∈ S : A(s) + B(s) >= total - 1} (``_LimUp``).
+    In a Cohen-Macaulay ring it is the power Q^(total - d + 1): the
+    parameters form a regular sequence, so Z[X1..Xd] -> R, X_i -> u_i, is
+    flat (Hartshorne 1966), every Q(alpha)^lim is Q(alpha), and flatness
+    carries the intersection of the monomial ideals (X^alpha) to that of the
+    Q(alpha).  Otherwise the ring is a 2-D grid and the intersection is
+    {s ∈ S : A(s) + B(s) >= total - 1} (``_LimUp``).
     """
     ring = q.ring
     d = ring.dim
     if total < d:
         raise ValueError("split total must be at least the ring dimension")
-    if ring.kind == "grid2":
-        return extract_ideal(ring, _LimUp(ring, q, total - 1))
-    parts = [limit_closure(q.split(split.alpha)).ideal
-             for split in parameter_splits(total, d)]
-    if len(parts) == 1:
-        return parts[0]
-    return extract_ideal(ring, _MeetUp([p._up for p in parts]))
+    if ring.is_cm:
+        return ideal_power(q.base, total - d + 1)
+    return extract_ideal(ring, _LimUp(ring, q, total - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,9 @@ class Filtration:
             elif self.kind is FiltrationKind.INTEGRAL:
                 out = integral_closure_power(self.ideal, k)
             elif self.kind is FiltrationKind.LIM_INTERSECT:
-                # slot k brackets the k-th power's big-CM closure
+                # slot k brackets the k-th power's big-CM closure: Q^k in a
+                # CM ring (a regular sequence, so a flat extension), else
+                # the 2-D {A + B >= k}
                 out = lim_intersection(self.parameter, k + self.ring.dim - 1)
             else:
                 # each slot gets a fresh Frobenius scan at the context's e_max
@@ -92,7 +94,8 @@ def length_sequence(filtration, n_max):
     if not filtration.ideal.is_m_primary:
         raise NotMPrimaryError("length sequences need an m-primary base ideal")
     out = [filtration.member(n + 1).colength() for n in range(n_max + 1)]
-    # theorem-backed monotonicity; split slots nest as {A + B >= k} do
+    # theorem-backed monotonicity; split slots nest as powers and as
+    # {A + B >= k} do
     for i in range(n_max):
         if out[i] > out[i + 1]:
             raise UncertifiedError(
@@ -182,13 +185,12 @@ class HilbertReport:
         return None if self.coefficients is None else self.coefficients[0]
 
 
-def fit_filtration(filtration, n_max=DEFAULT_N_MAX, window=DEFAULT_WINDOW,
-                   retry_n_max=RETRY_N_MAX):
+def fit_filtration(filtration, n_max=DEFAULT_N_MAX):
     """Length sequence plus fit, with one adaptive extension before giving up."""
-    for n in sorted({n_max, max(n_max, retry_n_max)}):
+    for n in sorted({n_max, max(n_max, RETRY_N_MAX)}):
         lengths = length_sequence(filtration, n)
         try:
-            coeffs, n0 = fit_polynomial(lengths, filtration.ring.dim, window)
+            coeffs, n0 = fit_polynomial(lengths, filtration.ring.dim, DEFAULT_WINDOW)
         except NotStabilizedError:
             continue
         if coeffs[0] < 1:
@@ -247,14 +249,13 @@ class CoefficientBundle:
     ``reports`` holds the fits made so far.
     """
 
-    def __init__(self, ring, q, n_max=DEFAULT_N_MAX, frobenius=None, window=DEFAULT_WINDOW):
+    def __init__(self, ring, q, n_max=DEFAULT_N_MAX, frobenius=None):
         if not isinstance(q, ParameterIdeal):
             q = ParameterIdeal(ring, [tuple(g) for g in q.min_generators])
         self.ring = ring
         self.parameter = q
         self.n_max = n_max
         self.frobenius = frobenius
-        self.window = window
         self.reports = {}
         self._filtrations = {}
 
@@ -279,7 +280,7 @@ class CoefficientBundle:
 
     def report(self, kind):
         if kind not in self.reports:
-            self.reports[kind] = fit_filtration(self.filtration(kind), self.n_max, self.window)
+            self.reports[kind] = fit_filtration(self.filtration(kind), self.n_max)
         return self.reports[kind]
 
     @property
@@ -338,11 +339,10 @@ class CoefficientBundle:
         return tuple(self.claim_row(n) for n in range(len(lengths)))
 
 
-def coefficient_report(ring, q, n_max=DEFAULT_N_MAX, characteristic=None, e_max=4,
-                       window=DEFAULT_WINDOW):
+def coefficient_report(ring, q, n_max=DEFAULT_N_MAX, characteristic=None, e_max=4):
     """Fit every applicable filtration of a parameter ideal and return the bundle."""
     ctx = None if characteristic is None else FrobeniusContext(ring, characteristic, e_max=e_max)
-    bundle = CoefficientBundle(ring, q, n_max=n_max, frobenius=ctx, window=window)
+    bundle = CoefficientBundle(ring, q, n_max=n_max, frobenius=ctx)
     for kind in bundle.kinds:
         bundle.report(kind)
     return bundle

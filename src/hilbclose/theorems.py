@@ -135,9 +135,12 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, frobenius=None, instan
         if not ok:
             inclusions_ok = False
             details.setdefault("failures", []).append({"n": n, "reason": "inclusion"})
-        if n > 1 and not lim_f.member(n - 1).contains_ideal(lim_f.member(n)):
-            lim_nested = False
-    details["lim_chain_nested"] = lim_nested  # experiment, not asserted
+        if n > 1 and not lim_f.member(n - 1).contains_ideal(mid):
+            # slots nest as powers and as {A + B >= k} do
+            lim_nested = inclusions_ok = False
+            details.setdefault("failures", []).append(
+                {"n": n, "reason": "split slots not nested"})
+    details["lim_chain_nested"] = lim_nested
 
     ord_rep = bundle.report(FiltrationKind.ORDINARY)
     lim_rep = bundle.report(FiltrationKind.LIM_INTERSECT)

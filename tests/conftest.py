@@ -16,7 +16,6 @@ import os
 import pytest
 
 import hilbclose
-from hilbclose.closures import compositions
 from hilbclose.ideals import MonomialIdeal, ideal_colon, ideal_intersection
 from hilbclose.lattice import AffineSemigroup, vadd, vscale, vsub
 
@@ -90,6 +89,17 @@ def limit_member_by_search(q, v, t_max):
     return ring.member(v) and any(
         ring.member(vadd(vsub(v, ui), vscale(t, uj)))
         for ui, uj in ((u1, u2), (u2, u1)) for t in range(t_max + 1))
+
+
+def compositions(total, parts):
+    """All compositions of ``total`` into ``parts`` positive entries, lex order."""
+    if parts == 1:
+        return [(total,)] if total >= 1 else []
+    out = []
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            out.append((first,) + rest)
+    return out
 
 
 def split_meet(q, total):

@@ -9,6 +9,8 @@ from hilbclose.cli import main
 
 REMARK_RING = {"dim": 2, "generators": [[1, 0], [1, 1], [0, 2], [0, 3]]}
 REMARK_Q = {"generators": [[1, 0], [0, 2]], "ordered": True}
+FREE3_RING = {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+FREE3_Q = {"generators": [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "ordered": True}
 
 
 def write(tmp_path, name, obj):
@@ -54,6 +56,15 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert code == 1
         assert "line" in err
+
+    def test_n_max_below_3d_bound_exit_1(self, tmp_path, capsys):
+        # 5 passes the 2-D bound but a 3-D fit needs n_max >= 6
+        ring = write(tmp_path, "ring.json", FREE3_RING)
+        ideal = write(tmp_path, "q.json", FREE3_Q)
+        code = main(["analyze", "--ring", ring, "--ideal", ideal, "--n-max", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "input error" in err and "Traceback" not in err
 
     def test_char_p(self, tmp_path, capsys):
         ring = write(tmp_path, "ring.json", REMARK_RING)
@@ -102,6 +113,18 @@ class TestVerify:
         assert code == 0
         assert data["summary"]["hypothesis_violating_witnesses"] == "1"
         assert data["summary"]["violations"] == "0"
+
+    def test_n_max_below_3d_bound_exit_1(self, tmp_path, capsys):
+        corpus = {"instances": [
+            {"id": "remark", "ring": REMARK_RING, "ideal": REMARK_Q},
+            {"id": "free3", "ring": FREE3_RING, "ideal": FREE3_Q},
+        ]}
+        path = write(tmp_path, "corpus.json", corpus)
+        code = main(["verify", "--corpus", path, "--n-max", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "input error" in captured.err and "Traceback" not in captured.err
 
     def test_missing_corpus(self, capsys):
         code = main(["verify", "--corpus", "/nonexistent.json"])

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import limit_chain_member, limit_member_by_search, split_meet
+from conftest import compositions, limit_chain_member, limit_member_by_search, split_meet
 from hilbclose.closures import (
     FrobeniusContext,
     _LimUp,
-    compositions,
     default_test_element,
     frobenius_power,
     integral_closure,
@@ -274,17 +273,6 @@ class TestCompositions:
         assert compositions(4, 2) == [(1, 3), (2, 2), (3, 1)]
         assert compositions(4, 3) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
 
-    def test_parameter_split_validation(self):
-        from hilbclose.closures import ParameterSplit, parameter_splits
-
-        with pytest.raises(ValueError):
-            ParameterSplit(alpha=(0, 3), total=3)
-        with pytest.raises(ValueError):
-            ParameterSplit(alpha=(1, 1), total=3)
-        splits = parameter_splits(3, 2)
-        assert [s.alpha for s in splits] == [(1, 2), (2, 1)]
-        assert all(s.total == 3 for s in splits)
-
     def test_counts(self):
         from math import comb
 
@@ -294,7 +282,31 @@ class TestCompositions:
                 assert len(compositions(total, 3)) == comb(total - 1, 2)
 
 
+CM_CASES = [
+    (2, [(1, 0), (0, 1)], [(2, 0), (0, 3)]),
+    (2, [(2, 0), (3, 0), (0, 1)], [(2, 0), (0, 1)]),
+    (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(2, 0, 0), (0, 1, 0), (0, 0, 3)]),
+    (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 3), (2, 0, 0), (0, 1, 0)]),
+    (1, [(3,), (5,), (7,)], [(6,)]),
+    (1, [(4,), (6,), (9,)], [(4,)]),
+]
+
+
 class TestLimIntersection:
+    @pytest.mark.parametrize("dim,sgens,qgens", CM_CASES, ids=[
+        "free2", "cm_ring", "free3", "free3-reordered", "num-3-5-7", "num-4-6-9"])
+    def test_cm_rings_match_meet(self, dim, sgens, qgens):
+        # in a CM ring the splits intersect to Q^(total - d + 1); the
+        # oracle meets the per-split colon chains instead
+        ring = AffineSemigroup(dim, sgens)
+        assert ring.is_cm
+        q = ParameterIdeal(ring, qgens)
+        for total in range(dim, dim + 5):
+            meet = split_meet(q, total)
+            ideal = lim_intersection(q, total)
+            assert ideal == meet, total
+            assert ideal.colength() == meet.colength(), total
+
     def test_remark_single_split(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
         ideal = lim_intersection(q, 2)
@@ -308,14 +320,6 @@ class TestLimIntersection:
         assert ideal.colength() == 5
         assert ideal.colength() <= 6  # split-count bound instance
         assert ideal == integral_closure_power(q.base, 2)
-
-    def test_free_collapses_to_power(self, free2):
-        # for a monomial regular sequence the splits intersect to a plain power
-        for gens in ([(1, 0), (0, 1)], [(2, 0), (0, 3)]):
-            q = ParameterIdeal(free2, gens)
-            for total in range(2, 7):
-                assert lim_intersection(q, total) == \
-                    ideal_power(q.base, total - 1), (gens, total)
 
     def test_sandwich_remark(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
@@ -337,10 +341,6 @@ class TestLimIntersection:
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
         with pytest.raises(ValueError):
             lim_intersection(q, 1)
-
-    def test_free3(self, free3):
-        q = ParameterIdeal(free3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert lim_intersection(q, 4) == ideal_power(q.base, 2)
 
 
 class TestFrobenius:

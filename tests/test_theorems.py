@@ -7,7 +7,7 @@ from hilbclose import hilbert
 from hilbclose.closures import FrobeniusContext
 from hilbclose.errors import GenerationExhaustedError, UnsupportedRingError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind, coefficient_report
-from hilbclose.ideals import ParameterIdeal
+from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power, ideal_sum
 from hilbclose.lattice import AffineSemigroup
 from hilbclose.theorems import (
     CHECK_N_MAX,
@@ -88,6 +88,24 @@ class TestChain:
         ctx = FrobeniusContext(remark_ring, 2, e_max=4)
         verdict = check_nonnegativity_chain(remark_ring, q, n_max=5, frobenius=ctx)
         assert verdict.passed
+
+    def test_unnested_split_slots_fail(self, monkeypatch):
+        # slot 3 gains (3, 1), which lies in the integral closure of Q^3 but
+        # not in slot 2 = Q^2; every inclusion and length rise still holds
+        ring = AffineSemigroup(2, [(1, 0), (2, 1), (0, 3), (1, 3)])
+        q = ParameterIdeal(ring, [(1, 0), (0, 3)])
+        real = hilbert.lim_intersection
+
+        def split(q, total):
+            if total == 4:
+                return ideal_sum(ideal_power(q.base, 3), MonomialIdeal(ring, [(3, 1)]))
+            return real(q, total)
+
+        monkeypatch.setattr(hilbert, "lim_intersection", split)
+        verdict = check_nonnegativity_chain(ring, q, n_max=6)
+        assert not verdict.inclusions_ok and not verdict.passed
+        assert verdict.details["lim_chain_nested"] is False
+        assert verdict.details["failures"] == [{"n": 3, "reason": "split slots not nested"}]
 
 
 class TestClaimBound:
