@@ -2,14 +2,12 @@
 ideals in affine semigroup rings."""
 
 from .closures import (
-    FrobeniusContext,
     LimitClosureCertificate,
-    frobenius_power,
     integral_closure,
     integral_closure_power,
     lim_intersection,
     limit_closure,
-    tight_closure_candidate,
+    tight_closure,
 )
 from .errors import (
     DimensionMismatchError,

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from math import comb
 
 from . import formats
-from .closures import _is_prime
 from .errors import HilbcloseError, NonIntegralCoefficientError, UncertifiedError
-from .hilbert import FiltrationKind, coefficient_report, multiplicity_volume
+from .hilbert import FiltrationKind, _is_prime, coefficient_report, multiplicity_volume
 from .ideals import ParameterIdeal
 from .theorems import fuzz_corpus, verify_instances
 
@@ -29,6 +28,8 @@ EXIT_VIOLATION = 3
 EXIT_INTERNAL = 4
 
 REPORT_FORMATS = ("json", "csv", "table")
+CHAR_HELP = ("a prime p: adds the tight filtration (Q^n)* = Q^n S̄ ∩ S, S̄ the "
+             "normalization, the same for every p")
 
 
 @dataclass
@@ -39,7 +40,6 @@ class RunConfig:
     corpus_path: str | None = None
     n_max: int = 10
     characteristic: int | None = None
-    e_max: int = 4
     seed: int = 0
     count: int = 0
     max_coord: int = 6
@@ -97,8 +97,7 @@ def run_analyze(config):
                          % (getattr(exc, "code", "INVALID"), exc))
         return EXIT_INPUT
     bundle = coefficient_report(ring, q, n_max=config.n_max,
-                                characteristic=config.characteristic,
-                                e_max=config.e_max)
+                                characteristic=config.characteristic)
     report = formats.bundle_to_report(bundle, ring, record)
     if ring.is_free and ring.dim <= 2:
         report["multiplicity_volume"] = multiplicity_volume(q.base)
@@ -114,8 +113,7 @@ def run_analyze(config):
 
 def _run_verification(config, instances, params, command):
     summary = verify_instances(instances, n_max=config.n_max,
-                               characteristic=config.characteristic,
-                               e_max=config.e_max)
+                               characteristic=config.characteristic)
     report = formats.summary_to_report(summary, command, params)
     _emit(formats.dumps_report(report), config.out)
     if summary.violations:
@@ -249,17 +247,14 @@ def build_parser():
     pa.add_argument("--ring", required=True, help="ring description JSON file")
     pa.add_argument("--ideal", required=True, help="parameter ideal JSON file")
     pa.add_argument("--n-max", type=int, default=10)
-    pa.add_argument("--char", type=int, default=None,
-                    help="prime characteristic for the tight filtration")
-    pa.add_argument("--e-max", type=int, default=4)
+    pa.add_argument("--char", type=int, default=None, help=CHAR_HELP)
     pa.add_argument("--report", choices=REPORT_FORMATS, default="json")
     pa.add_argument("--out", default=None)
 
     pv = sub.add_parser("verify", help="run the theorem suite over a corpus file")
     pv.add_argument("--corpus", required=True)
     pv.add_argument("--n-max", type=int, default=8)
-    pv.add_argument("--char", type=int, default=None)
-    pv.add_argument("--e-max", type=int, default=4)
+    pv.add_argument("--char", type=int, default=None, help=CHAR_HELP)
     pv.add_argument("--out", default=None)
 
     pf = sub.add_parser("fuzz", help="generate and verify a random corpus")
@@ -267,8 +262,7 @@ def build_parser():
     pf.add_argument("--count", type=int, required=True)
     pf.add_argument("--max-coord", type=int, default=6)
     pf.add_argument("--n-max", type=int, default=8)
-    pf.add_argument("--char", type=int, default=None)
-    pf.add_argument("--e-max", type=int, default=4)
+    pf.add_argument("--char", type=int, default=None, help=CHAR_HELP)
     pf.add_argument("--out", default=None)
 
     pe = sub.add_parser("example", help="replay a built-in example")
@@ -281,15 +275,13 @@ def config_from_args(args):
     kwargs = {"command": args.command}
     if args.command == "analyze":
         kwargs.update(ring_path=args.ring, ideal_path=args.ideal, n_max=args.n_max,
-                      characteristic=args.char, e_max=args.e_max,
-                      report=args.report, out=args.out)
+                      characteristic=args.char, report=args.report, out=args.out)
     elif args.command == "verify":
         kwargs.update(corpus_path=args.corpus, n_max=args.n_max,
-                      characteristic=args.char, e_max=args.e_max, out=args.out)
+                      characteristic=args.char, out=args.out)
     elif args.command == "fuzz":
         kwargs.update(seed=args.seed, count=args.count, max_coord=args.max_coord,
-                      n_max=args.n_max, characteristic=args.char, e_max=args.e_max,
-                      out=args.out)
+                      n_max=args.n_max, characteristic=args.char, out=args.out)
     else:
         kwargs.update(example_name=args.name, out=args.out)
     return RunConfig(**kwargs)

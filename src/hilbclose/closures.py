@@ -1,5 +1,5 @@
-"""Closure operations on monomial ideals: integral, limit, split-intersection,
-Frobenius bracket powers and tight-closure candidates.
+"""Closure operations on monomial ideals: integral, limit, split-intersection
+and tight.
 
 Integral closures come from Newton polyhedra, limit closures from their
 closed form S ∩ ⋃_i (u_i + S_{w_i}), S_w the localization of S at w.  The
@@ -9,25 +9,18 @@ Z[X1..Xd] -> R, X_i -> u_i, being flat, slot k is the ordinary power Q^k.
 Only a 2-D grid can fail to be CM; there slot k is {s : A(s) + B(s) >= k}
 (``_LimUp``), of which Q^lim is slot 1.  The big-CM closure of a power is
 never computed directly (no such algebra is constructed); it is bracketed
-between the split intersection below and the integral closure above, and in
-characteristic p additionally by the Frobenius candidate.
+between the split intersection below and the integral closure above.  In
+characteristic p the tight closure of a power is Q^k S̄ ∩ S, S̄ the
+normalization, and sits between the same two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotMPrimaryError, UncertifiedError, UnsupportedRingError
-from .ideals import (
-    MonomialIdeal,
-    ParameterIdeal,
-    _FrobUp,
-    _IdealUp,
-    _PolyUp,
-    extract_ideal,
-    ideal_power,
-)
-from .lattice import ExponentVector, _stair_profile, vadd, vdot, vscale, vsub
+from .errors import NotMPrimaryError, UncertifiedError
+from .ideals import MonomialIdeal, ParameterIdeal, _PolyUp, extract_ideal, ideal_power
+from .lattice import _stair_profile, vadd, vdot, vscale, vsub
 
 # ---------------------------------------------------------------------------
 # integral closure
@@ -171,109 +164,58 @@ def lim_intersection(q, total):
 
 
 # ---------------------------------------------------------------------------
-# characteristic p
+# tight closure
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
+class _TightUp:
+    """{s ∈ S : sum_i floor(lam_i(s) / lam_i(u_i)) >= k}, one term per facet
+    form lam_i of the cone, u_i the parameter off that facet: on a 2-D grid
+    A = lam1(u1) and B = lam2(u2) with u1 on g1's ray, as in ``_LimUp``; on a
+    numerical semigroup the one term is floor(s / u).  The point s lies in
+    Q^k S̄ exactly when some a + b = k puts s - a*u1 - b*u2 in the cone, as
+    it lies on the group lattice already."""
 
-
-def inversion_frees(ring, c):
-    """True iff inverting the monomial of c turns k[S] into a regular ring.
-
-    Interior elements always qualify; an element on an extreme ray qualifies
-    iff every grid line parallel to that ray meets S (no gap rays parallel to
-    it), which makes the localized semigroup a group times a free part.
-    """
-    c = tuple(c)
-    if not ring.member(c):
-        return False
-    if ring.kind == "free3":
-        return True
-    if ring.kind == "num1":
-        return True
-    eng = ring._engine
-    l1 = vdot(eng.lam1, c)
-    l2 = vdot(eng.lam2, c)
-    if l1 > 0 and l2 > 0:
-        return True
-    axis = 0 if l2 == 0 else 1
-    # lines parallel to the c-ray must all meet S; adding the other extreme
-    # generator keeps a line meeting S, so line 0 of each coset decides
-    return all(eng.grid_first(key, axis, 0) is not None for key in eng.box)
-
-
-def default_test_element(ring):
-    """Lexicographically smallest generator whose inversion frees the semigroup."""
-    for g in sorted(ring.generators):
-        if inversion_frees(ring, g):
-            return g
-    raise UnsupportedRingError("no generator inverts to a regular localization")
-
-
-class FrobeniusContext:
-    """Characteristic-p context: prime p, Frobenius depth, and a test element."""
-
-    def __init__(self, ring, p, e_max=4, test_element=None, test_power=1):
-        if not _is_prime(p):
-            raise ValueError("characteristic must be prime, got %r" % (p,))
-        if e_max < 2:
-            raise ValueError("e_max must be >= 2")
-        if not 1 <= test_power <= 3:
-            raise ValueError("test_power must be between 1 and 3")
+    def __init__(self, ring, q, k):
         self.ring = ring
-        self.p = int(p)
-        self.e_max = int(e_max)
-        base = ExponentVector(test_element) if test_element is not None \
-            else default_test_element(ring)
-        if not inversion_frees(ring, base):
-            raise UnsupportedRingError(
-                "test element %r does not free the semigroup" % (tuple(base),))
-        self.test_element = base.scaled(test_power)
+        self.k = k
+        lams = ring.cone_halfspaces()
+        self._forms = [(lam, max(vdot(lam, u) for u in q.ordered_generators)) for lam in lams]
+        self._seed = vscale(k, min(q.ordered_generators))
 
-    def powers(self, e_top=None):
-        e_top = self.e_max if e_top is None else e_top
-        return [self.p ** e for e in range(0, e_top + 1)]
+    def member(self, v):
+        return self.ring.member(v) and sum(vdot(lam, v) // a for lam, a in self._forms) >= self.k
 
+    def profile(self, key, axis, count):
+        eng = self.ring._engine
+        (_, a), (_, b) = self._forms
+        # line m has lam_fix = k_fix + m*d_fix, worth lam_fix // a_fix of the
+        # k; the rest needs k_ax + t*d_ax >= (k - that) * a_ax along the line
+        if axis == 1:
+            (k_fix, k_ax), d_fix, a_fix, d_ax, a_ax = key, eng.D1, a, eng.D2, b
+        else:
+            (k_ax, k_fix), d_fix, a_fix, d_ax, a_ax = key, eng.D2, b, eng.D1, a
+        out = []
+        for m, ts in enumerate(_stair_profile(eng.stair[key], axis, count)):
+            need = max(0, self.k - (k_fix + m * d_fix) // a_fix) * a_ax - k_ax
+            out.append(None if ts is None else max(ts, -(-need // d_ax)))
+        return out
 
-def frobenius_power(ideal, q):
-    """The bracket power I^[q]: generators scaled by q."""
-    if q < 1:
-        raise ValueError("Frobenius power index must be >= 1")
-    return MonomialIdeal(ideal.ring, [g.scaled(q) for g in ideal.min_generators])
-
-
-@dataclass(frozen=True)
-class TightStatus:
-    e_max: int
-    stable: bool  # candidate unchanged between e_max - 1 and e_max
-
-
-def _tight_candidate_at(ideal, ctx, e_top):
-    ring = ideal.ring
-    c = tuple(ctx.test_element)
-    scaled = [(q, _IdealUp(ring, [g.scaled(q) for g in ideal.min_generators]))
-              for q in ctx.powers(e_top)]
-    up = _FrobUp(ring, [tuple(g) for g in ideal.min_generators], scaled, c)
-    return extract_ideal(ring, up)
+    def seed(self):
+        return self._seed
 
 
-def tight_closure_candidate(ideal, ctx):
-    """Monomials s with c + q*s in I^[q] for every q = p^e, e <= e_max.
+def tight_closure(q, k=1):
+    """(Q^k)* = Q^k S̄ ∩ S in every characteristic p, S̄ the normalization.
 
-    With a genuine test element this is a superset of the tight closure,
-    shrinking as e_max grows; the certified lower bound for parameter-ideal
-    powers is the split intersection.  The status records whether one more
-    Frobenius step still changed the result.
+    k[S̄] is normal toric, hence F-regular (Hochster and Huneke, JAMS 3,
+    1990), and module-finite over k[S]; so an element is in the tight
+    closure of Q^k exactly when it lies in Q^k k[S̄].  Free Z^3 is regular
+    and returns the power Q^k itself; the other rings extract ``_TightUp``.
     """
-    if not ideal.is_m_primary:
-        raise NotMPrimaryError("tight-closure candidates need an m-primary ideal")
-    prev = _tight_candidate_at(ideal, ctx, ctx.e_max - 1)
-    cur = _tight_candidate_at(ideal, ctx, ctx.e_max)
-    return cur, TightStatus(e_max=ctx.e_max, stable=(prev == cur))
+    if not isinstance(q, ParameterIdeal):
+        raise NotMPrimaryError("tight closure is taken of parameter-ideal powers")
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    ring = q.ring
+    if ring.kind == "free3":
+        return ideal_power(q.base, k)
+    return extract_ideal(ring, _TightUp(ring, q, k))

@@ -125,7 +125,6 @@ def bundle_to_report(bundle, ring, ideal_record):
         "ideal": ideal_record,
         "n_max": bundle.n_max,
         "characteristic": bundle.characteristic,
-        "e_max": bundle.e_max,
         "filtrations": filtrations,
         "e0": bundle.e0,
         "e1_ordinary": bundle.e1_ordinary,
@@ -168,7 +167,7 @@ def bundle_to_table(bundle):
         lines.append("%-17s %-16s %s" % (kind.value, rep.status, coeffs))
     lines.append("")
     lines.append("lengths (n: ordinary / integral / lim_intersect%s)"
-                 % (" / tight" if FiltrationKind.TIGHT_CANDIDATE in bundle.reports else ""))
+                 % (" / tight" if FiltrationKind.TIGHT in bundle.reports else ""))
     for n in range(depth):
         vals = []
         for k in kinds:

@@ -9,7 +9,9 @@ basis
 
 A ``CoefficientBundle`` holds the filtrations and fits of one parameter ideal
 and makes each on first use; ``analyze``, ``verify``, ``fuzz`` and the
-theorem checks all read their coefficients and claim bounds from it.
+theorem checks all read their coefficients and claim bounds from it.  Given a
+prime characteristic p it adds the tight filtration (Q^n)* = Q^n S̄ ∩ S,
+which is the same for every p.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .closures import (
-    FrobeniusContext,
-    _tight_candidate_at,
-    integral_closure_power,
-    lim_intersection,
-)
+from .closures import integral_closure_power, lim_intersection, tight_closure
 from .errors import (
     NonIntegralCoefficientError,
     NotMPrimaryError,
@@ -43,13 +40,24 @@ class FiltrationKind(enum.Enum):
     ORDINARY = "ordinary"
     INTEGRAL = "integral"
     LIM_INTERSECT = "lim_intersect"
-    TIGHT_CANDIDATE = "tight_candidate"
+    TIGHT = "tight"
+
+
+def _is_prime(p):
+    if p < 2:
+        return False
+    f = 2
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 1
+    return True
 
 
 class Filtration:
     """A power filtration n -> ideal; member(k) plays the role of the k-th power."""
 
-    def __init__(self, kind, base, frobenius=None):
+    def __init__(self, kind, base):
         self.kind = kind
         if isinstance(base, ParameterIdeal):
             self.parameter = base
@@ -58,11 +66,8 @@ class Filtration:
             self.parameter = None
             self.ideal = base
         self.ring = self.ideal.ring
-        self.frobenius = frobenius
-        if kind is FiltrationKind.LIM_INTERSECT and self.parameter is None:
-            raise NotMPrimaryError("the split-intersection filtration needs a parameter ideal")
-        if kind is FiltrationKind.TIGHT_CANDIDATE and frobenius is None:
-            raise ValueError("the tight-candidate filtration needs a Frobenius context")
+        if kind in (FiltrationKind.LIM_INTERSECT, FiltrationKind.TIGHT) and self.parameter is None:
+            raise NotMPrimaryError("the %s filtration needs a parameter ideal" % kind.value)
         self._members = {}
 
     def member(self, k):
@@ -79,9 +84,7 @@ class Filtration:
                 # the 2-D {A + B >= k}
                 out = lim_intersection(self.parameter, k + self.ring.dim - 1)
             else:
-                # each slot gets a fresh Frobenius scan at the context's e_max
-                out = _tight_candidate_at(ideal_power(self.ideal, k), self.frobenius,
-                                          self.frobenius.e_max)
+                out = tight_closure(self.parameter, k)
             self._members[k] = out
         return self._members[k]
 
@@ -249,13 +252,15 @@ class CoefficientBundle:
     ``reports`` holds the fits made so far.
     """
 
-    def __init__(self, ring, q, n_max=DEFAULT_N_MAX, frobenius=None):
+    def __init__(self, ring, q, n_max=DEFAULT_N_MAX, characteristic=None):
         if not isinstance(q, ParameterIdeal):
             q = ParameterIdeal(ring, [tuple(g) for g in q.min_generators])
+        if characteristic is not None and not _is_prime(characteristic):
+            raise ValueError("characteristic must be prime, got %r" % (characteristic,))
         self.ring = ring
         self.parameter = q
         self.n_max = n_max
-        self.frobenius = frobenius
+        self.characteristic = characteristic
         self.reports = {}
         self._filtrations = {}
 
@@ -263,19 +268,11 @@ class CoefficientBundle:
     def kinds(self):
         """The applicable filtrations, in enum order."""
         kinds = (FiltrationKind.ORDINARY, FiltrationKind.INTEGRAL, FiltrationKind.LIM_INTERSECT)
-        return kinds if self.frobenius is None else kinds + (FiltrationKind.TIGHT_CANDIDATE,)
-
-    @property
-    def characteristic(self):
-        return None if self.frobenius is None else self.frobenius.p
-
-    @property
-    def e_max(self):
-        return None if self.frobenius is None else self.frobenius.e_max
+        return kinds if self.characteristic is None else kinds + (FiltrationKind.TIGHT,)
 
     def filtration(self, kind):
         if kind not in self._filtrations:
-            self._filtrations[kind] = Filtration(kind, self.parameter, frobenius=self.frobenius)
+            self._filtrations[kind] = Filtration(kind, self.parameter)
         return self._filtrations[kind]
 
     def report(self, kind):
@@ -301,9 +298,9 @@ class CoefficientBundle:
 
     @property
     def e1_tight(self):
-        if self.frobenius is None:
+        if self.characteristic is None:
             return None
-        return self.report(FiltrationKind.TIGHT_CANDIDATE).e1
+        return self.report(FiltrationKind.TIGHT).e1
 
     @property
     def bcm_bracket(self):
@@ -339,10 +336,13 @@ class CoefficientBundle:
         return tuple(self.claim_row(n) for n in range(len(lengths)))
 
 
-def coefficient_report(ring, q, n_max=DEFAULT_N_MAX, characteristic=None, e_max=4):
-    """Fit every applicable filtration of a parameter ideal and return the bundle."""
-    ctx = None if characteristic is None else FrobeniusContext(ring, characteristic, e_max=e_max)
-    bundle = CoefficientBundle(ring, q, n_max=n_max, frobenius=ctx)
+def coefficient_report(ring, q, n_max=DEFAULT_N_MAX, characteristic=None, e_max=None):
+    """Fit every applicable filtration of a parameter ideal and return the bundle.
+
+    ``e_max`` is accepted and ignored, so callers that pass a Frobenius depth
+    keep working; the tight closure is exact and takes none.
+    """
+    bundle = CoefficientBundle(ring, q, n_max=n_max, characteristic=characteristic)
     for kind in bundle.kinds:
         bundle.report(kind)
     return bundle

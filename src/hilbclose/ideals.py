@@ -1,8 +1,8 @@
 """Monomial-ideal arithmetic over a fixed affine semigroup.
 
 Ideals are S-stable up-sets held by their minimal generators.  Every derived
-ideal (colon, intersection, closure, Frobenius candidate) is first modelled as
-an abstract up-set exposing two exact oracles
+ideal (colon, intersection, integral, limit or tight closure) is first
+modelled as an abstract up-set exposing two exact oracles
 
     member(v)                   -- point membership
     profile(key, axis, count)   -- first index on lines 0..count-1 of a coset
@@ -273,56 +273,6 @@ class _PolyUp:
 
     def seed(self):
         return self._seed
-
-
-class _FrobUp:
-    """Points s with c + q*s inside the q-th Frobenius power, for every listed q."""
-
-    def __init__(self, ring, base_gens, scaled, c):
-        # scaled: list of (q, _IdealUp of the q-th bracket power)
-        self.ring = ring
-        self.base_gens = [tuple(g) for g in base_gens]
-        self.scaled = scaled
-        self.c = tuple(c)
-
-    def member(self, v):
-        if any(c < 0 for c in v) or not self.ring.member(v):
-            return False
-        return all(up.member(vadd(self.c, vscale(q, v))) for q, up in self.scaled)
-
-    def profile(self, key, axis, count):
-        eng = self.ring._engine
-        out = [eng.grid_first(key, axis, m) for m in range(count)]
-        for q, up in self.scaled:
-            # c + q*(box[key] + m*g_fix + t*g_axis) is box[kw] + (a_fix + q*m)*g_fix
-            # + (a_ax + q*t)*g_axis, so line m reads line a_fix + q*m of coset kw
-            kw, a1, a2 = eng._decompose(vadd(self.c, vscale(q, eng.box[key])))
-            a_fix, a_ax = (a1, a2) if axis == 1 else (a2, a1)
-            firsts = _line_firsts(eng, up.gens, kw, axis, count, a_fix, q)
-            for m, f in enumerate(firsts):
-                if out[m] is not None:
-                    out[m] = None if f is None else max(out[m], -((a_ax - f) // q))
-        return out
-
-    def heights(self, nx, ny):
-        out = [[0] * ny for _ in range(nx)]
-        for gens in self._floor_shifted():
-            out = _max_heights(out, _column_heights(gens, nx, ny))
-        return out
-
-    def reach(self, i):
-        ks = [_axis_reach(gens, i) for gens in self._floor_shifted()]
-        return None if None in ks else max(ks)
-
-    def _floor_shifted(self):
-        # c + q*s >= q*u exactly when s >= u - floor(c/q), coordinatewise
-        for q, _ in self.scaled:
-            shift = tuple(ci // q for ci in self.c)
-            yield [vsub(u, shift) for u in self.base_gens]
-
-    def seed(self):
-        # any generator u of I satisfies c + q*u in I^[q] for every q
-        return min(self.base_gens)
 
 
 # ---------------------------------------------------------------------------

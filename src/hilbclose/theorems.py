@@ -15,14 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .closures import (
-    FrobeniusContext,
-    lim_intersection,
-    tight_closure_candidate,
-)
 from .errors import GenerationExhaustedError, NotMPrimaryError, UnsupportedRingError
 from .hilbert import CoefficientBundle, FiltrationKind
-from .ideals import ParameterIdeal, ideal_product, nu_m_mod_q
+from .ideals import ParameterIdeal, nu_m_mod_q
 from .lattice import AffineSemigroup, vscale
 
 CHECK_N_MAX = 8
@@ -45,13 +40,13 @@ class RingProfile:
         assert (self.embedding_dim == self.dim) == self.is_regular
 
 
-def _bundle(ring, q, bundle, n_max=CHECK_N_MAX, frobenius=None):
+def _bundle(ring, q, bundle, n_max=CHECK_N_MAX, characteristic=None):
     """The caller's bundle, or a fresh one for a standalone check.
 
-    A given bundle's n_max and Frobenius context win over the arguments.
+    A given bundle's n_max and characteristic win over the arguments.
     """
     if bundle is None:
-        bundle = CoefficientBundle(ring, q, n_max=n_max, frobenius=frobenius)
+        bundle = CoefficientBundle(ring, q, n_max=n_max, characteristic=characteristic)
     return bundle
 
 
@@ -97,22 +92,22 @@ class ChainVerdict:
         return all(parts)
 
 
-def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, frobenius=None, instance_id="",
+def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, instance_id="",
                               bundle=None):
     """Verify the inclusion sandwich, the split-count bound, and the sign chain.
 
-    With a Frobenius context the candidate is wedged into the sandwich as
-    well; a failure of candidate ⊆ integral closure is reported loudly as a
-    test-element failure rather than silently accepted.
+    With a characteristic the tight closure is wedged into the sandwich as
+    well; a tight closure that exceeds the integral closure is reported
+    loudly rather than silently accepted.
     """
-    bundle = _bundle(ring, q, bundle, n_max, frobenius)
+    bundle = _bundle(ring, q, bundle, n_max, characteristic)
     q = bundle.parameter
     ord_f = bundle.filtration(FiltrationKind.ORDINARY)
     lim_f = bundle.filtration(FiltrationKind.LIM_INTERSECT)
     int_f = bundle.filtration(FiltrationKind.INTEGRAL)
     tight_f = None
-    if bundle.frobenius is not None:
-        tight_f = bundle.filtration(FiltrationKind.TIGHT_CANDIDATE)
+    if bundle.characteristic is not None:
+        tight_f = bundle.filtration(FiltrationKind.TIGHT)
 
     details = {"instance": [tuple(g) for g in q.ordered_generators],
                "ring": [tuple(g) for g in ring.generators]}
@@ -122,16 +117,15 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, frobenius=None, instan
         low, mid, high = ord_f.member(n), lim_f.member(n), int_f.member(n)
         ok = mid.contains_ideal(low) and high.contains_ideal(mid)
         if tight_f is not None and ok:
-            cand = tight_f.member(n)
-            if not cand.contains_ideal(mid):
+            tight = tight_f.member(n)
+            if not tight.contains_ideal(mid):
                 ok = False
                 details.setdefault("failures", []).append(
-                    {"n": n, "reason": "split intersection not inside tight candidate"})
-            elif not high.contains_ideal(cand):
+                    {"n": n, "reason": "split intersection not inside tight closure"})
+            elif not high.contains_ideal(tight):
                 ok = False
                 details.setdefault("failures", []).append(
-                    {"n": n, "reason": "test-element failure: candidate exceeds "
-                                       "the integral closure"})
+                    {"n": n, "reason": "tight closure exceeds the integral closure"})
         if not ok:
             inclusions_ok = False
             details.setdefault("failures", []).append({"n": n, "reason": "inclusion"})
@@ -226,14 +220,14 @@ class ImplicationVerdict:
     details: dict
 
 
-def check_e1_zero_implies_cm(ring, q, frobenius=None, bundle=None):
+def check_e1_zero_implies_cm(ring, q, characteristic=None, bundle=None):
     """Fitted e1(Q) = 0 forces Cohen-Macaulayness, and then a trivial limit closure.
 
-    The characteristic-p collapse (tight candidate of Q equal to Q) is asserted
+    The characteristic-p collapse (tight closure of Q equal to Q) is asserted
     only when the bracket certifies the first big-CM coefficient to be zero,
     i.e. on instances the vanishing theorem makes regular.
     """
-    bundle = _bundle(ring, q, bundle, frobenius=frobenius)
+    bundle = _bundle(ring, q, bundle, characteristic=characteristic)
     q = bundle.parameter
     ord_rep = bundle.report(FiltrationKind.ORDINARY)
     details = {"e1_ordinary": ord_rep.e1}
@@ -249,12 +243,12 @@ def check_e1_zero_implies_cm(ring, q, frobenius=None, bundle=None):
         trivial = bundle.filtration(FiltrationKind.LIM_INTERSECT).member(1) == q.base
         details["limit_closure_trivial"] = trivial
         ok = ok and trivial
-        if bundle.frobenius is not None:
+        if bundle.characteristic is not None:
             int_rep = bundle.report(FiltrationKind.INTEGRAL)
             if int_rep.e1 == 0:
-                cand, _ = tight_closure_candidate(q.base, bundle.frobenius)
-                details["tight_candidate_trivial"] = cand == q.base
-                ok = ok and cand == q.base
+                trivial = bundle.filtration(FiltrationKind.TIGHT).member(1) == q.base
+                details["tight_closure_trivial"] = trivial
+                ok = ok and trivial
     return ImplicationVerdict(True, ok, details)
 
 
@@ -334,15 +328,12 @@ def result_passed(result):
             and (not e1cm.applicable or e1cm.ok))
 
 
-def verify_instances(instances, n_max=CHECK_N_MAX, characteristic=None, e_max=4):
+def verify_instances(instances, n_max=CHECK_N_MAX, characteristic=None):
     """Run every check on every instance; collect witnesses and violations."""
     summary = VerificationSummary()
     for inst in instances:
         ring, q = inst.ring, inst.parameter
-        ctx = None
-        if characteristic is not None:
-            ctx = FrobeniusContext(ring, characteristic, e_max=e_max)
-        bundle = CoefficientBundle(ring, q, n_max=n_max, frobenius=ctx)
+        bundle = CoefficientBundle(ring, q, n_max=n_max, characteristic=characteristic)
         chain = check_nonnegativity_chain(ring, q, instance_id=inst.instance_id,
                                           bundle=bundle)
         vanish = check_vanishing(ring, q, bundle=bundle)
@@ -369,37 +360,3 @@ def verify_instances(instances, n_max=CHECK_N_MAX, characteristic=None, e_max=4)
             summary.specimens.append(result)
     return summary
 
-
-# ---------------------------------------------------------------------------
-# experiments (recorded, never asserted)
-
-def generator_order_experiment(q, total):
-    """Split intersections for every ordering of the generators.
-
-    Monomial parameter ideals have a unique minimal monomial generating set,
-    so reordering is the only available choice here; the split family is
-    permutation-symmetric, and the experiment records (never assumes) the
-    resulting equality.
-    """
-    import itertools as _it
-
-    ring = q.ring
-    results = {}
-    for perm in _it.permutations(range(len(q.ordered_generators))):
-        ordered = [q.ordered_generators[i] for i in perm]
-        qq = ParameterIdeal(ring, ordered)
-        results[perm] = lim_intersection(qq, total)
-    vals = list(results.values())
-    return {"orders": sorted(results), "all_equal": all(v == vals[0] for v in vals),
-            "ideals": results}
-
-
-def graded_family_experiment(q, a, b):
-    """Is (Q^a)^lim (Q^b)^lim inside (Q^(a+b))^lim?  Recorded, not asserted."""
-    d = q.ring.dim
-    la = lim_intersection(q, a + d - 1)
-    lb = lim_intersection(q, b + d - 1)
-    lab = lim_intersection(q, a + b + d - 1)
-    prod = ideal_product(la, lb)
-    return {"a": a, "b": b,
-            "contained": lab.contains_ideal(prod)}

@@ -16,12 +16,7 @@ import pytest
 
 from conftest import brute_member, child_env
 from hilbclose.cli import example_instance
-from hilbclose.closures import (
-    FrobeniusContext,
-    integral_closure,
-    integral_closure_power,
-    limit_closure,
-)
+from hilbclose.closures import integral_closure, integral_closure_power
 from hilbclose.hilbert import Filtration, FiltrationKind, coefficient_report, fit_filtration
 from hilbclose.ideals import ParameterIdeal, ideal_power
 from hilbclose.theorems import (
@@ -168,9 +163,8 @@ def test_criterion_6_characteristic_p_bracket():
     for name in ("remark-s2", "free-x2y3", "free-maximal"):
         ring, q = example_instance(name)
         for p in (2, 3):
-            ctx = FrobeniusContext(ring, p, e_max=4)
-            verdict = check_nonnegativity_chain(ring, q, n_max=6, frobenius=ctx)
-            bundle = coefficient_report(ring, q, n_max=8, characteristic=p, e_max=4)
+            verdict = check_nonnegativity_chain(ring, q, n_max=6, characteristic=p)
+            bundle = coefficient_report(ring, q, n_max=8, characteristic=p)
             chain_ok = verdict.passed
             e1_lim, e1_tight = bundle.tight_bracket
             e1_int = bundle.e1_integral
@@ -180,7 +174,7 @@ def test_criterion_6_characteristic_p_bracket():
             details.append("%s/p=%d:%s" % (name, p, "ok" if chain_ok and bracket_ok
                                            else "FAIL"))
     assert _line(6, ok,
-                 "char-p sandwich with tight candidate and bracket in [0, e1bar] "
+                 "char-p sandwich with tight closure and bracket in [0, e1bar] "
                  "on built-ins (%s)" % ", ".join(details))
     assert ok
 

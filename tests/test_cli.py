@@ -70,10 +70,12 @@ class TestAnalyze:
         ring = write(tmp_path, "ring.json", REMARK_RING)
         ideal = write(tmp_path, "q.json", REMARK_Q)
         code = main(["analyze", "--ring", ring, "--ideal", ideal,
-                     "--n-max", "6", "--char", "2", "--e-max", "3"])
+                     "--n-max", "6", "--char", "2"])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["tight_bracket"] == ["0", "0"]
+        assert data["filtrations"]["tight"]["status"] == "ok"
+        assert "e_max" not in data
 
     def test_non_prime_char(self, tmp_path, capsys):
         ring = write(tmp_path, "ring.json", REMARK_RING)
@@ -154,6 +156,24 @@ class TestFuzz:
             main(command + ["--report", "csv"])
         assert exc.value.code == 2
         assert "--report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["analyze", "--ring", "r.json", "--ideal", "q.json"],
+                                         ["verify", "--corpus", "corpus.json"],
+                                         ["fuzz", "--seed", "42", "--count", "0"]])
+    def test_no_e_max_option(self, command, capsys):
+        # the tight closure is exact, so no Frobenius depth is taken
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--char", "2", "--e-max", "3"])
+        assert exc.value.code == 2
+        assert "--e-max" in capsys.readouterr().err
+
+    def test_char_2_seed_7(self, capsys):
+        # the split slots of the non-CM rings fz7-000 and fz7-006 lie in
+        # the tight closure too
+        code = main(["fuzz", "--seed", "7", "--count", "12", "--char", "2"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert data["summary"]["violations"] == "0"
 
     def test_byte_determinism_in_process(self, tmp_path):
         a = tmp_path / "a.json"

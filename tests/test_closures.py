@@ -6,21 +6,17 @@ from hypothesis import strategies as st
 
 from conftest import compositions, limit_chain_member, limit_member_by_search, split_meet
 from hilbclose.closures import (
-    FrobeniusContext,
     _LimUp,
-    default_test_element,
-    frobenius_power,
     integral_closure,
     integral_closure_power,
-    inversion_frees,
     lim_intersection,
     limit_closure,
-    tight_closure_candidate,
+    tight_closure,
 )
 from hilbclose.errors import NotMPrimaryError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind
 from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power
-from hilbclose.lattice import AffineSemigroup, vdot, vscale
+from hilbclose.lattice import AffineSemigroup, in_lattice, vadd, vdot, vscale, vsub
 from hilbclose.theorems import fuzz_corpus
 from test_ideals import sweep_rings
 
@@ -343,79 +339,93 @@ class TestLimIntersection:
             lim_intersection(q, 1)
 
 
-class TestFrobenius:
-    def test_scaling(self, remark_ring):
-        q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
-        assert gens_of(frobenius_power(q, 2)) == [(0, 4), (2, 0)]
-
-    def test_free(self, free2):
-        m = MonomialIdeal(free2, [(1, 0), (0, 1)])
-        assert gens_of(frobenius_power(m, 4)) == [(0, 4), (4, 0)]
-        q = MonomialIdeal(free2, [(2, 0), (0, 3)])
-        assert gens_of(frobenius_power(q, 3)) == [(0, 9), (6, 0)]
-
-    def test_rescaled_antichain(self, remark_ring):
-        # (0,3) and (0,2) are S-incomparable but their doubles are not
-        ideal = MonomialIdeal(remark_ring, [(0, 2), (0, 3)])
-        assert gens_of(frobenius_power(ideal, 2)) == [(0, 4)]
+def box_semigroup(sgens, box):
+    """S ∩ [0, box]^2, sieved in order of coordinate sum."""
+    pts = {(0, 0)}
+    for v in sorted(itertools.product(range(box + 1), repeat=2), key=sum):
+        if any(vsub(v, g) in pts for g in sgens):
+            pts.add(v)
+    return pts
 
 
-class TestTestElements:
-    def test_interior_frees(self, remark_ring):
-        assert inversion_frees(remark_ring, (1, 1))
-
-    def test_remark_ray_elements(self, remark_ring):
-        assert inversion_frees(remark_ring, (1, 0))
-        assert inversion_frees(remark_ring, (0, 2))
-
-    def test_gap_ray_blocks(self, cm_ring):
-        # inverting (0,1) leaves the x-gaps: localization is not regular
-        assert not inversion_frees(cm_ring, (0, 1))
-        assert inversion_frees(cm_ring, (2, 0))
-
-    def test_default(self, remark_ring, free2):
-        assert tuple(default_test_element(remark_ring)) == (0, 2)
-        assert tuple(default_test_element(free2)) == (0, 1)
-
-    def test_context_validation(self, remark_ring):
-        with pytest.raises(ValueError):
-            FrobeniusContext(remark_ring, 4)
-        with pytest.raises(ValueError):
-            FrobeniusContext(remark_ring, 2, e_max=1)
-        ctx = FrobeniusContext(remark_ring, 2, test_element=(1, 0), test_power=2)
-        assert tuple(ctx.test_element) == (2, 0)
+def in_normalization(ring, w):
+    """w in cone ∩ ZS: between the two extreme rays and on the group lattice."""
+    (x1, y1), (x2, y2) = ring.extreme_generators()
+    x, y = w
+    return (x1 * y - y1 * x >= 0 and x * y2 - y * x2 >= 0
+            and in_lattice(ring.group_lattice(), w))
 
 
-class TestTightCandidate:
-    def test_free_tightly_closed(self, free2):
-        ideal = MonomialIdeal(free2, [(2, 0), (0, 2)])
-        ctx = FrobeniusContext(free2, 2, e_max=4)
-        cand, status = tight_closure_candidate(ideal, ctx)
-        assert cand == ideal
-        assert status.stable
+def frobenius_test(ring, q, k, c, s, p):
+    """c + p^e*s in the bracket power (Q^k)^[p^e] for e = 0..3."""
+    u1, u2 = q.ordered_generators
+    power = [vadd(vscale(a, u1), vscale(k - a, u2)) for a in range(k + 1)]
+    for e in range(4):
+        w = vadd(c, vscale(p ** e, s))
+        if not any(ring.member(vsub(w, vscale(p ** e, g))) for g in power):
+            return False
+    return True
 
-    def test_remark_candidate_is_qbar(self, remark_ring):
-        q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
-        ctx = FrobeniusContext(remark_ring, 2, test_element=(1, 0))
-        cand, status = tight_closure_candidate(q, ctx)
-        assert cand == integral_closure(q)
-        assert [tuple(p) for p in cand.complement()] == [(0, 0)]
-        assert status.e_max == 4
 
-    def test_emax_monotone(self, remark_ring):
-        q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
-        c2 = tight_closure_candidate(q, FrobeniusContext(remark_ring, 2, e_max=2))[0]
-        c4 = tight_closure_candidate(q, FrobeniusContext(remark_ring, 2, e_max=4))[0]
-        assert c2.contains_ideal(c4)
+class TestTightClosure:
+    """(Q^k)* = Q^k S̄ ∩ S against two oracles built from point membership:
+    a box enumeration of Q^k S̄ ∩ S, and the Frobenius test of each minimal
+    generator with the conductor, a test element since k[S̄] is F-regular."""
 
-    def test_contains_ideal(self, remark_ring, free2):
-        for ring, gens in ((remark_ring, [(1, 0), (0, 2)]), (free2, [(2, 1), (0, 2), (3, 0)])):
-            ideal = MonomialIdeal(ring, gens)
-            ctx = FrobeniusContext(ring, 3)
-            cand, _ = tight_closure_candidate(ideal, ctx)
-            assert cand.contains_ideal(ideal)
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(sweep_rings, st.sampled_from(CORPUS_RINGS)),
+           st.integers(1, 2), st.integers(1, 2), st.integers(0, 5), st.booleans())
+    def test_matches_box_enumeration(self, sgens, k1, k2, pick, swap):
+        ring = AffineSemigroup(2, sgens)
+        q = ray_parameters(ring, k1, k2, pick, swap)
+        u1, u2 = q.ordered_generators
+        # the complement lies in the parallelogram spanned by k*u1 and k*u2
+        box = 3 * max(vadd(u1, u2))
+        in_s = box_semigroup(sgens, box)
+        for k in (1, 2, 3):
+            tight = tight_closure(q, k)
+            inside = {v for v in in_s if any(
+                in_normalization(ring, vsub(v, vadd(vscale(a, u1), vscale(k - a, u2))))
+                for a in range(k + 1))}
+            for v in itertools.product(range(box + 1), repeat=2):
+                assert tight.member(v) == (v in inside), (k, v)
+            assert tight.colength() == len(in_s - inside), k
 
-    def test_requires_m_primary(self, free2):
-        ideal = MonomialIdeal(free2, [(1, 0)])
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(sweep_rings, st.sampled_from(CORPUS_RINGS)),
+           st.integers(1, 2), st.integers(1, 2), st.integers(0, 5), st.booleans())
+    def test_conductor_frobenius_test(self, sgens, k1, k2, pick, swap):
+        ring = AffineSemigroup(2, sgens)
+        q = ray_parameters(ring, k1, k2, pick, swap)
+        c = ring.conductor()
+        for k in (1, 2, 3):
+            for s in tight_closure(q, k).min_generators:
+                for p in (2, 3):
+                    assert frobenius_test(ring, q, k, c, s, p), (k, s, p)
+
+    def test_free_tightly_closed(self, free2, free3):
+        for q in (ParameterIdeal(free2, [(2, 0), (0, 3)]),
+                  ParameterIdeal(free3, [(2, 0, 0), (0, 1, 0), (0, 0, 3)])):
+            for k in (1, 2, 3):
+                assert tight_closure(q, k) == ideal_power(q.base, k), (q, k)
+
+    @pytest.mark.parametrize("sgens,u", [([(3,), (5,), (7,)], 6), ([(4,), (6,), (9,)], 4)])
+    def test_numerical_semigroup(self, sgens, u):
+        # Q^k S̄ ∩ S = {s in S : s >= k*u}, as the integral closure is
+        ring = AffineSemigroup(1, sgens)
+        q = ParameterIdeal(ring, [(u,)])
+        for k in (1, 2, 3):
+            tight = tight_closure(q, k)
+            assert tight == integral_closure_power(q.base, k)
+            for x in range(4 * u):
+                assert tight.member((x,)) == (ring.member((x,)) and x >= k * u), (k, x)
+
+    def test_remark_is_qbar(self, remark_ring):
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        tight = tight_closure(q)
+        assert tight == integral_closure(q.base)
+        assert [tuple(p) for p in tight.complement()] == [(0, 0)]
+
+    def test_requires_parameter_ideal(self, free2):
         with pytest.raises(NotMPrimaryError):
-            tight_closure_candidate(ideal, FrobeniusContext(free2, 2))
+            tight_closure(MonomialIdeal(free2, [(2, 0), (0, 2)]))

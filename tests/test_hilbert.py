@@ -1,7 +1,6 @@
 import pytest
 
 from conftest import REMARK_GENS, brute_complement
-from hilbclose.closures import FrobeniusContext
 from hilbclose.errors import (
     NotMPrimaryError,
     NotStabilizedError,
@@ -79,9 +78,22 @@ class TestLengthSequence:
 
     def test_tight_filtration_free(self, free2):
         q = ParameterIdeal(free2, [(1, 0), (0, 1)])
-        ctx = FrobeniusContext(free2, 2, e_max=3)
-        filt = Filtration(FiltrationKind.TIGHT_CANDIDATE, q, frobenius=ctx)
+        filt = Filtration(FiltrationKind.TIGHT, q)
         assert length_sequence(filt, 5) == [1, 3, 6, 10, 15, 21]
+
+    def test_tight_equals_integral_dim1(self):
+        # S = <3,5,7>, Q = (t^6): (Q^n)* and the integral closure of Q^n are
+        # both {s in S : s >= 6n}, and S misses only 1, 2 and 4 below it
+        ring = AffineSemigroup(1, [(3,), (5,), (7,)])
+        q = ParameterIdeal(ring, [(6,)])
+        tight = length_sequence(Filtration(FiltrationKind.TIGHT, q), 5)
+        assert tight == length_sequence(Filtration(FiltrationKind.INTEGRAL, q), 5)
+        assert tight == [3, 9, 15, 21, 27, 33]
+
+    @pytest.mark.parametrize("kind", [FiltrationKind.LIM_INTERSECT, FiltrationKind.TIGHT])
+    def test_needs_parameter_ideal(self, kind, free2):
+        with pytest.raises(NotMPrimaryError):
+            Filtration(kind, MonomialIdeal(free2, [(1, 0), (0, 1)]))
 
 
 class TestFitPolynomial:
@@ -206,10 +218,15 @@ class TestCoefficientReport:
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
         bundle = coefficient_report(remark_ring, q, n_max=8, characteristic=2)
         assert bundle.tight_bracket == (0, 0)
-        assert bundle.e_max == 4
-        rep = bundle.report(FiltrationKind.TIGHT_CANDIDATE)
+        assert bundle.characteristic == 2
+        rep = bundle.report(FiltrationKind.TIGHT)
         assert rep.status == "ok"
         assert rep.lengths[:3] == (1, 5, 11)
+
+    def test_char_must_be_prime(self, remark_ring):
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        with pytest.raises(ValueError):
+            coefficient_report(remark_ring, q, n_max=8, characteristic=4)
 
     def test_cm_ring(self, cm_ring):
         q = ParameterIdeal(cm_ring, [(2, 0), (0, 1)])

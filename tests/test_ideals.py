@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REMARK_GENS, brute_complement, brute_ideal_member
+from hilbclose.closures import _TightUp
 from hilbclose.errors import NotMPrimaryError, RingMismatchError, UnsupportedRingError
 from hilbclose.ideals import (
     MonomialIdeal,
     ParameterIdeal,
     _ColonUp,
     _extract_free3,
-    _FrobUp,
     _IdealUp,
     _line_firsts,
     _MeetUp,
@@ -338,8 +338,8 @@ class TestProfiles:
             _ColonUp(up, large),
             _MeetUp([up, other, _ColonUp(other, small)]),
             _PolyUp(ring, poly, 2, vscale(2, gens[0])),
-        ] + [_FrobUp(ring, gens, [(1, up), (q, _IdealUp(ring, [vscale(q, u) for u in gens]))],
-                     small) for q in (2, 3)]
+        ] + [_TightUp(ring, ParameterIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)]), k)
+             for k in (1, 2)]
         # a shifted first is at least -(lam1 + lam2)(f), and every first here is small
         lo = -(vdot(eng.lam1, large) + vdot(eng.lam2, large)) - 1
         hi = 12 * (k1 + k2 + 4)
@@ -462,34 +462,6 @@ class TestExtractionOracle:
             expected = self.brute_min_gens(ring, member, 14)
             assert sorted(map(tuple, closed.min_generators)) == expected, gens
 
-    def test_frobenius_candidate_extraction(self, remark_ring, cm_ring):
-        from hilbclose.closures import FrobeniusContext, _tight_candidate_at
-
-        four_cosets = AffineSemigroup(2, SWEEP_RINGS[3])
-        cases = [
-            (remark_ring, [(3, 0), (2, 1), (0, 4)]),
-            (cm_ring, [(4, 0), (2, 2), (0, 3)]),  # gap ray (1, 0) + t(0, 1)
-            (four_cosets, [(8, 0), (2, 2), (0, 4)]),
-        ]
-        for ring, gens in cases:
-            sgens = [tuple(g) for g in ring.generators]
-            for p, e_top in ((2, 2), (3, 1)):
-                ctx = FrobeniusContext(ring, p, e_max=2)
-                c = tuple(ctx.test_element)
-                brackets = [(q, [vscale(q, g) for g in gens]) for q in ctx.powers(e_top)]
-                memo = {}
-
-                def member(v):
-                    if v not in memo:
-                        memo[v] = ring.member(v) and all(
-                            brute_ideal_member(sgens, qgens, vadd(c, vscale(q, v)))
-                            for q, qgens in brackets)
-                    return memo[v]
-
-                cand = _tight_candidate_at(MonomialIdeal(ring, gens), ctx, e_top)
-                expected = self.brute_min_gens(ring, member, 12)
-                assert sorted(map(tuple, cand.min_generators)) == expected, (gens, p)
-
 
 FREE3_GENS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 small3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
@@ -506,8 +478,8 @@ class TestFree3Heights:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
            st.lists(small3, max_size=4), st.lists(small3, max_size=3),
-           st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), small3)
-    def test_extraction_matches_brute_force(self, a, b, c, extra, other_extra, f, t):
+           st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))
+    def test_extraction_matches_brute_force(self, a, b, c, extra, other_extra, f):
         ring = AffineSemigroup(3, FREE3_GENS)
         gens = gens_of(MonomialIdeal(
             ring, [(a, 0, 0), (0, b, 0), (0, 0, c)] + [v for v in extra if any(v)]))
@@ -519,9 +491,6 @@ class TestFree3Heights:
         def in_ideal(igens, v):
             return all(x >= 0 for x in v) and brute_ideal_member(FREE3_GENS, igens, v)
 
-        def bracket(q):
-            return [vscale(q, u) for u in gens]
-
         cases = [
             (up, lambda v: in_ideal(gens, v), 4),
             (_ColonUp(up, f), lambda v: min(v) >= 0 and in_ideal(gens, vadd(v, f)), 4),
@@ -531,11 +500,6 @@ class TestFree3Heights:
         ] + [
             (_PolyUp(ring, poly, n, vscale(n, gens[0])),
              lambda v, n=n: min(v) >= 0 and poly.contains(v, n), 4 * n) for n in (1, 2)
-        ] + [
-            (_FrobUp(ring, gens, [(1, up), (q, _IdealUp(ring, bracket(q)))], t),
-             lambda v, q=q: min(v) >= 0 and in_ideal(gens, vadd(t, v))
-             and in_ideal(bracket(q), vadd(t, vscale(q, v))), 4)
-            for q in (2, 3)
         ]
         for upset, member, box in cases:
             memo = {}

@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from hilbclose import hilbert
-from hilbclose.closures import FrobeniusContext
 from hilbclose.errors import GenerationExhaustedError, UnsupportedRingError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind, coefficient_report
 from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power, ideal_sum
@@ -16,8 +15,6 @@ from hilbclose.theorems import (
     check_nonnegativity_chain,
     check_vanishing,
     fuzz_corpus,
-    generator_order_experiment,
-    graded_family_experiment,
     ring_profile,
     verify_instances,
 )
@@ -85,8 +82,7 @@ class TestChain:
 
     def test_char_p_chain(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        ctx = FrobeniusContext(remark_ring, 2, e_max=4)
-        verdict = check_nonnegativity_chain(remark_ring, q, n_max=5, frobenius=ctx)
+        verdict = check_nonnegativity_chain(remark_ring, q, n_max=5, characteristic=2)
         assert verdict.passed
 
     def test_unnested_split_slots_fail(self, monkeypatch):
@@ -179,10 +175,9 @@ class TestE1ZeroImpliesCM:
 
     def test_char_p_on_regular(self, free2):
         q = ParameterIdeal(free2, [(1, 0), (0, 2)])
-        ctx = FrobeniusContext(free2, 3, e_max=4)
-        verdict = check_e1_zero_implies_cm(free2, q, frobenius=ctx)
+        verdict = check_e1_zero_implies_cm(free2, q, characteristic=3)
         assert verdict.applicable and verdict.ok
-        assert verdict.details.get("tight_candidate_trivial") is True
+        assert verdict.details.get("tight_closure_trivial") is True
 
 
 class TestFuzzCorpus:
@@ -240,9 +235,9 @@ class TestVerifyInstances:
             [r["chain"].details["e1_integral"] for r in s2.results]
 
     def test_char_p_corpus(self):
-        # the candidate is wedged into every sandwich when a characteristic is set
+        # the tight closure is wedged into every sandwich when a characteristic is set
         corpus = fuzz_corpus(13, 4, max_coord=4)
-        summary = verify_instances(corpus, n_max=6, characteristic=2, e_max=3)
+        summary = verify_instances(corpus, n_max=6, characteristic=2)
         assert summary.ok
         assert summary.chain_passes == 4
 
@@ -270,15 +265,3 @@ class TestVerifyInstances:
         assert set(bundle.reports) == set(FiltrationKind)
         assert fits == Counter({(id(corpus[0].parameter), k): 1 for k in FiltrationKind})
 
-
-class TestExperiments:
-    def test_generator_order(self, remark_ring):
-        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        result = generator_order_experiment(q, 3)
-        assert set(result["orders"]) == {(0, 1), (1, 0)}
-        assert isinstance(result["all_equal"], bool)
-
-    def test_graded_family(self, remark_ring):
-        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        result = graded_family_experiment(q, 1, 2)
-        assert isinstance(result["contained"], bool)
