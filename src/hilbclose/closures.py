@@ -12,11 +12,19 @@ never computed directly (no such algebra is constructed); it is bracketed
 between the split intersection below and the integral closure above.  In
 characteristic p the tight closure of a power is Q^k S̄ ∩ S, S̄ the
 normalization, and sits between the same two.
+
+For the powers of a parameter ideal, both the integral and the tight
+closure are rules in the cone's facet forms (``ClosureRule``).  The fits
+count their lengths from the rules and the checks test points against
+them; ``integral_closure_power`` and ``tight_closure`` extract the ideals
+when an ideal is needed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import prod
 
 from .errors import NotMPrimaryError, UncertifiedError
 from .ideals import MonomialIdeal, ParameterIdeal, _PolyUp, extract_ideal, ideal_power
@@ -42,6 +50,93 @@ def integral_closure_power(ideal, n):
     poly = ring.newton_polyhedron([tuple(g) for g in ideal.min_generators])
     seed = tuple(ideal.min_generators[0].scaled(n))
     return extract_ideal(ring, _PolyUp(ring, poly, n, seed))
+
+
+# ---------------------------------------------------------------------------
+# the integral and tight rules of a parameter ideal's powers
+
+class ClosureRule:
+    """The integral closures of the powers of a parameter ideal Q or, with
+    ``tight``, their tight closures (Q^k)* = Q^k S̄ ∩ S, as rules on S.
+
+    Let lam_i be the facet forms of the cone (``cone_halfspaces``) and a_i
+    the value of lam_i on the parameter u_i off facet i; an m-primary ideal
+    with d generators has one on each ray.  For s in S,
+
+        s in the integral closure of Q^k  iff  sum_i lam_i(s) / a_i >= k,
+        s in (Q^k)*                       iff  sum_i floor(lam_i(s) / a_i) >= k:
+
+    k conv(u_i) plus the cone is the Newton polyhedron of Q^k, and s lies in
+    Q^k S̄ when some b_1 + ... + b_d = k has b_i <= floor(lam_i(s) / a_i).
+    ``lengths`` counts the colengths of both from the rule, line by line.
+    """
+
+    def __init__(self, q, tight=False):
+        if not isinstance(q, ParameterIdeal):
+            raise NotMPrimaryError("closure rules are taken of parameter-ideal powers")
+        self.ring = q.ring
+        self.tight = tight
+        self.forms = [(lam, max(vdot(lam, u) for u in q.ordered_generators))
+                      for lam in self.ring.cone_halfspaces()]
+        self._prod = prod(a for _, a in self.forms)
+
+    def member(self, k, v):
+        """Whether the point ``v`` lies in the k-th closure."""
+        if not self.ring.member(v):
+            return False
+        if self.tight:
+            return sum(vdot(lam, v) // a for lam, a in self.forms) >= k
+        return sum(vdot(lam, v) * (self._prod // a) for lam, a in self.forms) >= k * self._prod
+
+    def contains(self, k, ideal):
+        """Whether the k-th closure, an ideal, holds ``ideal``'s generators."""
+        return all(self.member(k, g) for g in ideal.min_generators)
+
+    def lengths(self, n_max):
+        """The colengths of the k-th closures, k = 1..n_max+1, from the rule.
+
+        A numerical semigroup counts its elements below k*u (both rules read
+        s >= k*u).  Otherwise S runs in lines along the ray of the last form
+        at fixed values of the others, from a first index t0 on: column m1
+        of 2-D coset (k1, k2) has lam1 = k1 + m1*D1, lam2 = k2 + t*D2 and t0
+        = ``grid_first(key, 1, m1)``; free-Z^3 column (x, y) has z = t and t0
+        = 0.  The rule reads alpha*k - beta <= gamma*t on a line, beta fixed
+        per line, so the line adds max(0, ceil((alpha*k - beta) / gamma) - t0)
+        points.  Lines on which the other forms alone reach k (lam1 >= k*A,
+        x >= k*a or y >= k*b) add none.
+        """
+        ring, top = self.ring, n_max + 1
+        if ring.kind == "num1":
+            eng = ring._engine
+            (_, u), = self.forms
+            below = [x for x in range(0, top * u, eng.step) if eng.member((x,))]
+            return [bisect_left(below, k * u) for k in range(1, top + 1)]
+        *rest, (_, a) = self.forms
+        lines = []  # (lam values of the other forms, last form at t = 0, t0)
+        if ring.kind == "grid2":
+            eng = ring._engine
+            step, (_, a1) = eng.D2, rest[0]
+            for k1, k2 in eng.box:
+                for m1 in range(-(-(top * a1 - k1) // eng.D1)):
+                    t0 = eng.grid_first((k1, k2), 1, m1)
+                    if t0 is not None:
+                        lines.append(((k1 + m1 * eng.D1,), k2, t0))
+        else:
+            step, ((_, ax), (_, ay)) = 1, rest
+            lines = [((x, y), 0, 0) for x in range(top * ax) for y in range(top * ay)]
+        if self.tight:
+            # floor(lam/a) >= k - w, w the other forms' floors
+            alpha, gamma = a, step
+            betas = [(sum(l // b for l, (_, b) in zip(lams, rest)) * a + l0, t0)
+                     for lams, l0, t0 in lines]
+        else:
+            # lam * P/a >= k*P - w, w the other forms' lam * P/b
+            c = self._prod // a
+            alpha, gamma = self._prod, step * c
+            betas = [(sum(l * (self._prod // b) for l, (_, b) in zip(lams, rest)) + l0 * c, t0)
+                     for lams, l0, t0 in lines]
+        return [sum(max(0, -((beta - alpha * k) // gamma) - t0) for beta, t0 in betas)
+                for k in range(1, top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +262,21 @@ def lim_intersection(q, total):
 # tight closure
 
 class _TightUp:
-    """{s ∈ S : sum_i floor(lam_i(s) / lam_i(u_i)) >= k}, one term per facet
-    form lam_i of the cone, u_i the parameter off that facet: on a 2-D grid
-    A = lam1(u1) and B = lam2(u2) with u1 on g1's ray, as in ``_LimUp``; on a
-    numerical semigroup the one term is floor(s / u).  The point s lies in
-    Q^k S̄ exactly when some a + b = k puts s - a*u1 - b*u2 in the cone, as
-    it lies on the group lattice already."""
+    """{s ∈ S : sum_i floor(lam_i(s) / a_i) >= k}, the tight rule of
+    ``ClosureRule`` as an up-set to extract."""
 
     def __init__(self, ring, q, k):
         self.ring = ring
         self.k = k
-        lams = ring.cone_halfspaces()
-        self._forms = [(lam, max(vdot(lam, u) for u in q.ordered_generators)) for lam in lams]
+        self._rule = ClosureRule(q, tight=True)
         self._seed = vscale(k, min(q.ordered_generators))
 
     def member(self, v):
-        return self.ring.member(v) and sum(vdot(lam, v) // a for lam, a in self._forms) >= self.k
+        return self._rule.member(self.k, v)
 
     def profile(self, key, axis, count):
         eng = self.ring._engine
-        (_, a), (_, b) = self._forms
+        (_, a), (_, b) = self._rule.forms
         # line m has lam_fix = k_fix + m*d_fix, worth lam_fix // a_fix of the
         # k; the rest needs k_ax + t*d_ax >= (k - that) * a_ax along the line
         if axis == 1:

@@ -203,6 +203,9 @@ def summary_to_report(summary, command, params):
             "e1_zero_cm_ok": (not e1cm.applicable) or e1cm.ok,
             "lim_chain_nested": chain.details.get("lim_chain_nested"),
         })
+        # the tight keys only with a characteristic, so other reports keep their bytes
+        if summary.characteristic is not None:
+            verdicts[-1]["e1_tight"] = chain.details.get("e1_tight")
     report = {
         "command": command,
         "summary": {
@@ -214,6 +217,8 @@ def summary_to_report(summary, command, params):
         },
         "verdicts": verdicts,
     }
+    if summary.characteristic is not None:
+        report["characteristic"] = summary.characteristic
     report.update(params)
     return report
 

@@ -1,9 +1,11 @@
 """Length sequences of power filtrations and exact binomial-basis coefficient fits.
 
-Lengths are colengths ell(R/F_{n+1}) for n = 0..n_max.  A fit detects a
-constant trailing window of d-th forward differences and then solves exactly
-(rational arithmetic) for integers (e_0, ..., e_d) in the alternating binomial
-basis
+Lengths are colengths ell(R/F_{n+1}) for n = 0..n_max: of each member for
+the ordinary and split-intersection filtrations, and counted from the
+closure rule (``closures.ClosureRule``), with no member built, for the
+integral and tight ones.  A fit detects a constant trailing window of d-th
+forward differences and then solves exactly (rational arithmetic) for
+integers (e_0, ..., e_d) in the alternating binomial basis
 
     ell(R/F_{n+1}) = e_0 C(n+d, d) - e_1 C(n+d-1, d-1) + ... + (-1)^d e_d.
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .closures import integral_closure_power, lim_intersection, tight_closure
+from .closures import ClosureRule, integral_closure_power, lim_intersection, tight_closure
 from .errors import (
     NonIntegralCoefficientError,
     NotMPrimaryError,
@@ -55,7 +57,11 @@ def _is_prime(p):
 
 
 class Filtration:
-    """A power filtration n -> ideal; member(k) plays the role of the k-th power."""
+    """A power filtration n -> ideal; member(k) plays the role of the k-th power.
+
+    The integral and tight kinds also keep their ``ClosureRule`` as ``rule``,
+    from which their lengths are counted.
+    """
 
     def __init__(self, kind, base):
         self.kind = kind
@@ -66,8 +72,11 @@ class Filtration:
             self.parameter = None
             self.ideal = base
         self.ring = self.ideal.ring
-        if kind in (FiltrationKind.LIM_INTERSECT, FiltrationKind.TIGHT) and self.parameter is None:
+        if kind is not FiltrationKind.ORDINARY and self.parameter is None:
             raise NotMPrimaryError("the %s filtration needs a parameter ideal" % kind.value)
+        self.rule = None
+        if kind in (FiltrationKind.INTEGRAL, FiltrationKind.TIGHT):
+            self.rule = ClosureRule(base, tight=kind is FiltrationKind.TIGHT)
         self._members = {}
 
     def member(self, k):
@@ -90,13 +99,17 @@ class Filtration:
 
 
 def length_sequence(filtration, n_max):
-    """Exact lengths ell(R/F_{n+1}) for n = 0..n_max."""
+    """Exact lengths ell(R/F_{n+1}) for n = 0..n_max: counted from the rule
+    for the integral and tight kinds, from each member's colength otherwise."""
     ring = filtration.ring
     if n_max < ring.dim + 3:
         raise ValueError("n_max must be at least dim + 3")
     if not filtration.ideal.is_m_primary:
         raise NotMPrimaryError("length sequences need an m-primary base ideal")
-    out = [filtration.member(n + 1).colength() for n in range(n_max + 1)]
+    if filtration.rule is not None:
+        out = filtration.rule.lengths(n_max)
+    else:
+        out = [filtration.member(n + 1).colength() for n in range(n_max + 1)]
     # theorem-backed monotonicity; split slots nest as powers and as
     # {A + B >= k} do
     for i in range(n_max):

@@ -1,17 +1,19 @@
 """Monomial-ideal arithmetic over a fixed affine semigroup.
 
 Ideals are S-stable up-sets held by their minimal generators.  Every derived
-ideal (colon, intersection, integral, limit or tight closure) is first
-modelled as an abstract up-set exposing two exact oracles
+ideal (colon, intersection, integral, limit or tight closure) that is needed
+as an ideal is first modelled as an abstract up-set exposing two exact oracles
 
     member(v)                   -- point membership
     profile(key, axis, count)   -- first index on lines 0..count-1 of a coset
 
-and then materialized by ``extract_min_gens``.  In dimension 2, the lattice
-points of each coset of Z g1 + Z g2 form a grid whose lines run parallel to
-an extreme ray.  Along such a line membership in an up-set is monotone, so
-the up-set restricted to the line is a final segment described by one
-integer, and on each coset those integers form a nonincreasing staircase.
+and then materialized by ``extract_min_gens``.  The integral and tight
+filtrations' lengths need no ideal: ``closures.ClosureRule`` counts them
+from their rules.  In dimension 2, the lattice points of each coset of
+Z g1 + Z g2 form a grid whose lines run parallel to an extreme ray.  Along
+such a line membership in an up-set is monotone, so the up-set restricted
+to the line is a final segment described by one integer, and on each coset
+those integers form a nonincreasing staircase.
 Minimal generators sit at its corners: extraction reads one row profile and
 one column profile per coset and keeps the columns whose first index drops.
 
@@ -28,8 +30,8 @@ ascending sweep per coset and axis; derived up-sets combine their parts'
 profiles pointwise.  Generators within the ring's stabilization index of a
 line read the ring's staircase line by line; the rest contribute its
 constant tails (``_Grid2.stabilization``).  Colengths are counted per line
-from the same profiles (``_grid2_runs``) without materializing the
-complement, and are memoized per ring.
+from the same profiles (``_grid2_runs``, as line coordinates) without
+materializing the complement, and are memoized per ring.
 
 In free Z^3 an up-set is a nonincreasing height function on the (x, y)
 plane, so up-sets there expose two more oracles
@@ -318,17 +320,14 @@ def _extract_grid2(ring, upset, stair):
     """
     eng = ring._engine
     seed = tuple(upset.seed())
-    wit = eng.witness
-    wvec = {}
-    for key, (b1, b2) in wit.items():
-        wvec[key] = vadd(eng.box[key], vadd(vscale(b1, eng.g1), vscale(b2, eng.g2)))
+    (g1x, g1y), (g2x, g2y) = eng.g1, eng.g2
     skey, _, _ = eng._decompose(seed)
     cands = []
     for key in sorted(eng.box):
         dk = ((key[0] - skey[0]) % eng.D1, (key[1] - skey[1]) % eng.D2)
-        seed_k = vadd(seed, wvec[dk])
+        seed_k = vadd(seed, eng.witness_point[dk])
         _, _, s2 = eng._decompose(seed_k)
-        r = eng.box[key]
+        rx, ry = eng.box[key]
         rows = upset.profile(key, 0, s2 + 1)
         nu_star = next((nu for nu, s in enumerate(rows) if s is not None), None)
         if nu_star is None:
@@ -347,7 +346,7 @@ def _extract_grid2(ring, upset, stair):
             t = cols[mu]
             if t != prev:
                 cands.append((key[0] + mu * eng.D1, key[1] + t * eng.D2,
-                              vadd(r, vadd(vscale(mu, eng.g1), vscale(t, eng.g2)))))
+                              (rx + mu * g1x + t * g2x, ry + mu * g1y + t * g2y)))
                 prev = t
     return cands
 
@@ -487,7 +486,8 @@ def _line_firsts(eng, gens, key, axis, count, start=0, stride=1):
 
 def _grid2_runs(up, ray_powers):
     """The S-points outside an m-primary 2-D ideal, as nonempty runs
-    (v0, g, lo, hi): the points v0 + t*g for lo <= t < hi.
+    (key, axis, line, lo, hi): the points t on line ``line`` of coset ``key``
+    along ``axis`` (``grid_first``'s coordinates) for lo <= t < hi.
 
     Per coset, columns mu < k1 + b1 run along g2 from the ring's first index
     to the ideal's; rows nu < k2 + b2 run along g1 from past those columns.
@@ -497,7 +497,6 @@ def _grid2_runs(up, ray_powers):
     wit = eng.witness
     runs = []
     for key in sorted(eng.box):
-        r = eng.box[key]
         b1, b2 = wit[key]
         cap1, cap2 = k1 + b1, k2 + b2
         for mu, ti in enumerate(up.profile(key, 1, cap1)):
@@ -507,7 +506,7 @@ def _grid2_runs(up, ray_powers):
             if ti is None or ti > ts + k2:
                 raise UncertifiedError("complement line bound violated (internal)")
             if ts < ti:
-                runs.append((vadd(r, vscale(mu, eng.g1)), eng.g2, ts, ti))
+                runs.append((key, 1, mu, ts, ti))
         for nu, si in enumerate(up.profile(key, 0, cap2)):
             ss = eng.grid_first(key, 0, nu)
             if ss is None:
@@ -516,7 +515,7 @@ def _grid2_runs(up, ray_powers):
                 raise UncertifiedError("complement row bound violated (internal)")
             lo = max(ss, cap1)
             if lo < si:
-                runs.append((vadd(r, vscale(nu, eng.g2)), eng.g1, lo, si))
+                runs.append((key, 0, nu, lo, si))
     return runs
 
 
@@ -600,9 +599,12 @@ class MonomialIdeal:
             self._check_m_primary()
             kind = self.ring.kind
             if kind == "grid2":
-                pts = [vadd(v0, vscale(t, g))
-                       for v0, g, lo, hi in _grid2_runs(self._up, self._ray_powers())
-                       for t in range(lo, hi)]
+                eng = self.ring._engine
+                pts = []
+                for key, axis, line, lo, hi in _grid2_runs(self._up, self._ray_powers()):
+                    fix, g = (eng.g1, eng.g2) if axis == 1 else (eng.g2, eng.g1)
+                    v0 = vadd(eng.box[key], vscale(line, fix))
+                    pts.extend(vadd(v0, vscale(t, g)) for t in range(lo, hi))
             elif kind == "num1":
                 eng = self.ring._engine
                 top = min(sum(g) for g in self.min_generators) + eng.conductor
@@ -634,7 +636,7 @@ class MonomialIdeal:
                 self._check_m_primary()
                 kind = self.ring.kind
                 if kind == "grid2":
-                    n = sum(hi - lo for _, _, lo, hi in _grid2_runs(self._up, self._ray_powers()))
+                    n = sum(hi - lo for *_, lo, hi in _grid2_runs(self._up, self._ray_powers()))
                 elif kind == "num1":
                     n = len(self.complement())
                 else:

@@ -365,9 +365,12 @@ class _Grid2:
         self.stair = {key: (_fill_forward(sorted((b, a) for a, b in pts)),
                             _fill_forward(sorted(pts)))
                       for key, pts in corners.items()}
-        # one in-S point per coset with small grid coordinates
+        # one in-S point per coset with small grid coordinates, and the point
         self.witness = {key: min(pts, key=lambda p: (max(p), p))
                         for key, pts in corners.items()}
+        self.witness_point = {
+            key: vadd(self.box[key], vadd(vscale(b1, self.g1), vscale(b2, self.g2)))
+            for key, (b1, b2) in self.witness.items()}
         self._stable = tuple(
             (max(len(lines[axis]) for lines in self.stair.values()) - 1,
              {key: lines[axis][-1] for key, lines in self.stair.items()})

@@ -98,13 +98,16 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
 
     With a characteristic the tight closure is wedged into the sandwich as
     well; a tight closure that exceeds the integral closure is reported
-    loudly rather than silently accepted.
+    loudly rather than silently accepted.  The integral and tight closures
+    are their rules (``ClosureRule``): a split slot lies inside when its
+    generators do, and only the tight closure's own generators are
+    extracted, to test against the integral rule.
     """
     bundle = _bundle(ring, q, bundle, n_max, characteristic)
     q = bundle.parameter
     ord_f = bundle.filtration(FiltrationKind.ORDINARY)
     lim_f = bundle.filtration(FiltrationKind.LIM_INTERSECT)
-    int_f = bundle.filtration(FiltrationKind.INTEGRAL)
+    integral = bundle.filtration(FiltrationKind.INTEGRAL).rule
     tight_f = None
     if bundle.characteristic is not None:
         tight_f = bundle.filtration(FiltrationKind.TIGHT)
@@ -114,15 +117,14 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
     inclusions_ok = True
     lim_nested = True
     for n in range(1, bundle.n_max + 1):
-        low, mid, high = ord_f.member(n), lim_f.member(n), int_f.member(n)
-        ok = mid.contains_ideal(low) and high.contains_ideal(mid)
+        low, mid = ord_f.member(n), lim_f.member(n)
+        ok = mid.contains_ideal(low) and integral.contains(n, mid)
         if tight_f is not None and ok:
-            tight = tight_f.member(n)
-            if not tight.contains_ideal(mid):
+            if not tight_f.rule.contains(n, mid):
                 ok = False
                 details.setdefault("failures", []).append(
                     {"n": n, "reason": "split intersection not inside tight closure"})
-            elif not high.contains_ideal(tight):
+            elif not integral.contains(n, tight_f.member(n)):
                 ok = False
                 details.setdefault("failures", []).append(
                     {"n": n, "reason": "tight closure exceeds the integral closure"})
@@ -142,6 +144,8 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
     details["e1_ordinary"] = ord_rep.e1
     details["e1_integral"] = int_rep.e1
     details["e1_lim"] = lim_rep.e1
+    if tight_f is not None:
+        details["e1_tight"] = bundle.e1_tight
 
     coeff_ok = True
     if ord_rep.e1 is None or ord_rep.e1 > 0:
@@ -315,6 +319,7 @@ class VerificationSummary:
     witnesses: list = field(default_factory=list)
     specimens: list = field(default_factory=list)
     results: list = field(default_factory=list)
+    characteristic: int | None = None
 
     @property
     def ok(self):
@@ -330,7 +335,7 @@ def result_passed(result):
 
 def verify_instances(instances, n_max=CHECK_N_MAX, characteristic=None):
     """Run every check on every instance; collect witnesses and violations."""
-    summary = VerificationSummary()
+    summary = VerificationSummary(characteristic=characteristic)
     for inst in instances:
         ring, q = inst.ring, inst.parameter
         bundle = CoefficientBundle(ring, q, n_max=n_max, characteristic=characteristic)

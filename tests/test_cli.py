@@ -175,6 +175,20 @@ class TestFuzz:
         assert code == 0
         assert data["summary"]["violations"] == "0"
 
+    def test_char_named_in_report(self, capsys):
+        # --char adds the characteristic and each e1_tight; without it neither key
+        args = ["fuzz", "--seed", "7", "--count", "3", "--max-coord", "4", "--n-max", "6"]
+        reports = []
+        for extra in ([], ["--char", "2"]):
+            assert main(args + extra) == 0
+            reports.append(capsys.readouterr().out)
+        plain, char2 = map(json.loads, reports)
+        assert reports[0] != reports[1]
+        assert "characteristic" not in plain
+        assert all("e1_tight" not in v for v in plain["verdicts"])
+        assert char2["characteristic"] == "2"
+        assert all("e1_tight" in v for v in char2["verdicts"])
+
     def test_byte_determinism_in_process(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compositions, limit_chain_member, limit_member_by_search, split_meet
+from hilbclose.cli import _builtin_examples, example_instance
 from hilbclose.closures import (
+    ClosureRule,
     _LimUp,
     integral_closure,
     integral_closure_power,
@@ -429,3 +431,49 @@ class TestTightClosure:
     def test_requires_parameter_ideal(self, free2):
         with pytest.raises(NotMPrimaryError):
             tight_closure(MonomialIdeal(free2, [(2, 0), (0, 2)]))
+
+
+def rule_cases():
+    """Parameter ideals of every ring kind, 2-D ones in both generator orders."""
+    cases = [example_instance(name)[1] for name in sorted(_builtin_examples())]
+    for inst in fuzz_corpus(42, 20):
+        q = inst.parameter
+        cases += [q, ParameterIdeal(q.ring, q.ordered_generators[::-1])]
+    free3 = AffineSemigroup(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    cases.append(ParameterIdeal(free3, [(0, 0, 3), (2, 0, 0), (0, 1, 0)]))
+    for sgens, u in (([(3,), (5,), (7,)], 6), ([(4,), (6,), (9,)], 4)):
+        cases.append(ParameterIdeal(AffineSemigroup(1, sgens), [(u,)]))
+    return cases
+
+
+class TestClosureRule:
+    """Lengths counted from the integral and tight rules against the
+    colengths of the extracted closures."""
+
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_lengths_match_extraction(self, tight):
+        for q in rule_cases():
+            if tight:
+                want = [tight_closure(q, k).colength() for k in range(1, 11)]
+            else:
+                want = [integral_closure_power(q.base, k).colength() for k in range(1, 11)]
+            assert ClosureRule(q, tight).lengths(9) == want, q
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_rings, st.integers(1, 3), st.integers(1, 3), st.integers(0, 5), st.booleans())
+    def test_random_rings(self, sgens, k1, k2, pick, swap):
+        ring = AffineSemigroup(2, sgens)
+        q = ray_parameters(ring, k1, k2, pick, swap)
+        box = 4 * max(map(max, q.ordered_generators))
+        for rule, close in ((ClosureRule(q), lambda k: integral_closure_power(q.base, k)),
+                            (ClosureRule(q, tight=True), lambda k: tight_closure(q, k))):
+            lengths = rule.lengths(3)
+            for k in (1, 2, 3, 4):
+                closed = close(k)
+                assert lengths[k - 1] == closed.colength(), (rule.tight, k)
+                for v in itertools.product(range(box + 1), repeat=2):
+                    assert rule.member(k, v) == closed.member(v), (rule.tight, k, v)
+
+    def test_requires_parameter_ideal(self, free2):
+        with pytest.raises(NotMPrimaryError):
+            ClosureRule(MonomialIdeal(free2, [(2, 0), (0, 2)]))

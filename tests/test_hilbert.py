@@ -90,7 +90,8 @@ class TestLengthSequence:
         assert tight == length_sequence(Filtration(FiltrationKind.INTEGRAL, q), 5)
         assert tight == [3, 9, 15, 21, 27, 33]
 
-    @pytest.mark.parametrize("kind", [FiltrationKind.LIM_INTERSECT, FiltrationKind.TIGHT])
+    @pytest.mark.parametrize("kind", [FiltrationKind.INTEGRAL, FiltrationKind.LIM_INTERSECT,
+                                      FiltrationKind.TIGHT])
     def test_needs_parameter_ideal(self, kind, free2):
         with pytest.raises(NotMPrimaryError):
             Filtration(kind, MonomialIdeal(free2, [(1, 0), (0, 1)]))
