@@ -50,6 +50,10 @@ class RunConfig:
     def __post_init__(self):
         if self.n_max < 5:
             raise ValueError("n-max must be at least 5")
+        if self.count < 0:
+            raise ValueError("count must be at least 0")
+        if self.max_coord < 1:
+            raise ValueError("max-coord must be at least 1")
         if self.characteristic is not None and not _is_prime(self.characteristic):
             raise ValueError("characteristic must be prime")
         if self.report not in REPORT_FORMATS:

@@ -1,17 +1,17 @@
 """Closure operations on monomial ideals: integral, limit, split-intersection
 and tight.
 
-Integral closures come from Newton polyhedra, limit closures from their
-closed form S ∩ ⋃_i (u_i + S_{w_i}), S_w the localization of S at w.  The
-split intersections follow one rule per ring.  In a Cohen-Macaulay ring the
-parameters form a regular sequence, so Q(alpha)^lim = Q(alpha) and, the map
-Z[X1..Xd] -> R, X_i -> u_i, being flat, slot k is the ordinary power Q^k.
-Only a 2-D grid can fail to be CM; there slot k is {s : A(s) + B(s) >= k}
-(``_LimUp``), of which Q^lim is slot 1.  The big-CM closure of a power is
-never computed directly (no such algebra is constructed); it is bracketed
-between the split intersection below and the integral closure above.  In
-characteristic p the tight closure of a power is Q^k S̄ ∩ S, S̄ the
-normalization, and sits between the same two.
+Integral closures come from Newton polyhedra.  The other three are one
+contraction Q^k T ∩ S from a module-finite Cohen-Macaulay overring T of
+the ring; none of them builds T.  The split slot k (the split intersection
+over |alpha| = k + d - 1, of which Q^lim is slot 1) takes T = S', the
+S2-ification (Trung and Hoa, Trans. AMS 298, 1986), and brackets the big-CM
+closure of Q^k from below, with the integral closure above.  The tight
+closure (Q^k)* takes T = S̄, the F-regular normalization (Hochster and
+Huneke, JAMS 3, 1990), in every characteristic p.  In a Cohen-Macaulay ring
+the parameters form a regular sequence, so Z[X1..Xd] -> R, X_i -> u_i, is
+flat and the split slot is Q^k; only a 2-D grid can fail to be CM, and
+there both slots extract ``_ContractUp``, {s : A(s) + B(s) >= k}.
 
 For the powers of a parameter ideal, both the integral and the tight
 closure are rules in the cone's facet forms (``ClosureRule``).  The fits
@@ -140,18 +140,21 @@ class ClosureRule:
 
 
 # ---------------------------------------------------------------------------
-# limit closure
+# contractions Q^k T ∩ S: limit closure, split intersections, tight closure
 
-class _LimUp:
-    """{s ∈ S : A(s) + B(s) >= k} for a 2-D parameter ideal (u1, u2), u1 on
-    g2's ray: A(s) is the largest a <= k with s - a*u1 in S_u2, B(s) the
-    largest b <= k with s - b*u2 in S_u1, S_w the localization S - N w.  As
-    s ∈ (Q(a1, a2))^lim iff a1 <= A(s) or a2 <= B(s), order 1 is Q^lim and
-    order N - 1 the split intersection over |alpha| = N.  On a line along a
-    ray the count of the parameter off that ray is a constant c, not falling
-    from line to line, and the other count reaches k - c from one index on."""
+class _ContractUp:
+    """Q^k T ∩ S = {s ∈ S : A(s) + B(s) >= k} for a 2-D parameter ideal
+    (u1, u2), u1 on g2's ray, over a CM overring T: S' (the S2-ification)
+    or, with ``tight``, S̄ (the normalization).  A(s) is the largest a <= k
+    with s - a*u1 in T_u2, B(s) the largest b <= k with s - b*u2 in T_u1,
+    T_w = T - N w.  S'_w is S_w, so s ∈ (Q(a1, a2))^lim iff a1 <= A(s) or
+    a2 <= B(s): order 1 is Q^lim and order N - 1 the split intersection over
+    |alpha| = N.  S̄_w is a half-plane, so A(s) = min(k, floor(lam2(s) / B0))
+    with B0 = lam2(u1).  On a line along a ray the count of the parameter off
+    that ray is a constant c, not falling from line to line, and the other
+    count reaches k - c from one index on."""
 
-    def __init__(self, ring, q, k=1):
+    def __init__(self, ring, q, k=1, tight=False):
         self.ring = ring
         self._eng = eng = ring._engine
         u1, u2 = map(tuple, q.ordered_generators)
@@ -161,12 +164,18 @@ class _LimUp:
         self._off = (u1, u2)
         self._lams = [(vdot(eng.lam1, u), vdot(eng.lam2, u)) for u in self._off]
         self.k = k
+        self.tight = tight
 
     def _bars(self, key, axis):
         """For c = 0..k, the least fixed index from which the lines of coset
-        ``key`` along ``axis`` moved by -c*u, u the parameter off that ray, meet
-        S (so lie in S_w); nondecreasing in c.  box[key] has lam values key."""
+        ``key`` along ``axis`` moved by -c*u, u the parameter off that ray, lie
+        in T_w; nondecreasing in c.  box[key] has lam values key."""
         eng, (d1, d2) = self._eng, self._lams[axis]
+        if self.tight:
+            # the fixed form k_fix + m*d_fix reaches c*a
+            a, k_fix, d_fix = (d1, d2)[1 - axis], key[1 - axis], (eng.D1, eng.D2)[1 - axis]
+            return [-((k_fix - c * a) // d_fix) for c in range(self.k + 1)]
+        # the moved line meets S
         first = eng.stabilization(1 - axis)[1]
         lams = ((key[0] - c * d1, key[1] - c * d2) for c in range(self.k + 1))
         return [first[l1 % eng.D1, l2 % eng.D2] - (l1 // eng.D1 if axis == 1 else l2 // eng.D2)
@@ -217,26 +226,17 @@ class LimitClosureCertificate:
 def limit_closure(q):
     """Q^lim = S ∩ ⋃_i (u_i + S_{w_i}), w_i the product of the other parameters.
 
-    Cohen-Macaulay rings (free Z^3, numerical semigroups, CM 2-D grids) have
-    Q^lim = Q.  Otherwise the ring is a 2-D grid and Q^lim is larger than Q;
-    the closure is extracted from its closed form, and ``stabilized_t`` is
-    the largest least chain index of a minimal generator.
+    This is the split intersection of total d, Q itself in a Cohen-Macaulay
+    ring; ``stabilized_t`` is the largest least chain index of a minimal
+    generator, 0 for Q.
     """
     if not isinstance(q, ParameterIdeal):
         raise NotMPrimaryError("limit closure is defined for parameter ideals")
     ring = q.ring
-    if ring.is_cm:
-        # Q again, without a staircase or q.base's cached values
-        return LimitClosureCertificate(
-            ideal=MonomialIdeal(ring, q.base.min_generators, _reduced=True), stabilized_t=0)
-    up = _LimUp(ring, q)
-    closed = extract_ideal(ring, up)
-    return LimitClosureCertificate(
-        ideal=closed, stabilized_t=max(up.chain_index(s) for s in closed.min_generators))
+    closed = lim_intersection(q, ring.dim)
+    t = 0 if ring.is_cm else max(map(_ContractUp(ring, q).chain_index, closed.min_generators))
+    return LimitClosureCertificate(ideal=closed, stabilized_t=t)
 
-
-# ---------------------------------------------------------------------------
-# split intersections
 
 def lim_intersection(q, total):
     """Intersection of the limit closures of the splits Q(alpha), |alpha| = total.
@@ -247,7 +247,7 @@ def lim_intersection(q, total):
     flat (Hartshorne 1966), every Q(alpha)^lim is Q(alpha), and flatness
     carries the intersection of the monomial ideals (X^alpha) to that of the
     Q(alpha).  Otherwise the ring is a 2-D grid and the intersection is
-    {s ∈ S : A(s) + B(s) >= total - 1} (``_LimUp``).
+    Q^(total - 1) S' ∩ S (``_ContractUp``).
     """
     ring = q.ring
     d = ring.dim
@@ -255,42 +255,7 @@ def lim_intersection(q, total):
         raise ValueError("split total must be at least the ring dimension")
     if ring.is_cm:
         return ideal_power(q.base, total - d + 1)
-    return extract_ideal(ring, _LimUp(ring, q, total - 1))
-
-
-# ---------------------------------------------------------------------------
-# tight closure
-
-class _TightUp:
-    """{s ∈ S : sum_i floor(lam_i(s) / a_i) >= k}, the tight rule of
-    ``ClosureRule`` as an up-set to extract."""
-
-    def __init__(self, ring, q, k):
-        self.ring = ring
-        self.k = k
-        self._rule = ClosureRule(q, tight=True)
-        self._seed = vscale(k, min(q.ordered_generators))
-
-    def member(self, v):
-        return self._rule.member(self.k, v)
-
-    def profile(self, key, axis, count):
-        eng = self.ring._engine
-        (_, a), (_, b) = self._rule.forms
-        # line m has lam_fix = k_fix + m*d_fix, worth lam_fix // a_fix of the
-        # k; the rest needs k_ax + t*d_ax >= (k - that) * a_ax along the line
-        if axis == 1:
-            (k_fix, k_ax), d_fix, a_fix, d_ax, a_ax = key, eng.D1, a, eng.D2, b
-        else:
-            (k_ax, k_fix), d_fix, a_fix, d_ax, a_ax = key, eng.D2, b, eng.D1, a
-        out = []
-        for m, ts in enumerate(_stair_profile(eng.stair[key], axis, count)):
-            need = max(0, self.k - (k_fix + m * d_fix) // a_fix) * a_ax - k_ax
-            out.append(None if ts is None else max(ts, -(-need // d_ax)))
-        return out
-
-    def seed(self):
-        return self._seed
+    return extract_ideal(ring, _ContractUp(ring, q, total - 1))
 
 
 def tight_closure(q, k=1):
@@ -299,7 +264,9 @@ def tight_closure(q, k=1):
     k[S̄] is normal toric, hence F-regular (Hochster and Huneke, JAMS 3,
     1990), and module-finite over k[S]; so an element is in the tight
     closure of Q^k exactly when it lies in Q^k k[S̄].  Free Z^3 is regular
-    and returns the power Q^k itself; the other rings extract ``_TightUp``.
+    and returns the power Q^k itself; in dimension 1 Q^k S̄ ∩ S is
+    {s ∈ S : s >= k*u}, the integral closure; 2-D grids extract
+    ``_ContractUp`` over S̄.
     """
     if not isinstance(q, ParameterIdeal):
         raise NotMPrimaryError("tight closure is taken of parameter-ideal powers")
@@ -308,4 +275,6 @@ def tight_closure(q, k=1):
     ring = q.ring
     if ring.kind == "free3":
         return ideal_power(q.base, k)
-    return extract_ideal(ring, _TightUp(ring, q, k))
+    if ring.kind == "num1":
+        return integral_closure_power(q.base, k)
+    return extract_ideal(ring, _ContractUp(ring, q, k, tight=True))

@@ -334,11 +334,14 @@ class CoefficientBundle:
         return len(vals) == 1
 
     def claim_row(self, n):
-        """The split-count bound at index n: the colength of split-intersection
-        member n+1 against C(n+d, d) e0(Q)."""
+        """The split-count bound at index n: the fitted split-intersection
+        length at n, the colength of member n+1, against C(n+d, d) e0(Q)."""
         d = self.ring.dim
-        length = self.filtration(FiltrationKind.LIM_INTERSECT).member(n + 1).colength()
-        return ClaimRow(n=n, length=length, bound=comb(n + d, d) * self.e0)
+        lengths = self.report(FiltrationKind.LIM_INTERSECT).lengths
+        if not 0 <= n < len(lengths):
+            raise ValueError("index %d lies outside the fitted lengths 0..%d"
+                             % (n, len(lengths) - 1))
+        return ClaimRow(n=n, length=lengths[n], bound=comb(n + d, d) * self.e0)
 
     @property
     def claim_rows(self):

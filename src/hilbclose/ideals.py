@@ -436,8 +436,8 @@ def _max_heights(a, b):
             for ca, cb in zip(a, b)]
 
 
-def _line_firsts(eng, gens, key, axis, count, start=0, stride=1):
-    """The up-set's first index on lines start + stride*m, m < count, of coset ``key``.
+def _line_firsts(eng, gens, key, axis, count):
+    """The up-set's first index on lines m < count of coset ``key``.
 
     Line m is box[key] + m*g_fix + t*g_axis, g_fix being the other extreme
     generator; None where no generator reaches the line.  Generator u sees
@@ -466,7 +466,7 @@ def _line_firsts(eng, gens, key, axis, count, start=0, stride=1):
     firsts = []
     merged = None
     lo = hi = 0  # rows[:lo] are merged, rows[lo:hi] form the band
-    for m in range(start, start + stride * count, stride):
+    for m in range(count):
         while hi < len(rows) and m + rows[hi][0] >= 0:
             hi += 1
         while lo < hi and m + rows[lo][0] >= stable:
@@ -548,10 +548,6 @@ class MonomialIdeal:
 
     def __repr__(self):
         return "MonomialIdeal(%r)" % (sorted(map(tuple, self.min_generators)),)
-
-    @property
-    def is_unit(self):
-        return self.min_generators == (ExponentVector((0,) * self.ring.dim),)
 
     def member(self, v):
         v = tuple(int(c) for c in v)

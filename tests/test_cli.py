@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -174,6 +175,27 @@ class TestFuzz:
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["summary"]["violations"] == "0"
+
+    def test_char_2_seed_7_report_digest(self, tmp_path):
+        # the characteristic-p verify path extracts tight closures, which no
+        # benchmark workload runs; a deliberate change of this report updates
+        # the digest
+        out = tmp_path / "fuzz.json"
+        code = main(["fuzz", "--seed", "7", "--count", "12", "--char", "2", "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "63b1b30ac8951d85a891b1ff6ecd779d6a103b83de33020116a1a513b87dc313"
+
+    @pytest.mark.parametrize("flag,value", [("--count", "-3"), ("--max-coord", "-1")])
+    def test_bad_fuzz_sizes_exit_1(self, flag, value, capsys):
+        args = {"--count": "2", "--max-coord": "4"}
+        args[flag] = value
+        code = main(["fuzz", "--seed", "42", "--n-max", "6"]
+                    + [part for item in args.items() for part in item])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "input error" in captured.err and "Traceback" not in captured.err
 
     def test_char_named_in_report(self, capsys):
         # --char adds the characteristic and each e1_tight; without it neither key

@@ -8,7 +8,7 @@ from conftest import compositions, limit_chain_member, limit_member_by_search, s
 from hilbclose.cli import _builtin_examples, example_instance
 from hilbclose.closures import (
     ClosureRule,
-    _LimUp,
+    _ContractUp,
     integral_closure,
     integral_closure_power,
     lim_intersection,
@@ -228,7 +228,7 @@ class TestLimitClosedForm:
             assert limit_chain_member(q, cert.stabilized_t - 1) != closed
         else:
             assert closed == q.base and closed._up.stair is None
-        up = _LimUp(ring, q)
+        up = _ContractUp(ring, q)
         box = max(max(map(max, closed.min_generators)), max(map(max, sgens))) + 3
         for v in itertools.product(range(box + 1), repeat=2):
             inside = limit_member_by_search(q, v, 90)
@@ -251,7 +251,7 @@ class TestSplitClosedForm:
         ideal = lim_intersection(q, total)
         assert ideal == meet
         assert ideal.colength() == meet.colength()
-        up = _LimUp(ring, q, total - 1)
+        up = _ContractUp(ring, q, total - 1)
         box = max(max(map(max, meet.min_generators)), max(map(max, sgens))) + 3
         for v in itertools.product(range(box + 1), repeat=2):
             assert up.member(v) == meet.member(v), v

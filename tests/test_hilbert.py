@@ -202,6 +202,17 @@ class TestCoefficientReport:
         assert bundle.e0_agreement
         assert all(row.ok for row in bundle.claim_rows)
 
+    def test_claim_row_reads_fitted_lengths(self, remark_ring):
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        bundle = coefficient_report(remark_ring, q, n_max=8)
+        lengths = bundle.report(FiltrationKind.LIM_INTERSECT).lengths
+        split = bundle.filtration(FiltrationKind.LIM_INTERSECT)
+        for n, row in enumerate(bundle.claim_rows):
+            assert row.length == lengths[n] == split.member(n + 1).colength()
+        for n in (-1, len(lengths)):
+            with pytest.raises(ValueError):
+                bundle.claim_row(n)
+
     def test_free_x2y3(self, free2):
         q = ParameterIdeal(free2, [(2, 0), (0, 3)])
         bundle = coefficient_report(free2, q, n_max=8)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REMARK_GENS, brute_complement, brute_ideal_member
-from hilbclose.closures import _TightUp
+from hilbclose.closures import _ContractUp
 from hilbclose.errors import NotMPrimaryError, RingMismatchError, UnsupportedRingError
 from hilbclose.ideals import (
     MonomialIdeal,
@@ -338,8 +338,9 @@ class TestProfiles:
             _ColonUp(up, large),
             _MeetUp([up, other, _ColonUp(other, small)]),
             _PolyUp(ring, poly, 2, vscale(2, gens[0])),
-        ] + [_TightUp(ring, ParameterIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)]), k)
-             for k in (1, 2)]
+        ] + [_ContractUp(ring, ParameterIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)]),
+                         k, tight)
+             for k in (1, 2) for tight in (False, True)]
         # a shifted first is at least -(lam1 + lam2)(f), and every first here is small
         lo = -(vdot(eng.lam1, large) + vdot(eng.lam2, large)) - 1
         hi = 12 * (k1 + k2 + 4)
@@ -354,7 +355,8 @@ class TestProfiles:
                         v0 = vadd(eng.box[key], vscale(m, gfix))
                         first = next((t for t in range(lo, hi)
                                       if upset.member(vadd(v0, vscale(t, gax)))), None)
-                        assert prof[m] == first, (type(upset).__name__, key, axis, m)
+                        assert prof[m] == first, \
+                            (type(upset).__name__, getattr(upset, "tight", None), key, axis, m)
 
 
 class TestStoredStaircase:
