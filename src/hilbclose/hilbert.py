@@ -1,13 +1,18 @@
 """Length sequences of power filtrations and exact binomial-basis coefficient fits.
 
-Lengths are colengths ell(R/F_{n+1}) for n = 0..n_max: of each member for
-the ordinary and split-intersection filtrations, and counted from the
-closure rule (``closures.ClosureRule``), with no member built, for the
-integral and tight ones.  A fit detects a constant trailing window of d-th
-forward differences and then solves exactly (rational arithmetic) for
-integers (e_0, ..., e_d) in the alternating binomial basis
+Lengths are colengths ell(R/F_{n+1}) for n = 0..n_max.  The integral and
+tight ones are counted from the closure rule (``closures.ClosureRule``),
+with no member built.  For a parameter ideal Q of a Cohen-Macaulay ring the
+ordinary and split-intersection lengths are ell(R/Q) C(n+d, d), certified
+by colength(Q) = e(Q) = |det(u1..ud)| / [Z^d : ZS]
+(``ParameterIdeal.multiplicity``); otherwise they are each member's
+colength.  A fit detects a constant trailing window of d-th forward
+differences and then reads the integers (e_0, ..., e_d) in the alternating
+binomial basis
 
-    ell(R/F_{n+1}) = e_0 C(n+d, d) - e_1 C(n+d-1, d-1) + ... + (-1)^d e_d.
+    ell(R/F_{n+1}) = e_0 C(n+d, d) - e_1 C(n+d-1, d-1) + ... + (-1)^d e_d
+
+off the last d + 1 lengths by integer differences.
 
 A ``CoefficientBundle`` holds the filtrations and fits of one parameter ideal
 and makes each on first use; ``analyze``, ``verify``, ``fuzz`` and the
@@ -99,15 +104,29 @@ class Filtration:
 
 
 def length_sequence(filtration, n_max):
-    """Exact lengths ell(R/F_{n+1}) for n = 0..n_max: counted from the rule
-    for the integral and tight kinds, from each member's colength otherwise."""
+    """Exact lengths ell(R/F_{n+1}) for n = 0..n_max.
+
+    The integral and tight kinds count them from their rule.  The ordinary
+    and split kinds of a parameter ideal Q in a CM ring take
+    ell(R/Q) C(n+d, d), as gr_Q(R) = (R/Q)[X1..Xd], once colength(Q) equals
+    the determinant multiplicity e(Q): by Serre, they agree iff R is CM, so
+    a mismatch is an internal error.  Otherwise each member's colength.
+    """
     ring = filtration.ring
-    if n_max < ring.dim + 3:
+    d = ring.dim
+    if n_max < d + 3:
         raise ValueError("n_max must be at least dim + 3")
     if not filtration.ideal.is_m_primary:
         raise NotMPrimaryError("length sequences need an m-primary base ideal")
+    q = filtration.parameter
     if filtration.rule is not None:
         out = filtration.rule.lengths(n_max)
+    elif q is not None and ring.is_cm:
+        c, e = q.colength(), q.multiplicity()
+        if c != e:
+            raise UncertifiedError(
+                "CM ring with colength(Q) = %d but e(Q) = %d (internal bug)" % (c, e))
+        out = [c * comb(n + d, d) for n in range(n_max + 1)]
     else:
         out = [filtration.member(n + 1).colength() for n in range(n_max + 1)]
     # theorem-backed monotonicity; split slots nest as powers and as
@@ -127,24 +146,6 @@ def _forward_diffs(seq, order):
     return cur
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over Fraction; returns the solution vector."""
-    n = len(rows)
-    mat = [[Fraction(c) for c in row] + [Fraction(v)] for row, v in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            raise NotStabilizedError("degenerate fit system")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = mat[col][col]
-        mat[col] = [c / inv for c in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return [mat[r][n] for r in range(n)]
-
-
 def _binomial_value(coeffs, n, d):
     return sum((-1) ** i * coeffs[i] * comb(n + d - i, d - i) for i in range(d + 1))
 
@@ -152,9 +153,10 @@ def _binomial_value(coeffs, n, d):
 def fit_polynomial(lengths, d, window=DEFAULT_WINDOW):
     """Exact (e_0, ..., e_d) and the earliest index the polynomial matches from.
 
-    Raises NotStabilizedError when the d-th differences have no constant
-    trailing window, NonIntegralCoefficientError when the exact solve is
-    fractional (an upstream computation bug).
+    The coefficients are peeled off the last d + 1 lengths: e_i is, up to
+    the sign (-1)^i, the (d-i)-th difference of what remains once the terms
+    of e_0..e_{i-1} are subtracted.  Raises NotStabilizedError when the d-th
+    differences have no constant trailing window.
     """
     lengths = list(lengths)
     if len(lengths) < d + 1 + window:
@@ -163,14 +165,14 @@ def fit_polynomial(lengths, d, window=DEFAULT_WINDOW):
     tail = diffs[-window:]
     if any(t != tail[0] for t in tail):
         raise NotStabilizedError("no constant window of degree-%d differences" % d)
-    idx = list(range(len(lengths) - (d + 1), len(lengths)))
-    rows = [[(-1) ** i * comb(n + d - i, d - i) for i in range(d + 1)] for n in idx]
-    sol = _solve_exact(rows, [lengths[n] for n in idx])
+    base = len(lengths) - (d + 1)
+    rest = lengths[base:]
     coeffs = []
-    for c in sol:
-        if c.denominator != 1:
-            raise NonIntegralCoefficientError("fit produced non-integer coefficient %s" % c)
-        coeffs.append(int(c))
+    for i in range(d + 1):
+        sign = (-1) ** i
+        e = sign * _forward_diffs(rest[i:], d - i)[0]
+        coeffs.append(e)
+        rest = [v - sign * e * comb(base + k + d - i, d - i) for k, v in enumerate(rest)]
     coeffs = tuple(coeffs)
     n0 = len(lengths)
     for n in range(len(lengths) - 1, -1, -1):

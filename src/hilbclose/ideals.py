@@ -658,9 +658,19 @@ def ideal_product(a, b):
 
 
 def ideal_power(a, n):
+    """I^n; a parameter ideal's power is read off its generators."""
     if n < 1:
         raise ValueError("power must be >= 1")
     powers = a._cache.setdefault("powers", {1: a})
+    if n in powers:
+        return powers[n]
+    if is_parameter_ideal(a):
+        # Q^n is generated by the sums of n parameters; they are pairwise
+        # incomparable, as the parameters lie on distinct extreme rays
+        gens = [tuple(map(sum, zip(*c)))
+                for c in itertools.combinations_with_replacement(a.min_generators, n)]
+        powers[n] = MonomialIdeal(a.ring, gens, _reduced=True)
+        return powers[n]
     top = max(powers)
     while top < n:
         powers[top + 1] = ideal_product(powers[top], a)
@@ -743,6 +753,22 @@ class ParameterIdeal:
 
     def colength(self):
         return self.base.colength()
+
+    def multiplicity(self):
+        """e(Q) = |det(u1, ..., ud)| / [Z^d : ZS], the index being the product
+        of the diagonal of the triangular basis ``ring.group_lattice()``."""
+        index = 1
+        for i, row in enumerate(self.ring.group_lattice()):
+            index *= row[i]
+        return abs(_det([tuple(g) for g in self.ordered_generators]) // index)
+
+
+def _det(rows):
+    """Determinant of a small square integer matrix, by cofactors."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
 
 
 def is_parameter_ideal(ideal):

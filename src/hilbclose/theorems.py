@@ -57,8 +57,11 @@ def ring_profile(ring, q, bundle=None):
     CM is read off the ring's Apéry elements (``AffineSemigroup.is_cm``),
     not from the fit: in dimension 2, S is CM iff each coset of Z g1 + Z g2
     holds one Apéry element (Rosales and García-Sánchez, 1998).  The evidence
-    shows the equivalent multiplicity criterion colength(Q) = e0(Q).  S2
-    reduces to CM in dimension 2 and is automatic in dimension 1.
+    shows the equivalent multiplicity criterion colength(Q) = e0(Q), which
+    is also enforced: on a CM ring the ordinary and split lengths are made
+    only once colength(Q) equals the determinant multiplicity
+    (``hilbert.length_sequence``).  S2 reduces to CM in dimension 2 and is
+    automatic in dimension 1.
     """
     bundle = _bundle(ring, q, bundle)
     rep = bundle.report(FiltrationKind.ORDINARY)

@@ -1,4 +1,8 @@
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REMARK_GENS, brute_complement
 from hilbclose.errors import (
@@ -16,8 +20,47 @@ from hilbclose.hilbert import (
     length_sequence,
     multiplicity_volume,
 )
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power
+from hilbclose.ideals import (
+    MonomialIdeal,
+    ParameterIdeal,
+    antichain_reduce,
+    ideal_power,
+    ideal_product,
+    maximal_ideal,
+)
 from hilbclose.lattice import AffineSemigroup
+from hilbclose.theorems import fuzz_corpus
+
+
+def product_powers(ideal, n):
+    """I^1..I^n by repeated ideal_product, each reduced by antichain_reduce."""
+    out = [ideal]
+    while len(out) < n:
+        out.append(ideal_product(out[-1], ideal))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_parameters():
+    """The parameter ideals of both fuzz corpora, CM and non-CM rings."""
+    return [inst.parameter for inst in fuzz_corpus(42, 100) + fuzz_corpus(7, 40, max_coord=10)]
+
+
+def other_cm_parameters():
+    """Three ideals of free Z^3 and one of each of three numerical semigroups."""
+    free3 = AffineSemigroup(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    out = [ParameterIdeal(free3, gens) for gens in (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((2, 0, 0), (0, 3, 0), (0, 0, 2)),
+        ((3, 0, 0), (0, 2, 0), (0, 0, 4)))]
+    for sgens, u in (([(3,), (5,), (7,)], 6), ([(4,), (6,), (9,)], 4), ([(4,), (6,)], 8)):
+        out.append(ParameterIdeal(AffineSemigroup(1, sgens), [(u,)]))
+    return out
+
+
+def cm_parameters(corpus_parameters):
+    """The CM corpus instances and ``other_cm_parameters()``."""
+    return [q for q in corpus_parameters if q.ring.is_cm] + other_cm_parameters()
 
 
 class TestLengthSequence:
@@ -97,6 +140,56 @@ class TestLengthSequence:
             Filtration(kind, MonomialIdeal(free2, [(1, 0), (0, 1)]))
 
 
+class TestCMClosedForm:
+    """Ordinary and split lengths of CM rings in closed form, certified by
+    the determinant multiplicity, against the product-path colengths."""
+
+    def test_lengths_match_product_path(self, corpus_parameters):
+        cases = cm_parameters(corpus_parameters)
+        assert len(cases) == 128
+        for q in cases:
+            want = [p.colength() for p in product_powers(q.base, 11)]
+            for kind in (FiltrationKind.ORDINARY, FiltrationKind.LIM_INTERSECT):
+                assert length_sequence(Filtration(kind, q), 10) == want, (q, kind)
+
+    def test_multiplicity_certifies_cm(self, corpus_parameters):
+        # Serre: colength(Q) >= e(Q), with equality iff the ring is CM; on
+        # non-CM rings e(Q) is still the ordinary fit's e0
+        for q in cm_parameters(corpus_parameters):
+            assert q.colength() == q.multiplicity(), q
+        non_cm = [q for q in corpus_parameters if not q.ring.is_cm]
+        assert len(non_cm) == 18
+        for q in non_cm:
+            assert q.colength() > q.multiplicity(), q
+            assert fit_filtration(Filtration(FiltrationKind.ORDINARY, q)).e0 == \
+                q.multiplicity(), q
+
+    def test_multiplicity_values(self, remark_ring, free3):
+        assert ParameterIdeal(remark_ring, [(1, 0), (0, 2)]).multiplicity() == 2
+        assert ParameterIdeal(free3, [(0, 0, 2), (2, 0, 0), (0, 3, 0)]).multiplicity() == 12
+        # <4, 6> spans 2Z: index 2
+        ring = AffineSemigroup(1, [(4,), (6,)])
+        assert ParameterIdeal(ring, [(8,)]).multiplicity() == 4
+
+    @pytest.mark.parametrize("kind", [FiltrationKind.ORDINARY, FiltrationKind.LIM_INTERSECT])
+    def test_uncertified_cm_flag_raises(self, kind, remark_ring, monkeypatch):
+        # the remark ring is not CM: colength(Q) = 3 > e(Q) = 2
+        monkeypatch.setattr(remark_ring._engine, "is_cm", True)
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        with pytest.raises(UncertifiedError):
+            length_sequence(Filtration(kind, q), 5)
+
+    def test_parameter_powers_match_products(self, corpus_parameters, free2):
+        cases = [q.base for q in corpus_parameters + other_cm_parameters()]
+        cases.append(maximal_ideal(free2))
+        for ideal in cases:
+            fresh = MonomialIdeal(ideal.ring, ideal.min_generators)
+            for n, want in enumerate(product_powers(fresh, 11), 1):
+                got = ideal_power(ideal, n).min_generators
+                assert got == want.min_generators, (ideal, n)
+                assert got == antichain_reduce(ideal.ring, got), (ideal, n)
+
+
 class TestFitPolynomial:
     def test_remark_integral(self):
         coeffs, n0 = fit_polynomial([1, 5, 11, 19, 29, 41], 2)
@@ -136,10 +229,17 @@ class TestFitPolynomial:
         second = fit_polynomial(length_sequence(filt, 10), 2)
         assert first[0] == second[0]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.integers(-500, 500), min_size=d + 1, max_size=d + 1)), st.integers(0, 6))
+    def test_round_trip(self, coeffs, extra):
+        d = len(coeffs) - 1
+        lengths = [sum((-1) ** i * e * comb(n + d - i, d - i) for i, e in enumerate(coeffs))
+                   for n in range(d + 4 + extra)]
+        assert fit_polynomial(lengths, d) == (tuple(coeffs), 0)
+
     def test_replay_exactness(self, remark_ring, cm_ring):
         # the fitted polynomial reproduces every length from n0 on
-        from math import comb
-
         for ring, qgens in ((remark_ring, [(1, 0), (0, 2)]), (cm_ring, [(2, 0), (0, 1)])):
             q = ParameterIdeal(ring, qgens)
             for kind in (FiltrationKind.ORDINARY, FiltrationKind.INTEGRAL):

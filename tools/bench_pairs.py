@@ -17,7 +17,9 @@ first.  Each value is the median over
 one run's repeats, as ``perfbench/run.py`` prints it.  For every end-to-end
 metric the output lists both sides' values, their medians, the parent's
 interquartile range and how many pairs the change won (lower is better).
-Stdlib only.
+The summary line of each workload also says whether every run was correct
+and whether both trees gave the same report digests; the exit status is 1
+when either is false, 2 when the pairs could not be run.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -151,12 +153,15 @@ def main(argv=None):
                 entry[m] = summarize(values["parent"][m], values["change"][m])
             doc["workloads"][workload] = entry
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    broken = False
     for workload, entry in doc["workloads"].items():
         w = entry["wall_s"]
-        print("%s wall_s median %.3f -> %.3f s, change wins %s, parent IQR %.3f"
+        print("%s wall_s median %.3f -> %.3f s, change wins %s, parent IQR %.3f, "
+              "all_runs_correct %s, digests_equal %s"
               % (workload, w["parent_median"], w["change_median"], w["change_wins"],
-                 w["parent_iqr"]))
-    return 0
+                 w["parent_iqr"], entry["all_runs_correct"], entry["digests_equal"]))
+        broken = broken or not (entry["all_runs_correct"] and entry["digests_equal"])
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
