@@ -17,17 +17,25 @@ For the powers of a parameter ideal, both the integral and the tight
 closure are rules in the cone's facet forms (``ClosureRule``).  The fits
 count their lengths from the rules and the checks test points against
 them; ``integral_closure_power`` and ``tight_closure`` extract the ideals
-when an ideal is needed.
+when an ideal is needed.  The split lengths are counted from the holes
+S' ∖ S (``split_lengths``), since k[S'] is CM.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 
 from .errors import NotMPrimaryError, UncertifiedError
-from .ideals import MonomialIdeal, ParameterIdeal, _PolyUp, extract_ideal, ideal_power
+from .ideals import (
+    MonomialIdeal,
+    ParameterIdeal,
+    _grid2_runs,
+    _PolyUp,
+    extract_ideal,
+    ideal_power,
+)
 from .lattice import _stair_profile, vadd, vdot, vscale, vsub
 
 # ---------------------------------------------------------------------------
@@ -256,6 +264,56 @@ def lim_intersection(q, total):
     if ring.is_cm:
         return ideal_power(q.base, total - d + 1)
     return extract_ideal(ring, _ContractUp(ring, q, total - 1))
+
+
+def split_lengths(q, n_max):
+    """The colengths of the split slots Q^k S' ∩ S, k = 1..n_max+1, with no
+    slot built.
+
+    k[S'] is a module-finite CM overring, so S' ∖ Q^k S' has e(Q) C(k+d-1, d)
+    points, and slot k misses besides them the holes h ∈ S' ∖ S with
+    ord(h) < k, ord(h) the largest N with h ∈ Q^N S'.  The first and the
+    last length must equal those counted line by line from the slot's rule
+    (``_ContractUp``): the first is then ell(S'/QS') = e(Q), which by Serre
+    holds iff k[S'] is CM, and the last checks the holes.  On a CM ring
+    S' = S has no holes and the check is colength(Q) = e(Q).
+    """
+    ring, e, d = q.ring, q.multiplicity(), q.ring.dim
+    orders = [] if ring.is_cm else sorted(_hole_orders(q))
+    out = [e * comb(n + d, d) - bisect_right(orders, n) for n in range(n_max + 1)]
+    if ring.is_cm:
+        counted = [(0, q.colength())]
+    else:
+        counted = [(n, _split_colength(q, n + 1)) for n in (0, n_max)]
+    for n, c in counted:
+        if out[n] != c:
+            raise UncertifiedError("split length %d at n=%d, counted %d (internal bug)"
+                                   % (out[n], n, c))
+    return out
+
+
+def _split_colength(q, k):
+    """ell(R / Q^k S' ∩ S), counted line by line from ``_ContractUp``."""
+    up = _ContractUp(q.ring, q, k)
+    rays = [up.profile((0, 0), axis, 1)[0] for axis in (0, 1)]
+    return sum(hi - lo for *_, lo, hi in _grid2_runs(up, rays))
+
+
+def _hole_orders(q):
+    """ord(h) for each hole h ∈ S' ∖ S of a 2-D ring: the largest i + j with
+    h - i*u - j*v in S', u and v the parameters on g1's and g2's rays.  In
+    lam values u = (A, 0), v = (0, B), and S' on the coset of l is
+    {l >= its corner}."""
+    eng = q.ring._engine
+    (d1, d2), corners = (eng.D1, eng.D2), eng.s2_corners
+    a, b = (max(vdot(lam, u) for u in q.ordered_generators) for lam in (eng.lam1, eng.lam2))
+
+    def in_s2(l1, l2):
+        c1, c2 = corners[l1 % d1, l2 % d2]
+        return l1 // d1 >= c1 and l2 // d2 >= c2
+
+    return [max(i + j for i in range(h1 // a + 1) for j in range(h2 // b + 1)
+                if in_s2(h1 - i * a, h2 - j * b)) for h1, h2 in eng.s2_holes]
 
 
 def tight_closure(q, k=1):

@@ -1,12 +1,17 @@
 """Length sequences of power filtrations and exact binomial-basis coefficient fits.
 
-Lengths are colengths ell(R/F_{n+1}) for n = 0..n_max.  The integral and
-tight ones are counted from the closure rule (``closures.ClosureRule``),
-with no member built.  For a parameter ideal Q of a Cohen-Macaulay ring the
-ordinary and split-intersection lengths are ell(R/Q) C(n+d, d), certified
-by colength(Q) = e(Q) = |det(u1..ud)| / [Z^d : ZS]
-(``ParameterIdeal.multiplicity``); otherwise they are each member's
-colength.  A fit detects a constant trailing window of d-th forward
+Lengths are colengths ell(R/F_{n+1}) for n = 0..n_max, and a parameter
+ideal's filtrations build no member for them.  The integral and tight ones
+are counted from the closure rule (``closures.ClosureRule``).  The split
+ones are e(Q) C(n+d, d) less the holes h ∈ S' ∖ S of order ord(h) <= n
+(``closures.split_lengths``), e(Q) = |det(u1..ud)| / [Z^d : ZS]
+(``ParameterIdeal.multiplicity``), certified by the first and last length
+counted from the slot's rule; a CM ring has no holes, and its ordinary
+lengths are the same, certified by colength(Q) = e(Q).  The ordinary
+lengths of a non-CM ring come from Q^n = u Q^(n-1) ∪ v^n S, line by line
+(``ideals.power_lengths``).  Only the ordinary filtration of a plain
+monomial ideal takes each member's colength.  A fit detects a constant
+trailing window of d-th forward
 differences and then reads the integers (e_0, ..., e_d) in the alternating
 binomial basis
 
@@ -28,7 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .closures import ClosureRule, integral_closure_power, lim_intersection, tight_closure
+from .closures import (
+    ClosureRule,
+    integral_closure_power,
+    lim_intersection,
+    split_lengths,
+    tight_closure,
+)
 from .errors import (
     NonIntegralCoefficientError,
     NotMPrimaryError,
@@ -36,7 +47,7 @@ from .errors import (
     UncertifiedError,
     UnsupportedRingError,
 )
-from .ideals import ParameterIdeal, ideal_power
+from .ideals import ParameterIdeal, ideal_power, power_lengths
 
 DEFAULT_N_MAX = 10
 RETRY_N_MAX = 14
@@ -106,11 +117,15 @@ class Filtration:
 def length_sequence(filtration, n_max):
     """Exact lengths ell(R/F_{n+1}) for n = 0..n_max.
 
-    The integral and tight kinds count them from their rule.  The ordinary
-    and split kinds of a parameter ideal Q in a CM ring take
-    ell(R/Q) C(n+d, d), as gr_Q(R) = (R/Q)[X1..Xd], once colength(Q) equals
-    the determinant multiplicity e(Q): by Serre, they agree iff R is CM, so
-    a mismatch is an internal error.  Otherwise each member's colength.
+    The integral and tight kinds count them from their rule.  The split kind
+    of a parameter ideal Q takes e(Q) C(n+d, d) less the holes S' ∖ S of
+    order at most n, once the first and the last length equal those counted
+    from the slot's rule: the first is then Serre's ell(S'/QS') = e(Q), true
+    iff k[S'] is CM, so a mismatch is an internal error.  A CM ring has no
+    holes and the test is colength(Q) = e(Q); its ordinary lengths are the
+    same, as gr_Q(R) = (R/Q)[X1..Xd].  The ordinary lengths of a non-CM ring
+    run the recurrence Q^n = u Q^(n-1) ∪ v^n S on each grid line.  Only a
+    plain monomial ideal's ordinary kind takes each member's colength.
     """
     ring = filtration.ring
     d = ring.dim
@@ -121,14 +136,13 @@ def length_sequence(filtration, n_max):
     q = filtration.parameter
     if filtration.rule is not None:
         out = filtration.rule.lengths(n_max)
-    elif q is not None and ring.is_cm:
-        c, e = q.colength(), q.multiplicity()
-        if c != e:
-            raise UncertifiedError(
-                "CM ring with colength(Q) = %d but e(Q) = %d (internal bug)" % (c, e))
-        out = [c * comb(n + d, d) for n in range(n_max + 1)]
-    else:
+    elif q is None:
         out = [filtration.member(n + 1).colength() for n in range(n_max + 1)]
+    elif filtration.kind is FiltrationKind.ORDINARY and not ring.is_cm:
+        out = power_lengths(q, n_max)
+    else:
+        # on a CM ring Q^k = Q^k S' ∩ S: the split count has no holes
+        out = split_lengths(q, n_max)
     # theorem-backed monotonicity; split slots nest as powers and as
     # {A + B >= k} do
     for i in range(n_max):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from functools import cached_property
 from math import gcd
 
 from .errors import DimensionMismatchError, UncertifiedError, UnsupportedRingError
@@ -436,6 +437,27 @@ class _Grid2:
         x, y = v
         return _stair_at(self, self.stair, self._l1x * x + self._l1y * y,
                          self._l2x * x + self._l2y * y)
+
+    # -- the S2-ification S' (Trung and Hoa, Trans. AMS 298, 1986)
+
+    @cached_property
+    def s2_corners(self):
+        """The corner (c1, c2) of S' on each coset: the least column and the
+        least row index whose lines meet S.  S' is the quadrant m >= c there."""
+        return {key: tuple(next(i for i, t in enumerate(line) if t is not None)
+                           for line in (cols, rows))
+                for key, (rows, cols) in self.stair.items()}
+
+    @cached_property
+    def s2_holes(self):
+        """The lam values of S' ∖ S: the points of each coset's quadrant below
+        its staircase.  Past the stored columns S starts at row c2."""
+        out = []
+        for key, (c1, c2) in self.s2_corners.items():
+            cols = self.stair[key][1]
+            out += [(key[0] + m1 * self.D1, key[1] + m2 * self.D2)
+                    for m1 in range(c1, len(cols)) for m2 in range(c2, cols[m1])]
+        return out
 
     # -- saturation
 

@@ -21,8 +21,9 @@ def bench_pairs(monkeypatch):
 
 
 def fake_runs(mod, monkeypatch, correct=True, parent_digest="d1"):
+    """Every metric reads 2.0 on the parent and 1.0 on the change."""
     def run_bench(tree, workload):
-        values = {m: 1.0 for m in mod.METRICS}
+        values = {m: 1.0 if tree == mod.ROOT else 2.0 for m in mod.METRICS}
         return values, correct, [parent_digest if tree != mod.ROOT else "d1"]
 
     monkeypatch.setattr(mod, "run_bench", run_bench)
@@ -43,3 +44,17 @@ def test_broken_pair_exits_1(bench_pairs, monkeypatch, tmp_path, capsys,
     line = capsys.readouterr().out.strip()
     assert line.endswith("all_runs_correct %s, digests_equal %s"
                          % (correct, parent_digest == "d1"))
+
+
+def test_prints_every_metric(bench_pairs, monkeypatch, tmp_path, capsys):
+    fake_runs(bench_pairs, monkeypatch)
+    code = bench_pairs.main(["--parent", "HEAD", "--workload", "corpus", "--workload", "deep",
+                             "--pairs", "2", "--out", str(tmp_path / "BENCH_test.json")])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    want = []
+    for workload in ("corpus", "deep"):
+        want += ["%s %s median 2.0000 -> 1.0000, change wins 2/2, parent IQR 0.0000"
+                 % (workload, m) for m in bench_pairs.METRICS]
+        want.append("%s all_runs_correct True, digests_equal True" % workload)
+    assert lines == want

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REMARK_GENS, brute_complement
+from hilbclose.cli import example_instance
 from hilbclose.errors import (
     NotMPrimaryError,
     NotStabilizedError,
@@ -27,9 +28,12 @@ from hilbclose.ideals import (
     ideal_power,
     ideal_product,
     maximal_ideal,
+    power_lengths,
 )
-from hilbclose.lattice import AffineSemigroup
+from hilbclose.lattice import AffineSemigroup, vdot
 from hilbclose.theorems import fuzz_corpus
+from test_closures import ray_parameters
+from test_ideals import sweep_rings
 
 
 def product_powers(ideal, n):
@@ -103,8 +107,8 @@ class TestLengthSequence:
         import hilbclose.hilbert as hilbert_mod
 
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        monkeypatch.setattr(hilbert_mod, "lim_intersection",
-                            lambda q, total: ideal_power(q.base, max(1, 6 - total)))
+        monkeypatch.setattr(hilbert_mod, "split_lengths",
+                            lambda q, n_max: list(range(n_max + 1, 0, -1)))
         with pytest.raises(UncertifiedError):
             length_sequence(Filtration(FiltrationKind.LIM_INTERSECT, q), 5)
 
@@ -188,6 +192,75 @@ class TestCMClosedForm:
                 got = ideal_power(ideal, n).min_generators
                 assert got == want.min_generators, (ideal, n)
                 assert got == antichain_reduce(ideal.ring, got), (ideal, n)
+
+
+def non_cm_parameters(corpus_parameters):
+    """The non-CM corpus instances and the built-in remark-s2."""
+    return [q for q in corpus_parameters if not q.ring.is_cm] + [example_instance("remark-s2")[1]]
+
+
+def member_colengths(q, kind, n_max):
+    filt = Filtration(kind, q)
+    return [filt.member(n + 1).colength() for n in range(n_max + 1)]
+
+
+class TestNonCMCounts:
+    """Ordinary lengths by the power recurrence and split lengths from the
+    holes S' ∖ S, against the colengths of the members they replace."""
+
+    KINDS = (FiltrationKind.ORDINARY, FiltrationKind.LIM_INTERSECT)
+
+    def test_counts_match_member_colengths(self, corpus_parameters):
+        cases = non_cm_parameters(corpus_parameters)
+        assert len(cases) == 19
+        for q, n_max in [(q, 10) for q in cases[:-1]] + [(cases[-1], 40)]:
+            for kind in self.KINDS:
+                want = member_colengths(q, kind, n_max)
+                assert length_sequence(Filtration(kind, q), n_max) == want, (q, kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_rings, st.integers(1, 3), st.integers(1, 3), st.integers(0, 5), st.booleans())
+    def test_counts_match_on_sweep(self, sgens, k1, k2, pick, swap):
+        # both generator orders, parameters not always multiples of g1, g2;
+        # the recurrence also runs on CM rings, where the closed form serves
+        q = ray_parameters(AffineSemigroup(2, sgens), k1, k2, pick, swap)
+        ordinary = member_colengths(q, FiltrationKind.ORDINARY, 6)
+        assert power_lengths(q, 6) == ordinary
+        for kind in self.KINDS:
+            assert length_sequence(Filtration(kind, q), 6) == \
+                member_colengths(q, kind, 6), kind
+
+    def test_holes_are_the_finite_gaps(self, corpus_parameters):
+        # S' ∖ S is a basis of H^1_m: e1_lim = 0 and e2_lim = -#gaps
+        for q in non_cm_parameters(corpus_parameters):
+            eng, gaps = q.ring._engine, q.ring.saturation().gaps
+            assert sorted(eng.s2_holes) == sorted(
+                (vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in gaps), q
+            rep = fit_filtration(Filtration(FiltrationKind.LIM_INTERSECT, q))
+            assert rep.coefficients == (q.multiplicity(), 0, -len(gaps)), q
+
+    @pytest.mark.parametrize("shift", [(1, 0), (0, 1)])
+    def test_wrong_corner_raises(self, remark_ring, monkeypatch, shift):
+        # coset (0, 1) has the corner (0, 0), which is the one hole (0, 1)
+        eng = remark_ring._engine
+        corners = dict(eng.s2_corners)
+        assert corners[0, 1] == (0, 0)
+        corners[0, 1] = shift
+        monkeypatch.setattr(eng, "s2_corners", corners)
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        with pytest.raises(UncertifiedError):
+            length_sequence(Filtration(FiltrationKind.LIM_INTERSECT, q), 5)
+
+    def test_short_profile_raises(self, remark_ring, monkeypatch):
+        # a profile one line short of what _grid2_runs asks would undercount
+        import hilbclose.ideals as ideals_mod
+
+        full = ideals_mod._power_firsts
+        monkeypatch.setattr(ideals_mod, "_power_firsts", lambda eng, params, axis, lines, top:
+                            full(eng, params, axis, max(1, lines - 1), top))
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        with pytest.raises(UncertifiedError):
+            power_lengths(q, 5)
 
 
 class TestFitPolynomial:

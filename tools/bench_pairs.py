@@ -17,9 +17,11 @@ first.  Each value is the median over
 one run's repeats, as ``perfbench/run.py`` prints it.  For every end-to-end
 metric the output lists both sides' values, their medians, the parent's
 interquartile range and how many pairs the change won (lower is better).
-The summary line of each workload also says whether every run was correct
-and whether both trees gave the same report digests; the exit status is 1
-when either is false, 2 when the pairs could not be run.  Stdlib only.
+Standard output has one line per workload and metric with the two medians,
+the wins and the parent's IQR, then a line per workload that says whether
+every run was correct and whether both trees gave the same report digests;
+the exit status is 1 when either is false, 2 when the pairs could not be
+run.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -155,11 +157,13 @@ def main(argv=None):
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     broken = False
     for workload, entry in doc["workloads"].items():
-        w = entry["wall_s"]
-        print("%s wall_s median %.3f -> %.3f s, change wins %s, parent IQR %.3f, "
-              "all_runs_correct %s, digests_equal %s"
-              % (workload, w["parent_median"], w["change_median"], w["change_wins"],
-                 w["parent_iqr"], entry["all_runs_correct"], entry["digests_equal"]))
+        for m in METRICS:
+            v = entry[m]
+            print("%s %s median %.4f -> %.4f, change wins %s, parent IQR %.4f"
+                  % (workload, m, v["parent_median"], v["change_median"], v["change_wins"],
+                     v["parent_iqr"]))
+        print("%s all_runs_correct %s, digests_equal %s"
+              % (workload, entry["all_runs_correct"], entry["digests_equal"]))
         broken = broken or not (entry["all_runs_correct"] and entry["digests_equal"])
     return 1 if broken else 0
 
