@@ -1,19 +1,11 @@
 """Exact Hilbert-Samuel coefficients of closure filtrations for monomial
 ideals in affine semigroup rings."""
 
-from .closures import (
-    LimitClosureCertificate,
-    integral_closure,
-    integral_closure_power,
-    lim_intersection,
-    limit_closure,
-    tight_closure,
-)
+from .closures import lim_intersection, tight_closure
 from .errors import (
     DimensionMismatchError,
     GenerationExhaustedError,
     HilbcloseError,
-    NonIntegralCoefficientError,
     NotMPrimaryError,
     NotStabilizedError,
     RingMismatchError,
@@ -28,14 +20,10 @@ from .hilbert import (
     coefficient_report,
     fit_polynomial,
     length_sequence,
-    multiplicity_volume,
 )
 from .ideals import (
     MonomialIdeal,
     ParameterIdeal,
-    ideal_colon,
-    ideal_colon_ideal,
-    ideal_intersection,
     ideal_power,
     ideal_product,
     ideal_sum,
@@ -43,14 +31,7 @@ from .ideals import (
     maximal_ideal,
     nu_m_mod_q,
 )
-from .lattice import (
-    AffineSemigroup,
-    ExponentVector,
-    RationalPolyhedron,
-    newton_polyhedron,
-    saturation,
-    semigroup_membership,
-)
+from .lattice import AffineSemigroup, ExponentVector
 from .theorems import (
     ChainVerdict,
     RingProfile,

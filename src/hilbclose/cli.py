@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from math import comb
 
 from . import formats
-from .errors import HilbcloseError, NonIntegralCoefficientError, UncertifiedError
-from .hilbert import FiltrationKind, _is_prime, coefficient_report, multiplicity_volume
+from .errors import HilbcloseError, UncertifiedError
+from .hilbert import FiltrationKind, _is_prime, coefficient_report
 from .ideals import ParameterIdeal
 from .theorems import fuzz_corpus, verify_instances
 
@@ -104,7 +104,8 @@ def run_analyze(config):
                                 characteristic=config.characteristic)
     report = formats.bundle_to_report(bundle, ring, record)
     if ring.is_free and ring.dim <= 2:
-        report["multiplicity_volume"] = multiplicity_volume(q.base)
+        # Q is (x^a) or (x^a, y^b) there, whose Newton-polyhedron volume is e(Q)
+        report["multiplicity_volume"] = q.multiplicity()
     if config.report == "json":
         _emit(formats.dumps_report(report), config.out)
     elif config.report == "csv":
@@ -303,7 +304,7 @@ def main(argv=None):
               "fuzz": run_fuzz, "example": run_example}[config.command]
     try:
         return runner(config)
-    except (UncertifiedError, NonIntegralCoefficientError) as exc:
+    except UncertifiedError as exc:
         # a certificate the theory guarantees did not hold: a bug, not bad input
         sys.stderr.write("internal error [%s]: %s\n" % (exc.code, exc))
         return EXIT_INTERNAL

@@ -1,64 +1,35 @@
 """Closure operations on monomial ideals: integral, limit, split-intersection
 and tight.
 
-Integral closures come from Newton polyhedra.  The other three are one
-contraction Q^k T ∩ S from a module-finite Cohen-Macaulay overring T of
-the ring; none of them builds T.  The split slot k (the split intersection
-over |alpha| = k + d - 1, of which Q^lim is slot 1) takes T = S', the
-S2-ification (Trung and Hoa, Trans. AMS 298, 1986), and brackets the big-CM
-closure of Q^k from below, with the integral closure above.  The tight
-closure (Q^k)* takes T = S̄, the F-regular normalization (Hochster and
-Huneke, JAMS 3, 1990), in every characteristic p.  In a Cohen-Macaulay ring
-the parameters form a regular sequence, so Z[X1..Xd] -> R, X_i -> u_i, is
-flat and the split slot is Q^k; only a 2-D grid can fail to be CM, and
-there both slots extract ``_ContractUp``, {s : A(s) + B(s) >= k}.
+The integral closure of Q^k is the rule given by its Newton polyhedron,
+k conv(u_i) + cone.  The other three are one contraction Q^k T ∩ S from a
+module-finite Cohen-Macaulay overring T of the ring; none of them builds T.
+The split slot k (the split intersection over |alpha| = k + d - 1, of which
+Q^lim is slot 1) takes T = S', the S2-ification (Trung and Hoa, Trans. AMS
+298, 1986), and brackets the big-CM closure of Q^k from below, with the
+integral closure above.  The tight closure (Q^k)* takes T = S̄, the
+F-regular normalization (Hochster and Huneke, JAMS 3, 1990), in every
+characteristic p.  In a Cohen-Macaulay ring the parameters form a regular
+sequence, so Z[X1..Xd] -> R, X_i -> u_i, is flat and the split slot is Q^k;
+only a 2-D grid can fail to be CM, and there both slots extract
+``_ContractUp``, {s : A(s) + B(s) >= k}.
 
 For the powers of a parameter ideal, both the integral and the tight
 closure are rules in the cone's facet forms (``ClosureRule``).  The fits
 count their lengths from the rules and the checks test points against
-them; ``integral_closure_power`` and ``tight_closure`` extract the ideals
-when an ideal is needed.  The split lengths are counted from the holes
-S' ∖ S (``split_lengths``), since k[S'] is CM.
+them; ``tight_closure`` builds the tight ideal when an ideal is needed.
+The split lengths are counted from the holes S' ∖ S (``split_lengths``),
+since k[S'] is CM.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import comb, prod
 
 from .errors import NotMPrimaryError, UncertifiedError
-from .ideals import (
-    MonomialIdeal,
-    ParameterIdeal,
-    _grid2_runs,
-    _PolyUp,
-    extract_ideal,
-    ideal_power,
-)
-from .lattice import _stair_profile, vadd, vdot, vscale, vsub
-
-# ---------------------------------------------------------------------------
-# integral closure
-
-def integral_closure(ideal):
-    """Lattice points of the Newton polyhedron of the generators, inside S."""
-    return integral_closure_power(ideal, 1)
-
-
-def integral_closure_power(ideal, n):
-    """The integral closure of the n-th power, via the n-scaled polyhedron."""
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    ring = ideal.ring
-    # free-Z^3 extraction bounds its box by pure powers on the x and y axes;
-    # 2-D extraction needs none and also closes non-m-primary ideals
-    if ring.dim == 3 and not ideal.is_m_primary:
-        raise NotMPrimaryError("closure extraction in dimension 3 needs an m-primary ideal")
-    poly = ring.newton_polyhedron([tuple(g) for g in ideal.min_generators])
-    seed = tuple(ideal.min_generators[0].scaled(n))
-    return extract_ideal(ring, _PolyUp(ring, poly, n, seed))
-
+from .ideals import MonomialIdeal, ParameterIdeal, _grid2_runs, extract_ideal, ideal_power
+from .lattice import _stair_profile, vdot, vscale
 
 # ---------------------------------------------------------------------------
 # the integral and tight rules of a parameter ideal's powers
@@ -207,44 +178,6 @@ class _ContractUp:
     def seed(self):
         return vscale(self.k, min(self._off))
 
-    def chain_index(self, s):
-        """Least t with s - u_i + t*u_j in S for i != j: the first member of the
-        colon chain that holds s.  A passing line test makes t exist."""
-        if not self.member(s):
-            raise UncertifiedError("limit-closure generator fails the closed form (internal)")
-        member, (u, v) = self._eng.member, self._off
-        t = 0
-        while not (member(vadd(vsub(s, u), vscale(t, v)))
-                   or member(vadd(vsub(s, v), vscale(t, u)))):
-            t += 1
-        return t
-
-
-@dataclass(frozen=True)
-class LimitClosureCertificate:
-    """The limit closure and the exact index at which the colon chain
-    (u1^(t+1), ..., ud^(t+1)) : (u1...ud)^t reaches it.  ``window`` is
-    always 0; it remains for readers of the former windowed certificate."""
-
-    ideal: MonomialIdeal
-    stabilized_t: int
-    window: int = 0
-
-
-def limit_closure(q):
-    """Q^lim = S ∩ ⋃_i (u_i + S_{w_i}), w_i the product of the other parameters.
-
-    This is the split intersection of total d, Q itself in a Cohen-Macaulay
-    ring; ``stabilized_t`` is the largest least chain index of a minimal
-    generator, 0 for Q.
-    """
-    if not isinstance(q, ParameterIdeal):
-        raise NotMPrimaryError("limit closure is defined for parameter ideals")
-    ring = q.ring
-    closed = lim_intersection(q, ring.dim)
-    t = 0 if ring.is_cm else max(map(_ContractUp(ring, q).chain_index, closed.min_generators))
-    return LimitClosureCertificate(ideal=closed, stabilized_t=t)
-
 
 def lim_intersection(q, total):
     """Intersection of the limit closures of the splits Q(alpha), |alpha| = total.
@@ -334,5 +267,9 @@ def tight_closure(q, k=1):
     if ring.kind == "free3":
         return ideal_power(q.base, k)
     if ring.kind == "num1":
-        return integral_closure_power(q.base, k)
+        # generated by S ∩ [k*u, k*u + g] for the largest generator g: a
+        # larger s in S is s - h + h with s - h in S, h a generator
+        ku = k * q.ordered_generators[0][0]
+        top = ku + max(g[0] for g in ring.generators)
+        return MonomialIdeal(ring, [(x,) for x in range(ku, top + 1) if ring.member((x,))])
     return extract_ideal(ring, _ContractUp(ring, q, k, tight=True))

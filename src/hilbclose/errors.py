@@ -29,10 +29,6 @@ class UncertifiedError(HilbcloseError):
     code = "UNCERTIFIED"
 
 
-class NonIntegralCoefficientError(HilbcloseError):
-    code = "NON_INTEGRAL_COEFFICIENT"
-
-
 class GenerationExhaustedError(HilbcloseError):
     code = "GENERATION_EXHAUSTED"
 

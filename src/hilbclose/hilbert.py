@@ -30,23 +30,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .closures import (
-    ClosureRule,
-    integral_closure_power,
-    lim_intersection,
-    split_lengths,
-    tight_closure,
-)
-from .errors import (
-    NonIntegralCoefficientError,
-    NotMPrimaryError,
-    NotStabilizedError,
-    UncertifiedError,
-    UnsupportedRingError,
-)
+from .closures import ClosureRule, lim_intersection, split_lengths, tight_closure
+from .errors import NotMPrimaryError, NotStabilizedError, UncertifiedError
 from .ideals import ParameterIdeal, ideal_power, power_lengths
 
 DEFAULT_N_MAX = 10
@@ -76,7 +63,8 @@ class Filtration:
     """A power filtration n -> ideal; member(k) plays the role of the k-th power.
 
     The integral and tight kinds also keep their ``ClosureRule`` as ``rule``,
-    from which their lengths are counted.
+    from which their lengths are counted.  The integral kind builds no
+    members: its closures are tested through the rule.
     """
 
     def __init__(self, kind, base):
@@ -98,11 +86,12 @@ class Filtration:
     def member(self, k):
         if k < 1:
             raise ValueError("filtration index must be >= 1")
+        if self.kind is FiltrationKind.INTEGRAL:
+            raise ValueError("the integral filtration builds no members; "
+                             "test points against Filtration.rule")
         if k not in self._members:
             if self.kind is FiltrationKind.ORDINARY:
                 out = ideal_power(self.ideal, k)
-            elif self.kind is FiltrationKind.INTEGRAL:
-                out = integral_closure_power(self.ideal, k)
             elif self.kind is FiltrationKind.LIM_INTERSECT:
                 # slot k brackets the k-th power's big-CM closure: Q^k in a
                 # CM ring (a regular sequence, so a flat extension), else
@@ -229,37 +218,6 @@ def fit_filtration(filtration, n_max=DEFAULT_N_MAX):
             raise UncertifiedError("fitted multiplicity %d < 1 (internal bug)" % coeffs[0])
         return HilbertReport(filtration.kind, n, tuple(lengths), coeffs, n0, "ok")
     return HilbertReport(filtration.kind, n, tuple(lengths), None, None, "NOT_STABILIZED")
-
-
-def multiplicity_volume(ideal):
-    """d! times the volume cut out below the Newton polyhedron (free rings, d <= 2)."""
-    ring = ideal.ring
-    if not ring.is_free:
-        raise UnsupportedRingError("multiplicity volumes are computed for free rings only")
-    if not ideal.is_m_primary:
-        raise NotMPrimaryError("multiplicity needs an m-primary ideal")
-    if ring.dim == 1:
-        return min(g[0] for g in ideal.min_generators)
-    if ring.dim != 2:
-        raise UnsupportedRingError("multiplicity volume supports free dimensions 1 and 2")
-    pts = [tuple(g) for g in ideal.min_generators]
-    poly = ring.newton_polyhedron(pts)
-
-    def is_vertex(p):
-        others = [q for q in pts if q != p]
-        if not others:
-            return True
-        other_poly = ring.newton_polyhedron(others)
-        return not other_poly.contains(p)
-
-    chain = sorted(p for p in pts if is_vertex(p))
-    area = Fraction(0)
-    for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
-        area += Fraction((x2 - x1) * (y1 + y2), 2)
-    vol = 2 * area
-    if vol.denominator != 1:
-        raise NonIntegralCoefficientError("volume doubled to a non-integer: %s" % vol)
-    return int(vol)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Monomial-ideal arithmetic over a fixed affine semigroup.
 
-Ideals are S-stable up-sets held by their minimal generators.  Every derived
-ideal (colon, intersection, integral, limit or tight closure) that is needed
-as an ideal is first modelled as an abstract up-set exposing two exact oracles
+Ideals are S-stable up-sets held by their minimal generators.  A derived
+2-D ideal that is needed as an ideal (a split slot or a tight closure,
+``closures._ContractUp``) is first modelled as an abstract up-set exposing
+two exact oracles
 
-    member(v)                   -- point membership
+    seed()                      -- one point of the up-set
     profile(key, axis, count)   -- first index on lines 0..count-1 of a coset
 
 and then materialized by ``extract_min_gens``.  The integral and tight
@@ -22,32 +23,27 @@ keeps them as the ideal's staircase, in the format of the ring's own Apéry
 staircase (``lattice._stair_at``, ``lattice._stair_profile``).  A corner v
 is minimal when no v - g, g a ring generator, lies on the staircase: a
 lookup, not a membership query.  The extracted ideal answers ``member`` and
-unshifted ``profile`` from its staircase; lines past the stored ones read
-the other array through one falling pointer.
+``profile`` from its staircase; lines past the stored ones read the other
+array through one falling pointer.
 
 ``_line_firsts`` gets the profile of an ideal held only by generators in one
-ascending sweep per coset and axis; derived up-sets combine their parts'
-profiles pointwise.  Generators within the ring's stabilization index of a
-line read the ring's staircase line by line; the rest contribute its
-constant tails (``_Grid2.stabilization``).  Colengths are counted per line
-from the same profiles (``_grid2_runs``, as line coordinates) without
-materializing the complement.  The powers of a parameter ideal need no
-generators for their colengths: ``power_lengths`` gets their profiles from
-Q^n = u Q^(n-1) ∪ v^n S, one line at a time.
+ascending sweep per coset and axis.  Generators within the ring's
+stabilization index of a line read the ring's staircase line by line; the
+rest contribute its constant tails (``_Grid2.stabilization``).  Colengths
+are counted per line from the same profiles (``_grid2_runs``, as line
+coordinates) without materializing the complement.  The powers of a
+parameter ideal need no generators for their colengths: ``power_lengths``
+gets their profiles from Q^n = u Q^(n-1) ∪ v^n S, one line at a time.
 
-In free Z^3 an up-set is a nonincreasing height function on the (x, y)
-plane, so up-sets there expose two more oracles
+In free Z^3 an ideal is a nonincreasing height function on the (x, y)
+plane, read from its generators as
 
     heights(nx, ny)             -- least z on each column x < nx, y < ny
     reach(i)                    -- least k with k*e_i inside
 
-``_column_heights`` gets the heights from generators with a 2-D prefix
-minimum, ``_axis_reach`` the reach in closed form, and derived up-sets
-combine both as they do profiles.  Extraction reads the pure powers on the
-x and y axes, one height array, and keeps the corners, the columns lying
-below both their left and lower neighbours; corners are minimal as found.
-Complements are the points below each column's height, and colengths the
-sum of the heights.
+``_column_heights`` gets the heights with a 2-D prefix minimum and
+``_axis_reach`` the reach in closed form.  Complements are the points below
+each column's height, and colengths the sum of the heights.
 """
 
 from __future__ import annotations
@@ -110,204 +106,42 @@ class _IdealUp:
                 return True
         return False
 
-    def profile(self, key, axis, count, shift=None):
-        """First indices on lines 0..count-1 of coset ``key``; with ``shift`` f,
-        those of the up-set {v : v + f in I}, which may be negative."""
-        if shift is None and self.stair is not None:
+    def profile(self, key, axis, count):
+        """First indices on lines 0..count-1 of coset ``key``."""
+        if self.stair is not None:
             return _stair_profile(self.stair[key], axis, count)
-        return _line_firsts(self._eng, self._shifted(shift), key, axis, count)
-
-    def heights(self, nx, ny, shift=None):
-        """Column heights for x < nx, y < ny; with ``shift`` f, those of the
-        up-set {v : v + f in I}, which may be negative."""
-        return _column_heights(self._shifted(shift), nx, ny)
-
-    def reach(self, i, shift=None):
-        """Least k >= 0 with k*e_i inside (free Z^3), or None; with ``shift`` f,
-        for the up-set {v : v + f in I}."""
-        return _axis_reach(self._shifted(shift), i)
-
-    def _shifted(self, shift):
-        return self.gens if shift is None else [vsub(u, shift) for u in self.gens]
-
-    def seed(self):
-        return self.gens[0]
-
-
-class _ColonUp:
-    """(I : f) = {s in S : s + f in I}; the S-restriction is essential."""
-
-    def __init__(self, ideal_up, f):
-        self.ring = ideal_up.ring
-        self.base = ideal_up
-        self.f = tuple(f)
-
-    def member(self, v):
-        if any(c < 0 for c in v) or not self.ring.member(v):
-            return False
-        return self.base.member(vadd(v, self.f))
-
-    def profile(self, key, axis, count):
-        eng = self.ring._engine
-        out = []
-        for m, ti in enumerate(self.base.profile(key, axis, count, self.f)):
-            ts = eng.grid_first(key, axis, m)
-            out.append(None if ts is None or ti is None else max(ts, ti))
-        return out
+        return _line_firsts(self._eng, self.gens, key, axis, count)
 
     def heights(self, nx, ny):
-        return [[None if h is None else max(0, h) for h in col]
-                for col in self.base.heights(nx, ny, self.f)]
+        """Column heights for x < nx, y < ny (free Z^3)."""
+        return _column_heights(self.gens, nx, ny)
 
     def reach(self, i):
-        return self.base.reach(i, self.f)
-
-    def seed(self):
-        return self.base.seed()
-
-
-class _MeetUp:
-    """Intersection of up-sets."""
-
-    def __init__(self, parts):
-        self.parts = list(parts)
-        self.ring = self.parts[0].ring
-
-    def member(self, v):
-        return all(p.member(v) for p in self.parts)
-
-    def profile(self, key, axis, count):
-        out = self.parts[0].profile(key, axis, count)
-        for p in self.parts[1:]:
-            out = [None if a is None or b is None else max(a, b)
-                   for a, b in zip(out, p.profile(key, axis, count))]
-        return out
-
-    def heights(self, nx, ny):
-        out = self.parts[0].heights(nx, ny)
-        for p in self.parts[1:]:
-            out = _max_heights(out, p.heights(nx, ny))
-        return out
-
-    def reach(self, i):
-        ks = [p.reach(i) for p in self.parts]
-        return None if None in ks else max(ks)
-
-    def seed(self):
-        s = self.parts[0].seed()
-        for p in self.parts[1:]:
-            s = vadd(s, p.seed())
-        return s
-
-
-class _PolyUp:
-    """Lattice points of S inside a scaled rational polyhedron."""
-
-    def __init__(self, ring, polyhedron, scale, seed_point):
-        self.ring = ring
-        self.poly = polyhedron
-        self.nscale = scale
-        self._seed = tuple(seed_point)
-
-    def member(self, v):
-        if any(c < 0 for c in v):
-            return False
-        return self.poly.contains(v, self.nscale) and self.ring.member(v)
-
-    def profile(self, key, axis, count):
-        eng = self.ring._engine
-        gfix, g = (eng.g1, eng.g2) if axis == 1 else (eng.g2, eng.g1)
-        r = eng.box[key]
-        # per halfspace n.v >= scale*h: slope along the line, slack at t = 0 of line 0,
-        # and the slack's growth per line; inward normals make both slopes >= 0
-        sides = [(vdot(n, g), vdot(n, r) - self.nscale * h, vdot(n, gfix))
-                 for n, h in self.poly.halfspaces]
-        out = []
-        for m in range(count):
-            lo = eng.grid_first(key, axis, m)
-            for coeff, slack, grow in sides:
-                if lo is None:
-                    break
-                val = slack + m * grow
-                if coeff == 0:
-                    if val < 0:
-                        lo = None
-                else:
-                    lo = max(lo, -(val // coeff))
-            out.append(lo)
-        return out
-
-    def _sides(self, axis):
-        """Halfspaces n.v >= scale*h as (n, scale*h); none may bound ``axis`` above."""
-        out = []
-        for n, h in self.poly.halfspaces:
-            if n[axis] < 0:
-                raise UncertifiedError("halfspace bounds an axis from above (internal)")
-            out.append((n, self.nscale * h))
-        return out
-
-    def heights(self, nx, ny):
-        # per halfspace a*x + b*y + c*z >= scale*h: with c > 0 a floor on z
-        # per column, with c = 0 a test of the column alone
-        sides = [(a, b, c, h) for (a, b, c), h in self._sides(2)]
-        out = []
-        for x in range(nx):
-            col = []
-            for y in range(ny):
-                lo = 0
-                for a, b, c, h in sides:
-                    slack = a * x + b * y - h
-                    if c:
-                        lo = max(lo, -(slack // c))
-                    elif slack < 0:
-                        lo = None
-                        break
-                col.append(lo)
-            out.append(col)
-        return out
-
-    def reach(self, i):
-        lo = 0
-        for n, h in self._sides(i):
-            if n[i]:
-                lo = max(lo, -(-h // n[i]))
-            elif h > 0:
-                return None
-        return lo
-
-    def seed(self):
-        return self._seed
+        """Least k >= 0 with k*e_i inside (free Z^3), or None."""
+        return _axis_reach(self.gens, i)
 
 
 # ---------------------------------------------------------------------------
 # extraction and complements
 
-def extract_min_gens(ring, upset, stair=None):
-    """Exact minimal generators of an up-set of S.
+def extract_min_gens(ring, upset, stair):
+    """Exact minimal generators of an up-set of a 2-D ring.
 
-    In dimension 2 the up-set's staircase is written into ``stair`` (a dict,
-    key -> (rows, cols)), and a corner v is minimal when no v - g, g a ring
-    generator, lies on the staircase.  Free-Z^3 corners are minimal as found.
+    The up-set's staircase is written into ``stair`` (a dict, key -> (rows,
+    cols)), and a corner v is minimal when no v - g, g a ring generator,
+    lies on the staircase.
     """
-    kind = ring.kind
-    if kind == "grid2":
-        stair = {} if stair is None else stair
-        eng = ring._engine
-        # v - g on integers: its lam values are those of v minus those of g
-        offs = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in ring.generators]
-        return tuple(sorted(
-            ExponentVector(v) for l1, l2, v in _extract_grid2(ring, upset, stair)
-            if not any(_stair_at(eng, stair, l1 - a, l2 - b) for a, b in offs)))
-    if kind == "num1":
-        gens = ring.generators
-        return tuple(sorted(ExponentVector(v) for v in _extract_num1(ring, upset)
-                            if not any(upset.member(vsub(v, g)) for g in gens)))
-    return tuple(sorted(ExponentVector(v) for v in _extract_free3(ring, upset)))
+    eng = ring._engine
+    # v - g on integers: its lam values are those of v minus those of g
+    offs = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in ring.generators]
+    return tuple(sorted(
+        ExponentVector(v) for l1, l2, v in _extract_grid2(ring, upset, stair)
+        if not any(_stair_at(eng, stair, l1 - a, l2 - b) for a, b in offs)))
 
 
 def extract_ideal(ring, upset):
-    """The ideal of an up-set of S; in dimension 2 it keeps the staircase."""
-    stair = {} if ring.kind == "grid2" else None
+    """The ideal of an up-set of a 2-D ring, keeping its staircase."""
+    stair = {}
     gens = extract_min_gens(ring, upset, stair)
     return MonomialIdeal(ring, gens, _reduced=True, _stair=stair)
 
@@ -362,53 +196,15 @@ def _stair_member(eng, stair, v):
     return _stair_at(eng, stair, vdot(eng.lam1, v), vdot(eng.lam2, v))
 
 
-def _extract_num1(ring, upset):
-    eng = ring._engine
-    seed = tuple(upset.seed())[0]
-    t0 = None
-    for x in range(0, seed + 1, eng.step):
-        if upset.member((x,)):
-            t0 = x
-            break
-    if t0 is None:
-        raise UncertifiedError("up-set scan failed to reach its seed")
-    window = t0 + eng.conductor + eng.amin
-    return [(x,) for x in range(t0, window + 1, eng.step) if upset.member((x,))]
-
-
-def _extract_free3(ring, upset):
-    """Corners of a free-Z^3 up-set's height function: every column lying
-    below both its left and its lower neighbour, so each is minimal."""
-    bounds = [upset.reach(i) for i in (0, 1)]
-    if None in bounds:
-        raise UncertifiedError("up-set has no pure power on the x or y axis (not m-primary)")
-    # a generator past a pure power on the x or y axis is not minimal
-    nx, ny = bounds[0] + 1, bounds[1] + 1
-    hts = upset.heights(nx, ny)
-    cands = []
-    for x in range(nx):
-        for y in range(ny):
-            z = hts[x][y]
-            if z is None:
-                continue
-            left = hts[x - 1][y] if x else None
-            below = hts[x][y - 1] if y else None
-            if (left is None or z < left) and (below is None or z < below):
-                cands.append((x, y, z))
-    return cands
-
-
 def _column_heights(gens, nx, ny):
     """Least z with (x, y, z) above some generator, per column x < nx, y < ny.
 
     Generator (a, b, c) starts every column x >= a, y >= b at height c, so
-    each generator goes on its own column, clamped at 0 for shifted
-    generators, and a 2-D prefix minimum spreads it.  None where no generator
-    reaches the column.
+    each generator goes on its own column, and a 2-D prefix minimum spreads
+    it.  None where no generator reaches the column.
     """
     hts = [[None] * ny for _ in range(nx)]
     for a, b, c in gens:
-        a, b = max(a, 0), max(b, 0)
         if a < nx and b < ny and (hts[a][b] is None or c < hts[a][b]):
             hts[a][b] = c
     for x in range(nx):
@@ -424,18 +220,10 @@ def _column_heights(gens, nx, ny):
 
 
 def _axis_reach(gens, i):
-    """Least k >= 0 with k*e_i above some generator, or None.
-
-    k*e_i >= u needs u_j <= 0 off axis i and k >= u_i; shifted generators
-    may have negative coordinates, hence the clamp at 0.
-    """
-    return min((max(0, u[i]) for u in gens
-                if all(c <= 0 for j, c in enumerate(u) if j != i)), default=None)
-
-
-def _max_heights(a, b):
-    return [[None if s is None or t is None else max(s, t) for s, t in zip(ca, cb)]
-            for ca, cb in zip(a, b)]
+    """Least k >= 0 with k*e_i above some generator, or None: the least u_i
+    over the generators u on axis i."""
+    return min((u[i] for u in gens if all(c == 0 for j, c in enumerate(u) if j != i)),
+               default=None)
 
 
 def _line_firsts(eng, gens, key, axis, count):
@@ -448,9 +236,7 @@ def _line_firsts(eng, gens, key, axis, count):
     c_u, the generators form three runs: not yet on the grid (m + c_u < 0),
     a band that reads ``grid_first``, and those at or past the ring's
     stabilization index, whose first index no longer changes and is merged
-    into a running minimum when they leave the band.  Generators in S have
-    m_u <= 0 and so nonnegative firsts; shifted generators u - f need not lie
-    in S, and there m_u > 0 can make a first negative.
+    into a running minimum when they leave the band.
     """
     stable, consts = eng.stabilization(axis)
     if axis == 1:
@@ -747,29 +533,6 @@ def ideal_power(a, n):
         powers[top + 1] = ideal_product(powers[top], a)
         top += 1
     return powers[n]
-
-
-def ideal_colon(a, f):
-    """(I : x^f) as a monomial ideal; f must lie in S."""
-    f = ExponentVector(f)
-    if not a.ring.member(f):
-        raise ValueError("colon element %r is not in the semigroup" % (tuple(f),))
-    return extract_ideal(a.ring, _ColonUp(a._up, f))
-
-
-def ideal_colon_ideal(a, b):
-    a._check_ring(b)
-    return extract_ideal(a.ring, _MeetUp([_ColonUp(a._up, f) for f in b.min_generators]))
-
-
-def ideal_intersection(ideals):
-    ideals = list(ideals)
-    first = ideals[0]
-    for other in ideals[1:]:
-        first._check_ring(other)
-    if len(ideals) == 1:
-        return ideals[0]
-    return extract_ideal(first.ring, _MeetUp([i._up for i in ideals]))
 
 
 def maximal_ideal(ring):

@@ -1,4 +1,4 @@
-"""Exact lattice substrate: exponent vectors, affine semigroups, rational polyhedra.
+"""Exact lattice substrate: exponent vectors and affine semigroups.
 
 Everything here runs on arbitrary-precision integers; no floating point
 participates in any decision.
@@ -21,7 +21,6 @@ corner.
 from __future__ import annotations
 
 import heapq
-import itertools
 from functools import cached_property
 from math import gcd
 
@@ -101,64 +100,6 @@ def lattice_basis(vectors, dim):
     return basis
 
 
-def in_lattice(basis, v):
-    """Exact membership of integer vector ``v`` in the lattice given by ``basis``."""
-    v = list(v)
-    for row in basis:
-        col = next(i for i, c in enumerate(row) if c != 0)
-        if v[col] % row[col] != 0:
-            return False
-        q = v[col] // row[col]
-        for i in range(len(v)):
-            v[i] -= q * row[i]
-    return not any(v)
-
-
-# ---------------------------------------------------------------------------
-# rational polyhedra (halfspace form)
-
-class RationalPolyhedron:
-    """Intersection of halfspaces  <normal, x> >= offset  with integer data.
-
-    Normals are primitive integer vectors; scaling the polyhedron by a positive
-    integer multiplies offsets and fixes normals (the recession cone).
-    """
-
-    def __init__(self, dim, halfspaces):
-        self.dim = dim
-        seen = {}
-        for normal, offset in halfspaces:
-            normal = tuple(int(c) for c in normal)
-            offset = int(offset)
-            if len(normal) != dim:
-                raise DimensionMismatchError("halfspace normal has wrong length")
-            key = normal
-            # keep the tightest offset per normal
-            if key not in seen or seen[key] < offset:
-                seen[key] = offset
-        self.halfspaces = tuple(sorted(seen.items()))
-
-    def contains(self, point, scale=1):
-        """Exact test of ``point`` against the ``scale``-fold polyhedron."""
-        if len(point) != self.dim:
-            raise DimensionMismatchError("point has wrong length")
-        return all(vdot(n, point) >= scale * h for n, h in self.halfspaces)
-
-    def scale(self, n):
-        if n < 1:
-            raise ValueError("scale must be a positive integer")
-        return RationalPolyhedron(self.dim, [(nm, n * h) for nm, h in self.halfspaces])
-
-    def __eq__(self, other):
-        return isinstance(other, RationalPolyhedron) and self.halfspaces == other.halfspaces
-
-    def __hash__(self):
-        return hash(self.halfspaces)
-
-    def __repr__(self):
-        return "RationalPolyhedron(%r)" % (list(self.halfspaces),)
-
-
 def _primitive(v):
     g = 0
     for c in v:
@@ -166,27 +107,6 @@ def _primitive(v):
     if g == 0:
         return tuple(v)
     return tuple(c // g for c in v)
-
-
-def _hull2(points):
-    """Counterclockwise convex hull (Andrew monotone chain, exact)."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 def _fill_forward(corners):
@@ -293,14 +213,6 @@ class _Num1:
             return bool(self.tab[x])
         return x >= self.conductor
 
-    def saturation_data(self):
-        gaps = [(x,) for x in range(0, self.conductor, self.step) if not self.tab[x]]
-        return gaps, []
-
-    def conductor_vector(self):
-        return (self.conductor,)
-
-
 class _Free3:
     """Engine for the free semigroup Z>=0^3."""
 
@@ -312,13 +224,6 @@ class _Free3:
 
     def member(self, v):
         return all(c >= 0 for c in v)
-
-    def saturation_data(self):
-        return [], []
-
-    def conductor_vector(self):
-        return (0, 0, 0)
-
 
 class _Grid2:
     """Coset-grid engine for rank-2 semigroups in ambient dimension 2, held
@@ -459,63 +364,6 @@ class _Grid2:
                     for m1 in range(c1, len(cols)) for m2 in range(c2, cols[m1])]
         return out
 
-    # -- saturation
-
-    def _line_bases(self):
-        """(base, direction, first index in S) of every stored line of every
-        coset; each point past both stored arrays of its coset lies in S."""
-        for key in sorted(self.box):
-            r = self.box[key]
-            rows, cols = self.stair[key]
-            for mu, t0 in enumerate(cols):
-                yield vadd(r, vscale(mu, self.g1)), self.g2, t0
-            for nu, s0 in enumerate(rows):
-                yield vadd(r, vscale(nu, self.g2)), self.g1, s0
-
-    def saturation_data(self):
-        """Finite gaps and full gap rays of (cone ∩ lattice) \\ S."""
-        finite = set()
-        rays = []
-        for base, d, first in self._line_bases():
-            if first is None:
-                rays.append((base, d))
-            else:
-                for t in range(first):
-                    finite.add(vadd(base, vscale(t, d)))
-        # points absorbed by a full ray are reported once, via the ray
-        pruned = []
-        for p in finite:
-            on_ray = False
-            for base, d in rays:
-                diff = vsub(p, base)
-                if d[0] * diff[1] == d[1] * diff[0]:
-                    i = 0 if d[0] != 0 else 1
-                    if diff[i] % d[i] == 0 and diff[i] // d[i] >= 0:
-                        on_ray = True
-                        break
-            if not on_ray:
-                pruned.append(p)
-        return sorted(pruned), sorted(rays)
-
-    def conductor_vector(self):
-        """Least (|c|_1, lex) element of S with c + saturation ⊆ S, certified."""
-        bases = [base for base, _, _ in self._line_bases()]
-        # M1*g1 + M2*g2, Mi the largest i-th Apéry coordinate, qualifies:
-        # added to a saturation point it dominates every Apéry element there
-        ceiling = sum(vadd(vscale(self._stable[1][0], self.g1),
-                           vscale(self._stable[0][0], self.g2)))
-        total = 0
-        while total <= ceiling:
-            for x in range(total + 1):
-                c = (x, total - x)
-                if not self.member(c):
-                    continue
-                # monotone line argument: checking each stored line base suffices
-                if all(self.member(vadd(c, base)) for base in bases):
-                    return c
-            total += 1
-        raise UncertifiedError("conductor scan exceeded certified range")
-
 
 # ---------------------------------------------------------------------------
 # public semigroup type
@@ -617,24 +465,6 @@ class AffineSemigroup:
             return False
         return self.member(d)
 
-    def conductor(self):
-        """A vector c in S with c + (saturation of S) ⊆ S, from the certified scan."""
-        if "conductor" not in self._cache:
-            self._cache["conductor"] = ExponentVector(self._engine.conductor_vector())
-        return self._cache["conductor"]
-
-    def saturation(self):
-        """Gaps (finite part and full rays) of the saturation, plus the conductor."""
-        if "saturation" not in self._cache:
-            finite, rays = self._engine.saturation_data()
-            self._cache["saturation"] = SaturationResult(
-                ring=self,
-                gaps=tuple(ExponentVector(p) for p in finite),
-                gap_rays=tuple((ExponentVector(b), ExponentVector(d)) for b, d in rays),
-                conductor=self.conductor(),
-            )
-        return self._cache["saturation"]
-
     def extreme_generators(self):
         """One generator per extreme ray of the cone, in ray order."""
         if self.kind == "grid2":
@@ -657,92 +487,3 @@ class AffineSemigroup:
         if self.kind == "num1":
             return ((1,),)
         return tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-
-    def newton_polyhedron(self, points):
-        """conv(points) + cone(S) as a halfspace list (exact)."""
-        pts = [tuple(int(c) for c in p) for p in points]
-        if not pts:
-            raise ValueError("newton_polyhedron requires at least one point")
-        for p in pts:
-            if len(p) != self.dim:
-                raise DimensionMismatchError("point %r has wrong length" % (p,))
-        if self.dim == 1:
-            return RationalPolyhedron(1, [((1,), min(p[0] for p in pts))])
-        if self.dim == 2:
-            e = self._engine
-            normals = [e.lam1, e.lam2]
-            hull = _hull2(pts)
-            n = len(hull)
-            for i in range(n):
-                p, q = hull[i], hull[(i + 1) % n]
-                d = vsub(q, p)
-                if not any(d):
-                    continue
-                cand = (-d[1], d[0])
-                # orient inward: all points on the >= side
-                if all(vdot(cand, r) >= vdot(cand, p) for r in pts):
-                    nm = _primitive(cand)
-                elif all(vdot(cand, r) <= vdot(cand, p) for r in pts):
-                    nm = _primitive(vscale(-1, cand))
-                else:
-                    continue
-                if vdot(nm, e.g1) >= 0 and vdot(nm, e.g2) >= 0:
-                    normals.append(nm)
-            return RationalPolyhedron(
-                2, [(nm, min(vdot(nm, p) for p in pts)) for nm in normals])
-        # free Z^3: axis normals, triangle normals, edge-axis normals
-        normals = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-        axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-        def cross3(u, v):
-            return (u[1] * v[2] - u[2] * v[1],
-                    u[2] * v[0] - u[0] * v[2],
-                    u[0] * v[1] - u[1] * v[0])
-
-        def consider(n):
-            if not any(n):
-                return
-            if all(c >= 0 for c in n):
-                normals.add(_primitive(n))
-            elif all(c <= 0 for c in n):
-                normals.add(_primitive(vscale(-1, n)))
-
-        for a, b in itertools.combinations(pts, 2):
-            d = vsub(b, a)
-            for ax in axes:
-                consider(cross3(d, ax))
-        for a, b, c in itertools.combinations(pts, 3):
-            consider(cross3(vsub(b, a), vsub(c, a)))
-        return RationalPolyhedron(
-            3, [(nm, min(vdot(nm, p) for p in pts)) for nm in sorted(normals)])
-
-
-class SaturationResult:
-    """Gap description of S̄ ∖ S plus a certified conductor."""
-
-    def __init__(self, ring, gaps, gap_rays, conductor):
-        self.ring = ring
-        self.gaps = gaps
-        self.gap_rays = gap_rays
-        self.conductor = conductor
-
-    @property
-    def is_saturated(self):
-        return not self.gaps and not self.gap_rays
-
-    def __repr__(self):
-        return ("SaturationResult(gaps=%r, gap_rays=%r, conductor=%r)"
-                % (self.gaps, self.gap_rays, self.conductor))
-
-
-def semigroup_membership(ring, v):
-    """True iff ``v`` is a nonnegative integer combination of ring generators."""
-    return ring.member(v)
-
-
-def saturation(ring):
-    return ring.saturation()
-
-
-def newton_polyhedron(points, ring):
-    return ring.newton_polyhedron(points)

@@ -12,6 +12,20 @@ REMARK_RING = {"dim": 2, "generators": [[1, 0], [1, 1], [0, 2], [0, 3]]}
 REMARK_Q = {"generators": [[1, 0], [0, 2]], "ordered": True}
 FREE3_RING = {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 FREE3_Q = {"generators": [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "ordered": True}
+FREE2_RING = {"dim": 2, "generators": [[1, 0], [0, 1]]}
+NAT_RING = {"dim": 1, "generators": [[1]]}
+# one instance of each ring kind: numerical, free, non-CM and CM non-free
+KIND_CORPUS = {"instances": [
+    {"id": "num-3-5-7", "ring": {"dim": 1, "generators": [[3], [5], [7]]},
+     "ideal": {"generators": [[6]], "ordered": True}},
+    {"id": "nat", "ring": NAT_RING, "ideal": {"generators": [[3]], "ordered": True}},
+    {"id": "free3", "ring": FREE3_RING, "ideal": FREE3_Q},
+    {"id": "remark", "ring": REMARK_RING, "ideal": REMARK_Q},
+    {"id": "free2", "ring": FREE2_RING,
+     "ideal": {"generators": [[2, 0], [0, 3]], "ordered": True}},
+    {"id": "veronese", "ring": {"dim": 2, "generators": [[2, 0], [1, 1], [0, 2]]},
+     "ideal": {"generators": [[2, 0], [0, 2]], "ordered": True}},
+]}
 
 
 def write(tmp_path, name, obj):
@@ -93,6 +107,26 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out.read_text())["e0"] == "2"
 
+    @pytest.mark.parametrize("ring,gens,e0", [
+        (NAT_RING, [[4]], 4),
+        (FREE2_RING, [[2, 0], [0, 3]], 6),
+        (FREE2_RING, [[0, 3], [2, 0]], 6),
+        (FREE2_RING, [[1, 0], [0, 1]], 1),
+        (REMARK_RING, REMARK_Q["generators"], None),
+        (FREE3_RING, FREE3_Q["generators"], None),
+    ])
+    def test_multiplicity_volume_key(self, tmp_path, capsys, ring, gens, e0):
+        # free rings of dimension 1 and 2 carry the key, equal to e0; others lack it
+        ring = write(tmp_path, "ring.json", ring)
+        ideal = write(tmp_path, "q.json", {"generators": gens, "ordered": True})
+        code = main(["analyze", "--ring", ring, "--ideal", ideal, "--n-max", "6"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        if e0 is None:
+            assert "multiplicity_volume" not in data
+        else:
+            assert data["multiplicity_volume"] == data["e0"] == str(e0)
+
     def test_csv(self, tmp_path, capsys):
         ring = write(tmp_path, "ring.json", REMARK_RING)
         ideal = write(tmp_path, "q.json", REMARK_Q)
@@ -128,6 +162,17 @@ class TestVerify:
         assert code == 1
         assert captured.out == ""
         assert "input error" in captured.err and "Traceback" not in captured.err
+
+    def test_char_2_every_ring_kind_digest(self, tmp_path, monkeypatch, capsys):
+        # the only command path through the 1-D tight closure; the report
+        # names the corpus path, so it is given relative to a fixed directory
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "corpus.json", KIND_CORPUS)
+        code = main(["verify", "--corpus", "corpus.json", "--char", "2", "--n-max", "6"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "2cdc0754934f508dcda880f35adb4f3f402d54a42c2cc92ee274883664543e6b"
 
     def test_missing_corpus(self, capsys):
         code = main(["verify", "--corpus", "/nonexistent.json"])

@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REMARK_GENS, brute_complement
+from conftest import REMARK_GENS, brute_complement, finite_gaps
 from hilbclose.cli import example_instance
-from hilbclose.errors import (
-    NotMPrimaryError,
-    NotStabilizedError,
-    UncertifiedError,
-    UnsupportedRingError,
-)
+from hilbclose.errors import NotMPrimaryError, NotStabilizedError, UncertifiedError
 from hilbclose.hilbert import (
     Filtration,
     FiltrationKind,
@@ -19,7 +14,6 @@ from hilbclose.hilbert import (
     fit_filtration,
     fit_polynomial,
     length_sequence,
-    multiplicity_volume,
 )
 from hilbclose.ideals import (
     MonomialIdeal,
@@ -137,6 +131,13 @@ class TestLengthSequence:
         assert tight == length_sequence(Filtration(FiltrationKind.INTEGRAL, q), 5)
         assert tight == [3, 9, 15, 21, 27, 33]
 
+    def test_integral_builds_no_members(self, free2):
+        # its closures are the rule, which the chain check tests points against
+        filt = Filtration(FiltrationKind.INTEGRAL, ParameterIdeal(free2, [(2, 0), (0, 3)]))
+        with pytest.raises(ValueError, match="Filtration.rule"):
+            filt.member(1)
+        assert filt.rule.member(2, (2, 3))
+
     @pytest.mark.parametrize("kind", [FiltrationKind.INTEGRAL, FiltrationKind.LIM_INTERSECT,
                                       FiltrationKind.TIGHT])
     def test_needs_parameter_ideal(self, kind, free2):
@@ -233,7 +234,14 @@ class TestNonCMCounts:
     def test_holes_are_the_finite_gaps(self, corpus_parameters):
         # S' ∖ S is a basis of H^1_m: e1_lim = 0 and e2_lim = -#gaps
         for q in non_cm_parameters(corpus_parameters):
-            eng, gaps = q.ring._engine, q.ring.saturation().gaps
+            # the oracle scans a box twice as wide as the holes and generators
+            eng = q.ring._engine
+            (a, b), (c, d) = eng.lam1, eng.lam2
+            det = a * d - b * c
+            points = [((l1 * d - l2 * b) // det, (a * l2 - c * l1) // det)
+                      for l1, l2 in eng.s2_holes]
+            box = 2 * max(map(max, points + list(q.ring.generators)))
+            gaps = finite_gaps(q.ring, box)
             assert sorted(eng.s2_holes) == sorted(
                 (vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in gaps), q
             rep = fit_filtration(Filtration(FiltrationKind.LIM_INTERSECT, q))
@@ -324,43 +332,42 @@ class TestFitPolynomial:
 
 
 class TestMultiplicityVolume:
+    """``analyze`` reports e(Q) = ``multiplicity()`` as the volume of the
+    Newton polyhedron's complement on free rings of dimension 1 and 2."""
+
     def test_x2y3(self, free2):
-        assert multiplicity_volume(MonomialIdeal(free2, [(2, 0), (0, 3)])) == 6
+        assert ParameterIdeal(free2, [(2, 0), (0, 3)]).multiplicity() == 6
 
     def test_maximal(self, free2):
-        assert multiplicity_volume(MonomialIdeal(free2, [(1, 0), (0, 1)])) == 1
+        assert ParameterIdeal(free2, [(1, 0), (0, 1)]).multiplicity() == 1
 
     def test_collinear_generators(self, free2):
-        # oracle value: ordinary fit of this integrally closed ideal gives e0 = 4
-        ideal = MonomialIdeal(free2, [(2, 0), (1, 1), (0, 2)])
-        assert multiplicity_volume(ideal) == 4
+        # (x^2, y^2) has the integral closure (x^2, xy, y^2), and e0 = 4
         q = ParameterIdeal(free2, [(2, 0), (0, 2)])
+        assert q.multiplicity() == 4
         rep = fit_filtration(Filtration(FiltrationKind.ORDINARY, q))
+        assert rep.e0 == 4
+        rep = fit_filtration(Filtration(FiltrationKind.ORDINARY,
+                                        MonomialIdeal(free2, [(2, 0), (1, 1), (0, 2)])))
         assert rep.e0 == 4
 
     def test_staircase(self, free2):
         # vertices (0,3),(1,1),(3,0): trapezoids 2 + 1, so e0 = 2 * 3 = 6;
         # cross-checked against the ordinary-powers fit (6, 1, 0)
         ideal = MonomialIdeal(free2, [(0, 3), (1, 1), (3, 0)])
-        assert multiplicity_volume(ideal) == 6
         rep = fit_filtration(Filtration(FiltrationKind.ORDINARY, ideal))
         assert rep.e0 == 6
 
     def test_dim1(self):
         ring = AffineSemigroup(1, [(1,)])
-        assert multiplicity_volume(MonomialIdeal(ring, [(4,)])) == 4
-
-    def test_unsupported_nonfree(self, remark_ring):
-        with pytest.raises(UnsupportedRingError):
-            multiplicity_volume(MonomialIdeal(remark_ring, [(1, 0), (0, 2)]))
+        assert ParameterIdeal(ring, [(4,)]).multiplicity() == 4
 
     def test_matches_every_fit(self, free2):
         q = ParameterIdeal(free2, [(2, 0), (0, 3)])
-        vol = multiplicity_volume(q.base)
         for kind in (FiltrationKind.ORDINARY, FiltrationKind.INTEGRAL,
                      FiltrationKind.LIM_INTERSECT):
             rep = fit_filtration(Filtration(kind, q))
-            assert rep.e0 == vol, kind
+            assert rep.e0 == q.multiplicity(), kind
 
 
 class TestCoefficientReport:

@@ -5,24 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REMARK_GENS, brute_complement, brute_ideal_member
-from hilbclose.closures import _ContractUp
+from conftest import (
+    REMARK_GENS,
+    brute_complement,
+    brute_ideal_member,
+    limit_chain_member,
+    split_meet_member,
+    tight_member,
+)
+from hilbclose.closures import _ContractUp, lim_intersection, tight_closure
 from hilbclose.errors import NotMPrimaryError, RingMismatchError, UnsupportedRingError
 from hilbclose.ideals import (
     MonomialIdeal,
     ParameterIdeal,
-    _ColonUp,
-    _extract_free3,
     _IdealUp,
     _line_firsts,
-    _MeetUp,
-    _PolyUp,
     _stair_member,
     extract_ideal,
-    extract_min_gens,
-    ideal_colon,
-    ideal_colon_ideal,
-    ideal_intersection,
     ideal_power,
     ideal_product,
     ideal_sum,
@@ -115,45 +114,6 @@ class TestProductPower:
         a = MonomialIdeal(remark_ring, [(2, 0)])
         b = MonomialIdeal(remark_ring, [(0, 2)])
         assert gens_of(ideal_sum(a, b)) == [(0, 2), (2, 0)]
-
-
-class TestColon:
-    def test_remark_colon_example(self, remark_ring):
-        ideal = MonomialIdeal(remark_ring, [(2, 0), (0, 4)])
-        colon = ideal_colon(ideal, (1, 2))
-        assert colon.complement() == ((0, 0),)
-        assert colon.member((1, 1)) and colon.member((0, 3))
-        assert colon == maximal_ideal(remark_ring)
-
-    def test_principal_colon_dim1(self):
-        ring = AffineSemigroup(1, [(1,)])
-        ideal = MonomialIdeal(ring, [(2,)])
-        assert gens_of(ideal_colon(ideal, (1,))) == [(1,)]
-
-    def test_free_staircase_colon(self, free2):
-        ideal = MonomialIdeal(free2, [(2, 0), (0, 2)])
-        assert gens_of(ideal_colon(ideal, (1, 1))) == [(0, 1), (1, 0)]
-
-    def test_colon_adjunction_exhaustive(self, remark_ring):
-        ideal = MonomialIdeal(remark_ring, [(2, 0), (0, 4)])
-        f = (1, 2)
-        colon = ideal_colon(ideal, f)
-        for v in itertools.product(range(9), repeat=2):
-            if remark_ring.member(v):
-                assert colon.member(v) == ideal.member((v[0] + f[0], v[1] + f[1])), v
-
-    def test_colon_by_ideal(self, free2):
-        ideal = MonomialIdeal(free2, [(3, 0), (0, 3)])
-        j = MonomialIdeal(free2, [(1, 0), (0, 1)])
-        # (I : m) = intersection of the two single colons
-        expected = ideal_intersection(
-            [ideal_colon(ideal, (1, 0)), ideal_colon(ideal, (0, 1))])
-        assert ideal_colon_ideal(ideal, j) == expected
-
-    def test_colon_free3(self, free3):
-        ideal = MonomialIdeal(free3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
-        colon = ideal_colon(ideal, (1, 1, 0))
-        assert gens_of(colon) == [(0, 0, 2), (0, 1, 0), (1, 0, 0)]
 
 
 class TestColength:
@@ -294,28 +254,13 @@ class TestStaircaseSweep:
         assert comp == brute_complement(sgens, gens_of(ideal), box)
 
 
-class _ShiftedUp:
-    """{v : v + f in I}, whose profile is the shifted generator sweep."""
-
-    def __init__(self, ideal_up, f):
-        self.base = ideal_up
-        self.f = f
-
-    def member(self, v):
-        return self.base.member(vadd(v, self.f))
-
-    def profile(self, key, axis, count):
-        return self.base.profile(key, axis, count, self.f)
-
-
 class TestProfiles:
     """Every up-set's per-coset profile against a bounded scan of ``member``."""
 
     @settings(max_examples=40, deadline=None)
     @given(sweep_rings, st.integers(1, 3), st.integers(1, 3),
-           st.lists(st.integers(0, 2), min_size=4, max_size=4),
            st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), max_size=2))
-    def test_profile_matches_member_scan(self, sgens, k1, k2, fcombo, combos):
+    def test_profile_matches_member_scan(self, sgens, k1, k2, combos):
         ring = AffineSemigroup(2, sgens)
         eng = ring._engine
 
@@ -324,25 +269,9 @@ class TestProfiles:
 
         extra = [v for v in map(element, combos) if any(v)]
         gens = MonomialIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)] + extra)
-        gens = gens.min_generators
-        up = _IdealUp(ring, gens)
-        small = element(fcombo)
-        large = vadd(small, vscale(3, vadd(eng.g1, eng.g2)))
-        other = _IdealUp(ring, [vscale(k1 + 1, eng.g1), vadd(eng.g1, eng.g2),
-                                vscale(k2 + 1, eng.g2)])
-        poly = ring.newton_polyhedron(gens)
-        upsets = [
-            up,
-            _ShiftedUp(up, small),
-            _ShiftedUp(up, large),
-            _ColonUp(up, large),
-            _MeetUp([up, other, _ColonUp(other, small)]),
-            _PolyUp(ring, poly, 2, vscale(2, gens[0])),
-        ] + [_ContractUp(ring, ParameterIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)]),
-                         k, tight)
-             for k in (1, 2) for tight in (False, True)]
-        # a shifted first is at least -(lam1 + lam2)(f), and every first here is small
-        lo = -(vdot(eng.lam1, large) + vdot(eng.lam2, large)) - 1
+        q = ParameterIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)])
+        upsets = [_IdealUp(ring, gens.min_generators)] + [
+            _ContractUp(ring, q, k, tight) for k in (1, 2) for tight in (False, True)]
         hi = 12 * (k1 + k2 + 4)
         for axis in (0, 1):
             gfix, gax = (eng.g1, eng.g2) if axis == 1 else (eng.g2, eng.g1)
@@ -353,7 +282,7 @@ class TestProfiles:
                     assert len(prof) == count
                     for m in range(count):
                         v0 = vadd(eng.box[key], vscale(m, gfix))
-                        first = next((t for t in range(lo, hi)
+                        first = next((t for t in range(hi)
                                       if upset.member(vadd(v0, vscale(t, gax)))), None)
                         assert prof[m] == first, \
                             (type(upset).__name__, getattr(upset, "tight", None), key, axis, m)
@@ -364,34 +293,15 @@ class TestStoredStaircase:
     counted colength against the materialized and brute-force complements."""
 
     @settings(max_examples=30, deadline=None)
-    @given(sweep_rings, st.integers(1, 2), st.integers(1, 2),
-           st.lists(st.integers(0, 1), min_size=4, max_size=4),
-           st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), max_size=2))
-    def test_lookup_and_colength(self, sgens, k1, k2, fcombo, combos):
-        from hilbclose.closures import integral_closure_power, limit_closure
-
+    @given(sweep_rings, st.integers(1, 2), st.integers(1, 2), st.booleans())
+    def test_lookup_and_colength(self, sgens, k1, k2, swap):
         ring = AffineSemigroup(2, sgens)
         eng = ring._engine
-
-        def element(combo):
-            return tuple(sum(c * g[i] for c, g in zip(combo, ring.generators)) for i in (0, 1))
-
         powers = [vscale(k1, eng.g1), vscale(k2, eng.g2)]
-        ideal = MonomialIdeal(ring, powers + [v for v in map(element, combos) if any(v)])
-        other = MonomialIdeal(ring, [vscale(k1 + 1, eng.g1), vadd(eng.g1, eng.g2),
-                                     vscale(k2 + 1, eng.g2)])
-        split = limit_closure(ParameterIdeal(ring, powers).split((1, 2))).ideal
-        poly = ring.newton_polyhedron(gens_of(ideal))
-        upsets = [
-            _ColonUp(ideal._up, element(fcombo)),
-            _MeetUp([ideal._up, ideal_power(other, 2)._up]),
-            _PolyUp(ring, poly, 2, vscale(2, ideal.min_generators[0])),
-            _IdealUp(ring, split.min_generators),
-        ]
-        assert integral_closure_power(ideal, 2).min_generators == \
-            extract_min_gens(ring, upsets[2])
+        q = ParameterIdeal(ring, powers[::-1] if swap else powers)
+        upsets = [_ContractUp(ring, q, k, tight) for k in (1, 2) for tight in (False, True)]
         for upset in upsets:
-            name = type(upset).__name__
+            name = (upset.k, upset.tight)
             extracted = extract_ideal(ring, upset)
             stair = extracted._up.stair
             assert sorted(stair) == sorted(eng.box), name
@@ -415,10 +325,18 @@ class TestStoredStaircase:
 class TestExtractionOracle:
     """Cross-check extraction sweeps against a box brute force.
 
-    The oracle enumerates members in a generous box and keeps the points all
-    of whose predecessors leave the up-set; every minimal generator of the
-    tested up-sets is small enough to land inside the box.
+    The oracle enumerates the members of a closure, by its definition, in a
+    generous box and keeps the points all of whose predecessors leave it;
+    every minimal generator of the tested closures is small enough to land
+    inside the box.
     """
+
+    CASES = [
+        ("remark", [(1, 0), (0, 2)]),
+        ("remark", [(0, 4), (2, 0)]),
+        ("cm", [(2, 0), (0, 1)]),
+        ("cm", [(0, 2), (4, 0)]),
+    ]
 
     @staticmethod
     def brute_min_gens(ring, member, box):
@@ -430,39 +348,35 @@ class TestExtractionOracle:
                 out.append(v)
         return out
 
+    def parameters(self, remark_ring, cm_ring):
+        rings = {"remark": remark_ring, "cm": cm_ring}
+        return [ParameterIdeal(rings[name], gens) for name, gens in self.CASES]
+
     def test_colon_extraction(self, remark_ring, cm_ring):
-        cases = [
-            (remark_ring, [(3, 0), (1, 2), (0, 6)], (1, 1)),
-            (remark_ring, [(2, 3), (0, 5)], (0, 2)),
-            (cm_ring, [(4, 0), (2, 2), (0, 3)], (2, 1)),
-            (cm_ring, [(6, 1), (0, 4)], (3, 0)),
-        ]
-        for ring, gens, f in cases:
-            ideal = MonomialIdeal(ring, gens)
-            colon = ideal_colon(ideal, f)
-            member = colon.member
-            expected = self.brute_min_gens(ring, member, 14)
-            assert sorted(map(tuple, colon.min_generators)) == expected, (gens, f)
+        # Q^lim is the colon (u1^(t+1), u2^(t+1)) : (u1 u2)^t for large t
+        for q in self.parameters(remark_ring, cm_ring):
+            closed = extract_ideal(q.ring, _ContractUp(q.ring, q))
+            expected = self.brute_min_gens(q.ring, lambda v: limit_chain_member(q, 48, v), 14)
+            assert gens_of(closed) == expected, q
 
     def test_intersection_extraction(self, remark_ring, cm_ring):
-        for ring in (remark_ring, cm_ring):
-            a = MonomialIdeal(ring, [(3, 0), (0, 2)])
-            b = MonomialIdeal(ring, [(2, 1), (0, 4)])
-            met = ideal_intersection([a, b])
-            member = lambda v: a.member(v) and b.member(v)
-            expected = self.brute_min_gens(ring, member, 14)
-            assert sorted(map(tuple, met.min_generators)) == expected, ring
+        # split slot k, the intersection of the splits' limit closures
+        for q in self.parameters(remark_ring, cm_ring):
+            for k in (2, 3):
+                met = extract_ideal(q.ring, _ContractUp(q.ring, q, k))
+                expected = self.brute_min_gens(
+                    q.ring, lambda v: split_meet_member(q, k + 1, v), 14)
+                assert gens_of(met) == expected, (q, k)
+                if not q.ring.is_cm:
+                    assert met == lim_intersection(q, k + 1), (q, k)
 
     def test_closure_extraction(self, remark_ring, cm_ring):
-        from hilbclose.closures import integral_closure
-
-        for ring, gens in ((remark_ring, [(2, 1), (0, 4)]), (cm_ring, [(5, 0), (2, 2), (0, 3)])):
-            ideal = MonomialIdeal(ring, gens)
-            closed = integral_closure(ideal)
-            poly = ring.newton_polyhedron(gens)
-            member = lambda v: all(c >= 0 for c in v) and ring.member(v) and poly.contains(v)
-            expected = self.brute_min_gens(ring, member, 14)
-            assert sorted(map(tuple, closed.min_generators)) == expected, gens
+        # the tight closure Q^k S̄ ∩ S
+        for q in self.parameters(remark_ring, cm_ring):
+            for k in (1, 2, 3):
+                closed = tight_closure(q, k)
+                expected = self.brute_min_gens(q.ring, lambda v: tight_member(q, k, v), 14)
+                assert gens_of(closed) == expected, (q, k)
 
 
 FREE3_GENS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -470,7 +384,9 @@ small3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 
 
 class TestFree3Heights:
-    """Free-Z^3 corner extraction from column heights against a box brute force."""
+    """Free-Z^3 heights and reach against a box brute force: the corners of
+    the height function, the columns below both their left and lower
+    neighbours, are the minimal generators."""
 
     @staticmethod
     def brute_min_gens(member, box):
@@ -479,46 +395,32 @@ class TestFree3Heights:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
-           st.lists(small3, max_size=4), st.lists(small3, max_size=3),
-           st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))
-    def test_extraction_matches_brute_force(self, a, b, c, extra, other_extra, f):
+           st.lists(small3, max_size=4))
+    def test_extraction_matches_brute_force(self, a, b, c, extra):
         ring = AffineSemigroup(3, FREE3_GENS)
         gens = gens_of(MonomialIdeal(
             ring, [(a, 0, 0), (0, b, 0), (0, 0, c)] + [v for v in extra if any(v)]))
-        other = [(4, 0, 0), (0, 4, 0), (0, 0, 4)] + [v for v in other_extra if any(v)]
         up = _IdealUp(ring, gens)
-        other_up = _IdealUp(ring, other)
-        poly = ring.newton_polyhedron(gens)
+        memo = {}
 
-        def in_ideal(igens, v):
-            return all(x >= 0 for x in v) and brute_ideal_member(FREE3_GENS, igens, v)
+        def member(v):
+            if v not in memo:
+                memo[v] = min(v) >= 0 and brute_ideal_member(FREE3_GENS, gens, v)
+            return memo[v]
 
-        cases = [
-            (up, lambda v: in_ideal(gens, v), 4),
-            (_ColonUp(up, f), lambda v: min(v) >= 0 and in_ideal(gens, vadd(v, f)), 4),
-            (_MeetUp([up, other_up, _ColonUp(other_up, f)]),
-             lambda v: in_ideal(gens, v) and in_ideal(other, v)
-             and in_ideal(other, vadd(v, f)), 4),
-        ] + [
-            (_PolyUp(ring, poly, n, vscale(n, gens[0])),
-             lambda v, n=n: min(v) >= 0 and poly.contains(v, n), 4 * n) for n in (1, 2)
-        ]
-        for upset, member, box in cases:
-            memo = {}
-
-            def cached(v):
-                if v not in memo:
-                    memo[v] = member(v)
-                return memo[v]
-
-            expected = self.brute_min_gens(cached, box)
-            name = type(upset).__name__
-            for i, e in enumerate(FREE3_GENS):
-                reach = next((k for k in range(box + 1) if cached(vscale(k, e))), None)
-                assert upset.reach(i) == reach, (name, i)
-            # corners are exactly the minimal generators, before any filter
-            assert sorted(_extract_free3(ring, upset)) == expected, name
-            assert list(map(tuple, extract_min_gens(ring, upset))) == expected, name
+        expected = self.brute_min_gens(member, 4)
+        for i, e in enumerate(FREE3_GENS):
+            reach = next((k for k in range(5) if member(vscale(k, e))), None)
+            assert up.reach(i) == reach, i
+        hts = up.heights(a + 1, b + 1)
+        for x in range(a + 1):
+            for y in range(b + 1):
+                assert hts[x][y] == next((z for z in range(5) if member((x, y, z))), None)
+        corners = [(x, y, hts[x][y]) for x in range(a + 1) for y in range(b + 1)
+                   if hts[x][y] is not None
+                   and (x == 0 or hts[x - 1][y] is None or hts[x][y] < hts[x - 1][y])
+                   and (y == 0 or hts[x][y - 1] is None or hts[x][y] < hts[x][y - 1])]
+        assert sorted(corners) == expected == gens
         comp = sorted(map(tuple, MonomialIdeal(ring, gens).complement()))
         assert comp == brute_complement(FREE3_GENS, gens, 4)
 
@@ -557,13 +459,12 @@ class TestParameterIdeal:
         assert not MonomialIdeal(free3, [(5000, 0, 0), (0, 1, 0)]).is_m_primary
 
     def test_large_pure_power_closure_and_colon(self, free3):
-        # extraction reads the pure powers in closed form, so no scan cap applies
-        from hilbclose.closures import integral_closure
-
-        base = ParameterIdeal(free3, [(5000, 0, 0), (0, 1, 0), (0, 0, 1)]).base
-        assert integral_closure(base) == base
-        colon = ideal_colon(base, (1, 0, 0))
-        assert gens_of(colon) == [(0, 0, 1), (0, 1, 0), (4999, 0, 0)]
+        # the pure powers are read in closed form, so no scan cap applies
+        q = ParameterIdeal(free3, [(5000, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert tight_closure(q) == lim_intersection(q, 3) == q.base
+        # (Q : x) = (x^4999, y, z)
+        colon = MonomialIdeal(free3, [(4999, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert colon._ray_powers() == (4999, 1, 1)
         assert colon.colength() == 4999
 
     def test_is_parameter_on_plain_ideal(self, remark_ring):
