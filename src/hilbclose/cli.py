@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from math import comb
@@ -140,8 +141,9 @@ def run_verify(config):
         sys.stderr.write("input error [%s]: %s\n"
                          % (getattr(exc, "code", "INVALID"), exc))
         return EXIT_INPUT
+    # the file name alone, so the report does not depend on how the path is spelt
     return _run_verification(config, instances,
-                             {"corpus": config.corpus_path}, "verify")
+                             {"corpus": os.path.basename(config.corpus_path)}, "verify")
 
 
 def run_fuzz(config):

@@ -25,7 +25,7 @@ since k[S'] is CM.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .errors import NotMPrimaryError, UncertifiedError
 from .ideals import MonomialIdeal, ParameterIdeal, _grid2_runs, extract_ideal, ideal_power
@@ -47,7 +47,8 @@ class ClosureRule:
 
     k conv(u_i) plus the cone is the Newton polyhedron of Q^k, and s lies in
     Q^k S̄ when some b_1 + ... + b_d = k has b_i <= floor(lam_i(s) / a_i).
-    ``lengths`` counts the colengths of both from the rule, line by line.
+    ``lengths`` counts the colengths of both from the rule: by lines in
+    free Z^3, and by a floor sum per residue class of stable 2-D columns.
     """
 
     def __init__(self, q, tight=False):
@@ -79,10 +80,15 @@ class ClosureRule:
         at fixed values of the others, from a first index t0 on: column m1
         of 2-D coset (k1, k2) has lam1 = k1 + m1*D1, lam2 = k2 + t*D2 and t0
         = ``grid_first(key, 1, m1)``; free-Z^3 column (x, y) has z = t and t0
-        = 0.  The rule reads alpha*k - beta <= gamma*t on a line, beta fixed
-        per line, so the line adds max(0, ceil((alpha*k - beta) / gamma) - t0)
-        points.  Lines on which the other forms alone reach k (lam1 >= k*A,
-        x >= k*a or y >= k*b) add none.
+        = 0.  The rule reads alpha*k <= w + c*lam on a line, w fixed per
+        line, so with b = w + c*lam at t0 the line adds max(0, ceil((alpha*k
+        - b) / gamma)) points, gamma = c times the step of lam.  Lines on
+        which the other forms alone reach k (lam1 >= k*a1, x >= k*ax or
+        y >= k*ay) add none.  Free Z^3 and the 2-D columns before
+        ``stabilization(1)`` add their terms one by one.  Past it t0 is
+        constant per coset and b linear in m1 on each class mod the period of
+        floor(lam1 / a1) (1 for the integral rule), so the terms of a class
+        are positive on an initial run and add up to one ``_floor_sum``.
         """
         ring, top = self.ring, n_max + 1
         if ring.kind == "num1":
@@ -91,31 +97,54 @@ class ClosureRule:
             below = [x for x in range(0, top * u, eng.step) if eng.member((x,))]
             return [bisect_left(below, k * u) for k in range(1, top + 1)]
         *rest, (_, a) = self.forms
-        lines = []  # (lam values of the other forms, last form at t = 0, t0)
-        if ring.kind == "grid2":
-            eng = ring._engine
-            step, (_, a1) = eng.D2, rest[0]
-            for k1, k2 in eng.box:
-                for m1 in range(-(-(top * a1 - k1) // eng.D1)):
-                    t0 = eng.grid_first((k1, k2), 1, m1)
-                    if t0 is not None:
-                        lines.append(((k1 + m1 * eng.D1,), k2, t0))
-        else:
-            step, ((_, ax), (_, ay)) = 1, rest
-            lines = [((x, y), 0, 0) for x in range(top * ax) for y in range(top * ay)]
         if self.tight:
-            # floor(lam/a) >= k - w, w the other forms' floors
-            alpha, gamma = a, step
-            betas = [(sum(l // b for l, (_, b) in zip(lams, rest)) * a + l0, t0)
-                     for lams, l0, t0 in lines]
+            # floor(lam/a) >= k - floor(w/a), w a times the other forms' floors
+            alpha, c = a, 1
+            w = lambda lams: sum(l // b for l, (_, b) in zip(lams, rest)) * a
         else:
             # lam * P/a >= k*P - w, w the other forms' lam * P/b
-            c = self._prod // a
-            alpha, gamma = self._prod, step * c
-            betas = [(sum(l * (self._prod // b) for l, (_, b) in zip(lams, rest)) + l0 * c, t0)
-                     for lams, l0, t0 in lines]
-        return [sum(max(0, -((beta - alpha * k) // gamma) - t0) for beta, t0 in betas)
-                for k in range(1, top + 1)]
+            alpha, c = self._prod, self._prod // a
+            w = lambda lams: sum(l * (self._prod // b) for l, (_, b) in zip(lams, rest))
+        lines, runs = [], []  # b per line; (b at the first column, slope) per class
+        if ring.kind == "grid2":
+            eng = ring._engine
+            (_, a1), (stable, consts) = rest[0], eng.stabilization(1)
+            step, period = eng.D2, (a1 // gcd(eng.D1, a1) if self.tight else 1)
+            for k1, k2 in eng.box:
+                for m1 in range(min(stable, -(-(top * a1 - k1) // eng.D1))):
+                    t0 = eng.grid_first((k1, k2), 1, m1)
+                    if t0 is not None:
+                        lines.append(w((k1 + m1 * eng.D1,)) + c * (k2 + t0 * step))
+                for l1 in range(k1 + stable * eng.D1, k1 + (stable + period) * eng.D1, eng.D1):
+                    runs.append((w((l1,)) + c * (k2 + consts[k1, k2] * step),
+                                 w((l1 + period * eng.D1,)) - w((l1,))))
+        else:
+            step, ((_, ax), (_, ay)) = 1, rest
+            lines = [w((x, y)) for x in range(top * ax) for y in range(top * ay)]
+        gamma, out = c * step, []
+        for k in range(1, top + 1):
+            n = sum(max(0, -((b - alpha * k) // gamma)) for b in lines)
+            for b, slope in runs:
+                # ceil((alpha*k - b - slope*j) / gamma) > 0 for j < count
+                count = max(0, -((b - alpha * k) // slope))
+                n -= _floor_sum(count, gamma, slope, b - alpha * k)
+            out.append(n)
+        return out
+
+
+def _floor_sum(n, m, a, b):
+    """sum(floor((a*i + b) / m) for i in range(n)) for m > 0, by Euclid-style
+    reduction: terms with 0 <= a, b < m reduce to the sum with m and a
+    swapped over the points under the line (the standard lattice-point count
+    in a right trapezoid)."""
+    total = 0
+    while True:
+        total += (a // m) * (n * (n - 1) // 2) + (b // m) * n
+        a, b = a % m, b % m
+        y = a * n + b
+        if y < m:
+            return total
+        n, b, m, a = y // m, y % m, a, m
 
 
 # ---------------------------------------------------------------------------

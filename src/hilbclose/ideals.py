@@ -522,17 +522,19 @@ def ideal_power(a, n):
     if n in powers:
         return powers[n]
     if is_parameter_ideal(a):
-        # Q^n is generated by the sums of n parameters; they are pairwise
-        # incomparable, as the parameters lie on distinct extreme rays
-        gens = [tuple(map(sum, zip(*c)))
-                for c in itertools.combinations_with_replacement(a.min_generators, n)]
-        powers[n] = MonomialIdeal(a.ring, gens, _reduced=True)
+        powers[n] = MonomialIdeal(a.ring, parameter_sums(a.min_generators, n), _reduced=True)
         return powers[n]
     top = max(powers)
     while top < n:
         powers[top + 1] = ideal_product(powers[top], a)
         top += 1
     return powers[n]
+
+
+def parameter_sums(params, n):
+    """The sums of n parameters, the generators of Q^n; they are pairwise
+    incomparable, as the parameters lie on distinct extreme rays."""
+    return [tuple(map(sum, zip(*c))) for c in itertools.combinations_with_replacement(params, n)]
 
 
 def maximal_ideal(ring):

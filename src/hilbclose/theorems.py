@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import GenerationExhaustedError, NotMPrimaryError, UnsupportedRingError
 from .hilbert import CoefficientBundle, FiltrationKind
-from .ideals import ParameterIdeal, nu_m_mod_q
+from .ideals import ParameterIdeal, _IdealUp, nu_m_mod_q, parameter_sums
 from .lattice import AffineSemigroup, vscale
 
 CHECK_N_MAX = 8
@@ -104,7 +104,8 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
     loudly rather than silently accepted.  The integral and tight closures
     are their rules (``ClosureRule``): a split slot lies inside when its
     generators do, and only the tight closure's own generators are
-    extracted, to test against the integral rule.
+    extracted, to test against the integral rule.  A CM ring builds no
+    power: its slot n is Q^n, tested through the sums of n parameters.
     """
     bundle = _bundle(ring, q, bundle, n_max, characteristic)
     q = bundle.parameter
@@ -119,11 +120,19 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
                "ring": [tuple(g) for g in ring.generators]}
     inclusions_ok = True
     lim_nested = True
+    prev = None  # split slot n - 1, as an up-set
     for n in range(1, bundle.n_max + 1):
-        low, mid = ord_f.member(n), lim_f.member(n)
-        ok = mid.contains_ideal(low) and integral.contains(n, mid)
+        if ring.is_cm:
+            # Q^n is both member n and split slot n (``lim_intersection``),
+            # generated by the sums of n parameters
+            gens = parameter_sums(q.ordered_generators, n)
+            ok, up = True, _IdealUp(ring, gens)
+        else:
+            low, mid = ord_f.member(n), lim_f.member(n)
+            gens, up, ok = mid.min_generators, mid, mid.contains_ideal(low)
+        ok = ok and all(integral.member(n, g) for g in gens)
         if tight_f is not None and ok:
-            if not tight_f.rule.contains(n, mid):
+            if not all(tight_f.rule.member(n, g) for g in gens):
                 ok = False
                 details.setdefault("failures", []).append(
                     {"n": n, "reason": "split intersection not inside tight closure"})
@@ -134,11 +143,12 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
         if not ok:
             inclusions_ok = False
             details.setdefault("failures", []).append({"n": n, "reason": "inclusion"})
-        if n > 1 and not lim_f.member(n - 1).contains_ideal(mid):
+        if prev is not None and not all(prev.member(g) for g in gens):
             # slots nest as powers and as {A + B >= k} do
             lim_nested = inclusions_ok = False
             details.setdefault("failures", []).append(
                 {"n": n, "reason": "split slots not nested"})
+        prev = up
     details["lim_chain_nested"] = lim_nested
 
     ord_rep = bundle.report(FiltrationKind.ORDINARY)

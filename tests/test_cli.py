@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -164,8 +165,7 @@ class TestVerify:
         assert "input error" in captured.err and "Traceback" not in captured.err
 
     def test_char_2_every_ring_kind_digest(self, tmp_path, monkeypatch, capsys):
-        # the only command path through the 1-D tight closure; the report
-        # names the corpus path, so it is given relative to a fixed directory
+        # the only command path through the 1-D tight closure
         monkeypatch.chdir(tmp_path)
         write(tmp_path, "corpus.json", KIND_CORPUS)
         code = main(["verify", "--corpus", "corpus.json", "--char", "2", "--n-max", "6"])
@@ -173,6 +173,16 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "2cdc0754934f508dcda880f35adb4f3f402d54a42c2cc92ee274883664543e6b"
+
+    def test_report_independent_of_path_spelling(self, tmp_path, monkeypatch, capsys):
+        path = write(tmp_path, "corpus.json", KIND_CORPUS)
+        monkeypatch.chdir(tmp_path)
+        outs = []
+        for given in (path, "corpus.json", os.path.join("..", tmp_path.name, "corpus.json")):
+            assert main(["verify", "--corpus", given, "--n-max", "6"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["corpus"] == "corpus.json"
 
     def test_missing_corpus(self, capsys):
         code = main(["verify", "--corpus", "/nonexistent.json"])

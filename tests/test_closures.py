@@ -13,11 +13,18 @@ from conftest import (
     limit_chain_member,
     limit_member_by_search,
     newton_polyhedron,
+    rule_lengths_by_line,
     split_meet_member,
     tight_member,
 )
 from hilbclose.cli import _builtin_examples, example_instance
-from hilbclose.closures import ClosureRule, _ContractUp, lim_intersection, tight_closure
+from hilbclose.closures import (
+    ClosureRule,
+    _ContractUp,
+    _floor_sum,
+    lim_intersection,
+    tight_closure,
+)
 from hilbclose.errors import NotMPrimaryError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind
 from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power
@@ -473,3 +480,34 @@ class TestClosureRule:
     def test_requires_parameter_ideal(self, free2):
         with pytest.raises(NotMPrimaryError):
             ClosureRule(MonomialIdeal(free2, [(2, 0), (0, 2)]))
+
+
+class TestFloorSums:
+    """The 2-D counts by per-class floor sums against the count with one
+    term per column (``conftest.rule_lengths_by_line``)."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+    def test_floor_sum_brute_force(self, n):
+        for m, a, b in itertools.product(range(1, 8), range(-10, 11), range(-15, 16)):
+            want = sum((a * i + b) // m for i in range(n))
+            assert _floor_sum(n, m, a, b) == want, (n, m, a, b)
+
+    def test_floor_sum_large(self):
+        n, m, a, b = 10 ** 6, 7919, -104729, 3 ** 30
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(sweep_rings, st.sampled_from(CORPUS_RINGS)),
+           st.integers(1, 3), st.integers(1, 3), st.integers(0, 5))
+    def test_random_rings(self, sgens, k1, k2, pick):
+        q = ray_parameters(AffineSemigroup(2, sgens), k1, k2, pick, False)
+        for params in (q.ordered_generators, q.ordered_generators[::-1]):
+            for tight in (False, True):
+                rule = ClosureRule(ParameterIdeal(q.ring, params), tight)
+                assert rule.lengths(40) == rule_lengths_by_line(rule, 40), (params, tight)
+
+    def test_acceptance_corpus(self):
+        for inst in fuzz_corpus(42, 100):
+            for tight in (False, True):
+                rule = ClosureRule(inst.parameter, tight)
+                assert rule.lengths(40) == rule_lengths_by_line(rule, 40), (inst.instance_id, tight)

@@ -6,7 +6,7 @@ import pytest
 from hilbclose import hilbert
 from hilbclose.errors import GenerationExhaustedError, UnsupportedRingError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind, coefficient_report
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power, ideal_sum
+from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_sum
 from hilbclose.lattice import AffineSemigroup
 from hilbclose.theorems import (
     CHECK_N_MAX,
@@ -86,15 +86,18 @@ class TestChain:
         assert verdict.passed
 
     def test_unnested_split_slots_fail(self, monkeypatch):
-        # slot 3 gains (3, 1), which lies in the integral closure of Q^3 but
-        # not in slot 2 = Q^2; every inclusion and length rise still holds
-        ring = AffineSemigroup(2, [(1, 0), (2, 1), (0, 3), (1, 3)])
-        q = ParameterIdeal(ring, [(1, 0), (0, 3)])
+        # slot 3 gains (4, 1), which lies in the integral closure of Q^3 but
+        # not in slot 2; every inclusion and length rise still holds.  The
+        # ring (fz42-032) is not CM: a CM ring's slot n is Q^n, which the
+        # chain reads off the parameters without asking for the slot
+        ring = AffineSemigroup(2, [(0, 4), (0, 6), (1, 0), (4, 1), (4, 6)])
+        q = ParameterIdeal(ring, [(1, 0), (0, 4)])
+        assert not ring.is_cm
         real = hilbert.lim_intersection
 
         def split(q, total):
             if total == 4:
-                return ideal_sum(ideal_power(q.base, 3), MonomialIdeal(ring, [(3, 1)]))
+                return ideal_sum(real(q, total), MonomialIdeal(ring, [(4, 1)]))
             return real(q, total)
 
         monkeypatch.setattr(hilbert, "lim_intersection", split)
@@ -102,6 +105,21 @@ class TestChain:
         assert not verdict.inclusions_ok and not verdict.passed
         assert verdict.details["lim_chain_nested"] is False
         assert verdict.details["failures"] == [{"n": 3, "reason": "split slots not nested"}]
+
+    def test_cm_ring_builds_no_power(self, monkeypatch):
+        # slot n of a CM ring is Q^n: its generators, the sums of n
+        # parameters, are tested as points
+        ring = AffineSemigroup(2, [(1, 0), (2, 1), (0, 3), (1, 3)])
+        q = ParameterIdeal(ring, [(1, 0), (0, 3)])
+        assert ring.is_cm
+
+        def refuse(*args):
+            raise AssertionError("power or split slot built on a CM ring")
+
+        monkeypatch.setattr(hilbert, "ideal_power", refuse)
+        monkeypatch.setattr(hilbert, "lim_intersection", refuse)
+        verdict = check_nonnegativity_chain(ring, q, n_max=6, characteristic=2)
+        assert verdict.passed and verdict.details["lim_chain_nested"] is True
 
 
 class TestClaimBound:
