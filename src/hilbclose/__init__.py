@@ -1,7 +1,7 @@
 """Exact Hilbert-Samuel coefficients of closure filtrations for monomial
 ideals in affine semigroup rings."""
 
-from .closures import lim_intersection, tight_closure
+from .closures import lim_intersection
 from .errors import (
     DimensionMismatchError,
     GenerationExhaustedError,
@@ -35,7 +35,6 @@ from .lattice import AffineSemigroup, ExponentVector
 from .theorems import (
     ChainVerdict,
     RingProfile,
-    check_claim_bound,
     check_e1_zero_implies_cm,
     check_nonnegativity_chain,
     check_vanishing,

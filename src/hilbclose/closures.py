@@ -8,18 +8,20 @@ The split slot k (the split intersection over |alpha| = k + d - 1, of which
 Q^lim is slot 1) takes T = S', the S2-ification (Trung and Hoa, Trans. AMS
 298, 1986), and brackets the big-CM closure of Q^k from below, with the
 integral closure above.  The tight closure (Q^k)* takes T = S̄, the
-F-regular normalization (Hochster and Huneke, JAMS 3, 1990), in every
-characteristic p.  In a Cohen-Macaulay ring the parameters form a regular
-sequence, so Z[X1..Xd] -> R, X_i -> u_i, is flat and the split slot is Q^k;
-only a 2-D grid can fail to be CM, and there both slots extract
-``_ContractUp``, {s : A(s) + B(s) >= k}.
+normalization: k[S̄] is normal toric, hence F-regular (Hochster and Huneke,
+JAMS 3, 1990), so (Q^k)* = Q^k S̄ ∩ S in every characteristic p.  In a
+Cohen-Macaulay ring the parameters form a regular sequence, so
+Z[X1..Xd] -> R, X_i -> u_i, is flat and the split slot is Q^k; only a 2-D
+grid can fail to be CM, and there the slot extracts ``_ContractUp``,
+{s : A(s) + B(s) >= k}.
 
 For the powers of a parameter ideal, both the integral and the tight
-closure are rules in the cone's facet forms (``ClosureRule``).  The fits
-count their lengths from the rules and the checks test points against
-them; ``tight_closure`` builds the tight ideal when an ideal is needed.
-The split lengths are counted from the holes S' ∖ S (``split_lengths``),
-since k[S'] is CM.
+closure are rules in the cone's facet forms (``ClosureRule``), and no
+ideal of either is built: the fits count their lengths from the rules and
+the checks test points against them.  The split lengths are counted from
+the holes S' ∖ S (``split_lengths``), since k[S'] is CM; a split slot is
+built as an ideal (``lim_intersection``) only for the generators the chain
+check tests.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from math import comb, gcd, prod
 
 from .errors import NotMPrimaryError, UncertifiedError
-from .ideals import MonomialIdeal, ParameterIdeal, _grid2_runs, extract_ideal, ideal_power
+from .ideals import ParameterIdeal, _grid2_runs, extract_ideal, ideal_power
 from .lattice import _stair_profile, vdot, vscale
 
 # ---------------------------------------------------------------------------
@@ -68,10 +70,6 @@ class ClosureRule:
             return sum(vdot(lam, v) // a for lam, a in self.forms) >= k
         return sum(vdot(lam, v) * (self._prod // a) for lam, a in self.forms) >= k * self._prod
 
-    def contains(self, k, ideal):
-        """Whether the k-th closure, an ideal, holds ``ideal``'s generators."""
-        return all(self.member(k, g) for g in ideal.min_generators)
-
     def lengths(self, n_max):
         """The colengths of the k-th closures, k = 1..n_max+1, from the rule.
 
@@ -79,14 +77,15 @@ class ClosureRule:
         s >= k*u).  Otherwise S runs in lines along the ray of the last form
         at fixed values of the others, from a first index t0 on: column m1
         of 2-D coset (k1, k2) has lam1 = k1 + m1*D1, lam2 = k2 + t*D2 and t0
-        = ``grid_first(key, 1, m1)``; free-Z^3 column (x, y) has z = t and t0
-        = 0.  The rule reads alpha*k <= w + c*lam on a line, w fixed per
-        line, so with b = w + c*lam at t0 the line adds max(0, ceil((alpha*k
-        - b) / gamma)) points, gamma = c times the step of lam.  Lines on
-        which the other forms alone reach k (lam1 >= k*a1, x >= k*ax or
-        y >= k*ay) add none.  Free Z^3 and the 2-D columns before
-        ``stabilization(1)`` add their terms one by one.  Past it t0 is
-        constant per coset and b linear in m1 on each class mod the period of
+        = ``grid_first(key, 1, m1)``, read off the coset's stored columns;
+        free-Z^3 column (x, y) has z = t and t0 = 0.  The rule reads
+        alpha*k <= w + c*lam on a line, w fixed per line, so with b = w +
+        c*lam at t0 the line adds max(0, ceil((alpha*k - b) / gamma))
+        points, gamma = c times the step of lam.  Lines on which the other
+        forms alone reach k (lam1 >= k*a1, x >= k*ax or y >= k*ay) add none.
+        Free Z^3 and the 2-D columns before the coset's last stored one add
+        their terms one by one.  From that column on t0 is the coset's
+        constant and b linear in m1 on each class mod the period of
         floor(lam1 / a1) (1 for the integral rule), so the terms of a class
         are positive on an initial run and add up to one ``_floor_sum``.
         """
@@ -108,15 +107,16 @@ class ClosureRule:
         lines, runs = [], []  # b per line; (b at the first column, slope) per class
         if ring.kind == "grid2":
             eng = ring._engine
-            (_, a1), (stable, consts) = rest[0], eng.stabilization(1)
-            step, period = eng.D2, (a1 // gcd(eng.D1, a1) if self.tight else 1)
-            for k1, k2 in eng.box:
+            (_, a1), step = rest[0], eng.D2
+            period = a1 // gcd(eng.D1, a1) if self.tight else 1
+            for (k1, k2), (_, cols) in eng.stair.items():
+                # past the coset's last stored column t0 is its last value
+                stable = len(cols) - 1
                 for m1 in range(min(stable, -(-(top * a1 - k1) // eng.D1))):
-                    t0 = eng.grid_first((k1, k2), 1, m1)
-                    if t0 is not None:
-                        lines.append(w((k1 + m1 * eng.D1,)) + c * (k2 + t0 * step))
+                    if cols[m1] is not None:
+                        lines.append(w((k1 + m1 * eng.D1,)) + c * (k2 + cols[m1] * step))
                 for l1 in range(k1 + stable * eng.D1, k1 + (stable + period) * eng.D1, eng.D1):
-                    runs.append((w((l1,)) + c * (k2 + consts[k1, k2] * step),
+                    runs.append((w((l1,)) + c * (k2 + cols[-1] * step),
                                  w((l1 + period * eng.D1,)) - w((l1,))))
         else:
             step, ((_, ax), (_, ay)) = 1, rest
@@ -148,21 +148,20 @@ def _floor_sum(n, m, a, b):
 
 
 # ---------------------------------------------------------------------------
-# contractions Q^k T ∩ S: limit closure, split intersections, tight closure
+# contractions Q^k S' ∩ S: limit closure and split intersections
 
 class _ContractUp:
-    """Q^k T ∩ S = {s ∈ S : A(s) + B(s) >= k} for a 2-D parameter ideal
-    (u1, u2), u1 on g2's ray, over a CM overring T: S' (the S2-ification)
-    or, with ``tight``, S̄ (the normalization).  A(s) is the largest a <= k
-    with s - a*u1 in T_u2, B(s) the largest b <= k with s - b*u2 in T_u1,
-    T_w = T - N w.  S'_w is S_w, so s ∈ (Q(a1, a2))^lim iff a1 <= A(s) or
-    a2 <= B(s): order 1 is Q^lim and order N - 1 the split intersection over
-    |alpha| = N.  S̄_w is a half-plane, so A(s) = min(k, floor(lam2(s) / B0))
-    with B0 = lam2(u1).  On a line along a ray the count of the parameter off
-    that ray is a constant c, not falling from line to line, and the other
-    count reaches k - c from one index on."""
+    """Q^k S' ∩ S = {s ∈ S : A(s) + B(s) >= k} for a 2-D parameter ideal
+    (u1, u2), u1 on g2's ray, S' the S2-ification, a CM overring.  A(s) is
+    the largest a <= k with s - a*u1 in S'_u2, B(s) the largest b <= k with
+    s - b*u2 in S'_u1, S'_w = S' - N w.  S'_w is S_w = S - N w, so
+    s ∈ (Q(a1, a2))^lim iff a1 <= A(s) or a2 <= B(s): order 1 is Q^lim and
+    order N - 1 the split intersection over |alpha| = N.  On a line along a
+    ray the count of the parameter off that ray is a constant c, not falling
+    from line to line, and the other count reaches k - c from one index
+    on."""
 
-    def __init__(self, ring, q, k=1, tight=False):
+    def __init__(self, ring, q, k=1):
         self.ring = ring
         self._eng = eng = ring._engine
         u1, u2 = map(tuple, q.ordered_generators)
@@ -172,27 +171,16 @@ class _ContractUp:
         self._off = (u1, u2)
         self._lams = [(vdot(eng.lam1, u), vdot(eng.lam2, u)) for u in self._off]
         self.k = k
-        self.tight = tight
 
     def _bars(self, key, axis):
         """For c = 0..k, the least fixed index from which the lines of coset
-        ``key`` along ``axis`` moved by -c*u, u the parameter off that ray, lie
-        in T_w; nondecreasing in c.  box[key] has lam values key."""
+        ``key`` along ``axis`` moved by -c*u, u the parameter off that ray,
+        meet S; nondecreasing in c.  box[key] has lam values key."""
         eng, (d1, d2) = self._eng, self._lams[axis]
-        if self.tight:
-            # the fixed form k_fix + m*d_fix reaches c*a
-            a, k_fix, d_fix = (d1, d2)[1 - axis], key[1 - axis], (eng.D1, eng.D2)[1 - axis]
-            return [-((k_fix - c * a) // d_fix) for c in range(self.k + 1)]
-        # the moved line meets S
         first = eng.stabilization(1 - axis)[1]
         lams = ((key[0] - c * d1, key[1] - c * d2) for c in range(self.k + 1))
         return [first[l1 % eng.D1, l2 % eng.D2] - (l1 // eng.D1 if axis == 1 else l2 // eng.D2)
                 for l1, l2 in lams]
-
-    def member(self, v):
-        key, m1, m2 = self._eng._decompose(v)
-        return self._eng.member(v) and sum(m >= bar for axis, m in ((0, m2), (1, m1))
-                                           for bar in self._bars(key, axis)[1:]) >= self.k
 
     def profile(self, key, axis, count):
         own, need = self._bars(key, axis), self._bars(key, 1 - axis)
@@ -277,28 +265,3 @@ def _hole_orders(q):
     return [max(i + j for i in range(h1 // a + 1) for j in range(h2 // b + 1)
                 if in_s2(h1 - i * a, h2 - j * b)) for h1, h2 in eng.s2_holes]
 
-
-def tight_closure(q, k=1):
-    """(Q^k)* = Q^k S̄ ∩ S in every characteristic p, S̄ the normalization.
-
-    k[S̄] is normal toric, hence F-regular (Hochster and Huneke, JAMS 3,
-    1990), and module-finite over k[S]; so an element is in the tight
-    closure of Q^k exactly when it lies in Q^k k[S̄].  Free Z^3 is regular
-    and returns the power Q^k itself; in dimension 1 Q^k S̄ ∩ S is
-    {s ∈ S : s >= k*u}, the integral closure; 2-D grids extract
-    ``_ContractUp`` over S̄.
-    """
-    if not isinstance(q, ParameterIdeal):
-        raise NotMPrimaryError("tight closure is taken of parameter-ideal powers")
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    ring = q.ring
-    if ring.kind == "free3":
-        return ideal_power(q.base, k)
-    if ring.kind == "num1":
-        # generated by S ∩ [k*u, k*u + g] for the largest generator g: a
-        # larger s in S is s - h + h with s - h in S, h a generator
-        ku = k * q.ordered_generators[0][0]
-        top = ku + max(g[0] for g in ring.generators)
-        return MonomialIdeal(ring, [(x,) for x in range(ku, top + 1) if ring.member((x,))])
-    return extract_ideal(ring, _ContractUp(ring, q, k, tight=True))

@@ -1,19 +1,17 @@
 """Length sequences of power filtrations and exact binomial-basis coefficient fits.
 
-Lengths are colengths ell(R/F_{n+1}) for n = 0..n_max, and a parameter
-ideal's filtrations build no member for them.  The integral and tight ones
-are counted from the closure rule (``closures.ClosureRule``).  The split
-ones are e(Q) C(n+d, d) less the holes h ∈ S' ∖ S of order ord(h) <= n
-(``closures.split_lengths``), e(Q) = |det(u1..ud)| / [Z^d : ZS]
+Every filtration is one of the powers of a parameter ideal Q, and none
+builds a member for its lengths ell(R/F_{n+1}), n = 0..n_max.  The integral
+and tight ones are counted from the closure rule (``closures.ClosureRule``).
+The split ones are e(Q) C(n+d, d) less the holes h ∈ S' ∖ S of order
+ord(h) <= n (``closures.split_lengths``), e(Q) = |det(u1..ud)| / [Z^d : ZS]
 (``ParameterIdeal.multiplicity``), certified by the first and last length
 counted from the slot's rule; a CM ring has no holes, and its ordinary
 lengths are the same, certified by colength(Q) = e(Q).  The ordinary
 lengths of a non-CM ring come from Q^n = u Q^(n-1) ∪ v^n S, line by line
-(``ideals.power_lengths``).  Only the ordinary filtration of a plain
-monomial ideal takes each member's colength.  A fit detects a constant
-trailing window of d-th forward
-differences and then reads the integers (e_0, ..., e_d) in the alternating
-binomial basis
+(``ideals.power_lengths``).  A fit detects a constant trailing window of
+d-th forward differences and then reads the integers (e_0, ..., e_d) in the
+alternating binomial basis
 
     ell(R/F_{n+1}) = e_0 C(n+d, d) - e_1 C(n+d-1, d-1) + ... + (-1)^d e_d
 
@@ -32,9 +30,9 @@ import enum
 from dataclasses import dataclass
 from math import comb
 
-from .closures import ClosureRule, lim_intersection, split_lengths, tight_closure
+from .closures import ClosureRule, split_lengths
 from .errors import NotMPrimaryError, NotStabilizedError, UncertifiedError
-from .ideals import ParameterIdeal, ideal_power, power_lengths
+from .ideals import ParameterIdeal, power_lengths
 
 DEFAULT_N_MAX = 10
 RETRY_N_MAX = 14
@@ -60,73 +58,42 @@ def _is_prime(p):
 
 
 class Filtration:
-    """A power filtration n -> ideal; member(k) plays the role of the k-th power.
+    """The filtration of one kind over the powers of a parameter ideal.
 
-    The integral and tight kinds also keep their ``ClosureRule`` as ``rule``,
-    from which their lengths are counted.  The integral kind builds no
-    members: its closures are tested through the rule.
+    The integral and tight kinds keep their ``ClosureRule`` as ``rule``, from
+    which their lengths are counted and against which points are tested; no
+    kind builds its members.
     """
 
-    def __init__(self, kind, base):
-        self.kind = kind
-        if isinstance(base, ParameterIdeal):
-            self.parameter = base
-            self.ideal = base.base
-        else:
-            self.parameter = None
-            self.ideal = base
-        self.ring = self.ideal.ring
-        if kind is not FiltrationKind.ORDINARY and self.parameter is None:
+    def __init__(self, kind, q):
+        if not isinstance(q, ParameterIdeal):
             raise NotMPrimaryError("the %s filtration needs a parameter ideal" % kind.value)
+        self.kind = kind
+        self.parameter = q
+        self.ring = q.ring
         self.rule = None
         if kind in (FiltrationKind.INTEGRAL, FiltrationKind.TIGHT):
-            self.rule = ClosureRule(base, tight=kind is FiltrationKind.TIGHT)
-        self._members = {}
-
-    def member(self, k):
-        if k < 1:
-            raise ValueError("filtration index must be >= 1")
-        if self.kind is FiltrationKind.INTEGRAL:
-            raise ValueError("the integral filtration builds no members; "
-                             "test points against Filtration.rule")
-        if k not in self._members:
-            if self.kind is FiltrationKind.ORDINARY:
-                out = ideal_power(self.ideal, k)
-            elif self.kind is FiltrationKind.LIM_INTERSECT:
-                # slot k brackets the k-th power's big-CM closure: Q^k in a
-                # CM ring (a regular sequence, so a flat extension), else
-                # the 2-D {A + B >= k}
-                out = lim_intersection(self.parameter, k + self.ring.dim - 1)
-            else:
-                out = tight_closure(self.parameter, k)
-            self._members[k] = out
-        return self._members[k]
+            self.rule = ClosureRule(q, tight=kind is FiltrationKind.TIGHT)
 
 
 def length_sequence(filtration, n_max):
     """Exact lengths ell(R/F_{n+1}) for n = 0..n_max.
 
     The integral and tight kinds count them from their rule.  The split kind
-    of a parameter ideal Q takes e(Q) C(n+d, d) less the holes S' ∖ S of
-    order at most n, once the first and the last length equal those counted
-    from the slot's rule: the first is then Serre's ell(S'/QS') = e(Q), true
-    iff k[S'] is CM, so a mismatch is an internal error.  A CM ring has no
-    holes and the test is colength(Q) = e(Q); its ordinary lengths are the
-    same, as gr_Q(R) = (R/Q)[X1..Xd].  The ordinary lengths of a non-CM ring
-    run the recurrence Q^n = u Q^(n-1) ∪ v^n S on each grid line.  Only a
-    plain monomial ideal's ordinary kind takes each member's colength.
+    takes e(Q) C(n+d, d) less the holes S' ∖ S of order at most n, once the
+    first and the last length equal those counted from the slot's rule: the
+    first is then Serre's ell(S'/QS') = e(Q), true iff k[S'] is CM, so a
+    mismatch is an internal error.  A CM ring has no holes and the test is
+    colength(Q) = e(Q); its ordinary lengths are the same, as gr_Q(R) =
+    (R/Q)[X1..Xd].  The ordinary lengths of a non-CM ring run the recurrence
+    Q^n = u Q^(n-1) ∪ v^n S on each grid line.
     """
     ring = filtration.ring
-    d = ring.dim
-    if n_max < d + 3:
+    if n_max < ring.dim + 3:
         raise ValueError("n_max must be at least dim + 3")
-    if not filtration.ideal.is_m_primary:
-        raise NotMPrimaryError("length sequences need an m-primary base ideal")
     q = filtration.parameter
     if filtration.rule is not None:
         out = filtration.rule.lengths(n_max)
-    elif q is None:
-        out = [filtration.member(n + 1).colength() for n in range(n_max + 1)]
     elif filtration.kind is FiltrationKind.ORDINARY and not ring.is_cm:
         out = power_lengths(q, n_max)
     else:
@@ -240,8 +207,6 @@ class CoefficientBundle:
     """
 
     def __init__(self, ring, q, n_max=DEFAULT_N_MAX, characteristic=None):
-        if not isinstance(q, ParameterIdeal):
-            q = ParameterIdeal(ring, [tuple(g) for g in q.min_generators])
         if characteristic is not None and not _is_prime(characteristic):
             raise ValueError("characteristic must be prime, got %r" % (characteristic,))
         self.ring = ring
@@ -309,7 +274,7 @@ class CoefficientBundle:
 
     def claim_row(self, n):
         """The split-count bound at index n: the fitted split-intersection
-        length at n, the colength of member n+1, against C(n+d, d) e0(Q)."""
+        length at n, the colength of slot n+1, against C(n+d, d) e0(Q)."""
         d = self.ring.dim
         lengths = self.report(FiltrationKind.LIM_INTERSECT).lengths
         if not 0 <= n < len(lengths):

@@ -1,20 +1,20 @@
 """Monomial-ideal arithmetic over a fixed affine semigroup.
 
-Ideals are S-stable up-sets held by their minimal generators.  A derived
-2-D ideal that is needed as an ideal (a split slot or a tight closure,
-``closures._ContractUp``) is first modelled as an abstract up-set exposing
+Ideals are S-stable up-sets held by their minimal generators.  The one
+derived 2-D ideal that is needed as an ideal, a split slot of a non-CM ring
+(``closures._ContractUp``), is first modelled as an abstract up-set exposing
 two exact oracles
 
     seed()                      -- one point of the up-set
     profile(key, axis, count)   -- first index on lines 0..count-1 of a coset
 
 and then materialized by ``extract_min_gens``.  The integral and tight
-filtrations' lengths need no ideal: ``closures.ClosureRule`` counts them
-from their rules.  In dimension 2, the lattice points of each coset of
-Z g1 + Z g2 form a grid whose lines run parallel to an extreme ray.  Along
-such a line membership in an up-set is monotone, so the up-set restricted
-to the line is a final segment described by one integer, and on each coset
-those integers form a nonincreasing staircase.
+closures are never ideals: ``closures.ClosureRule`` tests points against
+their rules and counts their lengths.  In dimension 2, the lattice points
+of each coset of Z g1 + Z g2 form a grid whose lines run parallel to an
+extreme ray.  Along such a line membership in an up-set is monotone, so
+the up-set restricted to the line is a final segment described by one
+integer, and on each coset those integers form a nonincreasing staircase.
 Minimal generators sit at its corners: extraction reads one row profile and
 one column profile per coset and keeps the columns whose first index drops.
 
@@ -418,7 +418,7 @@ class MonomialIdeal:
 
     def contains_ideal(self, other):
         self._check_ring(other)
-        return other is self or all(self._up.member(g) for g in other.min_generators)
+        return all(self._up.member(g) for g in other.min_generators)
 
     def _check_ring(self, other):
         if self.ring != other.ring:
@@ -476,13 +476,6 @@ class MonomialIdeal:
             self._cache["complement"] = tuple(ExponentVector(p) for p in sorted(pts))
         return self._cache["complement"]
 
-    @property
-    def complement_witness(self):
-        """The certified complement when the ideal is m-primary, else None."""
-        if not self.is_m_primary:
-            return None
-        return self.complement()
-
     def colength(self):
         """Exact length of R/I (number of standard monomials), counted per
         line in dimensions 2 and 3."""
@@ -518,17 +511,14 @@ def ideal_power(a, n):
     """I^n; a parameter ideal's power is read off its generators."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    powers = a._cache.setdefault("powers", {1: a})
-    if n in powers:
-        return powers[n]
+    if n == 1:
+        return a
     if is_parameter_ideal(a):
-        powers[n] = MonomialIdeal(a.ring, parameter_sums(a.min_generators, n), _reduced=True)
-        return powers[n]
-    top = max(powers)
-    while top < n:
-        powers[top + 1] = ideal_product(powers[top], a)
-        top += 1
-    return powers[n]
+        return MonomialIdeal(a.ring, parameter_sums(a.min_generators, n), _reduced=True)
+    out = a
+    for _ in range(n - 1):
+        out = ideal_product(out, a)
+    return out
 
 
 def parameter_sums(params, n):

@@ -356,6 +356,27 @@ def tight_member(q, k, v):
         for a in range(k + 1))
 
 
+def tight_colengths(q, n_max):
+    """ell(R / (Q^k)*), k = 1..n_max, for a 2-D parameter ideal Q: the
+    points of S outside Q^k S̄ (``tight_member``).  A point x*u1 + y*u2
+    with x >= k or y >= k lies in Q^k S̄ (take off k*u1 or k*u2), so the
+    points outside lie in the parallelogram spanned by k*u1 and k*u2, inside
+    a box of side n_max times the largest coordinate of u1 + u2.  S̄ in the box is sieved once, and
+    the points still inside at k - 1 are tested at k, as the closures nest."""
+    u1, u2 = q.ordered_generators
+    box = n_max * max(vadd(u1, u2))
+    pts = box_semigroup(q.ring.generators, box)
+    normal = {w for w in itertools.product(range(box + 1), repeat=2)
+              if in_normalization(q.ring, w)}
+    inside, out = pts, []
+    for k in range(1, n_max + 1):
+        inside = {v for v in inside
+                  if any(vsub(v, vadd(vscale(a, u1), vscale(k - a, u2))) in normal
+                         for a in range(k + 1))}
+        out.append(len(pts) - len(inside))
+    return out
+
+
 def limit_chain_member(q, t, v):
     """v in the t-th colon (u1^(t+1), ..., ud^(t+1)) : (u1...ud)^t of the
     limit-closure chain: v in S with v + t*(u1 + ... + ud) - (t+1)*u_i in S

@@ -15,19 +15,14 @@ from conftest import (
     newton_polyhedron,
     rule_lengths_by_line,
     split_meet_member,
+    tight_colengths,
     tight_member,
 )
 from hilbclose.cli import _builtin_examples, example_instance
-from hilbclose.closures import (
-    ClosureRule,
-    _ContractUp,
-    _floor_sum,
-    lim_intersection,
-    tight_closure,
-)
+from hilbclose.closures import ClosureRule, _ContractUp, _floor_sum, lim_intersection
 from hilbclose.errors import NotMPrimaryError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power
+from hilbclose.ideals import MonomialIdeal, ParameterIdeal, extract_ideal, ideal_power
 from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale, vsub
 from hilbclose.theorems import fuzz_corpus
 from test_ideals import sweep_rings
@@ -37,11 +32,12 @@ def gens_of(ideal):
     return [tuple(g) for g in ideal.min_generators]
 
 
-def min_points(member, box):
-    """The minimal points of {v in [0, box]^2 : member(v)} in free Z^2."""
+def min_points(member, box, steps=((1, 0), (0, 1))):
+    """The minimal points of {v in [0, box]^2 : member(v)}: those with no
+    v - g inside, g in ``steps``, the generators of the ring (free Z^2 by
+    default)."""
     return [v for v in itertools.product(range(box + 1), repeat=2)
-            if member(v) and not any(min(vsub(v, e)) >= 0 and member(vsub(v, e))
-                                     for e in ((1, 0), (0, 1)))]
+            if member(v) and not any(member(vsub(v, g)) for g in steps)]
 
 
 class TestIntegralClosure:
@@ -229,9 +225,10 @@ class TestLimitClosedForm:
         ring = AffineSemigroup(2, sgens)
         q = ray_parameters(ring, k1, k2, pick, swap).split(alpha)
         closed = lim_intersection(q, 2)
-        up = _ContractUp(ring, q)
+        # the extraction a non-CM ring takes, here on every ring
+        up = extract_ideal(ring, _ContractUp(ring, q))
         # every ideal here contains Q, so agreeing outside Q they are equal
-        assert closed.contains_ideal(q.base)
+        assert closed.contains_ideal(q.base) and up.contains_ideal(q.base)
         for v in map(tuple, q.base.complement()):
             inside = limit_member_by_search(q, v, 90)
             assert limit_chain_member(q, 48, v) == limit_chain_member(q, 96, v) == inside, v
@@ -251,11 +248,12 @@ class TestSplitClosedForm:
         ring = AffineSemigroup(2, sgens)
         q = ray_parameters(ring, k1, k2, pick, swap)
         ideal = lim_intersection(q, total)
-        up = _ContractUp(ring, q, total - 1)
+        # the extraction a non-CM ring takes, here on every ring
+        up = extract_ideal(ring, _ContractUp(ring, q, total - 1))
         # a split (u1^a1, u2^a2), a1 + a2 = total, holds Q^(total - 1) by
         # pigeonhole; so do the meet and the slot, which agree outside it
         power = ideal_power(q.base, total - 1)
-        assert ideal.contains_ideal(power)
+        assert ideal.contains_ideal(power) and up.contains_ideal(power)
         outside = 0
         for v in map(tuple, power.complement()):
             inside = split_meet_member(q, total, v)
@@ -344,7 +342,7 @@ class TestLimIntersection:
             mid = lim_intersection(q, n + d - 1)
             low = ideal_power(q.base, n)
             assert mid.contains_ideal(low), n
-            assert rule.contains(n, mid), n
+            assert all(rule.member(n, g) for g in mid.min_generators), n
 
     def test_contains_total_power(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
@@ -370,9 +368,10 @@ def frobenius_test(ring, q, k, c, s, p):
 
 
 class TestTightClosure:
-    """(Q^k)* = Q^k S̄ ∩ S against two oracles built from point membership:
-    a box enumeration of Q^k S̄ ∩ S, and the Frobenius test of each minimal
-    generator with the conductor, a test element since k[S̄] is F-regular."""
+    """(Q^k)* = Q^k S̄ ∩ S, the tight rule, against two oracles built from
+    point membership: a box enumeration of Q^k S̄ ∩ S, and the Frobenius test
+    of each minimal point with the conductor, a test element since k[S̄] is
+    F-regular."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(sweep_rings, st.sampled_from(CORPUS_RINGS)),
@@ -380,16 +379,17 @@ class TestTightClosure:
     def test_matches_box_enumeration(self, sgens, k1, k2, pick, swap):
         ring = AffineSemigroup(2, sgens)
         q = ray_parameters(ring, k1, k2, pick, swap)
+        rule = ClosureRule(q, tight=True)
         u1, u2 = q.ordered_generators
         # the complement lies in the parallelogram spanned by k*u1 and k*u2
         box = 3 * max(vadd(u1, u2))
         in_s = box_semigroup(sgens, box)
+        lengths = rule.lengths(2)
         for k in (1, 2, 3):
-            tight = tight_closure(q, k)
             inside = {v for v in in_s if tight_member(q, k, v)}
             for v in itertools.product(range(box + 1), repeat=2):
-                assert tight.member(v) == (v in inside), (k, v)
-            assert tight.colength() == len(in_s - inside), k
+                assert rule.member(k, v) == (v in inside), (k, v)
+            assert lengths[k - 1] == len(in_s - inside), k
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(sweep_rings, st.sampled_from(CORPUS_RINGS)),
@@ -397,40 +397,51 @@ class TestTightClosure:
     def test_conductor_frobenius_test(self, sgens, k1, k2, pick, swap):
         ring = AffineSemigroup(2, sgens)
         q = ray_parameters(ring, k1, k2, pick, swap)
+        rule = ClosureRule(q, tight=True)
         c = least_conductor(ring)
+        # a minimal point is a point of the complement plus a generator
+        box = 3 * max(vadd(*q.ordered_generators)) + max(map(max, ring.generators))
         for k in (1, 2, 3):
-            for s in tight_closure(q, k).min_generators:
+            gens = min_points(lambda v: rule.member(k, v), box, ring.generators)
+            assert gens, k
+            for s in gens:
                 for p in (2, 3):
                     assert frobenius_test(ring, q, k, c, s, p), (k, s, p)
 
     def test_free_tightly_closed(self, free2, free3):
         for q in (ParameterIdeal(free2, [(2, 0), (0, 3)]),
                   ParameterIdeal(free3, [(2, 0, 0), (0, 1, 0), (0, 0, 3)])):
-            for k in (1, 2, 3):
-                assert tight_closure(q, k) == ideal_power(q.base, k), (q, k)
+            rule = ClosureRule(q, tight=True)
+            powers = [ideal_power(q.base, k) for k in (1, 2, 3)]
+            assert rule.lengths(2) == [p.colength() for p in powers], q
+            for k, power in enumerate(powers, 1):
+                for v in itertools.product(range(8), repeat=q.ring.dim):
+                    assert rule.member(k, v) == power.member(v), (q, k, v)
 
     @pytest.mark.parametrize("sgens,u", [([(3,), (5,), (7,)], 6), ([(4,), (6,), (9,)], 4)])
     def test_numerical_semigroup(self, sgens, u):
         # Q^k S̄ ∩ S = {s in S : s >= k*u}, as the integral closure is
         ring = AffineSemigroup(1, sgens)
         q = ParameterIdeal(ring, [(u,)])
+        rule = ClosureRule(q, tight=True)
         top = max(g[0] for g in ring.generators)
         for k in (1, 2, 3):
-            tight = tight_closure(q, k)
             for x in range(k * u + 2 * top):
-                assert tight.member((x,)) == (ring.member((x,)) and x >= k * u), (k, x)
+                assert rule.member(k, (x,)) == (ring.member((x,)) and x >= k * u), (k, x)
 
     def test_remark_is_qbar(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        tight = tight_closure(q)
+        rule = ClosureRule(q, tight=True)
         closure = integral_oracle(q.base)
-        for v in itertools.product(range(8), repeat=2):
-            assert tight.member(v) == closure(1, v), v
-        assert [tuple(p) for p in tight.complement()] == [(0, 0)]
+        box = list(itertools.product(range(8), repeat=2))
+        for v in box:
+            assert rule.member(1, v) == closure(1, v), v
+        assert [v for v in box if remark_ring.member(v) and not rule.member(1, v)] == [(0, 0)]
+        assert rule.lengths(0) == [1]
 
     def test_requires_parameter_ideal(self, free2):
         with pytest.raises(NotMPrimaryError):
-            tight_closure(MonomialIdeal(free2, [(2, 0), (0, 2)]))
+            ClosureRule(MonomialIdeal(free2, [(2, 0), (0, 2)]), tight=True)
 
 
 def rule_cases():
@@ -446,18 +457,30 @@ def rule_cases():
     return cases
 
 
+def tight_oracle_colengths(q, n_max):
+    """ell(R / (Q^k)*), k = 1..n_max, for every ring kind: free Z^3 is
+    regular, so (Q^k)* is Q^k; in dimension 1 Q^k S̄ ∩ S is {s >= k*u}, the
+    integral closure; 2-D rings take the box enumeration."""
+    if q.ring.kind == "free3":
+        return [ideal_power(q.base, k).colength() for k in range(1, n_max + 1)]
+    if q.ring.dim == 1:
+        return integral_colengths(q, n_max)
+    return tight_colengths(q, n_max)
+
+
 class TestClosureRule:
     """Lengths and points of the integral and tight rules against the
-    Newton-polyhedron count and the extracted tight closures."""
+    Newton-polyhedron count and the box enumeration of Q^k S̄ ∩ S."""
 
     @pytest.mark.parametrize("tight", [False, True])
     def test_lengths_match_extraction(self, tight):
+        # the box enumeration of the tight closures grows with k^2, so it
+        # runs to k = 5; ``TestFloorSums`` takes the counts to k = 41
         for q in rule_cases():
             if tight:
-                want = [tight_closure(q, k).colength() for k in range(1, 11)]
+                assert ClosureRule(q, True).lengths(4) == tight_oracle_colengths(q, 5), q
             else:
-                want = integral_colengths(q, 10)
-            assert ClosureRule(q, tight).lengths(9) == want, q
+                assert ClosureRule(q).lengths(9) == integral_colengths(q, 10), q
 
     @settings(max_examples=40, deadline=None)
     @given(sweep_rings, st.integers(1, 3), st.integers(1, 3), st.integers(0, 5), st.booleans())
@@ -467,15 +490,12 @@ class TestClosureRule:
         box = 4 * max(map(max, q.ordered_generators))
         closure = integral_oracle(q.base)
         integral, tight = ClosureRule(q), ClosureRule(q, tight=True)
-        lengths = integral.lengths(3)
-        assert lengths == integral_colengths(q, 4)
-        tight_lengths = tight.lengths(3)
+        assert integral.lengths(3) == integral_colengths(q, 4)
+        assert tight.lengths(3) == tight_colengths(q, 4)
         for k in (1, 2, 3, 4):
-            closed = tight_closure(q, k)
-            assert tight_lengths[k - 1] == closed.colength(), k
             for v in itertools.product(range(box + 1), repeat=2):
                 assert integral.member(k, v) == closure(k, v), (k, v)
-                assert tight.member(k, v) == closed.member(v) == tight_member(q, k, v), (k, v)
+                assert tight.member(k, v) == tight_member(q, k, v), (k, v)
 
     def test_requires_parameter_ideal(self, free2):
         with pytest.raises(NotMPrimaryError):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import REMARK_GENS, brute_complement, finite_gaps
 from hilbclose.cli import example_instance
+from hilbclose.closures import lim_intersection
 from hilbclose.errors import NotMPrimaryError, NotStabilizedError, UncertifiedError
 from hilbclose.hilbert import (
     Filtration,
@@ -83,17 +84,15 @@ class TestLengthSequence:
 
     def test_lengths_against_bruteforce(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        filt = Filtration(FiltrationKind.ORDINARY, q)
-        got = length_sequence(filt, 5)
+        got = length_sequence(Filtration(FiltrationKind.ORDINARY, q), 5)
         for n in range(4):
-            gens = [tuple(g) for g in filt.member(n + 1).min_generators]
+            gens = [tuple(g) for g in ideal_power(q.base, n + 1).min_generators]
             assert got[n] == len(brute_complement(REMARK_GENS, gens, 18)), n
 
     def test_requires_m_primary(self, free2):
         bad = MonomialIdeal(free2, [(0, 2)])
-        filt = Filtration(FiltrationKind.ORDINARY, bad)
         with pytest.raises(NotMPrimaryError):
-            length_sequence(filt, 6)
+            Filtration(FiltrationKind.ORDINARY, bad)
 
     def test_split_lengths_must_nest(self, remark_ring, monkeypatch):
         # split slots nest as {A + B >= k} do, so falling lengths are an
@@ -132,14 +131,14 @@ class TestLengthSequence:
         assert tight == [3, 9, 15, 21, 27, 33]
 
     def test_integral_builds_no_members(self, free2):
-        # its closures are the rule, which the chain check tests points against
-        filt = Filtration(FiltrationKind.INTEGRAL, ParameterIdeal(free2, [(2, 0), (0, 3)]))
-        with pytest.raises(ValueError, match="Filtration.rule"):
-            filt.member(1)
-        assert filt.rule.member(2, (2, 3))
+        # no kind builds members; the integral and tight closures are rules,
+        # which the chain check tests points against
+        q = ParameterIdeal(free2, [(2, 0), (0, 3)])
+        for kind in FiltrationKind:
+            assert not hasattr(Filtration(kind, q), "member"), kind
+        assert Filtration(FiltrationKind.INTEGRAL, q).rule.member(2, (2, 3))
 
-    @pytest.mark.parametrize("kind", [FiltrationKind.INTEGRAL, FiltrationKind.LIM_INTERSECT,
-                                      FiltrationKind.TIGHT])
+    @pytest.mark.parametrize("kind", list(FiltrationKind))
     def test_needs_parameter_ideal(self, kind, free2):
         with pytest.raises(NotMPrimaryError):
             Filtration(kind, MonomialIdeal(free2, [(1, 0), (0, 1)]))
@@ -201,13 +200,17 @@ def non_cm_parameters(corpus_parameters):
 
 
 def member_colengths(q, kind, n_max):
-    filt = Filtration(kind, q)
-    return [filt.member(n + 1).colength() for n in range(n_max + 1)]
+    """The colengths of the ideals Q^(n+1) or split slots n+1, n = 0..n_max."""
+    if kind is FiltrationKind.ORDINARY:
+        members = [ideal_power(q.base, n + 1) for n in range(n_max + 1)]
+    else:
+        members = [lim_intersection(q, n + q.ring.dim) for n in range(n_max + 1)]
+    return [m.colength() for m in members]
 
 
 class TestNonCMCounts:
     """Ordinary lengths by the power recurrence and split lengths from the
-    holes S' ∖ S, against the colengths of the members they replace."""
+    holes S' ∖ S, against the colengths of the powers and slots they replace."""
 
     KINDS = (FiltrationKind.ORDINARY, FiltrationKind.LIM_INTERSECT)
 
@@ -347,16 +350,15 @@ class TestMultiplicityVolume:
         assert q.multiplicity() == 4
         rep = fit_filtration(Filtration(FiltrationKind.ORDINARY, q))
         assert rep.e0 == 4
-        rep = fit_filtration(Filtration(FiltrationKind.ORDINARY,
-                                        MonomialIdeal(free2, [(2, 0), (1, 1), (0, 2)])))
-        assert rep.e0 == 4
+        closed = MonomialIdeal(free2, [(2, 0), (1, 1), (0, 2)])
+        assert fit_polynomial([p.colength() for p in product_powers(closed, 11)], 2)[0][0] == 4
 
     def test_staircase(self, free2):
         # vertices (0,3),(1,1),(3,0): trapezoids 2 + 1, so e0 = 2 * 3 = 6;
         # cross-checked against the ordinary-powers fit (6, 1, 0)
         ideal = MonomialIdeal(free2, [(0, 3), (1, 1), (3, 0)])
-        rep = fit_filtration(Filtration(FiltrationKind.ORDINARY, ideal))
-        assert rep.e0 == 6
+        coeffs, _ = fit_polynomial([p.colength() for p in product_powers(ideal, 11)], 2)
+        assert coeffs == (6, 1, 0)
 
     def test_dim1(self):
         ring = AffineSemigroup(1, [(1,)])
@@ -386,9 +388,8 @@ class TestCoefficientReport:
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
         bundle = coefficient_report(remark_ring, q, n_max=8)
         lengths = bundle.report(FiltrationKind.LIM_INTERSECT).lengths
-        split = bundle.filtration(FiltrationKind.LIM_INTERSECT)
         for n, row in enumerate(bundle.claim_rows):
-            assert row.length == lengths[n] == split.member(n + 1).colength()
+            assert row.length == lengths[n] == lim_intersection(q, n + 2).colength()
         for n in (-1, len(lengths)):
             with pytest.raises(ValueError):
                 bundle.claim_row(n)

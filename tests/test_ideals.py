@@ -13,7 +13,7 @@ from conftest import (
     split_meet_member,
     tight_member,
 )
-from hilbclose.closures import _ContractUp, lim_intersection, tight_closure
+from hilbclose.closures import ClosureRule, _ContractUp, lim_intersection
 from hilbclose.errors import NotMPrimaryError, RingMismatchError, UnsupportedRingError
 from hilbclose.ideals import (
     MonomialIdeal,
@@ -147,13 +147,15 @@ class TestColength:
     def test_not_m_primary(self, free2):
         ideal = MonomialIdeal(free2, [(0, 1)])
         assert not ideal.is_m_primary
-        assert ideal.complement_witness is None
+        with pytest.raises(NotMPrimaryError):
+            ideal.complement()
         with pytest.raises(NotMPrimaryError):
             ideal.colength()
 
     def test_complement_witness_present(self, remark_ring):
         q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
-        assert q.complement_witness == ((0, 0), (0, 3), (1, 1))
+        assert q.is_m_primary
+        assert q.complement() == ((0, 0), (0, 3), (1, 1))
 
     def test_colength_monotone(self, remark_ring):
         q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
@@ -270,22 +272,23 @@ class TestProfiles:
         extra = [v for v in map(element, combos) if any(v)]
         gens = MonomialIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)] + extra)
         q = ParameterIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)])
-        upsets = [_IdealUp(ring, gens.min_generators)] + [
-            _ContractUp(ring, q, k, tight) for k in (1, 2) for tight in (False, True)]
+        upsets = [(_IdealUp(ring, gens.min_generators), gens.member)] + [
+            (_ContractUp(ring, q, k), lambda v, k=k: split_meet_member(q, k + 1, v))
+            for k in (1, 2, 3)]
         hi = 12 * (k1 + k2 + 4)
         for axis in (0, 1):
             gfix, gax = (eng.g1, eng.g2) if axis == 1 else (eng.g2, eng.g1)
             count = eng.stabilization(axis)[0] + 4
             for key in sorted(eng.box):
-                for upset in upsets:
+                for upset, member in upsets:
                     prof = upset.profile(key, axis, count)
                     assert len(prof) == count
                     for m in range(count):
                         v0 = vadd(eng.box[key], vscale(m, gfix))
                         first = next((t for t in range(hi)
-                                      if upset.member(vadd(v0, vscale(t, gax)))), None)
+                                      if member(vadd(v0, vscale(t, gax)))), None)
                         assert prof[m] == first, \
-                            (type(upset).__name__, getattr(upset, "tight", None), key, axis, m)
+                            (type(upset).__name__, getattr(upset, "k", None), key, axis, m)
 
 
 class TestStoredStaircase:
@@ -299,12 +302,10 @@ class TestStoredStaircase:
         eng = ring._engine
         powers = [vscale(k1, eng.g1), vscale(k2, eng.g2)]
         q = ParameterIdeal(ring, powers[::-1] if swap else powers)
-        upsets = [_ContractUp(ring, q, k, tight) for k in (1, 2) for tight in (False, True)]
-        for upset in upsets:
-            name = (upset.k, upset.tight)
-            extracted = extract_ideal(ring, upset)
+        for k in (1, 2, 3):
+            extracted = extract_ideal(ring, _ContractUp(ring, q, k))
             stair = extracted._up.stair
-            assert sorted(stair) == sorted(eng.box), name
+            assert sorted(stair) == sorted(eng.box), k
             gens = extracted.min_generators
             for key in sorted(eng.box):
                 rows, cols = stair[key]
@@ -312,14 +313,15 @@ class TestStoredStaircase:
                 for m1 in range(-1, span):
                     for m2 in range(-1, span):
                         v = vadd(eng.box[key], vadd(vscale(m1, eng.g1), vscale(m2, eng.g2)))
-                        assert _stair_member(eng, stair, v) == upset.member(v), (name, v)
+                        assert _stair_member(eng, stair, v) == \
+                            split_meet_member(q, k + 1, v), (k, v)
                 for axis in (0, 1):
                     assert _stair_profile(stair[key], axis, span) == \
-                        _line_firsts(eng, gens, key, axis, span), (name, key, axis)
+                        _line_firsts(eng, gens, key, axis, span), (k, key, axis)
             comp = sorted(map(tuple, extracted.complement()))
             box = max(max(map(max, comp), default=0), max(map(max, gens))) + 4
             assert extracted.colength() == len(comp) == \
-                len(brute_complement(sgens, gens_of(extracted), box)), name
+                len(brute_complement(sgens, gens_of(extracted), box)), k
 
 
 class TestExtractionOracle:
@@ -371,12 +373,14 @@ class TestExtractionOracle:
                     assert met == lim_intersection(q, k + 1), (q, k)
 
     def test_closure_extraction(self, remark_ring, cm_ring):
-        # the tight closure Q^k S̄ ∩ S
+        # the tight closure Q^k S̄ ∩ S, held as its rule: the rule's minimal
+        # points are those of the box enumeration
         for q in self.parameters(remark_ring, cm_ring):
+            rule = ClosureRule(q, tight=True)
             for k in (1, 2, 3):
-                closed = tight_closure(q, k)
+                got = self.brute_min_gens(q.ring, lambda v: rule.member(k, v), 14)
                 expected = self.brute_min_gens(q.ring, lambda v: tight_member(q, k, v), 14)
-                assert gens_of(closed) == expected, (q, k)
+                assert got == expected, (q, k)
 
 
 FREE3_GENS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -461,7 +465,8 @@ class TestParameterIdeal:
     def test_large_pure_power_closure_and_colon(self, free3):
         # the pure powers are read in closed form, so no scan cap applies
         q = ParameterIdeal(free3, [(5000, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert tight_closure(q) == lim_intersection(q, 3) == q.base
+        assert lim_intersection(q, 3) == q.base
+        assert ClosureRule(q, tight=True).lengths(0) == [q.colength()]
         # (Q : x) = (x^4999, y, z)
         colon = MonomialIdeal(free3, [(4999, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert colon._ray_powers() == (4999, 1, 1)

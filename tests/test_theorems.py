@@ -3,14 +3,15 @@ from math import comb
 
 import pytest
 
-from hilbclose import hilbert
+from conftest import tight_member
+from hilbclose import closures, hilbert, theorems
+from hilbclose.closures import ClosureRule, lim_intersection
 from hilbclose.errors import GenerationExhaustedError, UnsupportedRingError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind, coefficient_report
 from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_sum
 from hilbclose.lattice import AffineSemigroup
 from hilbclose.theorems import (
     CHECK_N_MAX,
-    check_claim_bound,
     check_e1_zero_implies_cm,
     check_nonnegativity_chain,
     check_vanishing,
@@ -93,14 +94,12 @@ class TestChain:
         ring = AffineSemigroup(2, [(0, 4), (0, 6), (1, 0), (4, 1), (4, 6)])
         q = ParameterIdeal(ring, [(1, 0), (0, 4)])
         assert not ring.is_cm
-        real = hilbert.lim_intersection
-
         def split(q, total):
             if total == 4:
-                return ideal_sum(real(q, total), MonomialIdeal(ring, [(4, 1)]))
-            return real(q, total)
+                return ideal_sum(lim_intersection(q, total), MonomialIdeal(ring, [(4, 1)]))
+            return lim_intersection(q, total)
 
-        monkeypatch.setattr(hilbert, "lim_intersection", split)
+        monkeypatch.setattr(theorems, "lim_intersection", split)
         verdict = check_nonnegativity_chain(ring, q, n_max=6)
         assert not verdict.inclusions_ok and not verdict.passed
         assert verdict.details["lim_chain_nested"] is False
@@ -116,25 +115,43 @@ class TestChain:
         def refuse(*args):
             raise AssertionError("power or split slot built on a CM ring")
 
-        monkeypatch.setattr(hilbert, "ideal_power", refuse)
-        monkeypatch.setattr(hilbert, "lim_intersection", refuse)
+        monkeypatch.setattr(closures, "ideal_power", refuse)
+        monkeypatch.setattr(theorems, "lim_intersection", refuse)
         verdict = check_nonnegativity_chain(ring, q, n_max=6, characteristic=2)
         assert verdict.passed and verdict.details["lim_chain_nested"] is True
+
+    def test_tight_lengths_below_integral_fail(self, remark_ring, monkeypatch):
+        # slot n ⊆ (Q^n)* ⊆ the integral closure of Q^n, so a tight length
+        # below the integral one breaks the length comparison
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        real = ClosureRule.lengths
+
+        def lowered(rule, n_max):
+            out = real(rule, n_max)
+            return [ell - 1 for ell in out] if rule.tight else out
+
+        monkeypatch.setattr(ClosureRule, "lengths", lowered)
+        verdict = check_nonnegativity_chain(remark_ring, q, n_max=6, characteristic=2)
+        assert verdict.inclusions_ok and not verdict.coefficient_chain_ok
+        assert verdict.details["failures"] == [
+            {"n": n, "reason": "length comparison"} for n in range(7)]
+        assert check_nonnegativity_chain(remark_ring, q, n_max=6).passed
 
 
 class TestClaimBound:
     def test_remark_small(self, remark_ring):
-        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        assert check_claim_bound(remark_ring, q, 1)
-        assert check_claim_bound(remark_ring, q, 2)
+        bundle = CoefficientBundle(remark_ring, ParameterIdeal(remark_ring, [(1, 0), (0, 2)]))
+        assert bundle.claim_row(1).ok
+        assert bundle.claim_row(2).ok
 
     def test_free_equality_case(self, free2):
         # maximal ideal: the bound is met with equality
-        q = ParameterIdeal(free2, [(1, 0), (0, 1)])
-        assert check_claim_bound(free2, q, 3)
+        bundle = CoefficientBundle(free2, ParameterIdeal(free2, [(1, 0), (0, 1)]))
+        row = bundle.claim_row(3)
+        assert row.ok and row.length == row.bound
 
     def test_one_formula(self, remark_ring, free2):
-        # the bundle's rows, the standalone check and the chain verdict agree
+        # the bundle's rows and the chain verdict agree
         cases = [(remark_ring, ParameterIdeal(remark_ring, [(1, 0), (0, 2)])),
                  (free2, ParameterIdeal(free2, [(2, 0), (0, 3)]))]
         cases += [(inst.ring, inst.parameter) for inst in fuzz_corpus(42, 5)]
@@ -146,7 +163,6 @@ class TestClaimBound:
                 (n, ell, comb(n + 2, 2) * bundle.e0) for n, ell in enumerate(lengths)]
             oks = tuple(r.ok for r in rows)
             assert check_nonnegativity_chain(ring, q).claim_bound_ok == oks
-            assert tuple(check_claim_bound(ring, q, n) for n in range(len(rows))) == oks
 
 
 class TestVanishing:
@@ -197,6 +213,22 @@ class TestE1ZeroImpliesCM:
         assert verdict.applicable and verdict.ok
         assert verdict.details.get("tight_closure_trivial") is True
 
+    @pytest.mark.parametrize("seed,count,max_coord", [(42, 100, 6), (7, 40, 10), (11, 200, 4)])
+    def test_trivial_by_counts(self, seed, count, max_coord):
+        # Q ⊆ Q^lim and Q ⊆ Q*, so each is Q iff its first length is
+        # colength(Q): against the extracted Q^lim and a box enumeration of Q*
+        trivial = Counter()
+        for inst in fuzz_corpus(seed, count, max_coord=max_coord):
+            q = inst.parameter
+            bundle = CoefficientBundle(inst.ring, q, characteristic=2)
+            lim = bundle.report(FiltrationKind.LIM_INTERSECT).lengths[0] == q.colength()
+            tight = bundle.report(FiltrationKind.TIGHT).lengths[0] == q.colength()
+            assert lim == (lim_intersection(q, 2) == q.base), inst.instance_id
+            assert tight == (not any(tight_member(q, 1, tuple(v))
+                                     for v in q.base.complement())), inst.instance_id
+            trivial.update(lim=lim, tight=tight)
+        assert 0 < trivial["tight"] <= trivial["lim"] < count
+
 
 class TestFuzzCorpus:
     def test_deterministic(self):
@@ -233,7 +265,7 @@ class TestVerifyInstances:
     def test_small_corpus_clean(self):
         corpus = fuzz_corpus(11, 6, max_coord=4)
         summary = verify_instances(corpus, n_max=6)
-        assert summary.ok
+        assert not summary.violations
         assert summary.chain_passes == summary.instances == 6
 
     def test_remark_witness_classified(self, remark_ring):
@@ -242,7 +274,7 @@ class TestVerifyInstances:
         inst = Instance("remark", remark_ring,
                         ParameterIdeal(remark_ring, [(1, 0), (0, 2)]))
         summary = verify_instances([inst], n_max=6)
-        assert summary.ok
+        assert not summary.violations
         assert len(summary.witnesses) == 1
 
     def test_determinism_of_verdicts(self):
@@ -256,7 +288,7 @@ class TestVerifyInstances:
         # the tight closure is wedged into every sandwich when a characteristic is set
         corpus = fuzz_corpus(13, 4, max_coord=4)
         summary = verify_instances(corpus, n_max=6, characteristic=2)
-        assert summary.ok
+        assert not summary.violations
         assert summary.chain_passes == 4
 
     def test_one_bundle_per_instance(self, monkeypatch):
