@@ -19,19 +19,21 @@ For the powers of a parameter ideal, both the integral and the tight
 closure are rules in the cone's facet forms (``ClosureRule``), and no
 ideal of either is built: the fits count their lengths from the rules and
 the checks test points against them.  The split lengths are counted from
-the holes S' ∖ S (``split_lengths``), since k[S'] is CM; a split slot is
-built as an ideal (``lim_intersection``) only for the generators the chain
-check tests.
+the holes S' ∖ S (``split_lengths``), since k[S'] is CM, and so are the
+ordinary lengths of a non-CM ring (``ordinary_lengths``): Q^n S' is Q^n and
+the holes moved by the sums of n parameters.  A split slot is built as an
+ideal (``lim_intersection``) only for the generators the chain check tests.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from math import comb, gcd, prod
+from itertools import accumulate
+from math import comb, gcd, inf, prod
 
 from .errors import NotMPrimaryError, UncertifiedError
 from .ideals import ParameterIdeal, _grid2_runs, extract_ideal, ideal_power
-from .lattice import _stair_profile, vdot, vscale
+from .lattice import _stair_at, _stair_profile, vdot, vscale
 
 # ---------------------------------------------------------------------------
 # the integral and tight rules of a parameter ideal's powers
@@ -228,18 +230,63 @@ def split_lengths(q, n_max):
     holds iff k[S'] is CM, and the last checks the holes.  On a CM ring
     S' = S has no holes and the check is colength(Q) = e(Q).
     """
-    ring, e, d = q.ring, q.multiplicity(), q.ring.dim
-    orders = [] if ring.is_cm else sorted(_hole_orders(q))
-    out = [e * comb(n + d, d) - bisect_right(orders, n) for n in range(n_max + 1)]
-    if ring.is_cm:
+    out = _split_counts(q, n_max)
+    if q.ring.is_cm:
         counted = [(0, q.colength())]
     else:
         counted = [(n, _split_colength(q, n + 1)) for n in (0, n_max)]
+    _certify("split", out, counted)
+    return out
+
+
+def ordinary_lengths(q, n_max):
+    """ell(R/Q^k), k = 1..n_max+1, for a parameter ideal (u, v) of a 2-D
+    ring, u on g1's ray and v on g2's, with no power built.
+
+    S' = S ⊔ H, H the holes, so Q^k S' = Q^k ∪ {h + i*u + j*v : h ∈ H,
+    i + j = k}, and S ∖ Q^k is S ∖ Q^k S' and E_k = (Q^k S' ∩ S) ∖ Q^k.  A
+    point p of E_k is counted at its representation h + i*u + j*v with the
+    largest i: with M(h) and T(h) from ``_hole_table``, the one with
+    i < T(h), j < M(h) and p no hole.  j >= M(h) would give p a larger i or
+    put it in Q^k, and i >= T(h) would put it in Q^k.  So #E_k counts the
+    points with i + j = k of one box [0, T(h)) x [0, M(h)) per hole, less
+    the holes hit.  The first length must equal colength(Q), and the last
+    the colength of Q^(n_max+1), counted line by line from its parameter sums.
+    """
+    top = n_max + 1
+    # second differences of the diagonal counts: the generating function of
+    # a box is (1 - x^T)(1 - x^M) / (1 - x)^2
+    corners, hits_in = [0] * (top + 1), [0] * (top + 1)
+    for _, m, t, hits in _hole_table(q):
+        for at, sign in ((0, 1), (t, -1), (m, -1), (t + m, 1)):
+            if at <= top:
+                corners[at] += sign
+        for i, j in hits:
+            if i < t and j < m and i + j <= top:
+                hits_in[i + j] += 1
+    extra = [e - h for e, h in zip(accumulate(accumulate(corners)), hits_in)]
+    out = [s + e for s, e in zip(_split_counts(q, n_max), extra[1:])]
+    _certify("ordinary", out, [(0, q.colength()), (n_max, ideal_power(q.base, top).colength())])
+    return out
+
+
+def _certify(kind, out, counted):
     for n, c in counted:
         if out[n] != c:
-            raise UncertifiedError("split length %d at n=%d, counted %d (internal bug)"
-                                   % (out[n], n, c))
-    return out
+            raise UncertifiedError("%s length %d at n=%d, counted %d (internal bug)"
+                                   % (kind, out[n], n, c))
+
+
+def _split_counts(q, n_max):
+    """e(Q) C(n+d, d) less the holes h of order at most n, n = 0..n_max,
+    ord(h) the largest i + j with h - i*u - j*v in S'."""
+    ring, e, d = q.ring, q.multiplicity(), q.ring.dim
+    orders = []
+    if not ring.is_cm:
+        a, b, in_s2 = _hole_frame(q)
+        orders = sorted(max(i + j for i in range(h1 // a + 1) for j in range(h2 // b + 1)
+                            if in_s2(h1 - i * a, h2 - j * b)) for h1, h2 in ring._engine.s2_holes)
+    return [e * comb(n + d, d) - bisect_right(orders, n) for n in range(n_max + 1)]
 
 
 def _split_colength(q, k):
@@ -249,10 +296,10 @@ def _split_colength(q, k):
     return sum(hi - lo for *_, lo, hi in _grid2_runs(up, rays))
 
 
-def _hole_orders(q):
-    """ord(h) for each hole h ∈ S' ∖ S of a 2-D ring: the largest i + j with
-    h - i*u - j*v in S', u and v the parameters on g1's and g2's rays.  In
-    lam values u = (A, 0), v = (0, B), and S' on the coset of l is
+def _hole_frame(q):
+    """The holes' grid for a 2-D parameter ideal (u, v), u and v on g1's
+    and g2's rays: (a, b, in_s2), u = (a, 0) and v = (0, b) in lam values
+    and in_s2 the test of S' by lam values.  S' on the coset of l is
     {l >= its corner}."""
     eng = q.ring._engine
     (d1, d2), corners = (eng.D1, eng.D2), eng.s2_corners
@@ -262,6 +309,28 @@ def _hole_orders(q):
         c1, c2 = corners[l1 % d1, l2 % d2]
         return l1 // d1 >= c1 and l2 // d2 >= c2
 
-    return [max(i + j for i in range(h1 // a + 1) for j in range(h2 // b + 1)
-                if in_s2(h1 - i * a, h2 - j * b)) for h1, h2 in eng.s2_holes]
+    return a, b, in_s2
 
+
+def _hole_table(q):
+    """(h, M(h), T(h), hits) for each hole h ∈ S' ∖ S of a 2-D ring, h in
+    lam values.  M is the least t >= 1 with h - t*(u - v) in S', T the
+    least s >= 1 with h + s*(u - v) in S, either inf if lam1 or lam2 goes
+    negative first, and hits the pairs (i, j) with h + i*u + j*v a hole.
+    Such a hole shares h's class mod (a, b), so each class is searched on
+    its own."""
+    eng = q.ring._engine
+    a, b, in_s2 = _hole_frame(q)
+    classes = {}
+    for h1, h2 in eng.s2_holes:
+        classes.setdefault((h1 % a, h2 % b), []).append((h1 // a, h2 // b))
+    out = []
+    for (r1, r2), pts in classes.items():
+        for i0, j0 in pts:
+            h1, h2 = r1 + i0 * a, r2 + j0 * b
+            m = next((t for t in range(1, i0 + 1) if in_s2(h1 - t * a, h2 + t * b)), inf)
+            t = next((s for s in range(1, j0 + 1)
+                      if _stair_at(eng, eng.stair, h1 + s * a, h2 - s * b)), inf)
+            hits = [(i - i0, j - j0) for i, j in pts if i >= i0 and j >= j0]
+            out.append(((h1, h2), m, t, hits))
+    return out

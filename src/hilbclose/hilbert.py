@@ -8,10 +8,11 @@ ord(h) <= n (``closures.split_lengths``), e(Q) = |det(u1..ud)| / [Z^d : ZS]
 (``ParameterIdeal.multiplicity``), certified by the first and last length
 counted from the slot's rule; a CM ring has no holes, and its ordinary
 lengths are the same, certified by colength(Q) = e(Q).  The ordinary
-lengths of a non-CM ring come from Q^n = u Q^(n-1) ∪ v^n S, line by line
-(``ideals.power_lengths``).  A fit detects a constant trailing window of
-d-th forward differences and then reads the integers (e_0, ..., e_d) in the
-alternating binomial basis
+lengths of a non-CM ring add to the split ones the points of
+(Q^n S' ∩ S) ∖ Q^n, counted per hole (``closures.ordinary_lengths``) and
+certified by colength(Q) and the colength of the last power.  A fit
+detects a constant trailing window of d-th forward differences and then
+reads the integers (e_0, ..., e_d) in the alternating binomial basis
 
     ell(R/F_{n+1}) = e_0 C(n+d, d) - e_1 C(n+d-1, d-1) + ... + (-1)^d e_d
 
@@ -30,9 +31,9 @@ import enum
 from dataclasses import dataclass
 from math import comb
 
-from .closures import ClosureRule, split_lengths
+from .closures import ClosureRule, ordinary_lengths, split_lengths
 from .errors import NotMPrimaryError, NotStabilizedError, UncertifiedError
-from .ideals import ParameterIdeal, power_lengths
+from .ideals import ParameterIdeal
 
 DEFAULT_N_MAX = 10
 RETRY_N_MAX = 14
@@ -85,8 +86,9 @@ def length_sequence(filtration, n_max):
     first is then Serre's ell(S'/QS') = e(Q), true iff k[S'] is CM, so a
     mismatch is an internal error.  A CM ring has no holes and the test is
     colength(Q) = e(Q); its ordinary lengths are the same, as gr_Q(R) =
-    (R/Q)[X1..Xd].  The ordinary lengths of a non-CM ring run the recurrence
-    Q^n = u Q^(n-1) ∪ v^n S on each grid line.
+    (R/Q)[X1..Xd].  The ordinary lengths of a non-CM ring add #(Q^n S' ∩ S)
+    ∖ Q^n to the split ones, certified by colength(Q) and the colength of
+    Q^(n_max+1) counted from its parameter sums.
     """
     ring = filtration.ring
     if n_max < ring.dim + 3:
@@ -95,7 +97,7 @@ def length_sequence(filtration, n_max):
     if filtration.rule is not None:
         out = filtration.rule.lengths(n_max)
     elif filtration.kind is FiltrationKind.ORDINARY and not ring.is_cm:
-        out = power_lengths(q, n_max)
+        out = ordinary_lengths(q, n_max)
     else:
         # on a CM ring Q^k = Q^k S' ∩ S: the split count has no holes
         out = split_lengths(q, n_max)

@@ -31,9 +31,10 @@ ascending sweep per coset and axis.  Generators within the ring's
 stabilization index of a line read the ring's staircase line by line; the
 rest contribute its constant tails (``_Grid2.stabilization``).  Colengths
 are counted per line from the same profiles (``_grid2_runs``, as line
-coordinates) without materializing the complement.  The powers of a
-parameter ideal need no generators for their colengths: ``power_lengths``
-gets their profiles from Q^n = u Q^(n-1) ∪ v^n S, one line at a time.
+coordinates) without materializing the complement.  The fits count the
+powers of a parameter ideal from the holes S' ∖ S instead
+(``closures.ordinary_lengths``); a power's colength, counted here from its
+parameter sums, certifies the last of them.
 
 In free Z^3 an ideal is a nonincreasing height function on the (x, y)
 plane, read from its generators as
@@ -305,79 +306,6 @@ def _grid2_runs(up, ray_powers):
             if lo < si:
                 runs.append((key, 0, nu, lo, si))
     return runs
-
-
-class _LineFirsts:
-    """A 2-D up-set given by its first indices, ``firsts[axis][key]``, on the
-    lines 0.. of each coset; a profile past them is an error, not a shorter
-    list."""
-
-    def __init__(self, ring, firsts):
-        self.ring = ring
-        self.firsts = firsts
-
-    def profile(self, key, axis, count):
-        line = self.firsts[axis][key]
-        if count > len(line):
-            raise UncertifiedError("profile of %d lines asked of %d (internal)"
-                                   % (count, len(line)))
-        return line[:count]
-
-
-def power_lengths(q, n_max):
-    """ell(R/Q^(n+1)) for n = 0..n_max, Q a parameter ideal of a 2-D ring,
-    with no power built: ``_grid2_runs`` over the profiles of
-    ``_power_firsts``, sized by the ray powers of Q^(n_max+1)."""
-    eng, top = q.ring._engine, n_max + 1
-    params = [max(vdot(lam, u) for u in q.ordered_generators) for lam in (eng.lam1, eng.lam2)]
-    # line 0 of coset (0, 0) along g1 (g2) holds the ray power k1 (k2)
-    rays = [[p[0, 0][0] for p in _power_firsts(eng, params, axis, 1, top)] for axis in (0, 1)]
-    sizes = (rays[1][-1] + max(b2 for _, b2 in eng.witness.values()),
-             rays[0][-1] + max(b1 for b1, _ in eng.witness.values()))
-    firsts = [_power_firsts(eng, params, axis, sizes[axis], top) for axis in (0, 1)]
-    return [sum(hi - lo for *_, lo, hi in _grid2_runs(
-        _LineFirsts(q.ring, (firsts[0][n], firsts[1][n])), (rays[0][n], rays[1][n])))
-            for n in range(top)]
-
-
-def _power_firsts(eng, params, axis, lines, top):
-    """First indices of Q^1..Q^top on lines 0..lines-1 of each coset along
-    ``axis``, one dict key -> list per power; ``params`` are lam1 and lam2
-    of the parameters on g1's and g2's rays.
-
-    Q^n = w Q^(n-1) ∪ o^n S, Q^0 = S, w the parameter along the lines and o
-    the other.  Moving by w keeps a line's index and changes its coset, so
-    line m of Q^n reads line m of Q^(n-1) in that coset, plus a constant;
-    o^n moves line m across to line m + off of the ring's staircase.
-    """
-    fix, trav = 1 - axis, axis
-    dims = (eng.D1, eng.D2)
-
-    def moved(key, i, by):
-        k = list(key)
-        quot, k[i] = divmod(key[i] - by, dims[i])
-        return tuple(k), quot
-
-    first = eng.grid_first
-    back = {key: moved(key, trav, params[trav]) for key in eng.box}
-    prev = {key: [first(key, axis, m) for m in range(lines)] for key in eng.box}
-    out = []
-    for n in range(1, top + 1):
-        cur = {}
-        for key, (kw, quot) in back.items():
-            ko, off = moved(key, fix, n * params[fix])
-            line = []
-            for m, t in enumerate(prev[kw]):
-                s = first(ko, axis, m + off) if m + off >= 0 else None
-                if t is not None:
-                    t -= quot
-                    if s is None or t < s:
-                        s = t
-                line.append(s)
-            cur[key] = line
-        out.append(cur)
-        prev = cur
-    return out
 
 
 class MonomialIdeal:

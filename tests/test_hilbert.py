@@ -1,10 +1,11 @@
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REMARK_GENS, brute_complement, finite_gaps
+import hilbclose.closures as closures_mod
+from conftest import REMARK_GENS, brute_complement, compositions, finite_gaps
 from hilbclose.cli import example_instance
 from hilbclose.closures import lim_intersection
 from hilbclose.errors import NotMPrimaryError, NotStabilizedError, UncertifiedError
@@ -23,9 +24,8 @@ from hilbclose.ideals import (
     ideal_power,
     ideal_product,
     maximal_ideal,
-    power_lengths,
 )
-from hilbclose.lattice import AffineSemigroup, vdot
+from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale
 from hilbclose.theorems import fuzz_corpus
 from test_closures import ray_parameters
 from test_ideals import sweep_rings
@@ -208,9 +208,34 @@ def member_colengths(q, kind, n_max):
     return [m.colength() for m in members]
 
 
+def lam_point(eng, l1, l2):
+    """The lattice point with lam values (l1, l2)."""
+    (a, b), (c, d) = eng.lam1, eng.lam2
+    det = a * d - b * c
+    return ((l1 * d - l2 * b) // det, (a * l2 - c * l1) // det)
+
+
+def ray_split(q):
+    """The parameters (u, v) of Q on g1's and g2's rays."""
+    lam2 = q.ring._engine.lam2
+    u, v = sorted(q.ordered_generators, key=lambda g: vdot(lam2, g))
+    return u, v
+
+
+def hole_table_points(q, n):
+    """The points of E_n = (Q^n S' ∩ S) ∖ Q^n in lam values, as the
+    ordinary count reads them off ``_hole_table``: one per hole h and i + j
+    = n with i < T(h), j < M(h) and h + i*u + j*v no hole."""
+    eng = q.ring._engine
+    u, v = ray_split(q)
+    a, b = vdot(eng.lam1, u), vdot(eng.lam2, v)
+    return [(h1 + i * a, h2 + (n - i) * b) for (h1, h2), m, t, hits in closures_mod._hole_table(q)
+            for i in range(n + 1) if i < t and n - i < m and (i, n - i) not in hits]
+
+
 class TestNonCMCounts:
-    """Ordinary lengths by the power recurrence and split lengths from the
-    holes S' ∖ S, against the colengths of the powers and slots they replace."""
+    """Ordinary and split lengths from the holes S' ∖ S, against the
+    colengths of the powers and slots they replace."""
 
     KINDS = (FiltrationKind.ORDINARY, FiltrationKind.LIM_INTERSECT)
 
@@ -223,26 +248,49 @@ class TestNonCMCounts:
                 assert length_sequence(Filtration(kind, q), n_max) == want, (q, kind)
 
     @settings(max_examples=60, deadline=None)
-    @given(sweep_rings, st.integers(1, 3), st.integers(1, 3), st.integers(0, 5), st.booleans())
-    def test_counts_match_on_sweep(self, sgens, k1, k2, pick, swap):
-        # both generator orders, parameters not always multiples of g1, g2;
-        # the recurrence also runs on CM rings, where the closed form serves
-        q = ray_parameters(AffineSemigroup(2, sgens), k1, k2, pick, swap)
-        ordinary = member_colengths(q, FiltrationKind.ORDINARY, 6)
-        assert power_lengths(q, 6) == ordinary
+    @given(sweep_rings, st.integers(1, 3), st.integers(1, 3), st.integers(0, 5), st.booleans(),
+           st.sampled_from(compositions(2, 2) + compositions(3, 2) + compositions(4, 2)))
+    def test_counts_match_on_sweep(self, sgens, k1, k2, pick, swap, alpha):
+        # both generator orders; parameters that are not multiples of g1 and
+        # g2 change coset with each step of u - v, so M(h) > 1 occurs
+        q = ray_parameters(AffineSemigroup(2, sgens), k1, k2, pick, swap).split(alpha)
         for kind in self.KINDS:
-            assert length_sequence(Filtration(kind, q), 6) == \
-                member_colengths(q, kind, 6), kind
+            assert length_sequence(Filtration(kind, q), 12) == \
+                member_colengths(q, kind, 12), kind
+
+    def test_excess_points_by_enumeration(self, corpus_parameters):
+        # E_n against every hole moved by i*u + (n-i)*v, tested directly
+        for q in non_cm_parameters(corpus_parameters):
+            eng = q.ring._engine
+            u, v = ray_split(q)
+            holes = [lam_point(eng, *h) for h in eng.s2_holes]
+            for n in range(1, 13):
+                power = ideal_power(q.base, n)
+                want = {(vdot(eng.lam1, p), vdot(eng.lam2, p))
+                        for h in holes for i in range(n + 1)
+                        for p in [vadd(h, vadd(vscale(i, u), vscale(n - i, v)))]
+                        if q.ring.member(p) and not power.member(p)}
+                got = hole_table_points(q, n)
+                assert len(got) == len(set(got)), (q, n)
+                assert set(got) == want, (q, n)
+
+    def test_goto_ozeki_bound(self, corpus_parameters):
+        # -ell(H^1_m) <= e1(Q) <= 0, with H^1_m spanned by the holes; the
+        # holes whose boxes are unbounded both ways give e1(Q) exactly
+        for q in non_cm_parameters(corpus_parameters):
+            table = closures_mod._hole_table(q)
+            rep = fit_filtration(Filtration(FiltrationKind.ORDINARY, q), 40)
+            e0, e1, _ = rep.coefficients
+            assert e0 == q.multiplicity(), q
+            assert -len(table) <= e1 <= 0, q
+            assert e1 == -sum(1 for _, m, t, _ in table if m == t == inf), q
 
     def test_holes_are_the_finite_gaps(self, corpus_parameters):
         # S' ∖ S is a basis of H^1_m: e1_lim = 0 and e2_lim = -#gaps
         for q in non_cm_parameters(corpus_parameters):
             # the oracle scans a box twice as wide as the holes and generators
             eng = q.ring._engine
-            (a, b), (c, d) = eng.lam1, eng.lam2
-            det = a * d - b * c
-            points = [((l1 * d - l2 * b) // det, (a * l2 - c * l1) // det)
-                      for l1, l2 in eng.s2_holes]
+            points = [lam_point(eng, *h) for h in eng.s2_holes]
             box = 2 * max(map(max, points + list(q.ring.generators)))
             gaps = finite_gaps(q.ring, box)
             assert sorted(eng.s2_holes) == sorted(
@@ -262,16 +310,19 @@ class TestNonCMCounts:
         with pytest.raises(UncertifiedError):
             length_sequence(Filtration(FiltrationKind.LIM_INTERSECT, q), 5)
 
-    def test_short_profile_raises(self, remark_ring, monkeypatch):
-        # a profile one line short of what _grid2_runs asks would undercount
-        import hilbclose.ideals as ideals_mod
-
-        full = ideals_mod._power_firsts
-        monkeypatch.setattr(ideals_mod, "_power_firsts", lambda eng, params, axis, lines, top:
-                            full(eng, params, axis, max(1, lines - 1), top))
-        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+    @pytest.mark.parametrize("mutant", [
+        lambda h, m, t, hits: (h, m + 1, t, hits),
+        lambda h, m, t, hits: (h, m, t + 1, hits),
+        lambda h, m, t, hits: (h, m, t, [])], ids=["M+1", "T+1", "no-hits"])
+    def test_wrong_hole_table_raises(self, monkeypatch, mutant):
+        # fz42-058: 98 holes, on which each mutant changes a length
+        ring = AffineSemigroup(2, [(0, 6), (1, 6), (5, 2), (6, 1)])
+        q = ParameterIdeal(ring, [(6, 1), (0, 6)])
+        full = closures_mod._hole_table
+        monkeypatch.setattr(closures_mod, "_hole_table",
+                            lambda q: [mutant(*row) for row in full(q)])
         with pytest.raises(UncertifiedError):
-            power_lengths(q, 5)
+            length_sequence(Filtration(FiltrationKind.ORDINARY, q), 8)
 
 
 class TestFitPolynomial:
