@@ -12,8 +12,10 @@ normalization: k[S̄] is normal toric, hence F-regular (Hochster and Huneke,
 JAMS 3, 1990), so (Q^k)* = Q^k S̄ ∩ S in every characteristic p.  In a
 Cohen-Macaulay ring the parameters form a regular sequence, so
 Z[X1..Xd] -> R, X_i -> u_i, is flat and the split slot is Q^k; only a 2-D
-grid can fail to be CM, and there the slot extracts ``_ContractUp``,
-{s : A(s) + B(s) >= k}.
+grid can fail to be CM.  There S' is one quadrant per coset of
+Z g1 + Z g2, so Q^k S' is on each coset the union of k + 1 quadrants, and
+the slot's staircase is built from their corners and the coset's Apéry
+corners in closed form (``_slot_stair``).
 
 For the powers of a parameter ideal, both the integral and the tight
 closure are rules in the cone's facet forms (``ClosureRule``), and no
@@ -22,18 +24,19 @@ the checks test points against them.  The split lengths are counted from
 the holes S' ∖ S (``split_lengths``), since k[S'] is CM, and so are the
 ordinary lengths of a non-CM ring (``ordinary_lengths``): Q^n S' is Q^n and
 the holes moved by the sums of n parameters.  A split slot is built as an
-ideal (``lim_intersection``) only for the generators the chain check tests.
+ideal (``lim_intersection``) only for the generators the chain check tests;
+the split certificate counts its colength from the staircase alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, gcd, inf, prod
 
 from .errors import NotMPrimaryError, UncertifiedError
-from .ideals import ParameterIdeal, _grid2_runs, extract_ideal, ideal_power
-from .lattice import _stair_at, _stair_profile, vdot, vscale
+from .ideals import MonomialIdeal, ParameterIdeal, _grid2_runs, _IdealUp, ideal_power
+from .lattice import _stair_at, _stair_corners, _staircase, vdot
 
 # ---------------------------------------------------------------------------
 # the integral and tight rules of a parameter ideal's powers
@@ -152,52 +155,6 @@ def _floor_sum(n, m, a, b):
 # ---------------------------------------------------------------------------
 # contractions Q^k S' ∩ S: limit closure and split intersections
 
-class _ContractUp:
-    """Q^k S' ∩ S = {s ∈ S : A(s) + B(s) >= k} for a 2-D parameter ideal
-    (u1, u2), u1 on g2's ray, S' the S2-ification, a CM overring.  A(s) is
-    the largest a <= k with s - a*u1 in S'_u2, B(s) the largest b <= k with
-    s - b*u2 in S'_u1, S'_w = S' - N w.  S'_w is S_w = S - N w, so
-    s ∈ (Q(a1, a2))^lim iff a1 <= A(s) or a2 <= B(s): order 1 is Q^lim and
-    order N - 1 the split intersection over |alpha| = N.  On a line along a
-    ray the count of the parameter off that ray is a constant c, not falling
-    from line to line, and the other count reaches k - c from one index
-    on."""
-
-    def __init__(self, ring, q, k=1):
-        self.ring = ring
-        self._eng = eng = ring._engine
-        u1, u2 = map(tuple, q.ordered_generators)
-        if vdot(eng.lam2, u1) == 0:
-            u1, u2 = u2, u1
-        # per axis, the parameter off the ray along that axis, and its lam values
-        self._off = (u1, u2)
-        self._lams = [(vdot(eng.lam1, u), vdot(eng.lam2, u)) for u in self._off]
-        self.k = k
-
-    def _bars(self, key, axis):
-        """For c = 0..k, the least fixed index from which the lines of coset
-        ``key`` along ``axis`` moved by -c*u, u the parameter off that ray,
-        meet S; nondecreasing in c.  box[key] has lam values key."""
-        eng, (d1, d2) = self._eng, self._lams[axis]
-        first = eng.stabilization(1 - axis)[1]
-        lams = ((key[0] - c * d1, key[1] - c * d2) for c in range(self.k + 1))
-        return [first[l1 % eng.D1, l2 % eng.D2] - (l1 // eng.D1 if axis == 1 else l2 // eng.D2)
-                for l1, l2 in lams]
-
-    def profile(self, key, axis, count):
-        own, need = self._bars(key, axis), self._bars(key, 1 - axis)
-        out, c = [], 0
-        for m, ts in enumerate(_stair_profile(self._eng.stair[key], axis, count)):
-            # c, the count constant on line m, by one pointer over its bars
-            while c < self.k and own[c + 1] <= m:
-                c += 1
-            out.append(None if ts is None else max(ts, need[self.k - c]))
-        return out
-
-    def seed(self):
-        return vscale(self.k, min(self._off))
-
-
 def lim_intersection(q, total):
     """Intersection of the limit closures of the splits Q(alpha), |alpha| = total.
 
@@ -207,7 +164,7 @@ def lim_intersection(q, total):
     flat (Hartshorne 1966), every Q(alpha)^lim is Q(alpha), and flatness
     carries the intersection of the monomial ideals (X^alpha) to that of the
     Q(alpha).  Otherwise the ring is a 2-D grid and the intersection is
-    Q^(total - 1) S' ∩ S (``_ContractUp``).
+    Q^(total - 1) S' ∩ S (``_split_slot``).
     """
     ring = q.ring
     d = ring.dim
@@ -215,7 +172,49 @@ def lim_intersection(q, total):
         raise ValueError("split total must be at least the ring dimension")
     if ring.is_cm:
         return ideal_power(q.base, total - d + 1)
-    return extract_ideal(ring, _ContractUp(ring, q, total - 1))
+    return _split_slot(q, total - 1)
+
+
+def _split_slot(q, k):
+    """Q^k S' ∩ S for a parameter ideal of a 2-D ring, as an ideal that
+    keeps its staircase (``_slot_stair``).  Its generators are the
+    staircase's corners v with no v - g on it, g a ring generator."""
+    ring, eng, stair = q.ring, q.ring._engine, _slot_stair(q, k)
+    (g1x, g1y), (g2x, g2y) = eng.g1, eng.g2
+    # v - g on integers: its lam values are those of v minus those of g
+    offs = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in ring.generators]
+    gens = []
+    for key, lines in stair.items():
+        rx, ry = eng.box[key]
+        for m1, m2 in _stair_corners(lines):
+            l1, l2 = key[0] + m1 * eng.D1, key[1] + m2 * eng.D2
+            if not any(_stair_at(eng, stair, l1 - a, l2 - b) for a, b in offs):
+                gens.append((rx + m1 * g1x + m2 * g2x, ry + m1 * g1y + m2 * g2y))
+    return MonomialIdeal(ring, gens, _reduced=True, _stair=stair)
+
+
+def _slot_stair(q, k):
+    """The staircase of Q^k S' ∩ S on each coset of a 2-D ring.
+
+    S' is one quadrant per coset, so Q^k S' is there the union of the
+    quadrants at the corners c_i (``_moved_corners``), and its meet with S
+    the up-set generated by max(p, c_i), p the coset's Apéry corners.
+    """
+    eng = q.ring._engine
+    a, b = _steps(q)
+    return {key: _staircase([(max(p1, c1), max(p2, c2)) for (p1, p2), (c1, c2)
+                             in product(_stair_corners(lines), _moved_corners(eng, key, a, b, k))])
+            for key, lines in eng.stair.items()}
+
+
+def _moved_corners(eng, key, a, b, k):
+    """The points of coset ``key`` onto which i*u + (k - i)*v, i = 0..k, moves
+    the S' corner of its source coset, u = (a, 0) and v = (0, b) in lam
+    values; S' starts at the least column and row meeting S (``stabilization``)."""
+    (_, c1s), (_, c2s) = eng.stabilization(0), eng.stabilization(1)
+    lams = ((key[0] - i * a, key[1] - (k - i) * b) for i in range(k + 1))
+    return [(c1s[l1 % eng.D1, l2 % eng.D2] - l1 // eng.D1,
+             c2s[l1 % eng.D1, l2 % eng.D2] - l2 // eng.D2) for l1, l2 in lams]
 
 
 def split_lengths(q, n_max):
@@ -225,8 +224,8 @@ def split_lengths(q, n_max):
     k[S'] is a module-finite CM overring, so S' ∖ Q^k S' has e(Q) C(k+d-1, d)
     points, and slot k misses besides them the holes h ∈ S' ∖ S with
     ord(h) < k, ord(h) the largest N with h ∈ Q^N S'.  The first and the
-    last length must equal those counted line by line from the slot's rule
-    (``_ContractUp``): the first is then ell(S'/QS') = e(Q), which by Serre
+    last length must equal those counted line by line from the slot's
+    staircase (``_slot_stair``): the first is then ell(S'/QS') = e(Q), which by Serre
     holds iff k[S'] is CM, and the last checks the holes.  On a CM ring
     S' = S has no holes and the check is colength(Q) = e(Q).
     """
@@ -290,10 +289,19 @@ def _split_counts(q, n_max):
 
 
 def _split_colength(q, k):
-    """ell(R / Q^k S' ∩ S), counted line by line from ``_ContractUp``."""
-    up = _ContractUp(q.ring, q, k)
+    """ell(R / Q^k S' ∩ S), counted line by line from ``_slot_stair``."""
+    up = _IdealUp(q.ring, (), _slot_stair(q, k))
     rays = [up.profile((0, 0), axis, 1)[0] for axis in (0, 1)]
+    if None in rays:
+        raise UncertifiedError("split slot %d misses an extreme ray (internal bug)" % k)
     return sum(hi - lo for *_, lo, hi in _grid2_runs(up, rays))
+
+
+def _steps(q):
+    """(a, b) for a 2-D parameter ideal (u, v), u and v on g1's and g2's
+    rays: u = (a, 0) and v = (0, b) in lam values."""
+    eng = q.ring._engine
+    return tuple(max(vdot(lam, u) for u in q.ordered_generators) for lam in (eng.lam1, eng.lam2))
 
 
 def _hole_frame(q):
@@ -303,7 +311,7 @@ def _hole_frame(q):
     {l >= its corner}."""
     eng = q.ring._engine
     (d1, d2), corners = (eng.D1, eng.D2), eng.s2_corners
-    a, b = (max(vdot(lam, u) for u in q.ordered_generators) for lam in (eng.lam1, eng.lam2))
+    a, b = _steps(q)
 
     def in_s2(l1, l2):
         c1, c2 = corners[l1 % d1, l2 % d2]

@@ -67,7 +67,7 @@ def corpus_from_record(record):
     """Parse a corpus file: {'instances': [...]} or a bare list."""
     if isinstance(record, dict):
         rows = record.get("instances")
-        if rows is None:
+        if not isinstance(rows, list):
             raise FormatError("corpus object needs an 'instances' array")
     elif isinstance(record, list):
         rows = record
@@ -75,8 +75,8 @@ def corpus_from_record(record):
         raise FormatError("corpus must be an object or an array")
     out = []
     for i, row in enumerate(rows):
-        if "ring" not in row or "ideal" not in row:
-            raise FormatError("corpus entry %d needs 'ring' and 'ideal'" % i)
+        if not isinstance(row, dict) or "ring" not in row or "ideal" not in row:
+            raise FormatError("corpus entry %d needs to be an object with 'ring' and 'ideal'" % i)
         ring = ring_from_record(row["ring"])
         gens, _ = ideal_from_record(row["ideal"], ring)
         out.append(Instance(

@@ -1,30 +1,20 @@
 """Monomial-ideal arithmetic over a fixed affine semigroup.
 
-Ideals are S-stable up-sets held by their minimal generators.  The one
-derived 2-D ideal that is needed as an ideal, a split slot of a non-CM ring
-(``closures._ContractUp``), is first modelled as an abstract up-set exposing
-two exact oracles
+Ideals are S-stable up-sets held by their minimal generators.  The integral
+and tight closures are never ideals: ``closures.ClosureRule`` tests points
+against their rules and counts their lengths.  In dimension 2, the lattice
+points of each coset of Z g1 + Z g2 form a grid whose lines run parallel
+to an extreme ray.  Along such a line membership in an up-set is monotone,
+so the up-set restricted to the line is a final segment described by one
+integer, and on each coset those integers form a nonincreasing staircase
+whose corners are the up-set's minimal grid points.
 
-    seed()                      -- one point of the up-set
-    profile(key, axis, count)   -- first index on lines 0..count-1 of a coset
-
-and then materialized by ``extract_min_gens``.  The integral and tight
-closures are never ideals: ``closures.ClosureRule`` tests points against
-their rules and counts their lengths.  In dimension 2, the lattice points
-of each coset of Z g1 + Z g2 form a grid whose lines run parallel to an
-extreme ray.  Along such a line membership in an up-set is monotone, so
-the up-set restricted to the line is a final segment described by one
-integer, and on each coset those integers form a nonincreasing staircase.
-Minimal generators sit at its corners: extraction reads one row profile and
-one column profile per coset and keeps the columns whose first index drops.
-
-Those two profiles determine the up-set on the whole coset, so extraction
-keeps them as the ideal's staircase, in the format of the ring's own Apéry
-staircase (``lattice._stair_at``, ``lattice._stair_profile``).  A corner v
-is minimal when no v - g, g a ring generator, lies on the staircase: a
-lookup, not a membership query.  The extracted ideal answers ``member`` and
-``profile`` from its staircase; lines past the stored ones read the other
-array through one falling pointer.
+The one derived ideal that is built, a non-CM ring's split slot
+(``closures._split_slot``), comes from those corners in closed form and
+keeps its staircase in the ring's own format (``lattice._staircase``).  It
+answers ``member`` and ``profile`` from it (``lattice._stair_at``,
+``lattice._stair_profile``); past the stored lines, one falling pointer
+reads the other array.
 
 ``_line_firsts`` gets the profile of an ideal held only by generators in one
 ascending sweep per coset and axis.  Generators within the ring's
@@ -50,6 +40,7 @@ each column's height, and colengths the sum of the heights.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .errors import (
     DimensionMismatchError,
@@ -80,8 +71,8 @@ def antichain_reduce(ring, vectors):
 # abstract up-sets
 
 class _IdealUp:
-    """Up-set generated by explicit monomial generators; an extracted 2-D
-    ideal also keeps its per-coset staircase."""
+    """Up-set generated by explicit monomial generators; a 2-D split slot
+    also keeps its per-coset staircase."""
 
     def __init__(self, ring, gens, stair=None):
         self.ring = ring
@@ -89,11 +80,17 @@ class _IdealUp:
         self._eng = ring._engine if ring.kind == "grid2" else None
         self.stair = stair
 
+    @cached_property
+    def _lams(self):
+        """The generators' lam values, which every 2-D profile reads."""
+        eng = self._eng
+        return [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in self.gens]
+
     def member(self, v):
         eng = self._eng
         if eng is not None:
             if self.stair is not None:
-                return _stair_member(eng, self.stair, v)
+                return _stair_at(eng, self.stair, vdot(eng.lam1, v), vdot(eng.lam2, v))
             x, y = v
             for ux, uy in self.gens:
                 dx = x - ux
@@ -111,7 +108,7 @@ class _IdealUp:
         """First indices on lines 0..count-1 of coset ``key``."""
         if self.stair is not None:
             return _stair_profile(self.stair[key], axis, count)
-        return _line_firsts(self._eng, self.gens, key, axis, count)
+        return _line_firsts(self._eng, self._lams, key, axis, count)
 
     def heights(self, nx, ny):
         """Column heights for x < nx, y < ny (free Z^3)."""
@@ -123,79 +120,7 @@ class _IdealUp:
 
 
 # ---------------------------------------------------------------------------
-# extraction and complements
-
-def extract_min_gens(ring, upset, stair):
-    """Exact minimal generators of an up-set of a 2-D ring.
-
-    The up-set's staircase is written into ``stair`` (a dict, key -> (rows,
-    cols)), and a corner v is minimal when no v - g, g a ring generator,
-    lies on the staircase.
-    """
-    eng = ring._engine
-    # v - g on integers: its lam values are those of v minus those of g
-    offs = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in ring.generators]
-    return tuple(sorted(
-        ExponentVector(v) for l1, l2, v in _extract_grid2(ring, upset, stair)
-        if not any(_stair_at(eng, stair, l1 - a, l2 - b) for a, b in offs)))
-
-
-def extract_ideal(ring, upset):
-    """The ideal of an up-set of a 2-D ring, keeping its staircase."""
-    stair = {}
-    gens = extract_min_gens(ring, upset, stair)
-    return MonomialIdeal(ring, gens, _reduced=True, _stair=stair)
-
-
-def _extract_grid2(ring, upset, stair):
-    """Corner candidates of a 2-D up-set as (lam1, lam2, point); its
-    staircase goes into ``stair``.
-
-    Per coset, ``rows`` holds the first g1-index on the lines nu <= s2 and
-    ``cols`` the first g2-index on the lines mu <= mu_max, where row s2 holds
-    the translated seed and (mu_max, nu_star) starts the first row met.
-    """
-    eng = ring._engine
-    seed = tuple(upset.seed())
-    (g1x, g1y), (g2x, g2y) = eng.g1, eng.g2
-    skey, _, _ = eng._decompose(seed)
-    cands = []
-    for key in sorted(eng.box):
-        dk = ((key[0] - skey[0]) % eng.D1, (key[1] - skey[1]) % eng.D2)
-        seed_k = vadd(seed, eng.witness_point[dk])
-        _, _, s2 = eng._decompose(seed_k)
-        rx, ry = eng.box[key]
-        rows = upset.profile(key, 0, s2 + 1)
-        nu_star = next((nu for nu, s in enumerate(rows) if s is not None), None)
-        if nu_star is None:
-            raise UncertifiedError("up-set row scan failed to certify a seed row")
-        # rows past nu_star start at or before mu_max, so no generator lies right of it
-        mu_max = rows[nu_star]
-        cols = upset.profile(key, 1, mu_max + 1)
-        mu_star = next((mu for mu, t in enumerate(cols) if t is not None), None)
-        if mu_star is None:
-            raise UncertifiedError("up-set column scan failed to certify a seed column")
-        stair[key] = (rows, cols)
-        # only staircase corners: a column starting where its left neighbour
-        # starts holds that start plus g1, which is not minimal
-        prev = None
-        for mu in range(mu_star, mu_max + 1):
-            t = cols[mu]
-            if t != prev:
-                cands.append((key[0] + mu * eng.D1, key[1] + t * eng.D2,
-                              (rx + mu * g1x + t * g2x, ry + mu * g1y + t * g2y)))
-                prev = t
-    return cands
-
-
-def _stair_member(eng, stair, v):
-    """Membership of a lattice point in the up-set with staircase ``stair``.
-
-    Columns mu <= mu_max read ``cols``, rows nu <= s2 right of them read
-    ``rows``, and every point beyond both dominates (mu_max, nu_star).
-    """
-    return _stair_at(eng, stair, vdot(eng.lam1, v), vdot(eng.lam2, v))
-
+# profiles and complements
 
 def _column_heights(gens, nx, ny):
     """Least z with (x, y, z) above some generator, per column x < nx, y < ny.
@@ -227,8 +152,9 @@ def _axis_reach(gens, i):
                default=None)
 
 
-def _line_firsts(eng, gens, key, axis, count):
-    """The up-set's first index on lines m < count of coset ``key``.
+def _line_firsts(eng, lams, key, axis, count):
+    """The first index on lines m < count of coset ``key`` of the up-set
+    generated by the points with lam values ``lams``.
 
     Line m is box[key] + m*g_fix + t*g_axis, g_fix being the other extreme
     generator; None where no generator reaches the line.  Generator u sees
@@ -241,15 +167,16 @@ def _line_firsts(eng, gens, key, axis, count):
     """
     stable, consts = eng.stabilization(axis)
     if axis == 1:
-        lam_fix, d_fix, lam_trav, d_trav = eng.lam1, eng.D1, eng.lam2, eng.D2
+        d_fix, d_trav = eng.D1, eng.D2
         k_fix, k_trav = key
     else:
-        lam_fix, d_fix, lam_trav, d_trav = eng.lam2, eng.D2, eng.lam1, eng.D1
+        d_fix, d_trav = eng.D2, eng.D1
         k_trav, k_fix = key
     rows = []
-    for u in gens:
-        c, r_fix = divmod(k_fix - vdot(lam_fix, u), d_fix)
-        m_u, r_trav = divmod(k_trav - vdot(lam_trav, u), d_trav)
+    for l1, l2 in lams:
+        l_fix, l_trav = (l1, l2) if axis == 1 else (l2, l1)
+        c, r_fix = divmod(k_fix - l_fix, d_fix)
+        m_u, r_trav = divmod(k_trav - l_trav, d_trav)
         rows.append((c, (r_fix, r_trav) if axis == 1 else (r_trav, r_fix), m_u))
     rows.sort(reverse=True)  # by c_u, descending
     firsts = []

@@ -10,12 +10,12 @@ on the two extreme rays), every lattice point in the cone is box_point + m1*g1
 finitely many Apéry elements a, those with a - g1 and a - g2 outside S
 (Rosales and García-Sánchez, Proc. Edinburgh Math. Soc. 41, 1998), so on each
 coset S is an up-set of the grid with the Apéry elements as its corners.
-The engine computes them once per ring and keeps each coset's staircase in
-the format extracted ideals use: ``rows`` and ``cols``, the first index in S
-on the lines parallel to g1 and to g2 up to the last corner.  Membership and
-line-first queries are array reads for points of any size, which the ideal
-engine relies on, and S is Cohen-Macaulay exactly when every coset has one
-corner.
+The engine computes them once per ring and keeps each coset's staircase
+(``_staircase``, which also builds the split slots' staircases from their
+corners): ``rows`` and ``cols``, the first index in S on the lines parallel
+to g1 and to g2 up to the last corner.  Membership and line-first queries
+are array reads for points of any size, which the ideal engine relies on,
+and S is Cohen-Macaulay exactly when every coset has one corner.
 """
 
 from __future__ import annotations
@@ -109,18 +109,32 @@ def _primitive(v):
     return tuple(c // g for c in v)
 
 
-def _fill_forward(corners):
-    """First traversal index on lines 0..max fixed of one coset's Apéry
-    corners (fixed, trav), sorted by fixed: the trav of the last corner at
-    or before the line, None before the first.  Corners form an antichain,
-    so trav falls as fixed grows and the last corner passed is the least."""
-    line = [None] * (corners[-1][0] + 1)
+def _staircase(points):
+    """The staircase (rows, cols) of the up-set that grid points (m1, m2)
+    generate on one coset: ``cols`` holds the first m2 on the columns up to
+    the last corner, ``rows`` the first m1 on the rows up to the first, and
+    None where the up-set has not started.  The corners, the points below
+    every point left of them, form an antichain, so along either array the
+    last corner passed is the least."""
+    corners = []
+    for a, b in sorted(points):
+        if not corners or b < corners[-1][1]:
+            corners.append((a, b))
+    rows, cols = [None] * (corners[0][1] + 1), [None] * (corners[-1][0] + 1)
     for a, b in corners:
-        line[a] = b
-    for m in range(1, len(line)):
-        if line[m] is None:
-            line[m] = line[m - 1]
-    return line
+        rows[b], cols[a] = a, b
+    for line in (rows, cols):
+        for m in range(1, len(line)):
+            if line[m] is None:
+                line[m] = line[m - 1]
+    return rows, cols
+
+
+def _stair_corners(lines):
+    """The corners (m1, m2) of one coset's staircase: the columns whose
+    first index drops."""
+    cols = lines[1]
+    return [(m, t) for m, t in enumerate(cols) if t is not None and (m == 0 or t != cols[m - 1])]
 
 
 def _stair_at(eng, stair, l1, l2):
@@ -268,15 +282,10 @@ class _Grid2:
         # S is CM iff each coset holds exactly one Apéry element (Rosales and
         # García-Sánchez, Proc. Edinburgh Math. Soc. 41, 1998)
         self.is_cm = all(len(pts) == 1 for pts in corners.values())
-        self.stair = {key: (_fill_forward(sorted((b, a) for a, b in pts)),
-                            _fill_forward(sorted(pts)))
-                      for key, pts in corners.items()}
-        # one in-S point per coset with small grid coordinates, and the point
+        self.stair = {key: _staircase(pts) for key, pts in corners.items()}
+        # one in-S point per coset with small grid coordinates
         self.witness = {key: min(pts, key=lambda p: (max(p), p))
                         for key, pts in corners.items()}
-        self.witness_point = {
-            key: vadd(self.box[key], vadd(vscale(b1, self.g1), vscale(b2, self.g2)))
-            for key, (b1, b2) in self.witness.items()}
         self._stable = tuple(
             (max(len(lines[axis]) for lines in self.stair.values()) - 1,
              {key: lines[axis][-1] for key, lines in self.stair.items()})
@@ -300,7 +309,8 @@ class _Grid2:
         seen = {(0, 0)}
         while heap:
             _, v = heapq.heappop(heap)
-            key, m1, m2 = self._decompose(v)
+            l1, l2 = vdot(self.lam1, v), vdot(self.lam2, v)
+            key, m1, m2 = (l1 % self.D1, l2 % self.D2), l1 // self.D1, l2 // self.D2
             pts = corners.setdefault(key, [])
             if any(a <= m1 and b <= m2 for a, b in pts):
                 continue
@@ -313,11 +323,6 @@ class _Grid2:
                     seen.add(w)
                     heapq.heappush(heap, (w[0] + w[1], w))
         return box, corners
-
-    def _decompose(self, v):
-        l1 = vdot(self.lam1, v)
-        l2 = vdot(self.lam2, v)
-        return (l1 % self.D1, l2 % self.D2), l1 // self.D1, l2 // self.D2
 
     # -- per-line first-membership index
 

@@ -184,6 +184,15 @@ class TestVerify:
         assert outs[0] == outs[1] == outs[2]
         assert json.loads(outs[0])["corpus"] == "corpus.json"
 
+    @pytest.mark.parametrize("corpus", [[5], {"instances": 7}], ids=["entry", "instances"])
+    def test_malformed_corpus_exit_1(self, tmp_path, capsys, corpus):
+        path = write(tmp_path, "corpus.json", corpus)
+        code = main(["verify", "--corpus", path, "--n-max", "6"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "input error [FORMAT]" in captured.err and "Traceback" not in captured.err
+
     def test_missing_corpus(self, capsys):
         code = main(["verify", "--corpus", "/nonexistent.json"])
         assert code == 1

@@ -19,10 +19,10 @@ from conftest import (
     tight_member,
 )
 from hilbclose.cli import _builtin_examples, example_instance
-from hilbclose.closures import ClosureRule, _ContractUp, _floor_sum, lim_intersection
+from hilbclose.closures import ClosureRule, _floor_sum, _split_slot, lim_intersection
 from hilbclose.errors import NotMPrimaryError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal, extract_ideal, ideal_power
+from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power
 from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale, vsub
 from hilbclose.theorems import fuzz_corpus
 from test_ideals import sweep_rings
@@ -175,10 +175,10 @@ class TestLimitClosure:
 
     def test_cm_kinds_return_q(self, free3, monkeypatch):
         # numerical semigroups and free Z^3 are Cohen-Macaulay: Q^lim is Q,
-        # returned without an extraction
+        # returned without building a split slot
         import hilbclose.closures as closures_mod
 
-        monkeypatch.setattr(closures_mod, "extract_ideal", None)
+        monkeypatch.setattr(closures_mod, "_split_slot", None)
         for q in (ParameterIdeal(AffineSemigroup(1, [(3,), (5,)]), [(6,)]),
                   ParameterIdeal(free3, [(2, 0, 0), (0, 3, 0), (0, 0, 1)])):
             assert lim_intersection(q, q.ring.dim) == q.base
@@ -225,8 +225,8 @@ class TestLimitClosedForm:
         ring = AffineSemigroup(2, sgens)
         q = ray_parameters(ring, k1, k2, pick, swap).split(alpha)
         closed = lim_intersection(q, 2)
-        # the extraction a non-CM ring takes, here on every ring
-        up = extract_ideal(ring, _ContractUp(ring, q))
+        # the closed form a non-CM ring takes, here on every ring
+        up = _split_slot(q, 1)
         # every ideal here contains Q, so agreeing outside Q they are equal
         assert closed.contains_ideal(q.base) and up.contains_ideal(q.base)
         for v in map(tuple, q.base.complement()):
@@ -237,8 +237,8 @@ class TestLimitClosedForm:
 
 
 class TestSplitClosedForm:
-    """Split intersections {s : A(s) + B(s) >= total - 1} against the meet of
-    the limit closures of the splits."""
+    """Split intersections Q^(total - 1) S' ∩ S, built from their corners,
+    against the meet of the limit closures of the splits."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(sweep_rings, st.sampled_from(CORPUS_RINGS)),
@@ -248,8 +248,8 @@ class TestSplitClosedForm:
         ring = AffineSemigroup(2, sgens)
         q = ray_parameters(ring, k1, k2, pick, swap)
         ideal = lim_intersection(q, total)
-        # the extraction a non-CM ring takes, here on every ring
-        up = extract_ideal(ring, _ContractUp(ring, q, total - 1))
+        # the closed form a non-CM ring takes, here on every ring
+        up = _split_slot(q, total - 1)
         # a split (u1^a1, u2^a2), a1 + a2 = total, holds Q^(total - 1) by
         # pigeonhole; so do the meet and the slot, which agree outside it
         power = ideal_power(q.base, total - 1)

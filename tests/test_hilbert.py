@@ -310,6 +310,15 @@ class TestNonCMCounts:
         with pytest.raises(UncertifiedError):
             length_sequence(Filtration(FiltrationKind.LIM_INTERSECT, q), 5)
 
+    def test_dropped_moved_corner_raises(self, remark_ring, monkeypatch):
+        # without the corner that u^k moves in, slot k misses Q^k's point
+        # k*u, so the line-by-line count no longer certifies the hole count
+        full = closures_mod._moved_corners
+        monkeypatch.setattr(closures_mod, "_moved_corners", lambda *args: full(*args)[:-1])
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        with pytest.raises(UncertifiedError):
+            closures_mod.split_lengths(q, 5)
+
     @pytest.mark.parametrize("mutant", [
         lambda h, m, t, hits: (h, m + 1, t, hits),
         lambda h, m, t, hits: (h, m, t + 1, hits),

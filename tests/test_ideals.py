@@ -13,15 +13,12 @@ from conftest import (
     split_meet_member,
     tight_member,
 )
-from hilbclose.closures import ClosureRule, _ContractUp, lim_intersection
+from hilbclose.closures import ClosureRule, _split_slot, lim_intersection
 from hilbclose.errors import NotMPrimaryError, RingMismatchError, UnsupportedRingError
 from hilbclose.ideals import (
     MonomialIdeal,
     ParameterIdeal,
     _IdealUp,
-    _line_firsts,
-    _stair_member,
-    extract_ideal,
     ideal_power,
     ideal_product,
     ideal_sum,
@@ -245,7 +242,7 @@ class TestStaircaseSweep:
                 for f in range(stable, stable + 6):
                     assert eng.grid_first(key, axis, f) == consts[key]
                 count = stable + 6
-                got = _line_firsts(eng, gens, key, axis, count)
+                got = _IdealUp(ring, gens).profile(key, axis, count)
                 for m in range(count):
                     v0 = vadd(eng.box[key], vscale(m, gfix))
                     firsts = [_first_shift(eng, vsub(v0, u), axis) for u in gens]
@@ -273,7 +270,7 @@ class TestProfiles:
         gens = MonomialIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)] + extra)
         q = ParameterIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)])
         upsets = [(_IdealUp(ring, gens.min_generators), gens.member)] + [
-            (_ContractUp(ring, q, k), lambda v, k=k: split_meet_member(q, k + 1, v))
+            (_split_slot(q, k)._up, lambda v, k=k: split_meet_member(q, k + 1, v))
             for k in (1, 2, 3)]
         hi = 12 * (k1 + k2 + 4)
         for axis in (0, 1):
@@ -287,13 +284,13 @@ class TestProfiles:
                         v0 = vadd(eng.box[key], vscale(m, gfix))
                         first = next((t for t in range(hi)
                                       if member(vadd(v0, vscale(t, gax)))), None)
-                        assert prof[m] == first, \
-                            (type(upset).__name__, getattr(upset, "k", None), key, axis, m)
+                        assert prof[m] == first, (upset.stair is not None, key, axis, m)
 
 
 class TestStoredStaircase:
-    """An extracted 2-D ideal's staircase against its up-set's oracles, and its
-    counted colength against the materialized and brute-force complements."""
+    """A split slot's staircase, built from its corners, against the meet of
+    the splits' limit closures and its generators' profiles, and its counted
+    colength against the materialized and brute-force complements."""
 
     @settings(max_examples=30, deadline=None)
     @given(sweep_rings, st.integers(1, 2), st.integers(1, 2), st.booleans())
@@ -303,29 +300,28 @@ class TestStoredStaircase:
         powers = [vscale(k1, eng.g1), vscale(k2, eng.g2)]
         q = ParameterIdeal(ring, powers[::-1] if swap else powers)
         for k in (1, 2, 3):
-            extracted = extract_ideal(ring, _ContractUp(ring, q, k))
-            stair = extracted._up.stair
+            slot = _split_slot(q, k)
+            stair = slot._up.stair
             assert sorted(stair) == sorted(eng.box), k
-            gens = extracted.min_generators
+            gens = slot.min_generators
             for key in sorted(eng.box):
                 rows, cols = stair[key]
                 span = max(len(rows), len(cols)) + 3
                 for m1 in range(-1, span):
                     for m2 in range(-1, span):
                         v = vadd(eng.box[key], vadd(vscale(m1, eng.g1), vscale(m2, eng.g2)))
-                        assert _stair_member(eng, stair, v) == \
-                            split_meet_member(q, k + 1, v), (k, v)
+                        assert slot.member(v) == split_meet_member(q, k + 1, v), (k, v)
                 for axis in (0, 1):
                     assert _stair_profile(stair[key], axis, span) == \
-                        _line_firsts(eng, gens, key, axis, span), (k, key, axis)
-            comp = sorted(map(tuple, extracted.complement()))
+                        _IdealUp(ring, gens).profile(key, axis, span), (k, key, axis)
+            comp = sorted(map(tuple, slot.complement()))
             box = max(max(map(max, comp), default=0), max(map(max, gens))) + 4
-            assert extracted.colength() == len(comp) == \
-                len(brute_complement(sgens, gens_of(extracted), box)), k
+            assert slot.colength() == len(comp) == \
+                len(brute_complement(sgens, gens_of(slot), box)), k
 
 
 class TestExtractionOracle:
-    """Cross-check extraction sweeps against a box brute force.
+    """Cross-check split slots and closure rules against a box brute force.
 
     The oracle enumerates the members of a closure, by its definition, in a
     generous box and keeps the points all of whose predecessors leave it;
@@ -357,7 +353,7 @@ class TestExtractionOracle:
     def test_colon_extraction(self, remark_ring, cm_ring):
         # Q^lim is the colon (u1^(t+1), u2^(t+1)) : (u1 u2)^t for large t
         for q in self.parameters(remark_ring, cm_ring):
-            closed = extract_ideal(q.ring, _ContractUp(q.ring, q))
+            closed = _split_slot(q, 1)
             expected = self.brute_min_gens(q.ring, lambda v: limit_chain_member(q, 48, v), 14)
             assert gens_of(closed) == expected, q
 
@@ -365,7 +361,7 @@ class TestExtractionOracle:
         # split slot k, the intersection of the splits' limit closures
         for q in self.parameters(remark_ring, cm_ring):
             for k in (2, 3):
-                met = extract_ideal(q.ring, _ContractUp(q.ring, q, k))
+                met = _split_slot(q, k)
                 expected = self.brute_min_gens(
                     q.ring, lambda v: split_meet_member(q, k + 1, v), 14)
                 assert gens_of(met) == expected, (q, k)

@@ -216,7 +216,7 @@ class TestE1ZeroImpliesCM:
     @pytest.mark.parametrize("seed,count,max_coord", [(42, 100, 6), (7, 40, 10), (11, 200, 4)])
     def test_trivial_by_counts(self, seed, count, max_coord):
         # Q ⊆ Q^lim and Q ⊆ Q*, so each is Q iff its first length is
-        # colength(Q): against the extracted Q^lim and a box enumeration of Q*
+        # colength(Q): against the built Q^lim and a box enumeration of Q*
         trivial = Counter()
         for inst in fuzz_corpus(seed, count, max_coord=max_coord):
             q = inst.parameter
