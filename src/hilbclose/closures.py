@@ -14,7 +14,8 @@ Cohen-Macaulay ring the parameters form a regular sequence, so
 Z[X1..Xd] -> R, X_i -> u_i, is flat and the split slot is Q^k; only a 2-D
 grid can fail to be CM.  There S' is one quadrant per coset of
 Z g1 + Z g2, so Q^k S' is on each coset the union of k + 1 quadrants, and
-the slot's staircase is built from their corners and the coset's Apéry
+the slot's staircase is built from their corners, moved as the power's
+Apéry corners are (``lattice._moved_corners``), and the coset's Apéry
 corners in closed form (``_slot_stair``).
 
 For the powers of a parameter ideal, both the integral and the tight
@@ -25,7 +26,8 @@ the holes S' ∖ S (``split_lengths``), since k[S'] is CM, and so are the
 ordinary lengths of a non-CM ring (``ordinary_lengths``): Q^n S' is Q^n and
 the holes moved by the sums of n parameters.  A split slot is built as an
 ideal (``lim_intersection``) only for the generators the chain check tests;
-the split certificate counts its colength from the staircase alone.
+the split certificate counts its colength by columns from the staircase
+alone (``lattice._stair_colength``).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from itertools import accumulate, product
 from math import comb, gcd, inf, prod
 
 from .errors import NotMPrimaryError, UncertifiedError
-from .ideals import MonomialIdeal, ParameterIdeal, _grid2_runs, _IdealUp, ideal_power
-from .lattice import _stair_at, _stair_corners, _staircase, vdot
+from .ideals import MonomialIdeal, ParameterIdeal, _power_shifts, _steps, ideal_power
+from .lattice import _moved_corners, _stair_at, _stair_colength, _stair_corners, _staircase, vdot
 
 # ---------------------------------------------------------------------------
 # the integral and tight rules of a parameter ideal's powers
@@ -82,7 +84,7 @@ class ClosureRule:
         s >= k*u).  Otherwise S runs in lines along the ray of the last form
         at fixed values of the others, from a first index t0 on: column m1
         of 2-D coset (k1, k2) has lam1 = k1 + m1*D1, lam2 = k2 + t*D2 and t0
-        = ``grid_first(key, 1, m1)``, read off the coset's stored columns;
+        the first row of S on it, read off the coset's stored columns;
         free-Z^3 column (x, y) has z = t and t0 = 0.  The rule reads
         alpha*k <= w + c*lam on a line, w fixed per line, so with b = w +
         c*lam at t0 the line adds max(0, ceil((alpha*k - b) / gamma))
@@ -178,11 +180,13 @@ def lim_intersection(q, total):
 def _split_slot(q, k):
     """Q^k S' ∩ S for a parameter ideal of a 2-D ring, as an ideal that
     keeps its staircase (``_slot_stair``).  Its generators are the
-    staircase's corners v with no v - g on it, g a ring generator."""
+    staircase's corners v with no v - g on it, g a ring generator other
+    than g1 and g2: v - g1 and v - g2 lie on v's coset below the corner."""
     ring, eng, stair = q.ring, q.ring._engine, _slot_stair(q, k)
     (g1x, g1y), (g2x, g2y) = eng.g1, eng.g2
     # v - g on integers: its lam values are those of v minus those of g
-    offs = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in ring.generators]
+    offs = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in ring.generators
+            if g != eng.g1 and g != eng.g2]
     gens = []
     for key, lines in stair.items():
         rx, ry = eng.box[key]
@@ -196,25 +200,18 @@ def _split_slot(q, k):
 def _slot_stair(q, k):
     """The staircase of Q^k S' ∩ S on each coset of a 2-D ring.
 
-    S' is one quadrant per coset, so Q^k S' is there the union of the
-    quadrants at the corners c_i (``_moved_corners``), and its meet with S
-    the up-set generated by max(p, c_i), p the coset's Apéry corners.
+    S' is one quadrant per coset, at the least column and row that meet S,
+    the last entries of its rows and columns, so Q^k S' is there the union
+    of the quadrants at the S' corners that i*u + (k - i)*v moves onto it
+    (``_moved_corners``), and its meet with S the up-set generated by
+    max(p, c), p the coset's Apéry corners and c those moved corners.
     """
-    eng = q.ring._engine
-    a, b = _steps(q)
-    return {key: _staircase([(max(p1, c1), max(p2, c2)) for (p1, p2), (c1, c2)
-                             in product(_stair_corners(lines), _moved_corners(eng, key, a, b, k))])
-            for key, lines in eng.stair.items()}
-
-
-def _moved_corners(eng, key, a, b, k):
-    """The points of coset ``key`` onto which i*u + (k - i)*v, i = 0..k, moves
-    the S' corner of its source coset, u = (a, 0) and v = (0, b) in lam
-    values; S' starts at the least column and row meeting S (``stabilization``)."""
-    (_, c1s), (_, c2s) = eng.stabilization(0), eng.stabilization(1)
-    lams = ((key[0] - i * a, key[1] - (k - i) * b) for i in range(k + 1))
-    return [(c1s[l1 % eng.D1, l2 % eng.D2] - l1 // eng.D1,
-             c2s[l1 % eng.D1, l2 % eng.D2] - l2 // eng.D2) for l1, l2 in lams]
+    eng, shifts = q.ring._engine, _power_shifts(q, k)
+    s2 = {key: [(rows[-1], cols[-1])] for key, (rows, cols) in eng.stair.items()}
+    return {key: _staircase([(p1 if p1 > c1 else c1, p2 if p2 > c2 else c2)
+                             for (p1, p2), (c1, c2)
+                             in product(eng.apery[key], _moved_corners(eng, key, shifts, s2))])
+            for key in eng.stair}
 
 
 def split_lengths(q, n_max):
@@ -224,10 +221,10 @@ def split_lengths(q, n_max):
     k[S'] is a module-finite CM overring, so S' ∖ Q^k S' has e(Q) C(k+d-1, d)
     points, and slot k misses besides them the holes h ∈ S' ∖ S with
     ord(h) < k, ord(h) the largest N with h ∈ Q^N S'.  The first and the
-    last length must equal those counted line by line from the slot's
-    staircase (``_slot_stair``): the first is then ell(S'/QS') = e(Q), which by Serre
-    holds iff k[S'] is CM, and the last checks the holes.  On a CM ring
-    S' = S has no holes and the check is colength(Q) = e(Q).
+    last length must equal those counted by columns from the slot's
+    staircase (``_split_colength``): the first is then ell(S'/QS') = e(Q),
+    which by Serre holds iff k[S'] is CM, and the last checks the holes.
+    On a CM ring S' = S has no holes and the check is colength(Q) = e(Q).
     """
     out = _split_counts(q, n_max)
     if q.ring.is_cm:
@@ -250,7 +247,8 @@ def ordinary_lengths(q, n_max):
     put it in Q^k, and i >= T(h) would put it in Q^k.  So #E_k counts the
     points with i + j = k of one box [0, T(h)) x [0, M(h)) per hole, less
     the holes hit.  The first length must equal colength(Q), and the last
-    the colength of Q^(n_max+1), counted line by line from its parameter sums.
+    the colength of Q^(n_max+1), counted by columns from its moved Apéry
+    corners (``ParameterIdeal.power_colength``).
     """
     top = n_max + 1
     # second differences of the diagonal counts: the generating function of
@@ -265,7 +263,7 @@ def ordinary_lengths(q, n_max):
                 hits_in[i + j] += 1
     extra = [e - h for e, h in zip(accumulate(accumulate(corners)), hits_in)]
     out = [s + e for s, e in zip(_split_counts(q, n_max), extra[1:])]
-    _certify("ordinary", out, [(0, q.colength()), (n_max, ideal_power(q.base, top).colength())])
+    _certify("ordinary", out, [(0, q.colength()), (n_max, q.power_colength(top))])
     return out
 
 
@@ -277,31 +275,36 @@ def _certify(kind, out, counted):
 
 
 def _split_counts(q, n_max):
-    """e(Q) C(n+d, d) less the holes h of order at most n, n = 0..n_max,
-    ord(h) the largest i + j with h - i*u - j*v in S'."""
-    ring, e, d = q.ring, q.multiplicity(), q.ring.dim
-    orders = []
-    if not ring.is_cm:
-        a, b, in_s2 = _hole_frame(q)
-        orders = sorted(max(i + j for i in range(h1 // a + 1) for j in range(h2 // b + 1)
-                            if in_s2(h1 - i * a, h2 - j * b)) for h1, h2 in ring._engine.s2_holes)
+    """e(Q) C(n+d, d) less the holes h of order at most n, n = 0..n_max
+    (``_hole_orders``)."""
+    e, d, orders = q.multiplicity(), q.ring.dim, _hole_orders(q)
     return [e * comb(n + d, d) - bisect_right(orders, n) for n in range(n_max + 1)]
 
 
+def _hole_orders(q):
+    """The sorted ord(h) of the holes h ∈ S' ∖ S, kept on q.  S' + S ⊆ S',
+    so the (i, j) with h - i*u - j*v in S' form a down-set, and one walk
+    along its staircase, j falling as i rises, passes the largest i + j."""
+    if "hole_orders" not in q._cache:
+        orders = []
+        if not q.ring.is_cm:
+            a, b, in_s2 = _hole_frame(q)
+            for h1, h2 in q.ring._engine.s2_holes:
+                best, j = 0, h2 // b
+                for i in range(h1 // a + 1):
+                    while j >= 0 and not in_s2(h1 - i * a, h2 - j * b):
+                        j -= 1
+                    if j < 0:
+                        break
+                    best = max(best, i + j)
+                orders.append(best)
+        q._cache["hole_orders"] = sorted(orders)
+    return q._cache["hole_orders"]
+
+
 def _split_colength(q, k):
-    """ell(R / Q^k S' ∩ S), counted line by line from ``_slot_stair``."""
-    up = _IdealUp(q.ring, (), _slot_stair(q, k))
-    rays = [up.profile((0, 0), axis, 1)[0] for axis in (0, 1)]
-    if None in rays:
-        raise UncertifiedError("split slot %d misses an extreme ray (internal bug)" % k)
-    return sum(hi - lo for *_, lo, hi in _grid2_runs(up, rays))
-
-
-def _steps(q):
-    """(a, b) for a 2-D parameter ideal (u, v), u and v on g1's and g2's
-    rays: u = (a, 0) and v = (0, b) in lam values."""
-    eng = q.ring._engine
-    return tuple(max(vdot(lam, u) for u in q.ordered_generators) for lam in (eng.lam1, eng.lam2))
+    """ell(R / Q^k S' ∩ S), counted by columns from ``_slot_stair``."""
+    return _stair_colength(q.ring._engine, _slot_stair(q, k).__getitem__)
 
 
 def _hole_frame(q):

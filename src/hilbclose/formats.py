@@ -1,13 +1,16 @@
 """File formats: JSON records for rings, ideals and corpora, and report emission.
 
-Input records use plain JSON integers.  Emitted reports encode every integer
-as a decimal string so downstream consumers never face 64-bit overflow;
-report bytes are deterministic (sorted keys, no timestamps).
+Input records use plain JSON integers, or the decimal strings that reports
+write; floats, booleans and other strings are rejected.  Emitted reports
+encode every integer as a decimal string so downstream consumers never face
+64-bit overflow; report bytes are deterministic (sorted keys, no
+timestamps).
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import HilbcloseError
 from .hilbert import FiltrationKind
@@ -20,6 +23,13 @@ class FormatError(HilbcloseError):
     code = "FORMAT"
 
 
+def _integer(value):
+    """A JSON integer, not a bool, or the decimal string reports write."""
+    if type(value) is int or isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise FormatError("expected an integer, got %s" % json.dumps(value))
+
+
 def ring_to_record(ring):
     return {"dim": ring.dim, "generators": [list(g) for g in ring.generators]}
 
@@ -28,8 +38,8 @@ def ring_from_record(record):
     if not isinstance(record, dict):
         raise FormatError("ring record must be an object")
     try:
-        dim = int(record["dim"])
-        gens = [tuple(int(c) for c in g) for g in record["generators"]]
+        dim = _integer(record["dim"])
+        gens = [tuple(_integer(c) for c in g) for g in record["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("ring record needs integer 'dim' and 'generators': %s" % exc)
     return AffineSemigroup(dim, gens)
@@ -46,7 +56,7 @@ def ideal_from_record(record, ring):
     if not isinstance(record, dict):
         raise FormatError("ideal record must be an object")
     try:
-        gens = [tuple(int(c) for c in g) for g in record["generators"]]
+        gens = [tuple(_integer(c) for c in g) for g in record["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("ideal record needs a 'generators' array: %s" % exc)
     ordered = bool(record.get("ordered", False))

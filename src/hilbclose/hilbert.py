@@ -6,7 +6,7 @@ and tight ones are counted from the closure rule (``closures.ClosureRule``).
 The split ones are e(Q) C(n+d, d) less the holes h ∈ S' ∖ S of order
 ord(h) <= n (``closures.split_lengths``), e(Q) = |det(u1..ud)| / [Z^d : ZS]
 (``ParameterIdeal.multiplicity``), certified by the first and last length
-counted from the slot's rule; a CM ring has no holes, and its ordinary
+counted from the slot's staircase; a CM ring has no holes, and its ordinary
 lengths are the same, certified by colength(Q) = e(Q).  The ordinary
 lengths of a non-CM ring add to the split ones the points of
 (Q^n S' ∩ S) ∖ Q^n, counted per hole (``closures.ordinary_lengths``) and
@@ -82,13 +82,13 @@ def length_sequence(filtration, n_max):
 
     The integral and tight kinds count them from their rule.  The split kind
     takes e(Q) C(n+d, d) less the holes S' ∖ S of order at most n, once the
-    first and the last length equal those counted from the slot's rule: the
-    first is then Serre's ell(S'/QS') = e(Q), true iff k[S'] is CM, so a
-    mismatch is an internal error.  A CM ring has no holes and the test is
-    colength(Q) = e(Q); its ordinary lengths are the same, as gr_Q(R) =
-    (R/Q)[X1..Xd].  The ordinary lengths of a non-CM ring add #(Q^n S' ∩ S)
+    first and the last length equal those counted from the slot's
+    staircase: the first is then Serre's ell(S'/QS') = e(Q), true iff k[S']
+    is CM, so a mismatch is an internal error.  A CM ring has no holes and
+    the test is colength(Q) = e(Q); its ordinary lengths are the same, as
+    gr_Q(R) = (R/Q)[X1..Xd].  The ordinary lengths of a non-CM ring add #(Q^n S' ∩ S)
     ∖ Q^n to the split ones, certified by colength(Q) and the colength of
-    Q^(n_max+1) counted from its parameter sums.
+    Q^(n_max+1) counted from its moved Apéry corners.
     """
     ring = filtration.ring
     if n_max < ring.dim + 3:

@@ -9,22 +9,20 @@ so the up-set restricted to the line is a final segment described by one
 integer, and on each coset those integers form a nonincreasing staircase
 whose corners are the up-set's minimal grid points.
 
-The one derived ideal that is built, a non-CM ring's split slot
-(``closures._split_slot``), comes from those corners in closed form and
-keeps its staircase in the ring's own format (``lattice._staircase``).  It
-answers ``member`` and ``profile`` from it (``lattice._stair_at``,
-``lattice._stair_profile``); past the stored lines, one falling pointer
-reads the other array.
-
-``_line_firsts`` gets the profile of an ideal held only by generators in one
-ascending sweep per coset and axis.  Generators within the ring's
-stabilization index of a line read the ring's staircase line by line; the
-rest contribute its constant tails (``_Grid2.stabilization``).  Colengths
-are counted per line from the same profiles (``_grid2_runs``, as line
-coordinates) without materializing the complement.  The fits count the
-powers of a parameter ideal from the holes S' ∖ S instead
-(``closures.ordinary_lengths``); a power's colength, counted here from its
-parameter sums, certifies the last of them.
+Each ideal keeps that staircase in the ring's own format
+(``lattice._staircase``).  A generator w moves the Apéry corners of the
+coset of S it starts from onto its own coset (``lattice._moved_corners``),
+so an ideal held by generators builds a coset's staircase from their moved
+corners on first use, and the power Q^k of a parameter ideal (u, v) from
+those that i*u + (k - i)*v moves, i = 0..k, with no parameter sum formed
+(``ParameterIdeal.power_colength``).  The one derived ideal that is built,
+a non-CM ring's split slot (``closures._split_slot``), comes with its
+staircase whole.  ``member`` and ``profile`` read it (``lattice._stair_at``,
+``lattice._stair_profile``).  A colength is the sum over columns of the
+ideal's first row less the ring's (``lattice._stair_colength``), with no
+complement materialized.  The fits count the powers of a parameter ideal
+from the holes S' ∖ S instead (``closures.ordinary_lengths``); the
+colength of the last power certifies the last of them.
 
 In free Z^3 an ideal is a nonincreasing height function on the (x, y)
 plane, read from its generators as
@@ -40,15 +38,21 @@ each column's height, and colengths the sum of the heights.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
-from .errors import (
-    DimensionMismatchError,
-    NotMPrimaryError,
-    RingMismatchError,
-    UncertifiedError,
+from .errors import DimensionMismatchError, NotMPrimaryError, RingMismatchError
+from .lattice import (
+    ExponentVector,
+    _column_runs,
+    _moved_corners,
+    _stair_at,
+    _stair_colength,
+    _stair_profile,
+    _staircase,
+    vadd,
+    vdot,
+    vscale,
+    vsub,
 )
-from .lattice import ExponentVector, _stair_at, _stair_profile, vadd, vdot, vscale, vsub
 
 
 def antichain_reduce(ring, vectors):
@@ -71,20 +75,26 @@ def antichain_reduce(ring, vectors):
 # abstract up-sets
 
 class _IdealUp:
-    """Up-set generated by explicit monomial generators; a 2-D split slot
-    also keeps its per-coset staircase."""
+    """Up-set generated by explicit monomial generators.  On a 2-D ring it
+    has a staircase per coset: a split slot's, kept whole as ``stair``, or
+    one built on first use from the generators' moved Apéry corners."""
 
     def __init__(self, ring, gens, stair=None):
         self.ring = ring
         self.gens = [tuple(g) for g in gens]
         self._eng = ring._engine if ring.kind == "grid2" else None
         self.stair = stair
+        self._built = {}
 
-    @cached_property
-    def _lams(self):
-        """The generators' lam values, which every 2-D profile reads."""
-        eng = self._eng
-        return [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in self.gens]
+    def lines(self, key):
+        """The staircase (rows, cols) of coset ``key``."""
+        if self.stair is not None:
+            return self.stair[key]
+        if key not in self._built:
+            eng = self._eng
+            shifts = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in self.gens]
+            self._built[key] = _staircase(_moved_corners(eng, key, shifts, eng.apery))
+        return self._built[key]
 
     def member(self, v):
         eng = self._eng
@@ -106,9 +116,7 @@ class _IdealUp:
 
     def profile(self, key, axis, count):
         """First indices on lines 0..count-1 of coset ``key``."""
-        if self.stair is not None:
-            return _stair_profile(self.stair[key], axis, count)
-        return _line_firsts(self._eng, self._lams, key, axis, count)
+        return _stair_profile(self.lines(key), axis, count)
 
     def heights(self, nx, ny):
         """Column heights for x < nx, y < ny (free Z^3)."""
@@ -150,89 +158,6 @@ def _axis_reach(gens, i):
     over the generators u on axis i."""
     return min((u[i] for u in gens if all(c == 0 for j, c in enumerate(u) if j != i)),
                default=None)
-
-
-def _line_firsts(eng, lams, key, axis, count):
-    """The first index on lines m < count of coset ``key`` of the up-set
-    generated by the points with lam values ``lams``.
-
-    Line m is box[key] + m*g_fix + t*g_axis, g_fix being the other extreme
-    generator; None where no generator reaches the line.  Generator u sees
-    line m as the grid line m + c_u of its own coset, shifted by m_u along
-    the line, so one ascending sweep over m serves every line.  Sorted by
-    c_u, the generators form three runs: not yet on the grid (m + c_u < 0),
-    a band that reads ``grid_first``, and those at or past the ring's
-    stabilization index, whose first index no longer changes and is merged
-    into a running minimum when they leave the band.
-    """
-    stable, consts = eng.stabilization(axis)
-    if axis == 1:
-        d_fix, d_trav = eng.D1, eng.D2
-        k_fix, k_trav = key
-    else:
-        d_fix, d_trav = eng.D2, eng.D1
-        k_trav, k_fix = key
-    rows = []
-    for l1, l2 in lams:
-        l_fix, l_trav = (l1, l2) if axis == 1 else (l2, l1)
-        c, r_fix = divmod(k_fix - l_fix, d_fix)
-        m_u, r_trav = divmod(k_trav - l_trav, d_trav)
-        rows.append((c, (r_fix, r_trav) if axis == 1 else (r_trav, r_fix), m_u))
-    rows.sort(reverse=True)  # by c_u, descending
-    firsts = []
-    merged = None
-    lo = hi = 0  # rows[:lo] are merged, rows[lo:hi] form the band
-    for m in range(count):
-        while hi < len(rows) and m + rows[hi][0] >= 0:
-            hi += 1
-        while lo < hi and m + rows[lo][0] >= stable:
-            _, k, m_u = rows[lo]
-            t = consts[k] - m_u
-            if merged is None or t < merged:
-                merged = t
-            lo += 1
-        best = merged
-        for c, k, m_u in rows[lo:hi]:
-            t = eng.grid_first(k, axis, m + c)
-            if t is not None and (best is None or t - m_u < best):
-                best = t - m_u
-        firsts.append(best)
-    return firsts
-
-
-def _grid2_runs(up, ray_powers):
-    """The S-points outside an m-primary 2-D ideal, as nonempty runs
-    (key, axis, line, lo, hi): the points t on line ``line`` of coset ``key``
-    along ``axis`` (``grid_first``'s coordinates) for lo <= t < hi.
-
-    Per coset, columns mu < k1 + b1 run along g2 from the ring's first index
-    to the ideal's; rows nu < k2 + b2 run along g1 from past those columns.
-    """
-    eng = up.ring._engine
-    k1, k2 = ray_powers
-    wit = eng.witness
-    runs = []
-    for key in sorted(eng.box):
-        b1, b2 = wit[key]
-        cap1, cap2 = k1 + b1, k2 + b2
-        for mu, ti in enumerate(up.profile(key, 1, cap1)):
-            ts = eng.grid_first(key, 1, mu)
-            if ts is None:
-                continue
-            if ti is None or ti > ts + k2:
-                raise UncertifiedError("complement line bound violated (internal)")
-            if ts < ti:
-                runs.append((key, 1, mu, ts, ti))
-        for nu, si in enumerate(up.profile(key, 0, cap2)):
-            ss = eng.grid_first(key, 0, nu)
-            if ss is None:
-                continue
-            if si is None:
-                raise UncertifiedError("complement row bound violated (internal)")
-            lo = max(ss, cap1)
-            if lo < si:
-                runs.append((key, 0, nu, lo, si))
-    return runs
 
 
 class MonomialIdeal:
@@ -313,10 +238,10 @@ class MonomialIdeal:
             if kind == "grid2":
                 eng = self.ring._engine
                 pts = []
-                for key, axis, line, lo, hi in _grid2_runs(self._up, self._ray_powers()):
-                    fix, g = (eng.g1, eng.g2) if axis == 1 else (eng.g2, eng.g1)
-                    v0 = vadd(eng.box[key], vscale(line, fix))
-                    pts.extend(vadd(v0, vscale(t, g)) for t in range(lo, hi))
+                for key, lines in eng.stair.items():
+                    for m1, lo, hi in _column_runs(lines, self._up.lines(key)):
+                        v0 = vadd(eng.box[key], vscale(m1, eng.g1))
+                        pts.extend(vadd(v0, vscale(t, eng.g2)) for t in range(lo, hi))
             elif kind == "num1":
                 eng = self.ring._engine
                 top = min(sum(g) for g in self.min_generators) + eng.conductor
@@ -332,13 +257,13 @@ class MonomialIdeal:
         return self._cache["complement"]
 
     def colength(self):
-        """Exact length of R/I (number of standard monomials), counted per
-        line in dimensions 2 and 3."""
+        """Exact length of R/I (number of standard monomials), counted by
+        columns in dimension 2 and by lines in dimension 3."""
         if "colength" not in self._cache:
             self._check_m_primary()
             kind = self.ring.kind
             if kind == "grid2":
-                n = sum(hi - lo for *_, lo, hi in _grid2_runs(self._up, self._ray_powers()))
+                n = _stair_colength(self.ring._engine, self._up.lines)
             elif kind == "num1":
                 n = len(self.complement())
             else:
@@ -407,6 +332,7 @@ class ParameterIdeal:
         self.ring = ring
         self.ordered_generators = tuple(gens)
         self.base = MonomialIdeal(ring, gens)
+        self._cache = {}
         if len(self.base.min_generators) != ring.dim or not self.base.is_m_primary:
             raise NotMPrimaryError(
                 "generators %r do not positively span the cone"
@@ -433,7 +359,20 @@ class ParameterIdeal:
             [g.scaled(a) for g, a in zip(self.ordered_generators, alpha)])
 
     def colength(self):
-        return self.base.colength()
+        """ell(R/Q), counted once."""
+        if "colength" not in self._cache:
+            self._cache["colength"] = self.power_colength(1)
+        return self._cache["colength"]
+
+    def power_colength(self, k):
+        """ell(R/Q^k).  On a 2-D ring, Q^k is on each coset the staircase of
+        the Apéry corners that i*u + (k - i)*v, i = 0..k, move onto it
+        (``_power_shifts``), counted by columns with no power built."""
+        if self.ring.kind != "grid2":
+            return ideal_power(self.base, k).colength()
+        eng, shifts = self.ring._engine, _power_shifts(self, k)
+        return _stair_colength(
+            eng, lambda key: _staircase(_moved_corners(eng, key, shifts, eng.apery)))
 
     def multiplicity(self):
         """e(Q) = |det(u1, ..., ud)| / [Z^d : ZS], the index being the product
@@ -442,6 +381,19 @@ class ParameterIdeal:
         for i, row in enumerate(self.ring.group_lattice()):
             index *= row[i]
         return abs(_det([tuple(g) for g in self.ordered_generators]) // index)
+
+
+def _steps(q):
+    """(a, b) for a 2-D parameter ideal (u, v), u and v on g1's and g2's
+    rays: u = (a, 0) and v = (0, b) in lam values."""
+    eng = q.ring._engine
+    return tuple(max(vdot(lam, u) for u in q.ordered_generators) for lam in (eng.lam1, eng.lam2))
+
+
+def _power_shifts(q, k):
+    """The lam values of i*u + (k - i)*v, i = 0..k: the shifts of Q^k."""
+    a, b = _steps(q)
+    return [(i * a, (k - i) * b) for i in range(k + 1)]
 
 
 def _det(rows):

@@ -11,11 +11,15 @@ finitely many Apéry elements a, those with a - g1 and a - g2 outside S
 (Rosales and García-Sánchez, Proc. Edinburgh Math. Soc. 41, 1998), so on each
 coset S is an up-set of the grid with the Apéry elements as its corners.
 The engine computes them once per ring and keeps each coset's staircase
-(``_staircase``, which also builds the split slots' staircases from their
-corners): ``rows`` and ``cols``, the first index in S on the lines parallel
-to g1 and to g2 up to the last corner.  Membership and line-first queries
-are array reads for points of any size, which the ideal engine relies on,
-and S is Cohen-Macaulay exactly when every coset has one corner.
+(``_staircase``): ``rows`` and ``cols``, the first index in S on the lines
+parallel to g1 and to g2 up to the last corner.  Membership and line-first
+queries are array reads for points of any size, and S is Cohen-Macaulay
+exactly when every coset has one corner.
+
+The ideals of S are held the same way.  An ideal generated by points w is,
+on each coset, the up-set of the Apéry corners that the w move onto it
+from their source cosets (``_moved_corners``), and its colength is a sum
+over columns of its first row less that of S (``_stair_colength``).
 """
 
 from __future__ import annotations
@@ -178,6 +182,54 @@ def _stair_profile(lines, axis, count):
     return out
 
 
+def _moved_corners(eng, key, shifts, corners):
+    """The points of coset ``key`` onto which the lam values ``shifts`` move
+    the corners of their source cosets, ``corners`` mapping each coset to
+    its list.  Shift s moves the coset of key - s, and its corner p lands
+    at p - q, q the grid quotient of key - s."""
+    (k1, k2), d1, d2 = key, eng.D1, eng.D2
+    out = []
+    for s1, s2 in shifts:
+        l1, l2 = k1 - s1, k2 - s2
+        q1, q2 = l1 // d1, l2 // d2
+        for p1, p2 in corners[l1 - q1 * d1, l2 - q2 * d2]:
+            out.append((p1 - q1, p2 - q2))
+    return out
+
+
+def _column_runs(ring_lines, lines):
+    """The points of S outside an up-set on one coset, as runs (m1, lo, hi):
+    column m1 from row lo up to row hi, ``ring_lines`` and ``lines`` the
+    staircases of S and of the up-set.
+
+    Past its stored columns each staircase keeps its last value, so the
+    complement is finite exactly when the up-set meets every column that S
+    meets and the two last values agree.  Raises UncertifiedError when it
+    does not, or when the up-set leaves S.
+    """
+    ring, own = ring_lines[1], lines[1]
+    if own[-1] != ring[-1]:
+        raise UncertifiedError("staircase tail %d, the ring's %d (internal)" % (own[-1], ring[-1]))
+    # the shorter array, padded with its last value, to the common length
+    pad = len(own) - len(ring)
+    ring, own = ring + ring[-1:] * pad, own + own[-1:] * -pad
+    runs = []
+    for m, (s, t) in enumerate(zip(ring, own)):
+        if s != t:
+            if s is None or t is None or t < s:
+                raise UncertifiedError("staircase misses or leaves S on column %d (internal)" % m)
+            runs.append((m, s, t))
+    return runs
+
+
+def _stair_colength(eng, lines_of):
+    """The number of points of S outside the up-set whose staircase on coset
+    ``key`` is ``lines_of(key)``: the sum over columns of its first row
+    less that of S (``_column_runs``)."""
+    return sum(hi - lo for key, lines in eng.stair.items()
+               for _, lo, hi in _column_runs(lines, lines_of(key)))
+
+
 # ---------------------------------------------------------------------------
 # engines
 
@@ -282,14 +334,8 @@ class _Grid2:
         # S is CM iff each coset holds exactly one Apéry element (Rosales and
         # García-Sánchez, Proc. Edinburgh Math. Soc. 41, 1998)
         self.is_cm = all(len(pts) == 1 for pts in corners.values())
+        self.apery = corners
         self.stair = {key: _staircase(pts) for key, pts in corners.items()}
-        # one in-S point per coset with small grid coordinates
-        self.witness = {key: min(pts, key=lambda p: (max(p), p))
-                        for key, pts in corners.items()}
-        self._stable = tuple(
-            (max(len(lines[axis]) for lines in self.stair.values()) - 1,
-             {key: lines[axis][-1] for key, lines in self.stair.items()})
-            for axis in (0, 1))
 
     def _apery(self):
         """Box point and grid coordinates (m1, m2) of the Apéry elements of
@@ -323,25 +369,6 @@ class _Grid2:
                     seen.add(w)
                     heapq.heappush(heap, (w[0] + w[1], w))
         return box, corners
-
-    # -- per-line first-membership index
-
-    def grid_first(self, key, axis, fixed):
-        """First t with box[key] + (fixed, t) (axis order) in S; None if the line misses S.
-
-        ``fixed`` must be >= 0.  Past the coset's last stored line the
-        answer is constant.
-        """
-        line = self.stair[key][axis]
-        return line[fixed] if fixed < len(line) else line[-1]
-
-    def stabilization(self, axis):
-        """(S, consts) with grid_first(key, axis, f) == consts[key] for every f >= S.
-
-        S is the largest Apéry coordinate along the fixed axis over all
-        cosets, and consts[key] the least along the other.
-        """
-        return self._stable[axis]
 
     def member(self, v):
         x, y = v

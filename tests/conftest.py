@@ -32,8 +32,9 @@ def child_env():
     return env
 
 
-def brute_member(gens, v):
-    """Nonnegative-integer-combination search, memoized, bounded by v itself."""
+def brute_searcher(gens):
+    """Nonnegative-integer-combination search, bounded by the point itself,
+    with one memo across the calls of the returned test."""
     gens = [tuple(g) for g in gens]
     memo = {}
 
@@ -50,10 +51,29 @@ def brute_member(gens, v):
                 break
         return memo[w]
 
-    w = tuple(v)
-    if any(c < 0 for c in w):
-        return False
-    return rec(w)
+    def member(v):
+        w = tuple(v)
+        return all(c >= 0 for c in w) and rec(w)
+
+    return member
+
+
+def brute_member(gens, v):
+    return brute_searcher(gens)(v)
+
+
+def grid_first(eng, key, axis, fixed):
+    """First t >= 0 with box[key] + (fixed, t) (axis order) in S, None if
+    the line misses S: the coset's stored line, constant past the last."""
+    line = eng.stair[key][axis]
+    return line[min(fixed, len(line) - 1)]
+
+
+def stabilization(eng, axis):
+    """(S, consts) with grid_first(eng, key, axis, f) == consts[key] for
+    every f >= S."""
+    return (max(len(lines[axis]) for lines in eng.stair.values()) - 1,
+            {key: lines[axis][-1] for key, lines in eng.stair.items()})
 
 
 def brute_ideal_member(sgens, igens, v):
@@ -66,9 +86,10 @@ def brute_ideal_member(sgens, igens, v):
 def brute_complement(sgens, igens, box):
     """S-points inside [0, box]^d that are not in the ideal."""
     dim = len(next(iter(sgens)))
+    member = brute_searcher(sgens)
     out = []
     for v in itertools.product(range(box + 1), repeat=dim):
-        if brute_member(sgens, v) and not brute_ideal_member(sgens, igens, v):
+        if member(v) and not any(member(vsub(v, g)) for g in igens):
             out.append(v)
     return sorted(out)
 
@@ -320,7 +341,7 @@ def integral_colengths(q, n_max):
 def rule_lengths_by_line(rule, n_max):
     """The colengths of a 2-D ``ClosureRule``'s k-th closures, k =
     1..n_max+1, one term per column and k: column m1 of coset (k1, k2) holds
-    S from t0 = ``grid_first(key, 1, m1)`` on, and the rule reads
+    S from t0 = ``grid_first(eng, key, 1, m1)`` on, and the rule reads
     alpha*k - beta <= gamma*t on it, so it adds max(0, ceil((alpha*k - beta)
     / gamma) - t0) points.  Columns with lam1 >= (n_max+1)*a1 add none.
     This is the count that the floor sums of ``ClosureRule.lengths``
@@ -338,7 +359,7 @@ def rule_lengths_by_line(rule, n_max):
     lines = []
     for k1, k2 in eng.box:
         for m1 in range(-(-(top * a1 - k1) // eng.D1)):
-            t0 = eng.grid_first((k1, k2), 1, m1)
+            t0 = grid_first(eng, (k1, k2), 1, m1)
             if t0 is not None:
                 lines.append((beta(k1 + m1 * eng.D1, k2), t0))
     return [sum(max(0, -((b - alpha * k) // gamma) - t0) for b, t0 in lines)

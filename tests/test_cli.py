@@ -64,6 +64,29 @@ class TestAnalyze:
         assert code == 1
         assert "NOT_M_PRIMARY" in err
 
+    @pytest.mark.parametrize("ring_rec, ideal_rec", [
+        ({"dim": 2, "generators": [[1.5, 0], [0, 1]]}, {"generators": [[1, 0], [0, 1]]}),
+        ({"dim": 2, "generators": [[True, 0], [0, 1]]}, {"generators": [[1, 0], [0, 1]]}),
+        (REMARK_RING, {"generators": [[1.9, 0], [0, 2]], "ordered": True}),
+        (REMARK_RING, {"generators": [["1.0", 0], [0, 2]], "ordered": True}),
+    ], ids=["float-ring", "bool-ring", "float-ideal", "float-string-ideal"])
+    def test_non_integer_exponent_exit_1(self, tmp_path, capsys, ring_rec, ideal_rec):
+        # no exponent is truncated: the file is rejected before any fit
+        ring = write(tmp_path, "ring.json", ring_rec)
+        ideal = write(tmp_path, "q.json", ideal_rec)
+        code = main(["analyze", "--ring", ring, "--ideal", ideal])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("input error [FORMAT]"), captured.err
+
+    def test_decimal_string_exponents_parse(self, tmp_path, capsys):
+        # reports write integers as strings, so a reproducer re-parses
+        ring = write(tmp_path, "ring.json", {"dim": "2", "generators": [["1", "0"], ["0", "1"]]})
+        ideal = write(tmp_path, "q.json", {"generators": [["1", "0"], ["0", "1"]]})
+        assert main(["analyze", "--ring", ring, "--ideal", ideal, "--report", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["e1_ordinary"] == "0"
+
     def test_malformed_json_diagnostic(self, tmp_path, capsys):
         ring = tmp_path / "ring.json"
         ring.write_text('{"dim": 2, "generators": [[1,0],')
@@ -187,6 +210,19 @@ class TestVerify:
     @pytest.mark.parametrize("corpus", [[5], {"instances": 7}], ids=["entry", "instances"])
     def test_malformed_corpus_exit_1(self, tmp_path, capsys, corpus):
         path = write(tmp_path, "corpus.json", corpus)
+        code = main(["verify", "--corpus", path, "--n-max", "6"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "input error [FORMAT]" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("entry", [
+        {"ring": {"dim": 2, "generators": [[2.7, 0], [0, 1]]}, "ideal": REMARK_Q},
+        {"ring": {"dim": 2.0, "generators": [[1, 0], [0, 1]]}, "ideal": REMARK_Q},
+        {"ring": FREE2_RING, "ideal": {"generators": [[1, 0], [0, "2x"]], "ordered": True}},
+    ], ids=["float-generator", "float-dim", "non-decimal-string"])
+    def test_non_integer_corpus_exit_1(self, tmp_path, capsys, entry):
+        path = write(tmp_path, "corpus.json", {"instances": [entry]})
         code = main(["verify", "--corpus", path, "--n-max", "6"])
         captured = capsys.readouterr()
         assert code == 1

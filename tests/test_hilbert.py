@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hilbclose.closures as closures_mod
+import hilbclose.ideals as ideals_mod
 from conftest import REMARK_GENS, brute_complement, compositions, finite_gaps
 from hilbclose.cli import example_instance
 from hilbclose.closures import lim_intersection
@@ -24,6 +25,7 @@ from hilbclose.ideals import (
     ideal_power,
     ideal_product,
     maximal_ideal,
+    parameter_sums,
 )
 from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale
 from hilbclose.theorems import fuzz_corpus
@@ -258,6 +260,17 @@ class TestNonCMCounts:
             assert length_sequence(Filtration(kind, q), 12) == \
                 member_colengths(q, kind, 12), kind
 
+    def test_hole_orders_match_scan(self, corpus_parameters):
+        # the staircase walk against every pair (i, j), tested directly
+        for q in non_cm_parameters(corpus_parameters) + [
+                q.split(alpha) for q in non_cm_parameters(corpus_parameters)[:6]
+                for alpha in ((2, 1), (1, 3))]:
+            a, b, in_s2 = closures_mod._hole_frame(q)
+            want = sorted(max(i + j for i in range(h1 // a + 1) for j in range(h2 // b + 1)
+                              if in_s2(h1 - i * a, h2 - j * b))
+                          for h1, h2 in q.ring._engine.s2_holes)
+            assert closures_mod._hole_orders(q) == want, q
+
     def test_excess_points_by_enumeration(self, corpus_parameters):
         # E_n against every hole moved by i*u + (n-i)*v, tested directly
         for q in non_cm_parameters(corpus_parameters):
@@ -332,6 +345,33 @@ class TestNonCMCounts:
                             lambda q: [mutant(*row) for row in full(q)])
         with pytest.raises(UncertifiedError):
             length_sequence(Filtration(FiltrationKind.ORDINARY, q), 8)
+
+
+class TestPowerColength:
+    """ell(R/Q^k) counted by columns from the moved Apéry corners, with no
+    power built, against a box enumeration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_rings, st.integers(1, 12), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 5), st.booleans())
+    def test_matches_brute_complement(self, sgens, k, k1, k2, pick, swap):
+        # both generator orders; parameters not always multiples of g1 or g2
+        q = ray_parameters(AffineSemigroup(2, sgens), k1, k2, pick, swap)
+        sums = parameter_sums(q.ordered_generators, k)
+        comp = sorted(map(tuple, MonomialIdeal(q.ring, sums, _reduced=True).complement()))
+        box = max(max(map(max, comp), default=0), max(map(max, sums))) + 4
+        assert comp == brute_complement(sgens, sums, box), k
+        assert q.power_colength(k) == len(comp), k
+
+    def test_dropped_apery_corner_raises(self, monkeypatch):
+        # remark-s2 at n_max 40: with one source Apéry corner missing per
+        # coset, Q^41 is too large and the last ordinary length uncertified
+        ring, q = example_instance("remark-s2")
+        q.colength()  # the first certificate, counted before the mutation
+        full = ideals_mod._moved_corners
+        monkeypatch.setattr(ideals_mod, "_moved_corners", lambda *args: full(*args)[:-1])
+        with pytest.raises(UncertifiedError):
+            closures_mod.ordinary_lengths(q, 40)
 
 
 class TestFitPolynomial:

@@ -9,8 +9,10 @@ from conftest import (
     REMARK_GENS,
     brute_complement,
     brute_ideal_member,
+    grid_first,
     limit_chain_member,
     split_meet_member,
+    stabilization,
     tight_member,
 )
 from hilbclose.closures import ClosureRule, _split_slot, lim_intersection
@@ -217,7 +219,7 @@ def _first_shift(eng, w, axis):
     if key not in eng.box:  # off the group lattice
         return None
     fixed, trav = (l1 // eng.D1, l2 // eng.D2) if axis == 1 else (l2 // eng.D2, l1 // eng.D1)
-    t = eng.grid_first(key, axis, fixed) if fixed >= 0 else None
+    t = grid_first(eng, key, axis, fixed) if fixed >= 0 else None
     return None if t is None else max(0, t - trav)
 
 
@@ -236,11 +238,11 @@ class TestStaircaseSweep:
                               + [v for v in extra if any(v)])
         gens = ideal.min_generators
         for axis in (0, 1):
-            stable, consts = eng.stabilization(axis)
+            stable, consts = stabilization(eng, axis)
             gfix = eng.g1 if axis == 1 else eng.g2
             for key in sorted(eng.box):
                 for f in range(stable, stable + 6):
-                    assert eng.grid_first(key, axis, f) == consts[key]
+                    assert grid_first(eng, key, axis, f) == consts[key]
                 count = stable + 6
                 got = _IdealUp(ring, gens).profile(key, axis, count)
                 for m in range(count):
@@ -275,7 +277,7 @@ class TestProfiles:
         hi = 12 * (k1 + k2 + 4)
         for axis in (0, 1):
             gfix, gax = (eng.g1, eng.g2) if axis == 1 else (eng.g2, eng.g1)
-            count = eng.stabilization(axis)[0] + 4
+            count = stabilization(eng, axis)[0] + 4
             for key in sorted(eng.box):
                 for upset, member in upsets:
                     prof = upset.profile(key, axis, count)

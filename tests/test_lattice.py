@@ -9,14 +9,24 @@ from conftest import (
     RationalPolyhedron,
     brute_member,
     finite_gaps,
+    grid_first,
     in_lattice,
     in_normalization,
     least_conductor,
     newton_polyhedron,
     normalization_gaps,
+    stabilization,
 )
-from hilbclose.errors import DimensionMismatchError, UnsupportedRingError
-from hilbclose.lattice import AffineSemigroup, ExponentVector, vadd, vscale
+from hilbclose.errors import DimensionMismatchError, UncertifiedError, UnsupportedRingError
+from hilbclose.lattice import (
+    AffineSemigroup,
+    ExponentVector,
+    _stair_colength,
+    _stair_corners,
+    _staircase,
+    vadd,
+    vscale,
+)
 
 
 class TestExponentVector:
@@ -170,7 +180,7 @@ class TestResidueDecisionPath:
     def test_membership_matches_bruteforce(self, gens):
         ring = AffineSemigroup(2, gens)
         eng = ring._engine
-        stable = [eng.stabilization(axis)[0] for axis in (0, 1)]
+        stable = [stabilization(eng, axis)[0] for axis in (0, 1)]
         # line f of each axis up to stable + 2, walked to the other's stable + 2
         lines = []
         for axis in (0, 1):
@@ -185,16 +195,33 @@ class TestResidueDecisionPath:
         tab = _brute_table(gens, nx, ny)
         for key, axis, f, pts in lines:
             first = next((t for t, p in enumerate(pts) if tab[p[0]][p[1]]), None)
-            assert eng.grid_first(key, axis, f) == first, (key, axis, f)
+            assert grid_first(eng, key, axis, f) == first, (key, axis, f)
         for v in itertools.product(range(nx), range(ny)):
             assert ring.member(v) == tab[v[0]][v[1]], v
 
-    def test_witness_is_least_corner(self):
-        # the least (max, m1, m2) in-S point of the coset, an Apéry element
-        eng = AffineSemigroup(2, [(0, 5), (2, 4), (2, 5), (5, 2), (6, 0)])._engine
-        assert eng.witness[(5, 0)] == eng.witness[(5, 1)] == (2, 2)
-        eng = AffineSemigroup(2, [(0, 3), (0, 5), (2, 1), (2, 6), (4, 0)])._engine
-        assert eng.witness[(2, 0)] == (1, 1)
+    def test_apery_corners_are_the_staircase_corners(self):
+        # the Apéry elements the ideals' staircases are moved from
+        for gens, key, want in (
+                ([(0, 5), (2, 4), (2, 5), (5, 2), (6, 0)], (5, 0), [(1, 3), (2, 2)]),
+                ([(0, 3), (0, 5), (2, 1), (2, 6), (4, 0)], (2, 0), [(0, 2), (1, 1)])):
+            eng = AffineSemigroup(2, gens)._engine
+            assert sorted(eng.apery[key]) == want
+            for k, lines in eng.stair.items():
+                assert sorted(eng.apery[k]) == _stair_corners(lines), (gens, k)
+
+    @pytest.mark.parametrize("corners", [[(0, 0)], [(1, 0)], [(0, 1)]],
+                             ids=["off-ring", "missed-column", "tail"])
+    def test_column_sums_raise(self, remark_ring, corners):
+        # coset (0, 1) of the remark ring has the corners (0, 1) and (1, 0):
+        # an up-set from (0, 0) leaves S, one from (1, 0) misses column 0,
+        # and one from (0, 1) alone misses row 0 past column 0
+        eng = remark_ring._engine
+        assert sorted(eng.apery[0, 1]) == [(0, 1), (1, 0)]
+        stair = dict(eng.stair)
+        assert _stair_colength(eng, stair.__getitem__) == 0
+        stair[0, 1] = _staircase(corners)
+        with pytest.raises(UncertifiedError):
+            _stair_colength(eng, stair.__getitem__)
 
     def test_colength_still_exact(self):
         from hilbclose.ideals import MonomialIdeal
