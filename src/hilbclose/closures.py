@@ -13,26 +13,29 @@ JAMS 3, 1990), so (Q^k)* = Q^k S̄ ∩ S in every characteristic p.  In a
 Cohen-Macaulay ring the parameters form a regular sequence, so
 Z[X1..Xd] -> R, X_i -> u_i, is flat and the split slot is Q^k; only a 2-D
 grid can fail to be CM.  There S' is one quadrant per coset of
-Z g1 + Z g2, so Q^k S' is on each coset the union of k + 1 quadrants, and
-the slot's staircase is built from their corners, moved as the power's
-Apéry corners are (``lattice._moved_corners``), and the coset's Apéry
-corners in closed form (``_slot_stair``).
+Z g1 + Z g2, at the least m1 and m2 of the coset's Apéry corners, so
+Q^k S' is on each coset the union of k + 1 quadrants, and the slot's
+column array is built from their corners, moved as the power's Apéry
+corners are (``lattice._moved_corners``), and the coset's Apéry corners in
+closed form (``_slot_stair``).
 
 For the powers of a parameter ideal, both the integral and the tight
 closure are rules in the cone's facet forms (``ClosureRule``), and no
-ideal of either is built: the fits count their lengths from the rules and
-the checks test points against them.  The split lengths are counted from
+ideal of either is built: the fits count their lengths from the rules, line
+by line along the ray of the last facet form (one line per Apéry class of a
+numerical semigroup, one per column in dimensions 2 and 3), and the checks
+test points against them.  The split lengths are counted from
 the holes S' ∖ S (``split_lengths``), since k[S'] is CM, and so are the
 ordinary lengths of a non-CM ring (``ordinary_lengths``): Q^n S' is Q^n and
 the holes moved by the sums of n parameters.  A split slot is built as an
 ideal (``lim_intersection``) only for the generators the chain check tests;
-the split certificate counts its colength by columns from the staircase
-alone (``lattice._stair_colength``).
+the split certificate counts its colength by columns from the column
+arrays alone (``lattice._stair_colength``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate, product
 from math import comb, gcd, inf, prod
 
@@ -80,28 +83,23 @@ class ClosureRule:
     def lengths(self, n_max):
         """The colengths of the k-th closures, k = 1..n_max+1, from the rule.
 
-        A numerical semigroup counts its elements below k*u (both rules read
-        s >= k*u).  Otherwise S runs in lines along the ray of the last form
-        at fixed values of the others, from a first index t0 on: column m1
-        of 2-D coset (k1, k2) has lam1 = k1 + m1*D1, lam2 = k2 + t*D2 and t0
-        the first row of S on it, read off the coset's stored columns;
-        free-Z^3 column (x, y) has z = t and t0 = 0.  The rule reads
-        alpha*k <= w + c*lam on a line, w fixed per line, so with b = w +
-        c*lam at t0 the line adds max(0, ceil((alpha*k - b) / gamma))
-        points, gamma = c times the step of lam.  Lines on which the other
-        forms alone reach k (lam1 >= k*a1, x >= k*ax or y >= k*ay) add none.
-        Free Z^3 and the 2-D columns before the coset's last stored one add
-        their terms one by one.  From that column on t0 is the coset's
-        constant and b linear in m1 on each class mod the period of
+        S runs in lines along the ray of the last form at fixed values of
+        the others, from a first index t0 on: a numerical semigroup's class
+        r modulo amin has lam = apery[r] + t*amin and t0 = 0; column m1 of
+        2-D coset (k1, k2) has lam1 = k1 + m1*D1, lam2 = k2 + t*D2 and t0
+        its entry in the coset's column array; free-Z^3 column (x, y) has
+        z = t and t0 = 0.  The rule reads alpha*k <= w + c*lam on a line, w
+        fixed per line (0 with one form), so with b = w + c*lam at t0 the
+        line adds max(0, ceil((alpha*k - b) / gamma)) points, gamma = c
+        times the step of lam.  Lines on which the other forms alone reach
+        k (lam1 >= k*a1, x >= k*ax or y >= k*ay) add none.  The classes,
+        free Z^3 and the 2-D columns before the coset's last stored one add
+        their terms one by one.  From that column on t0 is the coset's last
+        entry and b linear in m1 on each class mod the period of
         floor(lam1 / a1) (1 for the integral rule), so the terms of a class
         are positive on an initial run and add up to one ``_floor_sum``.
         """
         ring, top = self.ring, n_max + 1
-        if ring.kind == "num1":
-            eng = ring._engine
-            (_, u), = self.forms
-            below = [x for x in range(0, top * u, eng.step) if eng.member((x,))]
-            return [bisect_left(below, k * u) for k in range(1, top + 1)]
         *rest, (_, a) = self.forms
         if self.tight:
             # floor(lam/a) >= k - floor(w/a), w a times the other forms' floors
@@ -112,11 +110,14 @@ class ClosureRule:
             alpha, c = self._prod, self._prod // a
             w = lambda lams: sum(l * (self._prod // b) for l, (_, b) in zip(lams, rest))
         lines, runs = [], []  # b per line; (b at the first column, slope) per class
-        if ring.kind == "grid2":
+        if ring.kind == "num1":
+            eng = ring._engine
+            step, lines = eng.amin, [c * x for x in eng.apery.values()]
+        elif ring.kind == "grid2":
             eng = ring._engine
             (_, a1), step = rest[0], eng.D2
             period = a1 // gcd(eng.D1, a1) if self.tight else 1
-            for (k1, k2), (_, cols) in eng.stair.items():
+            for (k1, k2), cols in eng.stair.items():
                 # past the coset's last stored column t0 is its last value
                 stable = len(cols) - 1
                 for m1 in range(min(stable, -(-(top * a1 - k1) // eng.D1))):
@@ -188,9 +189,9 @@ def _split_slot(q, k):
     offs = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in ring.generators
             if g != eng.g1 and g != eng.g2]
     gens = []
-    for key, lines in stair.items():
+    for key, cols in stair.items():
         rx, ry = eng.box[key]
-        for m1, m2 in _stair_corners(lines):
+        for m1, m2 in _stair_corners(cols):
             l1, l2 = key[0] + m1 * eng.D1, key[1] + m2 * eng.D2
             if not any(_stair_at(eng, stair, l1 - a, l2 - b) for a, b in offs):
                 gens.append((rx + m1 * g1x + m2 * g2x, ry + m1 * g1y + m2 * g2y))
@@ -198,20 +199,22 @@ def _split_slot(q, k):
 
 
 def _slot_stair(q, k):
-    """The staircase of Q^k S' ∩ S on each coset of a 2-D ring.
+    """The column array of Q^k S' ∩ S on each coset of a 2-D ring.
 
     S' is one quadrant per coset, at the least column and row that meet S,
-    the last entries of its rows and columns, so Q^k S' is there the union
-    of the quadrants at the S' corners that i*u + (k - i)*v moves onto it
-    (``_moved_corners``), and its meet with S the up-set generated by
-    max(p, c), p the coset's Apéry corners and c those moved corners.
+    the least m1 and the least m2 of the coset's Apéry corners, so Q^k S'
+    is there the union of the quadrants at the S' corners that
+    i*u + (k - i)*v moves onto it (``_moved_corners``), and its meet with S
+    the up-set generated by max(p, c), p the coset's Apéry corners and c
+    those moved corners.
     """
     eng, shifts = q.ring._engine, _power_shifts(q, k)
-    s2 = {key: [(rows[-1], cols[-1])] for key, (rows, cols) in eng.stair.items()}
+    s2 = {key: [(min(p1 for p1, _ in pts), min(p2 for _, p2 in pts))]
+          for key, pts in eng.apery.items()}
     return {key: _staircase([(p1 if p1 > c1 else c1, p2 if p2 > c2 else c2)
                              for (p1, p2), (c1, c2)
                              in product(eng.apery[key], _moved_corners(eng, key, shifts, s2))])
-            for key in eng.stair}
+            for key in eng.apery}
 
 
 def split_lengths(q, n_max):

@@ -1,7 +1,8 @@
 """File formats: JSON records for rings, ideals and corpora, and report emission.
 
-Input records use plain JSON integers, or the decimal strings that reports
-write; floats, booleans and other strings are rejected.  Emitted reports
+Input records hold generators as arrays of integer arrays, each integer a
+plain JSON integer or the decimal string that reports write, and an ideal's
+``ordered`` as a JSON boolean; anything else is rejected.  Emitted reports
 encode every integer as a decimal string so downstream consumers never face
 64-bit overflow; report bytes are deterministic (sorted keys, no
 timestamps).
@@ -30,6 +31,13 @@ def _integer(value):
     raise FormatError("expected an integer, got %s" % json.dumps(value))
 
 
+def _vectors(value):
+    """A JSON array of integer arrays, as tuples of ints (``_integer``)."""
+    if type(value) is not list or any(type(v) is not list for v in value):
+        raise FormatError("expected an array of integer arrays, got %s" % json.dumps(value))
+    return [tuple(_integer(c) for c in v) for v in value]
+
+
 def ring_to_record(ring):
     return {"dim": ring.dim, "generators": [list(g) for g in ring.generators]}
 
@@ -39,8 +47,8 @@ def ring_from_record(record):
         raise FormatError("ring record must be an object")
     try:
         dim = _integer(record["dim"])
-        gens = [tuple(_integer(c) for c in g) for g in record["generators"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        gens = _vectors(record["generators"])
+    except KeyError as exc:
         raise FormatError("ring record needs integer 'dim' and 'generators': %s" % exc)
     return AffineSemigroup(dim, gens)
 
@@ -55,11 +63,12 @@ def ideal_to_record(ideal):
 def ideal_from_record(record, ring):
     if not isinstance(record, dict):
         raise FormatError("ideal record must be an object")
-    try:
-        gens = [tuple(_integer(c) for c in g) for g in record["generators"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("ideal record needs a 'generators' array: %s" % exc)
-    ordered = bool(record.get("ordered", False))
+    if "generators" not in record:
+        raise FormatError("ideal record needs a 'generators' array")
+    gens = _vectors(record["generators"])
+    ordered = record.get("ordered", False)
+    if type(ordered) is not bool:
+        raise FormatError("'ordered' must be true or false, got %s" % json.dumps(ordered))
     if not ordered:
         gens = sorted(gens)
     return gens, ordered

@@ -118,17 +118,16 @@ def _forward_diffs(seq, order):
     return cur
 
 
-def _binomial_value(coeffs, n, d):
-    return sum((-1) ** i * coeffs[i] * comb(n + d - i, d - i) for i in range(d + 1))
-
-
 def fit_polynomial(lengths, d, window=DEFAULT_WINDOW):
     """Exact (e_0, ..., e_d) and the earliest index the polynomial matches from.
 
     The coefficients are peeled off the last d + 1 lengths: e_i is, up to
     the sign (-1)^i, the (d-i)-th difference of what remains once the terms
-    of e_0..e_{i-1} are subtracted.  Raises NotStabilizedError when the d-th
-    differences have no constant trailing window.
+    of e_0..e_{i-1} are subtracted.  The lengths less the polynomial vanish
+    on those d + 1, so they vanish from m on exactly when the d-th
+    differences equal the last one, e_0, from m on: the earliest index is
+    the least such m.  Raises NotStabilizedError when the d-th differences
+    have no constant trailing window.
     """
     lengths = list(lengths)
     if len(lengths) < d + 1 + window:
@@ -146,12 +145,9 @@ def fit_polynomial(lengths, d, window=DEFAULT_WINDOW):
         coeffs.append(e)
         rest = [v - sign * e * comb(base + k + d - i, d - i) for k, v in enumerate(rest)]
     coeffs = tuple(coeffs)
-    n0 = len(lengths)
-    for n in range(len(lengths) - 1, -1, -1):
-        if _binomial_value(coeffs, n, d) == lengths[n]:
-            n0 = n
-        else:
-            break
+    n0 = len(diffs) - 1
+    while n0 and diffs[n0 - 1] == diffs[-1]:
+        n0 -= 1
     if n0 > len(lengths) - 1 - window:
         raise NotStabilizedError("trailing window matches no single polynomial")
     return coeffs, n0

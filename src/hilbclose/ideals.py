@@ -3,36 +3,32 @@
 Ideals are S-stable up-sets held by their minimal generators.  The integral
 and tight closures are never ideals: ``closures.ClosureRule`` tests points
 against their rules and counts their lengths.  In dimension 2, the lattice
-points of each coset of Z g1 + Z g2 form a grid whose lines run parallel
-to an extreme ray.  Along such a line membership in an up-set is monotone,
-so the up-set restricted to the line is a final segment described by one
-integer, and on each coset those integers form a nonincreasing staircase
-whose corners are the up-set's minimal grid points.
+points of each coset of Z g1 + Z g2 form a grid whose columns run parallel
+to g2.  Along a column membership in an up-set is monotone, so the up-set
+restricted to it is a final segment described by its first index, and on
+each coset those indices form a nonincreasing column array whose drops are
+the up-set's minimal grid points.
 
-Each ideal keeps that staircase in the ring's own format
+Each ideal keeps that column array in the ring's own format
 (``lattice._staircase``).  A generator w moves the Apéry corners of the
 coset of S it starts from onto its own coset (``lattice._moved_corners``),
-so an ideal held by generators builds a coset's staircase from their moved
+so an ideal held by generators builds a coset's array from their moved
 corners on first use, and the power Q^k of a parameter ideal (u, v) from
 those that i*u + (k - i)*v moves, i = 0..k, with no parameter sum formed
 (``ParameterIdeal.power_colength``).  The one derived ideal that is built,
 a non-CM ring's split slot (``closures._split_slot``), comes with its
-staircase whole.  ``member`` and ``profile`` read it (``lattice._stair_at``,
-``lattice._stair_profile``).  A colength is the sum over columns of the
-ideal's first row less the ring's (``lattice._stair_colength``), with no
-complement materialized.  The fits count the powers of a parameter ideal
-from the holes S' ∖ S instead (``closures.ordinary_lengths``); the
-colength of the last power certifies the last of them.
+arrays whole, and ``member`` reads them (``lattice._stair_at``).  A
+colength is the sum over columns of the ideal's first row less the ring's
+(``lattice._stair_colength``), with no complement materialized.  The fits
+count the powers of a parameter ideal from the holes S' ∖ S instead
+(``closures.ordinary_lengths``); the colength of the last power certifies
+the last of them.
 
 In free Z^3 an ideal is a nonincreasing height function on the (x, y)
-plane, read from its generators as
-
-    heights(nx, ny)             -- least z on each column x < nx, y < ny
-    reach(i)                    -- least k with k*e_i inside
-
-``_column_heights`` gets the heights with a 2-D prefix minimum and
-``_axis_reach`` the reach in closed form.  Complements are the points below
-each column's height, and colengths the sum of the heights.
+plane: ``_column_heights`` reads the least z on each column from the
+generators with a 2-D prefix minimum, and ``_axis_reach`` the least k with
+k*e_i inside in closed form.  Complements are the points below each
+column's height, and colengths the sum of the heights.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from .lattice import (
     _moved_corners,
     _stair_at,
     _stair_colength,
-    _stair_profile,
     _staircase,
     vadd,
     vdot,
@@ -76,8 +71,8 @@ def antichain_reduce(ring, vectors):
 
 class _IdealUp:
     """Up-set generated by explicit monomial generators.  On a 2-D ring it
-    has a staircase per coset: a split slot's, kept whole as ``stair``, or
-    one built on first use from the generators' moved Apéry corners."""
+    has a column array per coset: a split slot's, kept whole as ``stair``,
+    or one built on first use from the generators' moved Apéry corners."""
 
     def __init__(self, ring, gens, stair=None):
         self.ring = ring
@@ -86,8 +81,8 @@ class _IdealUp:
         self.stair = stair
         self._built = {}
 
-    def lines(self, key):
-        """The staircase (rows, cols) of coset ``key``."""
+    def cols(self, key):
+        """The column array of coset ``key``."""
         if self.stair is not None:
             return self.stair[key]
         if key not in self._built:
@@ -114,21 +109,9 @@ class _IdealUp:
                 return True
         return False
 
-    def profile(self, key, axis, count):
-        """First indices on lines 0..count-1 of coset ``key``."""
-        return _stair_profile(self.lines(key), axis, count)
-
-    def heights(self, nx, ny):
-        """Column heights for x < nx, y < ny (free Z^3)."""
-        return _column_heights(self.gens, nx, ny)
-
-    def reach(self, i):
-        """Least k >= 0 with k*e_i inside (free Z^3), or None."""
-        return _axis_reach(self.gens, i)
-
 
 # ---------------------------------------------------------------------------
-# profiles and complements
+# free Z^3 heights
 
 def _column_heights(gens, nx, ny):
     """Least z with (x, y, z) above some generator, per column x < nx, y < ny.
@@ -211,14 +194,16 @@ class MonomialIdeal:
         if "ray_powers" not in self._cache:
             kind = self.ring.kind
             if kind == "grid2":
-                # the ray through g1 (g2) is line 0 of coset (0, 0) along axis 0 (1)
-                ks = [self._up.profile((0, 0), axis, 1)[0] for axis in (0, 1)]
+                # the ray through g1 (g2) is row (column) 0 of coset (0, 0):
+                # row 0 starts at the column whose entry is 0
+                cols = self._up.cols((0, 0))
+                ks = [next((m for m, t in enumerate(cols) if t == 0), None), cols[0]]
             elif kind == "num1":
                 # k*amin lies in I once it passes a generator by the conductor
                 amin = self.ring._engine.amin
                 ks = [next(k for k in itertools.count() if self._up.member((k * amin,)))]
             else:
-                ks = [self._up.reach(i) for i in range(3)]
+                ks = [_axis_reach(self.min_generators, i) for i in range(3)]
             self._cache["ray_powers"] = tuple(ks)
         return self._cache["ray_powers"]
 
@@ -238,8 +223,8 @@ class MonomialIdeal:
             if kind == "grid2":
                 eng = self.ring._engine
                 pts = []
-                for key, lines in eng.stair.items():
-                    for m1, lo, hi in _column_runs(lines, self._up.lines(key)):
+                for key, cols in eng.stair.items():
+                    for m1, lo, hi in _column_runs(cols, self._up.cols(key)):
                         v0 = vadd(eng.box[key], vscale(m1, eng.g1))
                         pts.extend(vadd(v0, vscale(t, eng.g2)) for t in range(lo, hi))
             elif kind == "num1":
@@ -250,7 +235,7 @@ class MonomialIdeal:
             else:
                 # below each column's height; h(x, y) <= h(0, 0) = kz
                 kx, ky, _ = self._ray_powers()
-                hts = self._up.heights(kx, ky)
+                hts = _column_heights(self.min_generators, kx, ky)
                 pts = [(x, y, z) for x in range(kx) for y in range(ky)
                        for z in range(hts[x][y])]
             self._cache["complement"] = tuple(ExponentVector(p) for p in sorted(pts))
@@ -263,12 +248,12 @@ class MonomialIdeal:
             self._check_m_primary()
             kind = self.ring.kind
             if kind == "grid2":
-                n = _stair_colength(self.ring._engine, self._up.lines)
+                n = _stair_colength(self.ring._engine, self._up.cols)
             elif kind == "num1":
                 n = len(self.complement())
             else:
                 kx, ky, _ = self._ray_powers()
-                n = sum(map(sum, self._up.heights(kx, ky)))
+                n = sum(map(sum, _column_heights(self.min_generators, kx, ky)))
             self._cache["colength"] = n
         return self._cache["colength"]
 
@@ -411,8 +396,7 @@ def is_parameter_ideal(ideal):
 
 
 def nu_m_mod_q(q):
-    """Minimal generators of m surviving in m/(Q + m^2)."""
-    ring = q.ring
-    m = maximal_ideal(ring)
-    qm2 = ideal_sum(q.base if isinstance(q, ParameterIdeal) else q, ideal_power(m, 2))
-    return sum(1 for g in ring.minimal_generators() if not qm2.member(g))
+    """The dimension of m/(Q + m^2): the minimal generators of m outside Q.
+    An irreducible element never lies in m^2, so those outside Q are a basis."""
+    base = q.base if isinstance(q, ParameterIdeal) else q
+    return sum(1 for g in q.ring.minimal_generators() if not base.member(g))

@@ -10,11 +10,14 @@ on the two extreme rays), every lattice point in the cone is box_point + m1*g1
 finitely many Apéry elements a, those with a - g1 and a - g2 outside S
 (Rosales and García-Sánchez, Proc. Edinburgh Math. Soc. 41, 1998), so on each
 coset S is an up-set of the grid with the Apéry elements as its corners.
-The engine computes them once per ring and keeps each coset's staircase
-(``_staircase``): ``rows`` and ``cols``, the first index in S on the lines
-parallel to g1 and to g2 up to the last corner.  Membership and line-first
-queries are array reads for points of any size, and S is Cohen-Macaulay
-exactly when every coset has one corner.
+The engine computes them once per ring and keeps each coset's staircase as
+one column array (``_staircase``): the first index in S on each column up
+to the last corner.  A row starts at the least column whose entry is at most
+its index, and past the last corner a column starts at the last entry, so
+membership is an array read for points of any size, and S is
+Cohen-Macaulay exactly when every coset has one corner.  A numerical
+semigroup is held the same way with one line per class modulo its least
+generator: its Apéry set, the least element of S in each class.
 
 The ideals of S are held the same way.  An ideal generated by points w is,
 on each coset, the up-set of the Apéry corners that the w move onto it
@@ -114,72 +117,42 @@ def _primitive(v):
 
 
 def _staircase(points):
-    """The staircase (rows, cols) of the up-set that grid points (m1, m2)
-    generate on one coset: ``cols`` holds the first m2 on the columns up to
-    the last corner, ``rows`` the first m1 on the rows up to the first, and
-    None where the up-set has not started.  The corners, the points below
-    every point left of them, form an antichain, so along either array the
-    last corner passed is the least."""
+    """The column array of the up-set that grid points (m1, m2) generate on
+    one coset: the first m2 on each column up to the last corner, None
+    where the up-set has not started.  Past the last corner a column starts
+    at the last entry, and row m2 at the least column whose entry is at
+    most m2.  The corners, the points below every point left of them, form
+    an antichain, so the array falls at each corner and stays level
+    between them."""
     corners = []
     for a, b in sorted(points):
         if not corners or b < corners[-1][1]:
             corners.append((a, b))
-    rows, cols = [None] * (corners[0][1] + 1), [None] * (corners[-1][0] + 1)
+    cols = [None] * (corners[-1][0] + 1)
     for a, b in corners:
-        rows[b], cols[a] = a, b
-    for line in (rows, cols):
-        for m in range(1, len(line)):
-            if line[m] is None:
-                line[m] = line[m - 1]
-    return rows, cols
+        cols[a] = b
+    for m in range(1, len(cols)):
+        if cols[m] is None:
+            cols[m] = cols[m - 1]
+    return cols
 
 
-def _stair_corners(lines):
+def _stair_corners(cols):
     """The corners (m1, m2) of one coset's staircase: the columns whose
     first index drops."""
-    cols = lines[1]
     return [(m, t) for m, t in enumerate(cols) if t is not None and (m == 0 or t != cols[m - 1])]
 
 
 def _stair_at(eng, stair, l1, l2):
     """Membership of the lattice point with lam values (l1, l2) in the
-    up-set with staircase ``stair`` (key -> (rows, cols)) over the grid of
-    ``eng``.
-
-    Columns mu < len(cols) read ``cols``, rows nu < len(rows) right of them
-    read ``rows``, and every point beyond both lies in the up-set.
-    """
-    lines = stair.get((l1 % eng.D1, l2 % eng.D2))  # None off the group lattice
+    up-set with column arrays ``stair`` (key -> cols) over the grid of
+    ``eng``: column m1 reads its entry, the last one past the array."""
+    cols = stair.get((l1 % eng.D1, l2 % eng.D2))  # None off the group lattice
     m1 = l1 // eng.D1
-    m2 = l2 // eng.D2
-    if lines is None or m1 < 0 or m2 < 0:
+    if cols is None or m1 < 0:
         return False
-    rows, cols = lines
-    if m1 < len(cols):
-        t = cols[m1]
-        return t is not None and m2 >= t
-    if m2 < len(rows):
-        s = rows[m2]
-        return s is not None and m1 >= s
-    return True
-
-
-def _stair_profile(lines, axis, count):
-    """First indices on lines 0..count-1 of one coset, read off its staircase.
-
-    Past the stored lines, the first index on line m is the least index of
-    the other array whose entry is at most m; both arrays fall, so one
-    pointer walking down the other array serves every later line.
-    """
-    rows, cols = lines
-    own, other = (cols, rows) if axis == 1 else (rows, cols)
-    out = own[:count]
-    p = len(other)
-    for m in range(len(own), count):
-        while p and other[p - 1] is not None and other[p - 1] <= m:
-            p -= 1
-        out.append(p)
-    return out
+    t = cols[m1 if m1 < len(cols) else -1]
+    return t is not None and l2 // eng.D2 >= t
 
 
 def _moved_corners(eng, key, shifts, corners):
@@ -197,17 +170,16 @@ def _moved_corners(eng, key, shifts, corners):
     return out
 
 
-def _column_runs(ring_lines, lines):
+def _column_runs(ring, own):
     """The points of S outside an up-set on one coset, as runs (m1, lo, hi):
-    column m1 from row lo up to row hi, ``ring_lines`` and ``lines`` the
-    staircases of S and of the up-set.
+    column m1 from row lo up to row hi, ``ring`` and ``own`` the column
+    arrays of S and of the up-set.
 
-    Past its stored columns each staircase keeps its last value, so the
+    Past its stored columns each array keeps its last value, so the
     complement is finite exactly when the up-set meets every column that S
     meets and the two last values agree.  Raises UncertifiedError when it
     does not, or when the up-set leaves S.
     """
-    ring, own = ring_lines[1], lines[1]
     if own[-1] != ring[-1]:
         raise UncertifiedError("staircase tail %d, the ring's %d (internal)" % (own[-1], ring[-1]))
     # the shorter array, padded with its last value, to the common length
@@ -222,19 +194,22 @@ def _column_runs(ring_lines, lines):
     return runs
 
 
-def _stair_colength(eng, lines_of):
-    """The number of points of S outside the up-set whose staircase on coset
-    ``key`` is ``lines_of(key)``: the sum over columns of its first row
+def _stair_colength(eng, cols_of):
+    """The number of points of S outside the up-set whose column array on
+    coset ``key`` is ``cols_of(key)``: the sum over columns of its first row
     less that of S (``_column_runs``)."""
-    return sum(hi - lo for key, lines in eng.stair.items()
-               for _, lo, hi in _column_runs(lines, lines_of(key)))
+    return sum(hi - lo for key, cols in eng.stair.items()
+               for _, lo, hi in _column_runs(cols, cols_of(key)))
 
 
 # ---------------------------------------------------------------------------
 # engines
 
 class _Num1:
-    """Numerical-semigroup engine for ambient dimension 1."""
+    """Numerical-semigroup engine for ambient dimension 1, held as its Apéry
+    set modulo amin: ``apery`` maps each class r of the multiples of the gcd
+    to the least element of S in it, so S is the union of the lines
+    apery[r] + N*amin."""
 
     kind = "num1"
     is_cm = True
@@ -242,42 +217,29 @@ class _Num1:
     def __init__(self, ring):
         self.ring = ring
         vals = sorted(v[0] for v in ring.generators)
-        g = 0
-        for v in vals:
-            g = gcd(g, v)
-        self.step = g
-        self.amin = vals[0]
-        bound = (self.amin * vals[-1]) // g + self.amin + vals[-1] + 1
-        tab = bytearray(bound + 1)
-        tab[0] = 1
-        for x in range(1, bound + 1):
-            for v in vals:
-                if x >= v and tab[x - v]:
-                    tab[x] = 1
-                    break
-        self.tab = tab
-        run_needed = self.amin // g
-        run = 0
-        conductor = None
-        for x in range(0, bound + 1, g):
-            if tab[x]:
-                run += 1
-                if run >= run_needed:
-                    conductor = x - (run_needed - 1) * g
-                    break
-            else:
-                run = 0
-        if conductor is None:  # cannot happen below the Frobenius bound
-            raise UncertifiedError("numerical semigroup conductor not found in certified range")
-        self.conductor = conductor
+        self.amin = amin = vals[0]
+        self.step = gcd(*vals)
+        self.gens, self.lams = ((amin,),), ((1,),)
+        # a Dijkstra over the classes: the first element popped in a class
+        # is its least, and the least of a class is the least of another
+        # plus a generator other than amin
+        apery, heap = {}, [(0, 0)]
+        while heap:
+            x, r = heapq.heappop(heap)
+            if r not in apery:
+                apery[r] = x
+                for v in vals[1:]:
+                    if (x + v) % amin not in apery:
+                        heapq.heappush(heap, (x + v, (x + v) % amin))
+        self.apery = apery
+        # the largest multiple of the gcd outside S is the largest Apéry
+        # element less amin
+        self.conductor = max(apery.values()) - amin + self.step
 
     def member(self, v):
         x = v[0]
-        if x < 0 or x % self.step != 0:
-            return False
-        if x < len(self.tab):
-            return bool(self.tab[x])
-        return x >= self.conductor
+        return x % self.step == 0 and x >= self.apery[x % self.amin]
+
 
 class _Free3:
     """Engine for the free semigroup Z>=0^3."""
@@ -287,13 +249,17 @@ class _Free3:
 
     def __init__(self, ring):
         self.ring = ring
+        self.gens = self.lams = tuple(tuple(1 if i == j else 0 for j in range(3))
+                                      for i in range(3))
 
     def member(self, v):
         return all(c >= 0 for c in v)
 
+
 class _Grid2:
     """Coset-grid engine for rank-2 semigroups in ambient dimension 2, held
-    as the Apéry staircase of each coset."""
+    as the Apéry corners (``apery``) and column array (``stair``) of each
+    coset."""
 
     kind = "grid2"
 
@@ -328,6 +294,7 @@ class _Grid2:
         assert all(vdot(self.lam1, g) >= 0 and vdot(self.lam2, g) >= 0 for g in gens)
         self._l1x, self._l1y = self.lam1
         self._l2x, self._l2y = self.lam2
+        self.gens, self.lams = (self.g1, self.g2), (self.lam1, self.lam2)
 
         # box points: lattice points of the fundamental parallelepiped of (g1, g2)
         self.box, corners = self._apery()
@@ -380,10 +347,10 @@ class _Grid2:
     @cached_property
     def s2_corners(self):
         """The corner (c1, c2) of S' on each coset: the least column and the
-        least row index whose lines meet S.  S' is the quadrant m >= c there."""
-        return {key: tuple(next(i for i, t in enumerate(line) if t is not None)
-                           for line in (cols, rows))
-                for key, (rows, cols) in self.stair.items()}
+        least row that meet S, the first column of its array that holds an
+        entry and the last entry.  S' is the quadrant m >= c there."""
+        return {key: (next(m for m, t in enumerate(cols) if t is not None), cols[-1])
+                for key, cols in self.stair.items()}
 
     @cached_property
     def s2_holes(self):
@@ -391,7 +358,7 @@ class _Grid2:
         its staircase.  Past the stored columns S starts at row c2."""
         out = []
         for key, (c1, c2) in self.s2_corners.items():
-            cols = self.stair[key][1]
+            cols = self.stair[key]
             out += [(key[0] + m1 * self.D1, key[1] + m2 * self.D2)
                     for m1 in range(c1, len(cols)) for m2 in range(c2, cols[m1])]
         return out
@@ -499,11 +466,7 @@ class AffineSemigroup:
 
     def extreme_generators(self):
         """One generator per extreme ray of the cone, in ray order."""
-        if self.kind == "grid2":
-            return (self._engine.g1, self._engine.g2)
-        if self.kind == "num1":
-            return ((self._engine.amin,),)
-        return tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
+        return self._engine.gens
 
     def group_lattice(self):
         """Triangular row basis of the subgroup of Z^d the generators span."""
@@ -514,8 +477,4 @@ class AffineSemigroup:
 
     def cone_halfspaces(self):
         """Primitive inward normals of the real cone the generators span."""
-        if self.kind == "grid2":
-            return (self._engine.lam1, self._engine.lam2)
-        if self.kind == "num1":
-            return ((1,),)
-        return tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
+        return self._engine.lams

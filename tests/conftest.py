@@ -62,18 +62,34 @@ def brute_member(gens, v):
     return brute_searcher(gens)(v)
 
 
+def line_first(cols, axis, fixed):
+    """First t >= 0 on line ``fixed`` of one coset along ``axis``, read off
+    its column array, None if the line misses the up-set: column ``fixed``
+    (axis 1) reads its entry, the last one past the array, and row
+    ``fixed`` (axis 0) starts at the least column whose entry is at most
+    ``fixed``."""
+    if axis == 1:
+        return cols[min(fixed, len(cols) - 1)]
+    return next((m for m, t in enumerate(cols) if t is not None and t <= fixed), None)
+
+
 def grid_first(eng, key, axis, fixed):
     """First t >= 0 with box[key] + (fixed, t) (axis order) in S, None if
-    the line misses S: the coset's stored line, constant past the last."""
-    line = eng.stair[key][axis]
-    return line[min(fixed, len(line) - 1)]
+    the line misses S (``line_first`` on the coset's column array)."""
+    return line_first(eng.stair[key], axis, fixed)
 
 
 def stabilization(eng, axis):
     """(S, consts) with grid_first(eng, key, axis, f) == consts[key] for
-    every f >= S."""
-    return (max(len(lines[axis]) for lines in eng.stair.values()) - 1,
-            {key: lines[axis][-1] for key, lines in eng.stair.items()})
+    every f >= S.  A column is constant from the coset's last column on,
+    and a row from its first entry, the first corner's row, on, where it
+    starts at the first column."""
+    if axis == 1:
+        return (max(len(cols) for cols in eng.stair.values()) - 1,
+                {key: cols[-1] for key, cols in eng.stair.items()})
+    firsts = {key: next(m for m, t in enumerate(cols) if t is not None)
+              for key, cols in eng.stair.items()}
+    return (max(eng.stair[key][m] for key, m in firsts.items()), firsts)
 
 
 def brute_ideal_member(sgens, igens, v):

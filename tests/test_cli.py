@@ -87,6 +87,28 @@ class TestAnalyze:
         assert main(["analyze", "--ring", ring, "--ideal", ideal, "--report", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["e1_ordinary"] == "0"
 
+    @pytest.mark.parametrize("ring_rec, ideal_rec", [
+        ({"dim": 1, "generators": "35"}, {"generators": [[6]]}),
+        ({"dim": 2, "generators": {"10": 1, "01": 2}}, {"generators": [[1, 0], [0, 1]]}),
+        ({"dim": 1, "generators": ["3", "5"]}, {"generators": [[6]]}),
+        ({"dim": 1, "generators": [[3], [5]]}, {"generators": "6"}),
+        (REMARK_RING, {"generators": [[1, 0], "02"], "ordered": True}),
+        (REMARK_RING, {"generators": [[1, 0], [0, 2]], "ordered": "no"}),
+        (REMARK_RING, {"generators": [[1, 0], [0, 2]], "ordered": 1}),
+    ], ids=["string-ring", "object-ring", "flat-ring", "string-ideal", "string-vector",
+            "string-ordered", "int-ordered"])
+    def test_malformed_record_exit_1(self, tmp_path, capsys, ring_rec, ideal_rec):
+        # generators are arrays of integer arrays and "ordered" a JSON boolean:
+        # a string or an object is not read character by character or by key
+        ring = write(tmp_path, "ring.json", ring_rec)
+        ideal = write(tmp_path, "q.json", ideal_rec)
+        code = main(["analyze", "--ring", ring, "--ideal", ideal])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("input error [FORMAT]"), captured.err
+        assert "Traceback" not in captured.err
+
     def test_malformed_json_diagnostic(self, tmp_path, capsys):
         ring = tmp_path / "ring.json"
         ring.write_text('{"dim": 2, "generators": [[1,0],')
@@ -220,7 +242,10 @@ class TestVerify:
         {"ring": {"dim": 2, "generators": [[2.7, 0], [0, 1]]}, "ideal": REMARK_Q},
         {"ring": {"dim": 2.0, "generators": [[1, 0], [0, 1]]}, "ideal": REMARK_Q},
         {"ring": FREE2_RING, "ideal": {"generators": [[1, 0], [0, "2x"]], "ordered": True}},
-    ], ids=["float-generator", "float-dim", "non-decimal-string"])
+        {"ring": {"dim": 2, "generators": {"10": 1, "01": 2}}, "ideal": REMARK_Q},
+        {"ring": FREE2_RING, "ideal": {"generators": [[1, 0], [0, 1]], "ordered": "yes"}},
+    ], ids=["float-generator", "float-dim", "non-decimal-string", "object-generators",
+            "string-ordered"])
     def test_non_integer_corpus_exit_1(self, tmp_path, capsys, entry):
         path = write(tmp_path, "corpus.json", {"instances": [entry]})
         code = main(["verify", "--corpus", path, "--n-max", "6"])

@@ -11,6 +11,7 @@ from hilbclose.cli import example_instance
 from hilbclose.closures import lim_intersection
 from hilbclose.errors import NotMPrimaryError, NotStabilizedError, UncertifiedError
 from hilbclose.hilbert import (
+    DEFAULT_WINDOW,
     Filtration,
     FiltrationKind,
     coefficient_report,
@@ -405,6 +406,27 @@ class TestFitPolynomial:
     def test_too_short(self):
         with pytest.raises(ValueError):
             fit_polynomial([1, 2, 3], 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.integers(-50, 50), min_size=d + 1, max_size=d + 1)),
+        st.lists(st.integers(-2, 2), max_size=6), st.integers(0, 3))
+    def test_n0_is_minimal(self, coeffs, noise, extra):
+        # the polynomial plus noise on a prefix: n0 is the least index from
+        # which the lengths match the polynomial, as a scan from the end finds
+        d = len(coeffs) - 1
+
+        def value(n):
+            return sum((-1) ** i * coeffs[i] * comb(n + d - i, d - i) for i in range(d + 1))
+
+        count = len(noise) + d + 1 + DEFAULT_WINDOW + extra
+        lengths = [value(n) + (noise[n] if n < len(noise) else 0) for n in range(count)]
+        got, n0 = fit_polynomial(lengths, d)
+        assert got == tuple(coeffs)
+        scan = count
+        while scan and value(scan - 1) == lengths[scan - 1]:
+            scan -= 1
+        assert n0 == scan
 
     def test_refit_stability(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])

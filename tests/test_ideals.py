@@ -11,6 +11,7 @@ from conftest import (
     brute_ideal_member,
     grid_first,
     limit_chain_member,
+    line_first,
     split_meet_member,
     stabilization,
     tight_member,
@@ -20,6 +21,8 @@ from hilbclose.errors import NotMPrimaryError, RingMismatchError, UnsupportedRin
 from hilbclose.ideals import (
     MonomialIdeal,
     ParameterIdeal,
+    _axis_reach,
+    _column_heights,
     _IdealUp,
     ideal_power,
     ideal_product,
@@ -28,7 +31,7 @@ from hilbclose.ideals import (
     maximal_ideal,
     nu_m_mod_q,
 )
-from hilbclose.lattice import AffineSemigroup, _stair_profile, vadd, vdot, vscale, vsub
+from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale, vsub
 
 
 def gens_of(ideal):
@@ -244,7 +247,8 @@ class TestStaircaseSweep:
                 for f in range(stable, stable + 6):
                     assert grid_first(eng, key, axis, f) == consts[key]
                 count = stable + 6
-                got = _IdealUp(ring, gens).profile(key, axis, count)
+                cols = _IdealUp(ring, gens).cols(key)
+                got = [line_first(cols, axis, m) for m in range(count)]
                 for m in range(count):
                     v0 = vadd(eng.box[key], vscale(m, gfix))
                     firsts = [_first_shift(eng, vsub(v0, u), axis) for u in gens]
@@ -256,7 +260,8 @@ class TestStaircaseSweep:
 
 
 class TestProfiles:
-    """Every up-set's per-coset profile against a bounded scan of ``member``."""
+    """Every up-set's column arrays, read along both axes, against a bounded
+    scan of ``member``."""
 
     @settings(max_examples=40, deadline=None)
     @given(sweep_rings, st.integers(1, 3), st.integers(1, 3),
@@ -280,8 +285,8 @@ class TestProfiles:
             count = stabilization(eng, axis)[0] + 4
             for key in sorted(eng.box):
                 for upset, member in upsets:
-                    prof = upset.profile(key, axis, count)
-                    assert len(prof) == count
+                    cols = upset.cols(key)
+                    prof = [line_first(cols, axis, m) for m in range(count)]
                     for m in range(count):
                         v0 = vadd(eng.box[key], vscale(m, gfix))
                         first = next((t for t in range(hi)
@@ -290,9 +295,10 @@ class TestProfiles:
 
 
 class TestStoredStaircase:
-    """A split slot's staircase, built from its corners, against the meet of
-    the splits' limit closures and its generators' profiles, and its counted
-    colength against the materialized and brute-force complements."""
+    """A split slot's column arrays, built from its corners, against the meet
+    of the splits' limit closures and the arrays its generators build, and
+    its counted colength against the materialized and brute-force
+    complements."""
 
     @settings(max_examples=30, deadline=None)
     @given(sweep_rings, st.integers(1, 2), st.integers(1, 2), st.booleans())
@@ -307,15 +313,14 @@ class TestStoredStaircase:
             assert sorted(stair) == sorted(eng.box), k
             gens = slot.min_generators
             for key in sorted(eng.box):
-                rows, cols = stair[key]
-                span = max(len(rows), len(cols)) + 3
+                cols = stair[key]
+                # past the last column and the first entry every line is level
+                span = max(len(cols), max(t for t in cols if t is not None) + 1) + 3
                 for m1 in range(-1, span):
                     for m2 in range(-1, span):
                         v = vadd(eng.box[key], vadd(vscale(m1, eng.g1), vscale(m2, eng.g2)))
                         assert slot.member(v) == split_meet_member(q, k + 1, v), (k, v)
-                for axis in (0, 1):
-                    assert _stair_profile(stair[key], axis, span) == \
-                        _IdealUp(ring, gens).profile(key, axis, span), (k, key, axis)
+                assert cols == _IdealUp(ring, gens).cols(key), (k, key)
             comp = sorted(map(tuple, slot.complement()))
             box = max(max(map(max, comp), default=0), max(map(max, gens))) + 4
             assert slot.colength() == len(comp) == \
@@ -402,7 +407,6 @@ class TestFree3Heights:
         ring = AffineSemigroup(3, FREE3_GENS)
         gens = gens_of(MonomialIdeal(
             ring, [(a, 0, 0), (0, b, 0), (0, 0, c)] + [v for v in extra if any(v)]))
-        up = _IdealUp(ring, gens)
         memo = {}
 
         def member(v):
@@ -413,8 +417,8 @@ class TestFree3Heights:
         expected = self.brute_min_gens(member, 4)
         for i, e in enumerate(FREE3_GENS):
             reach = next((k for k in range(5) if member(vscale(k, e))), None)
-            assert up.reach(i) == reach, i
-        hts = up.heights(a + 1, b + 1)
+            assert _axis_reach(gens, i) == reach, i
+        hts = _column_heights(gens, a + 1, b + 1)
         for x in range(a + 1):
             for y in range(b + 1):
                 assert hts[x][y] == next((z for z in range(5) if member((x, y, z))), None)
@@ -488,3 +492,26 @@ class TestNu:
         q = ParameterIdeal(cm_ring, [(2, 0), (0, 1)])
         # (3,0) is the only irreducible outside Q + m^2
         assert nu_m_mod_q(q) == 1
+
+    @staticmethod
+    def outside_q_plus_m2(q):
+        qm2 = ideal_sum(q.base, ideal_power(maximal_ideal(q.ring), 2))
+        return sum(1 for g in q.ring.minimal_generators() if not qm2.member(g))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_rings, st.integers(1, 3), st.integers(1, 3), st.booleans())
+    def test_matches_q_plus_m_squared(self, sgens, k1, k2, swap):
+        # an irreducible element is never in m^2, so only Q decides
+        ring = AffineSemigroup(2, sgens)
+        powers = [vscale(k, g) for k, g in zip((k1, k2), ring.extreme_generators())]
+        q = ParameterIdeal(ring, powers[::-1] if swap else powers)
+        assert nu_m_mod_q(q) == self.outside_q_plus_m2(q)
+
+    @pytest.mark.parametrize("dim, sgens, qgens", [
+        (1, [(3,), (5,), (7,)], [(6,)]),
+        (1, [(4,), (6,), (9,)], [(4,)]),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(2, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    ])
+    def test_matches_q_plus_m_squared_other_dims(self, dim, sgens, qgens):
+        q = ParameterIdeal(AffineSemigroup(dim, sgens), qgens)
+        assert nu_m_mod_q(q) == self.outside_q_plus_m2(q)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -206,8 +207,8 @@ class TestResidueDecisionPath:
                 ([(0, 3), (0, 5), (2, 1), (2, 6), (4, 0)], (2, 0), [(0, 2), (1, 1)])):
             eng = AffineSemigroup(2, gens)._engine
             assert sorted(eng.apery[key]) == want
-            for k, lines in eng.stair.items():
-                assert sorted(eng.apery[k]) == _stair_corners(lines), (gens, k)
+            for k, cols in eng.stair.items():
+                assert sorted(eng.apery[k]) == _stair_corners(cols), (gens, k)
 
     @pytest.mark.parametrize("corners", [[(0, 0)], [(1, 0)], [(0, 1)]],
                              ids=["off-ring", "missed-column", "tail"])
@@ -267,9 +268,63 @@ class TestDerivedData:
                 for g in ring.generators:
                     assert sum(a * b for a, b in zip(nm, g)) >= 0
 
-    def test_extreme_generators(self, remark_ring, cm_ring):
+    def test_extreme_generators(self, remark_ring, cm_ring, free3):
         assert remark_ring.extreme_generators() == ((1, 0), (0, 2))
         assert cm_ring.extreme_generators() == ((2, 0), (0, 1))
+        # the other engines' rays and facet forms
+        numerical = AffineSemigroup(1, [(5,), (3,)])
+        assert numerical.extreme_generators() == ((3,),)
+        assert numerical.cone_halfspaces() == ((1,),)
+        units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert free3.extreme_generators() == free3.cone_halfspaces() == units
+
+
+class TestNumericalApery:
+    """The numerical engine, held as its Apéry set modulo amin, against
+    brute-force membership and the least conductor."""
+
+    @staticmethod
+    def check(vals):
+        ring = AffineSemigroup(1, [(v,) for v in vals])
+        eng = ring._engine
+        amin, amax = min(vals), max(vals)
+        step = amin
+        for v in vals:
+            step = math.gcd(step, v)
+        # every multiple of the gcd past the Frobenius bound lies in S
+        bound = amin * amax // step + amin + amax
+        tab = bytearray(bound + 1)
+        tab[0] = 1
+        for x in range(bound + 1):
+            if tab[x]:
+                for v in vals:
+                    if x + v <= bound:
+                        tab[x + v] = 1
+        assert sorted(eng.apery) == list(range(0, amin, step))
+        for r, w in eng.apery.items():
+            assert w % amin == r and tab[w] and (w < amin or not tab[w - amin]), (r, w)
+        gaps = [x for x in range(0, bound + 1, step) if not tab[x]]
+        assert eng.conductor == (gaps[-1] + step if gaps else 0)
+        for x in range(bound + 1):
+            assert ring.member((x,)) == bool(tab[x]), x
+        for x in (bound + 1, bound + step, 10 ** 12 * step + step, 10 ** 12 * step + 1):
+            assert ring.member((x,)) == (x % step == 0), x
+        return eng
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True))
+    def test_matches_bruteforce(self, vals):
+        self.check(vals)
+
+    def test_gcd_above_one(self):
+        eng = self.check([4, 6])
+        assert eng.apery == {0: 0, 2: 6} and eng.conductor == 4
+
+    def test_large_generators(self):
+        # one Apéry element per class: 1000 of them, the largest 999 * 1001
+        eng = self.check([1000, 1001])
+        assert len(eng.apery) == 1000 and max(eng.apery.values()) == 999 * 1001
+        assert eng.conductor == 999 * 1000
 
 
 class TestSaturation:

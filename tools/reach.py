@@ -27,11 +27,11 @@ its first decorator).  Lambdas and comprehensions are not listed.
 
 An unreached function is not always dead.  These matrices find no theorem
 violation, so paths taken only on a violation show up here and stay: for
-one, ``ideal_product`` under the non-parameter branch of ``ideal_power``,
-which ``nu_m_mod_q`` takes only when ē1 = 0 on an S2 ring that is not
-regular, and ``formats.reproducer_record``, which writes a violation's
-reproducer.  The same goes for error paths, dunder methods that only tests
-call, and library functions kept for callers outside the CLI.
+one, ``formats.reproducer_record``, which writes a violation's reproducer.
+The same goes for error paths, dunder methods that only tests call, and
+library functions kept for callers outside the CLI: ``ideal_sum``,
+``ideal_product`` and ``maximal_ideal`` build Q + m^2, against which the
+tests check ``nu_m_mod_q``, which counts the minimal generators outside Q.
 
 It takes 10-15 s on a 2-core machine, so the test suite does not run
 it.  Stdlib only.
