@@ -130,6 +130,10 @@ def _run_verification(config, instances, params, command):
             fh.write("\n")
         sys.stderr.write("theorem violation: reproducer written to %s\n" % path)
         return EXIT_VIOLATION
+    if summary.partial:
+        sys.stderr.write("partial report: %d instance(s) with a fit that did not stabilize\n"
+                         % len(summary.partial))
+        return EXIT_PARTIAL
     return EXIT_OK
 
 

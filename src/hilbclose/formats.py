@@ -2,16 +2,22 @@
 
 Input records hold generators as arrays of integer arrays, each integer a
 plain JSON integer or the decimal string that reports write, and an ideal's
-``ordered`` as a JSON boolean; anything else is rejected.  Emitted reports
-encode every integer as a decimal string so downstream consumers never face
-64-bit overflow; report bytes are deterministic (sorted keys, no
-timestamps).
+``ordered`` as a JSON boolean; anything else is rejected.
+
+``dumps_report`` writes a report in one pass: keys sorted, a two-space
+indent, a final newline.  Every integer is a decimal string, so consumers
+never face 64-bit overflow; booleans and null are JSON literals, and
+non-ASCII text is ``\\uXXXX``-escaped.  Any other value (a float, a set, a
+non-string key) is a ``FormatError``.  Report bytes are deterministic: no
+timestamps, and the same text as ``json.dumps(..., sort_keys=True,
+indent=2)`` of the report with its integers as strings.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import HilbcloseError
 from .hilbert import FiltrationKind
@@ -105,21 +111,80 @@ def corpus_from_record(record):
     return out
 
 
-def stringify(value):
-    """Replace every int (except bool) by its decimal-string form, recursively."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
+def _scalar(value):
+    """The JSON text of a str, int, bool or None."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [stringify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: stringify(v) for k, v in value.items()}
+        return '"%d"' % value
     raise FormatError("cannot serialize %r" % (value,))
 
 
+def _write(value, newline, out):
+    """Append ``value`` to ``out`` as indented JSON text; ``newline`` is a
+    line break followed by the indent of the line that ``value`` starts on.
+
+    An int member is formatted in place, and a list of plain ints (a length
+    sequence, a vector) in one join."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        try:
+            keys = sorted(value)
+        except TypeError:  # keys of mixed types
+            raise FormatError("cannot serialize %r" % (value,))
+        sep = "{" + inner
+        for key in keys:
+            if not isinstance(key, str):
+                raise FormatError("cannot serialize %r" % (value,))
+            v = value[key]
+            if type(v) is int:
+                out.append('%s%s: "%d"' % (sep, _quote(key), v))
+            elif isinstance(v, (dict, list, tuple)):
+                out.append(sep + _quote(key) + ": ")
+                _write(v, inner, out)
+            else:
+                out.append(sep + _quote(key) + ": " + _scalar(v))
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        if all(type(v) is int for v in value):
+            out.append('[%s"%s"%s]' % (inner, ('",' + inner + '"').join(map(str, value)),
+                                       newline))
+            return
+        sep = "[" + inner
+        for v in value:
+            if type(v) is int:
+                out.append('%s"%d"' % (sep, v))
+            elif isinstance(v, (dict, list, tuple)):
+                out.append(sep)
+                _write(v, inner, out)
+            else:
+                out.append(sep + _scalar(v))
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_scalar(value))
+
+
 def dumps_report(obj):
-    return json.dumps(stringify(obj), sort_keys=True, indent=2) + "\n"
+    """The report text: ``obj`` as JSON with sorted keys and a two-space
+    indent, every int a decimal string, ending in a newline."""
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _fitted(bundle):

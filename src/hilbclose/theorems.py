@@ -22,6 +22,7 @@ from .ideals import ParameterIdeal, _IdealUp, nu_m_mod_q, parameter_sums
 from .lattice import AffineSemigroup, vscale
 
 CHECK_N_MAX = 8
+UNCERTIFIED_E1 = "e1(Q) uncertified"
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,11 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
         reps.insert(2, bundle.report(FiltrationKind.TIGHT))
 
     coeff_ok = True
-    if ord_rep.e1 is None or ord_rep.e1 > 0:
+    if ord_rep.e1 is None:
+        # the ordinary fit did not stabilize: no sign to check (``_uncertified_only``)
+        coeff_ok = False
+        details.setdefault("failures", []).append({"reason": UNCERTIFIED_E1})
+    elif ord_rep.e1 > 0:
         coeff_ok = False
         details.setdefault("failures", []).append({"reason": "e1(Q) > 0"})
     if lim_rep.e1 is not None:
@@ -323,6 +328,7 @@ class VerificationSummary:
     instances: int = 0
     chain_passes: int = 0
     violations: list = field(default_factory=list)
+    partial: list = field(default_factory=list)
     witnesses: list = field(default_factory=list)
     specimens: list = field(default_factory=list)
     results: list = field(default_factory=list)
@@ -336,8 +342,19 @@ def result_passed(result):
             and (not e1cm.applicable or e1cm.ok))
 
 
+def _uncertified_only(result):
+    """Whether an instance failed only because its ordinary fit did not
+    stabilize: e1(Q) is then uncertified, and with no e0 the split-count
+    bound has no rows, so ``claim_bound_ok`` is ``(False,)``.  Every other
+    chain failure records its own reason."""
+    reasons = {f["reason"] for f in result["chain"].details.get("failures", ())}
+    return reasons == {UNCERTIFIED_E1} and not result["vanishing"].failed
+
+
 def verify_instances(instances, n_max=CHECK_N_MAX, characteristic=None):
-    """Run every check on every instance; collect witnesses and violations."""
+    """Run every check on every instance; collect witnesses, violations and
+    the partial instances, whose only failures come from a fit that did not
+    stabilize (``_uncertified_only``)."""
     summary = VerificationSummary(characteristic=characteristic)
     for inst in instances:
         ring, q = inst.ring, inst.parameter
@@ -357,6 +374,8 @@ def verify_instances(instances, n_max=CHECK_N_MAX, characteristic=None):
         summary.instances += 1
         if result_passed(result):
             summary.chain_passes += 1
+        elif _uncertified_only(result):
+            summary.partial.append(result)
         else:
             summary.violations.append(result)
         if vanish.classification == "witness":

@@ -11,10 +11,12 @@ frozen.  Where an oracle needs S itself at large points it asks
 Integral closures are read off Newton polyhedra: the integral closure of
 I^n is the set of points of S in n times conv(I) + cone(S).  The limit
 closure of a parameter ideal is reached through its colon chain at a
-fixed index, or by a bounded search over the chain index.
+fixed index, or by a bounded search over the chain index.  Report text is
+checked against the standard library's JSON encoder.
 """
 
 import itertools
+import json
 import os
 from math import gcd
 
@@ -450,6 +452,23 @@ def split_meet_member(q, total, v):
     tests draw, so the oracle shares no code with the closed form."""
     return all(limit_chain_member(q.split(alpha), 48, v)
                for alpha in compositions(total, q.ring.dim))
+
+
+def _decimal_ints(value):
+    """``value`` with every int but a bool replaced by its decimal string."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_decimal_ints(v) for v in value]
+    return {k: _decimal_ints(v) for k, v in value.items()}
+
+
+def json_report(value):
+    """Report text by the standard library's encoder, which the package's
+    one-pass writer (``formats.dumps_report``) must reproduce byte for byte."""
+    return json.dumps(_decimal_ints(value), sort_keys=True, indent=2) + "\n"
 
 
 

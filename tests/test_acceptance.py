@@ -5,6 +5,7 @@ bounded by 6) is generated once and shared by the criteria that quantify over
 it.  Expected values are exact; no tolerances apply anywhere.
 """
 
+import hashlib
 import itertools
 import json
 import subprocess
@@ -31,6 +32,9 @@ SEED = 42
 CORPUS_SIZE = 100
 MAX_COORD = 6
 N_MAX = 8
+# sha256 of the fuzz report of the corpus above; a deliberate change of the
+# report updates it
+FUZZ_DIGEST = "711e97da78b1535a47c6bb22cd125ea87cc3d52b932cb5590fc4106004c2ffd6"
 
 
 def _line(num, ok, text):
@@ -225,7 +229,9 @@ def test_criterion_8_fuzz_determinism(tmp_path):
     ok = outs[0] == outs[1] and len(outs[0]) > 0
     report = json.loads(outs[0])
     clean = report["summary"]["violations"] == "0"
-    assert _line(8, ok and clean,
-                 "two fuzz runs (seed %d, %d instances) are byte-identical and "
-                 "violation-free (%.1fs)" % (SEED, CORPUS_SIZE, elapsed))
-    assert ok and clean
+    pinned = hashlib.sha256(outs[0]).hexdigest() == FUZZ_DIGEST
+    assert _line(8, ok and clean and pinned,
+                 "two fuzz runs (seed %d, %d instances) are byte-identical, "
+                 "violation-free and match the pinned digest (%.1fs)"
+                 % (SEED, CORPUS_SIZE, elapsed))
+    assert ok and clean and pinned

@@ -173,6 +173,20 @@ class TestAnalyze:
         else:
             assert data["multiplicity_volume"] == data["e0"] == str(e0)
 
+    @pytest.mark.parametrize("ring_rec, ideal_rec, args, digest", [
+        (REMARK_RING, REMARK_Q, ["--n-max", "40", "--char", "2"],
+         "161208b065ce4887057d779ce4d6dbd7d9927aca5582b280c2403e4927308a40"),
+        (FREE3_RING, {"generators": [[2, 0, 0], [0, 3, 0], [0, 0, 2]], "ordered": True},
+         ["--n-max", "6"],
+         "3353ec3edbabddc44ad5097f087cdde71abfff23f1c07c25523524fd606772be"),
+    ], ids=["remark-s2-char-2", "free3"])
+    def test_report_digest(self, tmp_path, capsys, ring_rec, ideal_rec, args, digest):
+        # the analyze report's bytes; a deliberate change of the report updates the digest
+        ring = write(tmp_path, "ring.json", ring_rec)
+        ideal = write(tmp_path, "q.json", ideal_rec)
+        assert main(["analyze", "--ring", ring, "--ideal", ideal] + args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_csv(self, tmp_path, capsys):
         ring = write(tmp_path, "ring.json", REMARK_RING)
         ideal = write(tmp_path, "q.json", REMARK_Q)
@@ -253,6 +267,23 @@ class TestVerify:
         assert code == 1
         assert captured.out == ""
         assert "input error [FORMAT]" in captured.err and "Traceback" not in captured.err
+
+    def test_unstabilized_ordinary_fit_is_partial(self, tmp_path, capsys):
+        # fz5-033's ordinary fit does not stabilize by n_max 8: e1(Q) is
+        # uncertified, which is a partial report, not a theorem violation
+        corpus = [{"id": "fz5-033",
+                   "ring": {"dim": 2, "generators": [[5, 9], [6, 1], [9, 8], [10, 0]]},
+                   "ideal": {"generators": [[10, 0], [10, 18]], "ordered": True}}]
+        path = write(tmp_path, "corpus.json", corpus)
+        out = tmp_path / "verdicts.json"
+        code = main(["verify", "--corpus", path, "--out", str(out)])
+        assert code == 2
+        data = json.loads(out.read_text())
+        assert data["summary"]["violations"] == "0"
+        assert data["verdicts"][0]["e1_ordinary"] is None
+        assert not data["verdicts"][0]["passed"]
+        assert list(tmp_path.glob("*.reproducer.json")) == []
+        assert "partial report" in capsys.readouterr().err
 
     def test_missing_corpus(self, capsys):
         code = main(["verify", "--corpus", "/nonexistent.json"])

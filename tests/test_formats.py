@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import json_report
 from hilbclose import formats
 from hilbclose.hilbert import coefficient_report
 from hilbclose.ideals import ParameterIdeal
@@ -42,14 +45,47 @@ class TestRecords:
         assert back[0].ring == remark_ring
 
 
-class TestStringify:
+# report values: nested dicts, lists and tuples of str, int, bool and None
+REPORT_TEXT = st.sampled_from(["S̄", "\n", '"', "\\", "", "e1_lim", "ä\x00\t"]) | st.text()
+REPORT_SCALARS = (st.none() | st.booleans() | st.integers() | REPORT_TEXT
+                  | st.sampled_from([-1, 2 ** 80, -(2 ** 80), 0]))
+REPORT_VALUES = st.recursive(
+    REPORT_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.lists(st.integers(), max_size=4)
+                      | st.dictionaries(REPORT_TEXT, children, max_size=4)),
+    max_leaves=20)
+
+
+class TestDumpsReport:
     def test_integers_become_strings(self):
-        out = formats.stringify({"a": 5, "b": [1, 2], "c": None, "d": True, "e": "x"})
-        assert out == {"a": "5", "b": ["1", "2"], "c": None, "d": True, "e": "x"}
+        text = formats.dumps_report({"a": 5, "b": [1, 2], "c": None, "d": True, "e": "x"})
+        assert json.loads(text) == {"a": "5", "b": ["1", "2"], "c": None, "d": True, "e": "x"}
 
     def test_huge_integers_safe(self):
         big = 2 ** 80
-        assert formats.stringify(big) == str(big)
+        assert json.loads(formats.dumps_report(big)) == str(big)
+
+    @given(REPORT_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stdlib_encoder(self, value):
+        assert formats.dumps_report(value) == json_report(value)
+
+    def test_literals_and_empty_containers(self):
+        value = {"t": True, "f": False, "n": None, "d": {}, "l": [], "u": (), "s": "S̄"}
+        text = formats.dumps_report(value)
+        assert text == json_report(value)
+        assert '"t": true' in text and '"f": false' in text and '"n": null' in text
+        assert "\\u0304" in text and text.endswith("}\n")
+
+    @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, {1: "a", "b": 2}, {"a": [0.0]},
+                                       [{"b": {3}}]],
+                             ids=["float", "set", "int-key", "mixed-keys", "nested-float",
+                                  "nested-set"])
+    def test_other_values_rejected(self, value):
+        with pytest.raises(formats.FormatError, match="cannot serialize"):
+            formats.dumps_report(value)
 
 
 class TestReports:

@@ -277,6 +277,20 @@ class TestVerifyInstances:
         assert not summary.violations
         assert len(summary.witnesses) == 1
 
+    def test_unstabilized_ordinary_fit_is_partial(self):
+        from hilbclose.theorems import Instance
+
+        # fz5-033: the ordinary fit does not stabilize by n_max 8
+        ring = AffineSemigroup(2, [(5, 9), (6, 1), (9, 8), (10, 0)])
+        inst = Instance("fz5-033", ring, ParameterIdeal(ring, [(10, 0), (10, 18)]))
+        summary = verify_instances([inst], n_max=8)
+        assert not summary.violations and summary.chain_passes == 0
+        assert [r["instance"] for r in summary.partial] == [inst]
+        chain = summary.partial[0]["chain"]
+        assert chain.details["e1_ordinary"] is None
+        assert chain.details["failures"] == [{"reason": "e1(Q) uncertified"}]
+        assert chain.claim_bound_ok == (False,)
+
     def test_determinism_of_verdicts(self):
         corpus = fuzz_corpus(5, 4, max_coord=4)
         s1 = verify_instances(corpus, n_max=6)
