@@ -21,13 +21,14 @@ closed form (``_slot_stair``).
 
 For the powers of a parameter ideal, both the integral and the tight
 closure are rules in the cone's facet forms (``ClosureRule``), and no
-ideal of either is built: the fits count their lengths from the rules, line
-by line along the ray of the last facet form (one line per Apéry class of a
-numerical semigroup, one per column in dimensions 2 and 3), and the checks
-test points against them.  The split lengths are counted from
-the holes S' ∖ S (``split_lengths``), since k[S'] is CM, and so are the
-ordinary lengths of a non-CM ring (``ordinary_lengths``): Q^n S' is Q^n and
-the holes moved by the sums of n parameters.  A split slot is built as an
+ideal of either is built: the fits count their lengths from the rules, along
+the ray of the last facet form (one line per Apéry class of a numerical
+semigroup, one floor sum per stable residue class of 2-D columns and per
+free-Z^3 row), and the checks test points against them.  The split
+lengths are counted from the holes S' ∖ S (``split_lengths``), since k[S']
+is CM, and so are the ordinary lengths of a non-CM ring
+(``ordinary_lengths``): Q^n S' is Q^n and the holes moved by the sums of n
+parameters.  A split slot is built as an
 ideal (``lim_intersection``) only for the generators the chain check tests;
 the split certificate counts its colength by columns from the column
 arrays alone (``lattice._stair_colength``).
@@ -59,8 +60,8 @@ class ClosureRule:
 
     k conv(u_i) plus the cone is the Newton polyhedron of Q^k, and s lies in
     Q^k S̄ when some b_1 + ... + b_d = k has b_i <= floor(lam_i(s) / a_i).
-    ``lengths`` counts the colengths of both from the rule: by lines in
-    free Z^3, and by a floor sum per residue class of stable 2-D columns.
+    ``lengths`` counts the colengths of both from the rule, by one weighted
+    floor sum per free-Z^3 row and per residue class of stable 2-D columns.
     """
 
     def __init__(self, q, tight=False):
@@ -92,12 +93,16 @@ class ClosureRule:
         fixed per line (0 with one form), so with b = w + c*lam at t0 the
         line adds max(0, ceil((alpha*k - b) / gamma)) points, gamma = c
         times the step of lam.  Lines on which the other forms alone reach
-        k (lam1 >= k*a1, x >= k*ax or y >= k*ay) add none.  The classes,
-        free Z^3 and the 2-D columns before the coset's last stored one add
-        their terms one by one.  From that column on t0 is the coset's last
-        entry and b linear in m1 on each class mod the period of
-        floor(lam1 / a1) (1 for the integral rule), so the terms of a class
-        are positive on an initial run and add up to one ``_floor_sum``.
+        k (lam1 >= k*a1, x >= k*ax or y >= k*ay) add none.  The classes and
+        the 2-D columns before the coset's last stored one add their terms
+        one by one.  From that column on t0 is the coset's last entry and b
+        linear in m1 on each class mod the period of floor(lam1 / a1) (1 for
+        the integral rule), so the terms of a class are positive on an
+        initial run and add up to one ``_floor_sum``.  So do the lines of a
+        free-Z^3 row x, on which b is linear in y (on each class mod ay for
+        the tight rule).  Under the tight rule w depends on x // ax and
+        y // ay alone, so the ax*ay classes of the rows of one block of ax
+        are equal runs: one run stands for them, counted with weight ax*ay.
         """
         ring, top = self.ring, n_max + 1
         *rest, (_, a) = self.forms
@@ -109,7 +114,7 @@ class ClosureRule:
             # lam * P/a >= k*P - w, w the other forms' lam * P/b
             alpha, c = self._prod, self._prod // a
             w = lambda lams: sum(l * (self._prod // b) for l, (_, b) in zip(lams, rest))
-        lines, runs = [], []  # b per line; (b at the first column, slope) per class
+        lines, runs = [], []  # b per line; (b at the first line, slope, weight) per run
         if ring.kind == "num1":
             eng = ring._engine
             step, lines = eng.amin, [c * x for x in eng.apery.values()]
@@ -125,17 +130,19 @@ class ClosureRule:
                         lines.append(w((k1 + m1 * eng.D1,)) + c * (k2 + cols[m1] * step))
                 for l1 in range(k1 + stable * eng.D1, k1 + (stable + period) * eng.D1, eng.D1):
                     runs.append((w((l1,)) + c * (k2 + cols[-1] * step),
-                                 w((l1 + period * eng.D1,)) - w((l1,))))
+                                 w((l1 + period * eng.D1,)) - w((l1,)), 1))
         else:
+            # w is constant on the tight rule's ax-by-ay blocks
             step, ((_, ax), (_, ay)) = 1, rest
-            lines = [w((x, y)) for x in range(top * ax) for y in range(top * ay)]
+            bx, by = (ax, ay) if self.tight else (1, 1)
+            runs = [(w((x, 0)), w((x, by)) - w((x, 0)), bx * by) for x in range(0, top * ax, bx)]
         gamma, out = c * step, []
         for k in range(1, top + 1):
             n = sum(max(0, -((b - alpha * k) // gamma)) for b in lines)
-            for b, slope in runs:
+            for b, slope, weight in runs:
                 # ceil((alpha*k - b - slope*j) / gamma) > 0 for j < count
                 count = max(0, -((b - alpha * k) // slope))
-                n -= _floor_sum(count, gamma, slope, b - alpha * k)
+                n -= weight * _floor_sum(count, gamma, slope, b - alpha * k)
             out.append(n)
         return out
 

@@ -357,29 +357,45 @@ def integral_colengths(q, n_max):
 
 
 def rule_lengths_by_line(rule, n_max):
-    """The colengths of a 2-D ``ClosureRule``'s k-th closures, k =
-    1..n_max+1, one term per column and k: column m1 of coset (k1, k2) holds
-    S from t0 = ``grid_first(eng, key, 1, m1)`` on, and the rule reads
-    alpha*k - beta <= gamma*t on it, so it adds max(0, ceil((alpha*k - beta)
-    / gamma) - t0) points.  Columns with lam1 >= (n_max+1)*a1 add none.
-    This is the count that the floor sums of ``ClosureRule.lengths``
-    replaced, kept as their reference."""
-    eng, top = rule.ring._engine, n_max + 1
-    (_, a1), (_, a) = rule.forms
-    if rule.tight:
-        # floor(lam2/a) >= k - floor(lam1/a1)
-        alpha, gamma = a, eng.D2
-        beta = lambda l1, l2: (l1 // a1) * a + l2
+    """The colengths of a 2-D or free-Z^3 ``ClosureRule``'s k-th closures,
+    k = 1..n_max+1, one term per line and k.  Column m1 of 2-D coset
+    (k1, k2) holds S from t0 = ``grid_first(eng, key, 1, m1)`` on; free-Z^3
+    line (l1, l2) holds the values of the last form from t0 = 0 on, the
+    first two forms' values being l1 and l2.  The rule reads
+    alpha*k - beta <= gamma*t on a line, so it adds max(0, ceil((alpha*k -
+    beta) / gamma) - t0) points.  Lines with l1 >= (n_max+1)*a1, or in
+    free Z^3 l2 >= (n_max+1)*a2, add none.  This is the count that the
+    floor sums of ``ClosureRule.lengths`` replaced, kept as their
+    reference."""
+    top = n_max + 1
+    if rule.ring.kind == "free3":
+        (_, a1), (_, a2), (_, a) = rule.forms
+        if rule.tight:
+            # floor(l3/a) >= k - floor(l1/a1) - floor(l2/a2)
+            alpha, gamma = a, 1
+            beta = lambda l1, l2: (l1 // a1 + l2 // a2) * a
+        else:
+            # l1/a1 + l2/a2 + l3/a >= k, times a1*a2*a
+            alpha, gamma = a1 * a2 * a, a1 * a2
+            beta = lambda l1, l2: (l1 * a2 + l2 * a1) * a
+        lines = [(beta(l1, l2), 0) for l1 in range(top * a1) for l2 in range(top * a2)]
     else:
-        # lam1/a1 + lam2/a >= k, times a1*a
-        alpha, gamma = a1 * a, eng.D2 * a1
-        beta = lambda l1, l2: l1 * a + l2 * a1
-    lines = []
-    for k1, k2 in eng.box:
-        for m1 in range(-(-(top * a1 - k1) // eng.D1)):
-            t0 = grid_first(eng, (k1, k2), 1, m1)
-            if t0 is not None:
-                lines.append((beta(k1 + m1 * eng.D1, k2), t0))
+        eng = rule.ring._engine
+        (_, a1), (_, a) = rule.forms
+        if rule.tight:
+            # floor(lam2/a) >= k - floor(lam1/a1)
+            alpha, gamma = a, eng.D2
+            beta = lambda l1, l2: (l1 // a1) * a + l2
+        else:
+            # lam1/a1 + lam2/a >= k, times a1*a
+            alpha, gamma = a1 * a, eng.D2 * a1
+            beta = lambda l1, l2: l1 * a + l2 * a1
+        lines = []
+        for k1, k2 in eng.box:
+            for m1 in range(-(-(top * a1 - k1) // eng.D1)):
+                t0 = grid_first(eng, (k1, k2), 1, m1)
+                if t0 is not None:
+                    lines.append((beta(k1 + m1 * eng.D1, k2), t0))
     return [sum(max(0, -((b - alpha * k) // gamma) - t0) for b, t0 in lines)
             for k in range(1, top + 1)]
 

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from conftest import (
 from hilbclose.cli import _builtin_examples, example_instance
 from hilbclose.closures import ClosureRule, _floor_sum, _split_slot, lim_intersection
 from hilbclose.errors import NotMPrimaryError
-from hilbclose.hilbert import CoefficientBundle, FiltrationKind
+from hilbclose.hilbert import CoefficientBundle, Filtration, FiltrationKind, fit_filtration
 from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_power
 from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale, vsub
 from hilbclose.theorems import fuzz_corpus
@@ -502,9 +503,17 @@ class TestClosureRule:
             ClosureRule(MonomialIdeal(free2, [(2, 0), (0, 2)]))
 
 
+def free3_box(a, b, c, order=(0, 1, 2)):
+    """Q = (x^a, y^b, z^c) in free Z^3, its generators in ``order``."""
+    gens = [(a, 0, 0), (0, b, 0), (0, 0, c)]
+    return ParameterIdeal(AffineSemigroup(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                          [gens[i] for i in order])
+
+
 class TestFloorSums:
-    """The 2-D counts by per-class floor sums against the count with one
-    term per column (``conftest.rule_lengths_by_line``)."""
+    """The 2-D counts by per-class floor sums, and the free-Z^3 counts by
+    weighted row floor sums, against the count with one term per line
+    (``conftest.rule_lengths_by_line``) and free Z^3's closed forms."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
     def test_floor_sum_brute_force(self, n):
@@ -531,3 +540,33 @@ class TestFloorSums:
             for tight in (False, True):
                 rule = ClosureRule(inst.parameter, tight)
                 assert rule.lengths(40) == rule_lengths_by_line(rule, 40), (inst.instance_id, tight)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
+           st.permutations(range(3)), st.integers(4, 16))
+    def test_free3_rows(self, a, b, c, order, n_max):
+        q = free3_box(a, b, c, order)
+        for tight in (False, True):
+            rule = ClosureRule(q, tight)
+            assert rule.lengths(n_max) == rule_lengths_by_line(rule, n_max), tight
+        # free Z^3 is normal and regular, so (Q^k)* = Q^k
+        want = [a * b * c * comb(k + 2, 3) for k in range(1, n_max + 2)]
+        assert ClosureRule(q, True).lengths(n_max) == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.permutations(range(3)), st.integers(4, 6))
+    def test_free3_integral_box_count(self, a, b, c, order, n_max):
+        # the integral closure of Q^k is {x/a + y/b + z/c >= k}
+        top = n_max + 1
+        sums = [x * b * c + y * a * c + z * a * b
+                for x, y, z in itertools.product(range(top * a), range(top * b), range(top * c))]
+        want = [sum(1 for s in sums if s < k * a * b * c) for k in range(1, top + 1)]
+        assert ClosureRule(free3_box(a, b, c, order)).lengths(n_max) == want
+
+    def test_free3_large(self):
+        q = free3_box(200, 300, 2)
+        want = [200 * 300 * 2 * comb(k + 2, 3) for k in range(1, 8)]
+        assert ClosureRule(q, True).lengths(6) == want
+        report = fit_filtration(Filtration(FiltrationKind.INTEGRAL, q), 6)
+        assert report.coefficients == (120000, 89600, 7400, 0)
