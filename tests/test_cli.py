@@ -179,7 +179,9 @@ class TestAnalyze:
         (FREE3_RING, {"generators": [[2, 0, 0], [0, 3, 0], [0, 0, 2]], "ordered": True},
          ["--n-max", "6"],
          "3353ec3edbabddc44ad5097f087cdde71abfff23f1c07c25523524fd606772be"),
-    ], ids=["remark-s2-char-2", "free3"])
+        ({"dim": 1, "generators": [[3], [5], [7]]}, {"generators": [[5]], "ordered": True}, [],
+         "0766f2792e8fc384d6af21bee776d37ebab062463c711735e16d8abcdfcd4b83"),
+    ], ids=["remark-s2-char-2", "free3", "num-3-5-7"])
     def test_report_digest(self, tmp_path, capsys, ring_rec, ideal_rec, args, digest):
         # the analyze report's bytes; a deliberate change of the report updates the digest
         ring = write(tmp_path, "ring.json", ring_rec)
