@@ -8,7 +8,6 @@ from .errors import (
     HilbcloseError,
     NotMPrimaryError,
     NotStabilizedError,
-    RingMismatchError,
     UncertifiedError,
     UnsupportedRingError,
 )
@@ -24,11 +23,6 @@ from .hilbert import (
 from .ideals import (
     MonomialIdeal,
     ParameterIdeal,
-    ideal_power,
-    ideal_product,
-    ideal_sum,
-    is_parameter_ideal,
-    maximal_ideal,
     nu_m_mod_q,
 )
 from .lattice import AffineSemigroup, ExponentVector

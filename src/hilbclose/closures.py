@@ -28,10 +28,12 @@ free-Z^3 row), and the checks test points against them.  The split
 lengths are counted from the holes S' ∖ S (``split_lengths``), since k[S']
 is CM, and so are the ordinary lengths of a non-CM ring
 (``ordinary_lengths``): Q^n S' is Q^n and the holes moved by the sums of n
-parameters.  A split slot is built as an
-ideal (``lim_intersection``) only for the generators the chain check tests;
-the split certificate counts its colength by columns from the column
-arrays alone (``lattice._stair_colength``).
+parameters.  A split slot is built as a ``MonomialIdeal`` that keeps its
+column arrays (``lim_intersection``) only for the generators the chain
+check tests; on a CM ring that slot is Q^k, held by the sums of k
+parameters.  The split certificate counts a slot's colength by columns
+from the column arrays alone (``lattice._stair_colength``), and a CM
+ring's by the closed forms of ``ParameterIdeal.power_colength``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from itertools import accumulate, product
 from math import comb, gcd, inf, prod
 
 from .errors import NotMPrimaryError, UncertifiedError
-from .ideals import MonomialIdeal, ParameterIdeal, _power_shifts, _steps, ideal_power
+from .ideals import MonomialIdeal, ParameterIdeal, _power_shifts, _steps, parameter_sums
 from .lattice import _moved_corners, _stair_at, _stair_colength, _stair_corners, _staircase, vdot
 
 # ---------------------------------------------------------------------------
@@ -181,7 +183,7 @@ def lim_intersection(q, total):
     if total < d:
         raise ValueError("split total must be at least the ring dimension")
     if ring.is_cm:
-        return ideal_power(q.base, total - d + 1)
+        return MonomialIdeal(ring, parameter_sums(q.ordered_generators, total - d + 1))
     return _split_slot(q, total - 1)
 
 
@@ -202,7 +204,7 @@ def _split_slot(q, k):
             l1, l2 = key[0] + m1 * eng.D1, key[1] + m2 * eng.D2
             if not any(_stair_at(eng, stair, l1 - a, l2 - b) for a, b in offs):
                 gens.append((rx + m1 * g1x + m2 * g2x, ry + m1 * g1y + m2 * g2y))
-    return MonomialIdeal(ring, gens, _reduced=True, _stair=stair)
+    return MonomialIdeal(ring, gens, stair)
 
 
 def _slot_stair(q, k):

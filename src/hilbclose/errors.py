@@ -13,10 +13,6 @@ class DimensionMismatchError(HilbcloseError):
     code = "DIMENSION_MISMATCH"
 
 
-class RingMismatchError(HilbcloseError):
-    code = "RING_MISMATCH"
-
-
 class NotMPrimaryError(HilbcloseError):
     code = "NOT_M_PRIMARY"
 

@@ -59,11 +59,8 @@ def ring_from_record(record):
     return AffineSemigroup(dim, gens)
 
 
-def ideal_to_record(ideal):
-    if isinstance(ideal, ParameterIdeal):
-        return {"generators": [list(g) for g in ideal.ordered_generators],
-                "ordered": True}
-    return {"generators": [list(g) for g in ideal.min_generators], "ordered": False}
+def ideal_to_record(q):
+    return {"generators": [list(g) for g in q.ordered_generators], "ordered": True}
 
 
 def ideal_from_record(record, ring):

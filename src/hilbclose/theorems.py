@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .closures import lim_intersection
 from .errors import GenerationExhaustedError, NotMPrimaryError, UnsupportedRingError
 from .hilbert import CoefficientBundle, FiltrationKind
-from .ideals import ParameterIdeal, _IdealUp, nu_m_mod_q, parameter_sums
+from .ideals import MonomialIdeal, ParameterIdeal, nu_m_mod_q, parameter_sums
 from .lattice import AffineSemigroup, vscale
 
 CHECK_N_MAX = 8
@@ -128,11 +128,11 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
         gens = parameter_sums(q.ordered_generators, n)  # Q^n
         if ring.is_cm:
             # Q^n is split slot n (``lim_intersection``)
-            ok, up = True, _IdealUp(ring, gens)
+            ok, up = True, MonomialIdeal(ring, gens)
         else:
             up = lim_intersection(q, n + 1)
             ok = all(up.member(g) for g in gens)
-            gens = up.min_generators
+            gens = up.gens
         ok = ok and all(integral.member(n, g) for g in gens)
         if tight is not None and ok and not all(tight.member(n, g) for g in gens):
             ok = False

@@ -13,6 +13,11 @@ I^n is the set of points of S in n times conv(I) + cone(S).  The limit
 closure of a parameter ideal is reached through its colon chain at a
 fixed index, or by a bounded search over the chain index.  Report text is
 checked against the standard library's JSON encoder.
+
+One helper is not independent: ``colength`` counts a 2-D ideal by the
+package's own columns from its generators' moved corners.  Tests use it to
+check the other counts, from the holes and in closed form, and check it
+against the box enumeration on small cases.
 """
 
 import itertools
@@ -23,7 +28,8 @@ from math import gcd
 import pytest
 
 import hilbclose
-from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale, vsub
+from hilbclose.ideals import MonomialIdeal, parameter_sums
+from hilbclose.lattice import AffineSemigroup, _stair_colength, vadd, vdot, vscale, vsub
 
 
 def child_env():
@@ -110,6 +116,40 @@ def brute_complement(sgens, igens, box):
         if member(v) and not any(member(vsub(v, g)) for g in igens):
             out.append(v)
     return sorted(out)
+
+
+def parameter_power(q, n):
+    """Q^n as an ideal, generated by the sums of n parameters."""
+    return MonomialIdeal(q.ring, parameter_sums(q.ordered_generators, n))
+
+
+def complement(ideal):
+    """S ∖ I for an m-primary ideal I, sorted, sieved in a box that holds it
+    (``box_semigroup``): in 1-D below the least generator plus the
+    conductor, in free Z^3 below the largest generator coordinate, and on a
+    2-D ring below the corner past every coset's stored columns and largest
+    entry, beyond which the column arrays of I and S agree."""
+    ring, eng = ideal.ring, ideal.ring._engine
+    if ring.kind == "num1":
+        side = min(g[0] for g in ideal.gens) + eng.conductor
+    elif ring.kind == "free3":
+        side = max(map(max, ideal.gens))
+    else:
+        side = 0
+        for key, cols in eng.stair.items():
+            own = ideal.cols(key)
+            m1, m2 = max(len(cols), len(own)), max(t for t in cols + own if t is not None)
+            side = max(side, *vadd(eng.box[key], vadd(vscale(m1, eng.g1), vscale(m2, eng.g2))))
+    pts = box_semigroup(ring.generators, side)
+    return sorted(v for v in pts if not any(vsub(v, g) in pts for g in ideal.gens))
+
+
+def colength(ideal):
+    """ell(R/I) of an m-primary ideal: by columns from its column arrays on
+    a 2-D ring (``lattice._stair_colength``), else by ``complement``."""
+    if ideal.ring.kind == "grid2":
+        return _stair_colength(ideal.ring._engine, ideal.cols)
+    return len(complement(ideal))
 
 
 def box_semigroup(sgens, box):
@@ -338,7 +378,7 @@ def newton_polyhedron(points, ring):
 def integral_oracle(ideal):
     """The test (n, v) -> v in the integral closure of I^n: v in S and in n
     times the Newton polyhedron of I's generators."""
-    poly = newton_polyhedron([tuple(g) for g in ideal.min_generators], ideal.ring)
+    poly = newton_polyhedron(ideal.gens, ideal.ring)
     return lambda n, v: ideal.ring.member(v) and poly.contains(v, n)
 
 

@@ -15,11 +15,11 @@ from math import comb
 
 import pytest
 
-from conftest import brute_member, child_env, integral_oracle
+from conftest import brute_member, child_env, integral_oracle, parameter_power
 from hilbclose.cli import example_instance
 from hilbclose.closures import ClosureRule
 from hilbclose.hilbert import Filtration, FiltrationKind, coefficient_report, fit_filtration
-from hilbclose.ideals import ParameterIdeal, ideal_power
+from hilbclose.ideals import ParameterIdeal
 from hilbclose.theorems import (
     check_nonnegativity_chain,
     check_vanishing,
@@ -196,7 +196,7 @@ def test_criterion_7_oracle_equivalence(corpus_run):
         rule = ClosureRule(inst.parameter)
         scaled = integral_oracle(ideal)
         for n in (2, 3, 4):
-            power = integral_oracle(ideal_power(ideal, n))
+            power = integral_oracle(parameter_power(inst.parameter, n))
             if any(not rule.member(n, v) == scaled(n, v) == power(1, v) for v in box):
                 closure_ok = False
         gens = [tuple(g) for g in inst.ring.generators]

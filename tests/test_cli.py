@@ -64,6 +64,15 @@ class TestAnalyze:
         assert code == 1
         assert "NOT_M_PRIMARY" in err
 
+    def test_non_m_primary_1d_exit_1(self, tmp_path, capsys):
+        # x^0 = 1 is on no extreme ray: the ideal is the whole ring
+        ring = write(tmp_path, "ring.json", {"dim": 1, "generators": [[3], [5]]})
+        ideal = write(tmp_path, "q.json", {"generators": [[0]], "ordered": True})
+        code = main(["analyze", "--ring", ring, "--ideal", ideal])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "NOT_M_PRIMARY" in err
+
     @pytest.mark.parametrize("ring_rec, ideal_rec", [
         ({"dim": 2, "generators": [[1.5, 0], [0, 1]]}, {"generators": [[1, 0], [0, 1]]}),
         ({"dim": 2, "generators": [[True, 0], [0, 1]]}, {"generators": [[1, 0], [0, 1]]}),

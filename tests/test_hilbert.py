@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 import hilbclose.closures as closures_mod
 import hilbclose.ideals as ideals_mod
-from conftest import REMARK_GENS, brute_complement, compositions, finite_gaps
+from conftest import (
+    REMARK_GENS,
+    brute_complement,
+    colength,
+    complement,
+    compositions,
+    finite_gaps,
+    parameter_power,
+)
 from hilbclose.cli import example_instance
 from hilbclose.closures import lim_intersection
 from hilbclose.errors import NotMPrimaryError, NotStabilizedError, UncertifiedError
@@ -19,27 +27,17 @@ from hilbclose.hilbert import (
     fit_polynomial,
     length_sequence,
 )
-from hilbclose.ideals import (
-    MonomialIdeal,
-    ParameterIdeal,
-    antichain_reduce,
-    ideal_power,
-    ideal_product,
-    maximal_ideal,
-    parameter_sums,
-)
+from hilbclose.ideals import MonomialIdeal, ParameterIdeal, parameter_sums
 from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale
 from hilbclose.theorems import fuzz_corpus
 from test_closures import ray_parameters
 from test_ideals import sweep_rings
 
 
-def product_powers(ideal, n):
-    """I^1..I^n by repeated ideal_product, each reduced by antichain_reduce."""
-    out = [ideal]
-    while len(out) < n:
-        out.append(ideal_product(out[-1], ideal))
-    return out
+def product_powers(ring, gens, n):
+    """I^1..I^n for the ideal generated by ``gens``: I^k is generated by
+    the sums of k generators."""
+    return [MonomialIdeal(ring, parameter_sums(gens, k)) for k in range(1, n + 1)]
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +87,7 @@ class TestLengthSequence:
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
         got = length_sequence(Filtration(FiltrationKind.ORDINARY, q), 5)
         for n in range(4):
-            gens = [tuple(g) for g in ideal_power(q.base, n + 1).min_generators]
+            gens = parameter_sums(q.ordered_generators, n + 1)
             assert got[n] == len(brute_complement(REMARK_GENS, gens, 18)), n
 
     def test_requires_m_primary(self, free2):
@@ -149,13 +147,17 @@ class TestLengthSequence:
 
 class TestCMClosedForm:
     """Ordinary and split lengths of CM rings in closed form, certified by
-    the determinant multiplicity, against the product-path colengths."""
+    the determinant multiplicity, against the colengths of the powers."""
 
     def test_lengths_match_product_path(self, corpus_parameters):
+        # the powers counted by columns on 2-D rings, per Apéry class in
+        # dimension 1 and as boxes in free Z^3 (``power_colength``)
         cases = cm_parameters(corpus_parameters)
         assert len(cases) == 128
         for q in cases:
-            want = [p.colength() for p in product_powers(q.base, 11)]
+            want = [q.power_colength(k) for k in range(1, 12)]
+            if q.ring.kind == "grid2":
+                assert want == [colength(parameter_power(q, k)) for k in range(1, 12)], q
             for kind in (FiltrationKind.ORDINARY, FiltrationKind.LIM_INTERSECT):
                 assert length_sequence(Filtration(kind, q), 10) == want, (q, kind)
 
@@ -186,15 +188,19 @@ class TestCMClosedForm:
         with pytest.raises(UncertifiedError):
             length_sequence(Filtration(kind, q), 5)
 
-    def test_parameter_powers_match_products(self, corpus_parameters, free2):
-        cases = [q.base for q in corpus_parameters + other_cm_parameters()]
-        cases.append(maximal_ideal(free2))
-        for ideal in cases:
-            fresh = MonomialIdeal(ideal.ring, ideal.min_generators)
-            for n, want in enumerate(product_powers(fresh, 11), 1):
-                got = ideal_power(ideal, n).min_generators
-                assert got == want.min_generators, (ideal, n)
-                assert got == antichain_reduce(ideal.ring, got), (ideal, n)
+    def test_parameter_powers_match_products(self, corpus_parameters):
+        # the sums of n parameters are the n-fold products of Q's
+        # generators, and pairwise incomparable
+        for q in corpus_parameters + other_cm_parameters():
+            params, member = q.ordered_generators, q.ring.member
+            prev = parameter_sums(params, 1)
+            for n in range(2, 12):
+                got = parameter_sums(params, n)
+                assert sorted(got) == sorted({tuple(map(sum, zip(a, u)))
+                                              for a in prev for u in params}), (q, n)
+                assert not any(member(tuple(x - y for x, y in zip(a, b)))
+                               for a in got for b in got if a != b), (q, n)
+                prev = got
 
 
 def non_cm_parameters(corpus_parameters):
@@ -205,10 +211,10 @@ def non_cm_parameters(corpus_parameters):
 def member_colengths(q, kind, n_max):
     """The colengths of the ideals Q^(n+1) or split slots n+1, n = 0..n_max."""
     if kind is FiltrationKind.ORDINARY:
-        members = [ideal_power(q.base, n + 1) for n in range(n_max + 1)]
+        members = [parameter_power(q, n + 1) for n in range(n_max + 1)]
     else:
         members = [lim_intersection(q, n + q.ring.dim) for n in range(n_max + 1)]
-    return [m.colength() for m in members]
+    return [colength(m) for m in members]
 
 
 def lam_point(eng, l1, l2):
@@ -279,7 +285,7 @@ class TestNonCMCounts:
             u, v = ray_split(q)
             holes = [lam_point(eng, *h) for h in eng.s2_holes]
             for n in range(1, 13):
-                power = ideal_power(q.base, n)
+                power = parameter_power(q, n)
                 want = {(vdot(eng.lam1, p), vdot(eng.lam2, p))
                         for h in holes for i in range(n + 1)
                         for p in [vadd(h, vadd(vscale(i, u), vscale(n - i, v)))]
@@ -358,11 +364,7 @@ class TestPowerColength:
     def test_matches_brute_complement(self, sgens, k, k1, k2, pick, swap):
         # both generator orders; parameters not always multiples of g1 or g2
         q = ray_parameters(AffineSemigroup(2, sgens), k1, k2, pick, swap)
-        sums = parameter_sums(q.ordered_generators, k)
-        comp = sorted(map(tuple, MonomialIdeal(q.ring, sums, _reduced=True).complement()))
-        box = max(max(map(max, comp), default=0), max(map(max, sums))) + 4
-        assert comp == brute_complement(sgens, sums, box), k
-        assert q.power_colength(k) == len(comp), k
+        assert q.power_colength(k) == len(complement(parameter_power(q, k))), k
 
     def test_dropped_apery_corner_raises(self, monkeypatch):
         # remark-s2 at n_max 40: with one source Apéry corner missing per
@@ -472,14 +474,14 @@ class TestMultiplicityVolume:
         assert q.multiplicity() == 4
         rep = fit_filtration(Filtration(FiltrationKind.ORDINARY, q))
         assert rep.e0 == 4
-        closed = MonomialIdeal(free2, [(2, 0), (1, 1), (0, 2)])
-        assert fit_polynomial([p.colength() for p in product_powers(closed, 11)], 2)[0][0] == 4
+        closed = product_powers(free2, [(2, 0), (1, 1), (0, 2)], 11)
+        assert fit_polynomial([colength(p) for p in closed], 2)[0][0] == 4
 
     def test_staircase(self, free2):
         # vertices (0,3),(1,1),(3,0): trapezoids 2 + 1, so e0 = 2 * 3 = 6;
         # cross-checked against the ordinary-powers fit (6, 1, 0)
-        ideal = MonomialIdeal(free2, [(0, 3), (1, 1), (3, 0)])
-        coeffs, _ = fit_polynomial([p.colength() for p in product_powers(ideal, 11)], 2)
+        powers = product_powers(free2, [(0, 3), (1, 1), (3, 0)], 11)
+        coeffs, _ = fit_polynomial([colength(p) for p in powers], 2)
         assert coeffs == (6, 1, 0)
 
     def test_dim1(self):
@@ -511,7 +513,7 @@ class TestCoefficientReport:
         bundle = coefficient_report(remark_ring, q, n_max=8)
         lengths = bundle.report(FiltrationKind.LIM_INTERSECT).lengths
         for n, row in enumerate(bundle.claim_rows):
-            assert row.length == lengths[n] == lim_intersection(q, n + 2).colength()
+            assert row.length == lengths[n] == colength(lim_intersection(q, n + 2))
         for n in (-1, len(lengths)):
             with pytest.raises(ValueError):
                 bundle.claim_row(n)

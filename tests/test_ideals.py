@@ -9,53 +9,53 @@ from conftest import (
     REMARK_GENS,
     brute_complement,
     brute_ideal_member,
+    brute_member,
+    brute_searcher,
+    colength,
+    complement,
     grid_first,
     limit_chain_member,
     line_first,
+    parameter_power,
     split_meet_member,
     stabilization,
     tight_member,
 )
 from hilbclose.closures import ClosureRule, _split_slot, lim_intersection
-from hilbclose.errors import NotMPrimaryError, RingMismatchError, UnsupportedRingError
-from hilbclose.ideals import (
-    MonomialIdeal,
-    ParameterIdeal,
-    _axis_reach,
-    _column_heights,
-    _IdealUp,
-    ideal_power,
-    ideal_product,
-    ideal_sum,
-    is_parameter_ideal,
-    maximal_ideal,
-    nu_m_mod_q,
-)
+from hilbclose.errors import NotMPrimaryError, UnsupportedRingError
+from hilbclose.ideals import MonomialIdeal, ParameterIdeal, nu_m_mod_q, parameter_sums
+from hilbclose.hilbert import Filtration, FiltrationKind, length_sequence
 from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale, vsub
 
 
 def gens_of(ideal):
-    return [tuple(g) for g in ideal.min_generators]
+    return sorted(tuple(g) for g in ideal.gens)
 
 
 class TestConstruction:
-    def test_reduces_to_antichain(self, free2):
-        ideal = MonomialIdeal(free2, [(1, 0), (2, 0), (1, 1)])
-        assert gens_of(ideal) == [(1, 0)]
+    def test_reduces_to_antichain(self, remark_ring):
+        # Q^n needs no reduction: the sums of n parameters are incomparable
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        for n in range(1, 6):
+            sums = parameter_sums(q.ordered_generators, n)
+            for a, b in itertools.permutations(sums, 2):
+                assert not brute_member(REMARK_GENS, vsub(a, b)), (n, a, b)
 
     def test_generator_outside_ring_rejected(self, remark_ring):
-        with pytest.raises(ValueError):
-            MonomialIdeal(remark_ring, [(0, 1)])
+        with pytest.raises(ValueError, match="not in the semigroup"):
+            ParameterIdeal(remark_ring, [(0, 1), (1, 0)])
 
     def test_antichain_under_s_divisibility(self, remark_ring):
-        # (0,5) - (0,2) = (0,3) in S, so (0,5) is redundant
-        ideal = MonomialIdeal(remark_ring, [(0, 2), (0, 5)])
-        assert gens_of(ideal) == [(0, 2)]
+        # (0,5) - (0,2) = (0,3) in S: the two do not make a parameter ideal
+        with pytest.raises(NotMPrimaryError, match="do not positively span"):
+            ParameterIdeal(remark_ring, [(0, 2), (0, 5)])
 
     def test_keeps_s_incomparable(self, remark_ring):
-        # (0,3) - (0,2) = (0,1) is not in S: both survive
+        # (0,3) - (0,2) = (0,1) is not in S: both generate
         ideal = MonomialIdeal(remark_ring, [(0, 2), (0, 3)])
         assert gens_of(ideal) == [(0, 2), (0, 3)]
+        for v in itertools.product(range(8), repeat=2):
+            assert ideal.member(v) == brute_ideal_member(REMARK_GENS, [(0, 2), (0, 3)], v), v
 
 
 class TestMembershipAndUpset:
@@ -77,116 +77,107 @@ class TestMembershipAndUpset:
 
 class TestProductPower:
     def test_remark_square(self, remark_ring):
-        q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
-        assert gens_of(ideal_power(q, 2)) == [(0, 4), (1, 2), (2, 0)]
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        assert gens_of(parameter_power(q, 2)) == [(0, 4), (1, 2), (2, 0)]
 
     def test_power_one_identity(self, remark_ring):
-        q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
-        assert ideal_power(q, 1) is q
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        assert parameter_sums(q.ordered_generators, 1) == [(1, 0), (0, 2)]
 
     def test_free_square(self, free2):
-        q = MonomialIdeal(free2, [(2, 0), (0, 3)])
-        assert gens_of(ideal_power(q, 2)) == [(0, 6), (2, 3), (4, 0)]
+        q = ParameterIdeal(free2, [(2, 0), (0, 3)])
+        assert gens_of(parameter_power(q, 2)) == [(0, 6), (2, 3), (4, 0)]
 
     def test_product_associative_powers(self, remark_ring):
-        q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        params = q.ordered_generators
         for a in (1, 2, 3):
             for b in (1, 2, 3):
-                lhs = ideal_product(ideal_power(q, a), ideal_power(q, b))
-                assert lhs == ideal_power(q, a + b), (a, b)
+                lhs = {vadd(x, y) for x in parameter_sums(params, a)
+                       for y in parameter_sums(params, b)}
+                assert sorted(lhs) == sorted(parameter_sums(params, a + b)), (a, b)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                   min_size=1, max_size=3).filter(lambda s: (0, 0) not in s))
-    def test_product_powers_fuzzed_free(self, gens):
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3))
+    def test_product_powers_fuzzed_free(self, x, y, a, b):
+        # Q^a Q^b = Q^(a+b), tested as ideals by their members
         ring = AffineSemigroup(2, [(1, 0), (0, 1)])
-        ideal = MonomialIdeal(ring, list(gens))
-        for a in (1, 2):
-            for b in (1, 2):
-                assert ideal_product(ideal_power(ideal, a), ideal_power(ideal, b)) == \
-                    ideal_power(ideal, a + b)
-
-    def test_ring_mismatch(self, remark_ring, free2):
-        a = MonomialIdeal(remark_ring, [(1, 0)])
-        b = MonomialIdeal(free2, [(1, 0)])
-        with pytest.raises(RingMismatchError):
-            ideal_product(a, b)
-
-    def test_sum(self, remark_ring):
-        a = MonomialIdeal(remark_ring, [(2, 0)])
-        b = MonomialIdeal(remark_ring, [(0, 2)])
-        assert gens_of(ideal_sum(a, b)) == [(0, 2), (2, 0)]
+        q = ParameterIdeal(ring, [(x, 0), (0, y)])
+        lhs = [vadd(u, v) for u in parameter_power(q, a).gens for v in parameter_power(q, b).gens]
+        rhs = parameter_power(q, a + b).gens
+        for v in itertools.product(range(4 * (a + b) + 2), repeat=2):
+            assert brute_ideal_member([(1, 0), (0, 1)], lhs, v) == \
+                brute_ideal_member([(1, 0), (0, 1)], rhs, v), v
 
 
 class TestColength:
     def test_remark_parameter(self, remark_ring):
-        q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
         assert q.colength() == 3
-        assert [tuple(p) for p in q.complement()] == [(0, 0), (0, 3), (1, 1)]
+        assert complement(q.base) == [(0, 0), (0, 3), (1, 1)]
 
     def test_free_maximal(self, free2):
-        assert MonomialIdeal(free2, [(1, 0), (0, 1)]).colength() == 1
+        assert ParameterIdeal(free2, [(1, 0), (0, 1)]).colength() == 1
 
     def test_remark_square_colength(self, remark_ring):
-        q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
-        q2 = ideal_power(q, 2)
-        expected = brute_complement(REMARK_GENS, gens_of(q2), 14)
-        assert q2.colength() == len(expected) == 8
-        assert [tuple(p) for p in q2.complement()] == expected
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        expected = brute_complement(REMARK_GENS, gens_of(parameter_power(q, 2)), 14)
+        assert q.power_colength(2) == colength(parameter_power(q, 2)) == len(expected) == 8
+        assert complement(parameter_power(q, 2)) == expected
 
     def test_cm_ring_colengths(self, cm_ring):
-        q = MonomialIdeal(cm_ring, [(2, 0), (0, 1)])
+        q = ParameterIdeal(cm_ring, [(2, 0), (0, 1)])
         assert q.colength() == 2
-        assert [tuple(p) for p in q.complement()] == [(0, 0), (3, 0)]
-        assert ideal_power(q, 2).colength() == 6
+        assert complement(q.base) == [(0, 0), (3, 0)]
+        assert q.power_colength(2) == 6
 
     def test_complement_matches_bruteforce_deep(self, cm_ring):
         gens = [(2, 0), (3, 0), (0, 1)]
-        q3 = ideal_power(MonomialIdeal(cm_ring, [(2, 0), (0, 1)]), 3)
-        expected = brute_complement(gens, gens_of(q3), 16)
-        assert sorted(map(tuple, q3.complement())) == expected
+        q = ParameterIdeal(cm_ring, [(2, 0), (0, 1)])
+        expected = brute_complement(gens, gens_of(parameter_power(q, 3)), 16)
+        assert complement(parameter_power(q, 3)) == expected
+        assert q.power_colength(3) == len(expected)
 
     def test_not_m_primary(self, free2):
-        ideal = MonomialIdeal(free2, [(0, 1)])
-        assert not ideal.is_m_primary
-        with pytest.raises(NotMPrimaryError):
-            ideal.complement()
-        with pytest.raises(NotMPrimaryError):
-            ideal.colength()
+        # (1,1) lies on no extreme ray
+        with pytest.raises(NotMPrimaryError, match="do not positively span"):
+            ParameterIdeal(free2, [(0, 1), (1, 1)])
 
     def test_complement_witness_present(self, remark_ring):
-        q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
-        assert q.is_m_primary
-        assert q.complement() == ((0, 0), (0, 3), (1, 1))
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        comp = complement(q.base)
+        assert comp == [(0, 0), (0, 3), (1, 1)]
+        assert not any(q.base.member(v) for v in comp)
 
     def test_colength_monotone(self, remark_ring):
-        q = MonomialIdeal(remark_ring, [(1, 0), (0, 2)])
-        lengths = [ideal_power(q, n).colength() for n in range(1, 6)]
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        lengths = [q.power_colength(n) for n in range(1, 6)]
         assert lengths == sorted(lengths)
         assert lengths == [(n + 1) * (n + 3) for n in range(0, 5)]
 
     def test_dim1_colength(self):
         ring = AffineSemigroup(1, [(2,), (3,)])
-        ideal = MonomialIdeal(ring, [(4,)])
+        q = ParameterIdeal(ring, [(4,)])
         # complement: S-points below the up-set of 4: {0, 2, 3, 5}
-        assert ideal.colength() == 4
+        assert q.colength() == 4
+        assert complement(q.base) == [(0,), (2,), (3,), (5,)]
 
     def test_free3_colength(self, free3):
-        ideal = MonomialIdeal(free3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)])
-        assert ideal.colength() == 7
+        q = ParameterIdeal(free3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+        assert q.colength() == len(complement(q.base)) == 8
+        assert q.power_colength(2) == len(complement(parameter_power(q, 2))) == 32
 
     @settings(max_examples=25, deadline=None)
-    @given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                   min_size=2, max_size=4).filter(
-        lambda s: any(v[1] == 0 and v[0] > 0 for v in s)
-        and any(v[0] == 0 and v[1] > 0 for v in s)))
-    def test_colength_antitone_in_containment(self, gens):
-        # I contained in J forces colength(I) >= colength(J)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3))
+    def test_colength_antitone_in_containment(self, x, y, a, b):
+        # I contained in J forces colength(I) >= colength(J): Q(a, b) and
+        # Q^(a+b) lie in Q, and Q^(a+b) in Q(a, b)
         ring = AffineSemigroup(2, [(1, 0), (0, 1)])
-        smaller = MonomialIdeal(ring, list(gens))
-        larger = ideal_sum(smaller, MonomialIdeal(ring, [(1, 1)]))
-        assert larger.contains_ideal(smaller)
-        assert smaller.colength() >= larger.colength()
+        q = ParameterIdeal(ring, [(x, 0), (0, y)])
+        split = q.split((a, b))
+        assert all(q.base.member(g) for g in split.ordered_generators)
+        assert all(split.base.member(g) for g in parameter_power(q, a + b).gens)
+        assert q.power_colength(a + b) >= split.colength() >= q.colength()
 
 
 # rings for the sweep: finite gaps, gap rays, several cosets
@@ -227,7 +218,8 @@ def _first_shift(eng, w, axis):
 
 
 class TestStaircaseSweep:
-    """The per-coset complement sweep against the per-generator minimum it replaced."""
+    """The per-coset column arrays against the per-generator minimum, and
+    their column count against the box enumeration."""
 
     @settings(max_examples=60, deadline=None)
     @given(sweep_rings, st.integers(1, 3), st.integers(1, 3),
@@ -239,7 +231,7 @@ class TestStaircaseSweep:
                  for combo in combos]
         ideal = MonomialIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)]
                               + [v for v in extra if any(v)])
-        gens = ideal.min_generators
+        gens = ideal.gens
         for axis in (0, 1):
             stable, consts = stabilization(eng, axis)
             gfix = eng.g1 if axis == 1 else eng.g2
@@ -247,16 +239,14 @@ class TestStaircaseSweep:
                 for f in range(stable, stable + 6):
                     assert grid_first(eng, key, axis, f) == consts[key]
                 count = stable + 6
-                cols = _IdealUp(ring, gens).cols(key)
+                cols = ideal.cols(key)
                 got = [line_first(cols, axis, m) for m in range(count)]
                 for m in range(count):
                     v0 = vadd(eng.box[key], vscale(m, gfix))
                     firsts = [_first_shift(eng, vsub(v0, u), axis) for u in gens]
                     firsts = [t for t in firsts if t is not None]
                     assert got[m] == (min(firsts) if firsts else None), (key, axis, m)
-        comp = sorted(map(tuple, ideal.complement()))
-        box = max(max(map(max, comp), default=0), max(map(max, gens))) + 4
-        assert comp == brute_complement(sgens, gens_of(ideal), box)
+        assert colength(ideal) == len(complement(ideal))
 
 
 class TestProfiles:
@@ -274,10 +264,11 @@ class TestProfiles:
             return tuple(sum(c * g[i] for c, g in zip(combo, ring.generators)) for i in (0, 1))
 
         extra = [v for v in map(element, combos) if any(v)]
-        gens = MonomialIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)] + extra)
+        gens = [vscale(k1, eng.g1), vscale(k2, eng.g2)] + extra
         q = ParameterIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)])
-        upsets = [(_IdealUp(ring, gens.min_generators), gens.member)] + [
-            (_split_slot(q, k)._up, lambda v, k=k: split_meet_member(q, k + 1, v))
+        in_s = brute_searcher(sgens)
+        upsets = [(MonomialIdeal(ring, gens), lambda v: any(in_s(vsub(v, g)) for g in gens))] + [
+            (_split_slot(q, k), lambda v, k=k: split_meet_member(q, k + 1, v))
             for k in (1, 2, 3)]
         hi = 12 * (k1 + k2 + 4)
         for axis in (0, 1):
@@ -297,8 +288,7 @@ class TestProfiles:
 class TestStoredStaircase:
     """A split slot's column arrays, built from its corners, against the meet
     of the splits' limit closures and the arrays its generators build, and
-    its counted colength against the materialized and brute-force
-    complements."""
+    its counted colength against the box enumeration."""
 
     @settings(max_examples=30, deadline=None)
     @given(sweep_rings, st.integers(1, 2), st.integers(1, 2), st.booleans())
@@ -309,9 +299,9 @@ class TestStoredStaircase:
         q = ParameterIdeal(ring, powers[::-1] if swap else powers)
         for k in (1, 2, 3):
             slot = _split_slot(q, k)
-            stair = slot._up.stair
+            stair = slot.stair
             assert sorted(stair) == sorted(eng.box), k
-            gens = slot.min_generators
+            gens = slot.gens
             for key in sorted(eng.box):
                 cols = stair[key]
                 # past the last column and the first entry every line is level
@@ -320,11 +310,8 @@ class TestStoredStaircase:
                     for m2 in range(-1, span):
                         v = vadd(eng.box[key], vadd(vscale(m1, eng.g1), vscale(m2, eng.g2)))
                         assert slot.member(v) == split_meet_member(q, k + 1, v), (k, v)
-                assert cols == _IdealUp(ring, gens).cols(key), (k, key)
-            comp = sorted(map(tuple, slot.complement()))
-            box = max(max(map(max, comp), default=0), max(map(max, gens))) + 4
-            assert slot.colength() == len(comp) == \
-                len(brute_complement(sgens, gens_of(slot), box)), k
+                assert cols == MonomialIdeal(ring, gens).cols(key), (k, key)
+            assert colength(slot) == len(complement(slot)), k
 
 
 class TestExtractionOracle:
@@ -373,7 +360,8 @@ class TestExtractionOracle:
                     q.ring, lambda v: split_meet_member(q, k + 1, v), 14)
                 assert gens_of(met) == expected, (q, k)
                 if not q.ring.is_cm:
-                    assert met == lim_intersection(q, k + 1), (q, k)
+                    slot = lim_intersection(q, k + 1)
+                    assert (slot.gens, slot.stair) == (met.gens, met.stair), (q, k)
 
     def test_closure_extraction(self, remark_ring, cm_ring):
         # the tight closure Q^k S̄ ∩ S, held as its rule: the rule's minimal
@@ -387,60 +375,65 @@ class TestExtractionOracle:
 
 
 FREE3_GENS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-small3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 
 
-class TestFree3Heights:
-    """Free-Z^3 heights and reach against a box brute force: the corners of
-    the height function, the columns below both their left and lower
-    neighbours, are the minimal generators."""
+class TestPowerColengths:
+    """ell(R/Q^k) in closed form, per Apéry class of a numerical semigroup
+    and as a box in free Z^3, against the box enumeration."""
 
-    @staticmethod
-    def brute_min_gens(member, box):
-        return [v for v in itertools.product(range(box + 1), repeat=3)
-                if member(v) and not any(member(vsub(v, e)) for e in FREE3_GENS)]
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(2, 12), min_size=1, max_size=3, unique=True),
+           st.integers(1, 4), st.data())
+    def test_num1_per_class(self, vals, step, data):
+        ring = AffineSemigroup(1, [(step * v,) for v in vals])
+        # a parameter other than amin: a sum of one to three generators
+        picks = data.draw(st.lists(st.sampled_from(ring.generators), min_size=1, max_size=3))
+        a = sum(g[0] for g in picks)
+        if a == ring._engine.amin:
+            a += max(g[0] for g in ring.generators)
+        q = ParameterIdeal(ring, [(a,)])
+        for k in (1, 2, 3):
+            assert q.power_colength(k) == len(complement(parameter_power(q, k))), (a, k)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
-           st.lists(small3, max_size=4))
-    def test_extraction_matches_brute_force(self, a, b, c, extra):
-        ring = AffineSemigroup(3, FREE3_GENS)
-        gens = gens_of(MonomialIdeal(
-            ring, [(a, 0, 0), (0, b, 0), (0, 0, c)] + [v for v in extra if any(v)]))
-        memo = {}
+    @pytest.mark.parametrize("sgens, a, want", [
+        ([(6,), (9,), (20,)], 9, [9, 18, 27]),
+        ([(3,), (5,), (7,)], 5, [5, 10, 15]),
+        ([(4,), (6,)], 10, [5, 10, 15]),
+    ])
+    def test_num1_values(self, sgens, a, want):
+        # e(x^a) = a / gcd, the index of ZS in Z; the count
+        # #{s in S : s < k*a} would give 2 for (x^9) in <6, 9, 20>
+        q = ParameterIdeal(AffineSemigroup(1, sgens), [(a,)])
+        assert [q.power_colength(k) for k in (1, 2, 3)] == want
+        assert [len(complement(parameter_power(q, k))) for k in (1, 2, 3)] == want
 
-        def member(v):
-            if v not in memo:
-                memo[v] = min(v) >= 0 and brute_ideal_member(FREE3_GENS, gens, v)
-            return memo[v]
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.permutations(range(3)))
+    def test_free3_box(self, a, b, c, order):
+        axes = [(a, 0, 0), (0, b, 0), (0, 0, c)]
+        q = ParameterIdeal(AffineSemigroup(3, FREE3_GENS), [axes[i] for i in order])
+        for k in (1, 2, 3):
+            assert q.power_colength(k) == len(complement(parameter_power(q, k))), k
 
-        expected = self.brute_min_gens(member, 4)
-        for i, e in enumerate(FREE3_GENS):
-            reach = next((k for k in range(5) if member(vscale(k, e))), None)
-            assert _axis_reach(gens, i) == reach, i
-        hts = _column_heights(gens, a + 1, b + 1)
-        for x in range(a + 1):
-            for y in range(b + 1):
-                assert hts[x][y] == next((z for z in range(5) if member((x, y, z))), None)
-        corners = [(x, y, hts[x][y]) for x in range(a + 1) for y in range(b + 1)
-                   if hts[x][y] is not None
-                   and (x == 0 or hts[x - 1][y] is None or hts[x][y] < hts[x - 1][y])
-                   and (y == 0 or hts[x][y - 1] is None or hts[x][y] < hts[x][y - 1])]
-        assert sorted(corners) == expected == gens
-        comp = sorted(map(tuple, MonomialIdeal(ring, gens).complement()))
-        assert comp == brute_complement(FREE3_GENS, gens, 4)
+    def test_large_values(self, free3):
+        ring = AffineSemigroup(1, [(1000,), (1001,)])
+        q = ParameterIdeal(ring, [(1000,)])
+        assert q.colength() == 1000
+        lengths = length_sequence(Filtration(FiltrationKind.ORDINARY, q), 6)
+        assert lengths == [1000 * (n + 1) for n in range(7)]
+        q3 = ParameterIdeal(free3, [(2000, 0, 0), (0, 3000, 0), (0, 0, 2)])
+        assert q3.colength() == q3.multiplicity() == 12_000_000
 
 
 class TestParameterIdeal:
     def test_remark_parameter(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        assert is_parameter_ideal(q)
         assert q.colength() == 3
 
     def test_order_preserved(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(0, 2), (1, 0)])
         assert [tuple(g) for g in q.ordered_generators] == [(0, 2), (1, 0)]
-        assert gens_of(q.base) == [(0, 2), (1, 0)]
+        assert q.base.gens == [(0, 2), (1, 0)]
 
     def test_split(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
@@ -459,24 +452,105 @@ class TestParameterIdeal:
         # pure powers are read off the generators, with no cap on their size
         q2 = ParameterIdeal(free2, [(5000, 0), (0, 1)])
         q3 = ParameterIdeal(free3, [(5000, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert q2.base.is_m_primary and q3.base.is_m_primary
-        assert q3.base._ray_powers() == (5000, 1, 1)
-        assert q3.colength() == 5000
-        assert not MonomialIdeal(free3, [(5000, 0, 0), (0, 1, 0)]).is_m_primary
+        assert q2.colength() == q3.colength() == 5000
+        with pytest.raises(NotMPrimaryError):
+            ParameterIdeal(free3, [(5000, 0, 0), (0, 1, 0)])
 
     def test_large_pure_power_closure_and_colon(self, free3):
         # the pure powers are read in closed form, so no scan cap applies
         q = ParameterIdeal(free3, [(5000, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert lim_intersection(q, 3) == q.base
+        assert lim_intersection(q, 3).gens == q.base.gens
         assert ClosureRule(q, tight=True).lengths(0) == [q.colength()]
         # (Q : x) = (x^4999, y, z)
-        colon = MonomialIdeal(free3, [(4999, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert colon._ray_powers() == (4999, 1, 1)
+        colon = ParameterIdeal(free3, [(4999, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert colon.colength() == 4999
 
     def test_is_parameter_on_plain_ideal(self, remark_ring):
-        assert is_parameter_ideal(MonomialIdeal(remark_ring, [(1, 0), (0, 2)]))
-        assert not is_parameter_ideal(maximal_ideal(remark_ring))
+        ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        with pytest.raises(NotMPrimaryError, match="exactly 2 generators, got 4"):
+            ParameterIdeal(remark_ring, remark_ring.minimal_generators())
+
+
+SPAN_MESSAGES = ("do not positively span the cone", "must be distinct")
+
+
+def parameter_by_definition(ring, gens, reach=40):
+    """Whether monomials ``gens`` of S make a parameter ideal, from the
+    definition by brute-force search: Q ⊆ m, some multiple k >= 1 of each
+    extreme generator lies in Q, and the d generators are pairwise
+    incomparable."""
+    in_s = brute_searcher(ring.generators)
+
+    def inside(v):
+        return any(in_s(vsub(v, u)) for u in gens)
+
+    return (all(any(u) for u in gens)
+            and all(any(inside(vscale(k, g)) for k in range(1, reach))
+                    for g in ring.extreme_generators())
+            and not any(in_s(vsub(a, b)) for a, b in itertools.permutations(gens, 2)))
+
+
+def drawn_element(data, ring):
+    """An element of S: a multiple of one generator, often on an extreme
+    ray, or a sum of up to three generators, zero included."""
+    if data.draw(st.booleans()):
+        return vscale(data.draw(st.integers(1, 3)), data.draw(st.sampled_from(ring.generators)))
+    picks = data.draw(st.lists(st.sampled_from(ring.generators), max_size=3))
+    return tuple(sum(c) for c in zip(*picks)) if picks else (0,) * ring.dim
+
+
+class TestRayCheck:
+    """The check that each generator lies on its own extreme ray accepts
+    exactly the parameter ideals of the definition."""
+
+    @staticmethod
+    def check(ring, gens):
+        try:
+            ParameterIdeal(ring, gens)
+        except NotMPrimaryError as exc:
+            assert any(m in str(exc) for m in SPAN_MESSAGES), exc
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == parameter_by_definition(ring, gens), gens
+        return accepted
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_rings, st.data())
+    def test_sweep_rings(self, sgens, data):
+        ring = AffineSemigroup(2, sgens)
+        self.check(ring, [drawn_element(data, ring) for _ in range(2)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.permutations(range(3)), st.lists(st.integers(1, 3), min_size=3, max_size=3),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=2), st.booleans())
+    def test_free3(self, order, scales, moves, collapse):
+        # powers of the three axes, some moved by a unit vector, which keeps
+        # a generator on its axis or takes it off; or two on one ray
+        gens = [vscale(k, FREE3_GENS[i]) for k, i in zip(scales, order)]
+        for j, axis in moves:
+            gens[j] = vadd(gens[j], FREE3_GENS[axis])
+        if collapse:
+            gens[2] = vscale(2, gens[1])
+        self.check(AffineSemigroup(3, FREE3_GENS), gens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(2, 9), min_size=1, max_size=3, unique=True), st.data())
+    def test_numerical_semigroups(self, vals, data):
+        ring = AffineSemigroup(1, [(v,) for v in vals])
+        self.check(ring, [drawn_element(data, ring)])
+
+    def test_both_outcomes(self, remark_ring, free3):
+        # the cases above draw both outcomes; these pin one of each per kind
+        num = AffineSemigroup(1, [(3,), (5,)])
+        accepted = [(remark_ring, [(0, 3), (1, 0)]), (num, [(5,)]),
+                    (free3, [(0, 0, 2), (1, 0, 0), (0, 4, 0)])]
+        rejected = [(remark_ring, [(0, 3), (1, 1)]), (num, [(0,)]),
+                    (free3, [(1, 1, 0), (0, 1, 0), (0, 0, 1)])]
+        for ring, gens in accepted:
+            assert self.check(ring, gens)
+        for ring, gens in rejected:
+            assert not self.check(ring, gens)
 
 
 class TestNu:
@@ -495,8 +569,10 @@ class TestNu:
 
     @staticmethod
     def outside_q_plus_m2(q):
-        qm2 = ideal_sum(q.base, ideal_power(maximal_ideal(q.ring), 2))
-        return sum(1 for g in q.ring.minimal_generators() if not qm2.member(g))
+        sgens = q.ring.generators
+        qm2 = list(q.ordered_generators) + [vadd(g, h) for g in sgens for h in sgens]
+        return sum(1 for g in q.ring.minimal_generators()
+                   if not brute_ideal_member(sgens, qm2, g))
 
     @settings(max_examples=40, deadline=None)
     @given(sweep_rings, st.integers(1, 3), st.integers(1, 3), st.booleans())

@@ -225,10 +225,10 @@ class TestResidueDecisionPath:
             _stair_colength(eng, stair.__getitem__)
 
     def test_colength_still_exact(self):
-        from hilbclose.ideals import MonomialIdeal
+        from hilbclose.ideals import ParameterIdeal
 
         ring = AffineSemigroup(2, REMARK_GENS)
-        q = MonomialIdeal(ring, [(1, 0), (0, 2)])
+        q = ParameterIdeal(ring, [(1, 0), (0, 2)])
         assert q.colength() == 3
 
 

@@ -3,13 +3,13 @@ from math import comb
 
 import pytest
 
-from conftest import tight_member
+from conftest import complement, tight_member
 from hilbclose import closures, hilbert, theorems
 from hilbclose.closures import ClosureRule, lim_intersection
 from hilbclose.errors import GenerationExhaustedError, UnsupportedRingError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind, coefficient_report
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal, ideal_sum
-from hilbclose.lattice import AffineSemigroup
+from hilbclose.ideals import MonomialIdeal, ParameterIdeal
+from hilbclose.lattice import AffineSemigroup, vscale
 from hilbclose.theorems import (
     CHECK_N_MAX,
     check_e1_zero_implies_cm,
@@ -96,7 +96,7 @@ class TestChain:
         assert not ring.is_cm
         def split(q, total):
             if total == 4:
-                return ideal_sum(lim_intersection(q, total), MonomialIdeal(ring, [(4, 1)]))
+                return MonomialIdeal(ring, lim_intersection(q, total).gens + [(4, 1)])
             return lim_intersection(q, total)
 
         monkeypatch.setattr(theorems, "lim_intersection", split)
@@ -115,7 +115,7 @@ class TestChain:
         def refuse(*args):
             raise AssertionError("power or split slot built on a CM ring")
 
-        monkeypatch.setattr(closures, "ideal_power", refuse)
+        monkeypatch.setattr(closures, "MonomialIdeal", refuse)
         monkeypatch.setattr(theorems, "lim_intersection", refuse)
         verdict = check_nonnegativity_chain(ring, q, n_max=6, characteristic=2)
         assert verdict.passed and verdict.details["lim_chain_nested"] is True
@@ -223,9 +223,10 @@ class TestE1ZeroImpliesCM:
             bundle = CoefficientBundle(inst.ring, q, characteristic=2)
             lim = bundle.report(FiltrationKind.LIM_INTERSECT).lengths[0] == q.colength()
             tight = bundle.report(FiltrationKind.TIGHT).lengths[0] == q.colength()
-            assert lim == (lim_intersection(q, 2) == q.base), inst.instance_id
-            assert tight == (not any(tight_member(q, 1, tuple(v))
-                                     for v in q.base.complement())), inst.instance_id
+            slot = lim_intersection(q, 2)
+            assert lim == (sorted(slot.gens) == sorted(q.base.gens)), inst.instance_id
+            assert tight == (not any(tight_member(q, 1, v)
+                                     for v in complement(q.base))), inst.instance_id
             trivial.update(lim=lim, tight=tight)
         assert 0 < trivial["tight"] <= trivial["lim"] < count
 
@@ -246,7 +247,10 @@ class TestFuzzCorpus:
 
     def test_instances_valid(self):
         for inst in fuzz_corpus(7, 5, max_coord=5):
-            assert inst.parameter.base.is_m_primary
+            # some multiple of each extreme generator lies in Q
+            q = inst.parameter
+            assert all(any(q.base.member(vscale(k, g)) for k in range(1, 40))
+                       for g in inst.ring.extreme_generators()), inst.instance_id
             assert inst.ring.dim == 2
 
     def test_zero_count(self):

@@ -29,9 +29,10 @@ An unreached function is not always dead.  These matrices find no theorem
 violation, so paths taken only on a violation show up here and stay: for
 one, ``formats.reproducer_record``, which writes a violation's reproducer.
 The same goes for error paths, dunder methods that only tests call, and
-library functions kept for callers outside the CLI: ``ideal_sum``,
-``ideal_product`` and ``maximal_ideal`` build Q + m^2, against which the
-tests check ``nu_m_mod_q``, which counts the minimal generators outside Q.
+library functions kept for callers outside the CLI: ``ParameterIdeal.split``
+is the paper's Q(alpha), and ``MonomialIdeal.cols`` builds the column
+arrays of an ideal given by generators, which the tests count against a
+box enumeration.
 
 It takes 10-15 s on a 2-core machine, so the test suite does not run
 it.  Stdlib only.
