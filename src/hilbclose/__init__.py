@@ -1,7 +1,6 @@
 """Exact Hilbert-Samuel coefficients of closure filtrations for monomial
 ideals in affine semigroup rings."""
 
-from .closures import lim_intersection
 from .errors import (
     DimensionMismatchError,
     GenerationExhaustedError,

@@ -13,27 +13,29 @@ JAMS 3, 1990), so (Q^k)* = Q^k S̄ ∩ S in every characteristic p.  In a
 Cohen-Macaulay ring the parameters form a regular sequence, so
 Z[X1..Xd] -> R, X_i -> u_i, is flat and the split slot is Q^k; only a 2-D
 grid can fail to be CM.  There S' is one quadrant per coset of
-Z g1 + Z g2, at the least m1 and m2 of the coset's Apéry corners, so
-Q^k S' is on each coset the union of k + 1 quadrants, and the slot's
-column array is built from their corners, moved as the power's Apéry
-corners are (``lattice._moved_corners``), and the coset's Apéry corners in
-closed form (``_slot_stair``).
+Z g1 + Z g2, at the least m1 and m2 of the coset's Apéry corners
+(``s2_corners``), so Q^k S' is on each coset the union of k + 1
+quadrants, and the slot's column array is built from their corners, moved
+as the power's Apéry corners are (``lattice._moved_corners``), and the
+coset's Apéry corners in closed form (``_slot_stair``).
 
 For the powers of a parameter ideal, both the integral and the tight
 closure are rules in the cone's facet forms (``ClosureRule``), and no
 ideal of either is built: the fits count their lengths from the rules, along
 the ray of the last facet form (one line per Apéry class of a numerical
 semigroup, one floor sum per stable residue class of 2-D columns and per
-free-Z^3 row), and the checks test points against them.  The split
+free-Z^3 row), and the chain check tests facet-form values against them,
+one integer inequality per point (``ClosureRule.contains``).  The split
 lengths are counted from the holes S' ∖ S (``split_lengths``), since k[S']
 is CM, and so are the ordinary lengths of a non-CM ring
 (``ordinary_lengths``): Q^n S' is Q^n and the holes moved by the sums of n
-parameters.  A split slot is built as a ``MonomialIdeal`` that keeps its
-column arrays (``lim_intersection``) only for the generators the chain
-check tests; on a CM ring that slot is Q^k, held by the sums of k
-parameters.  The split certificate counts a slot's colength by columns
-from the column arrays alone (``lattice._stair_colength``), and a CM
-ring's by the closed forms of ``ParameterIdeal.power_colength``.
+parameters.  No split slot is built as an ideal.  The chain check reads
+slot k in facet-form values (``SplitSlot``): on a CM ring it is Q^k, held
+by the sums of k parameters; otherwise it is its column arrays, built once
+per k and kept on the ideal (``_slot``), and tested corner by corner.  The
+split certificate counts a slot's colength by columns from the same
+arrays (``lattice._stair_colength``), and a CM ring's by the closed forms
+of ``ParameterIdeal.power_colength``.
 """
 
 from __future__ import annotations
@@ -41,10 +43,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, product
 from math import comb, gcd, inf, prod
+from operator import floordiv, mul, sub
 
 from .errors import NotMPrimaryError, UncertifiedError
-from .ideals import MonomialIdeal, ParameterIdeal, _power_shifts, _steps, parameter_sums
-from .lattice import _moved_corners, _stair_at, _stair_colength, _stair_corners, _staircase, vdot
+from .ideals import ParameterIdeal, _power_shifts, _steps
+from .lattice import (_moved_corners, _stair_at, _stair_colength, _stair_corners, _stair_within,
+                      _staircase)
 
 # ---------------------------------------------------------------------------
 # the integral and tight rules of a parameter ideal's powers
@@ -71,17 +75,17 @@ class ClosureRule:
             raise NotMPrimaryError("closure rules are taken of parameter-ideal powers")
         self.ring = q.ring
         self.tight = tight
-        self.forms = [(lam, max(vdot(lam, u) for u in q.ordered_generators))
-                      for lam in self.ring.cone_halfspaces()]
-        self._prod = prod(a for _, a in self.forms)
+        self._steps = _steps(q)
+        self.forms = list(zip(self.ring.cone_halfspaces(), self._steps))
+        self._prod = prod(self._steps)
+        self._weights = [self._prod // a for a in self._steps]
 
-    def member(self, k, v):
-        """Whether the point ``v`` lies in the k-th closure."""
-        if not self.ring.member(v):
-            return False
+    def contains(self, k, points):
+        """Whether the k-th closure holds the points of S whose facet-form
+        values ``points`` lists: the rule's one integer inequality at each."""
         if self.tight:
-            return sum(vdot(lam, v) // a for lam, a in self.forms) >= k
-        return sum(vdot(lam, v) * (self._prod // a) for lam, a in self.forms) >= k * self._prod
+            return all(sum(map(floordiv, l, self._steps)) >= k for l in points)
+        return all(sum(map(mul, l, self._weights)) >= k * self._prod for l in points)
 
     def lengths(self, n_max):
         """The colengths of the k-th closures, k = 1..n_max+1, from the rule.
@@ -167,68 +171,76 @@ def _floor_sum(n, m, a, b):
 # ---------------------------------------------------------------------------
 # contractions Q^k S' ∩ S: limit closure and split intersections
 
-def lim_intersection(q, total):
-    """Intersection of the limit closures of the splits Q(alpha), |alpha| = total.
+class SplitSlot:
+    """Split slot k, Q^k S' ∩ S, as the chain check reads it: in
+    facet-form values, generated by ``corners``.
 
-    Contains Q^total; contained in the integral closure of Q^(total - d + 1).
-    In a Cohen-Macaulay ring it is the power Q^(total - d + 1): the
-    parameters form a regular sequence, so Z[X1..Xd] -> R, X_i -> u_i, is
-    flat (Hartshorne 1966), every Q(alpha)^lim is Q(alpha), and flatness
-    carries the intersection of the monomial ideals (X^alpha) to that of the
-    Q(alpha).  Otherwise the ring is a 2-D grid and the intersection is
-    Q^(total - 1) S' ∩ S (``_split_slot``).
+    On a CM ring the slot is Q^k, whose corners are the sums of k
+    parameters (``_power_shifts``), and l lies in it when l - h ∈ S for one
+    of them: with no search when l is a sum of k or k + 1 parameters.
+    Otherwise the slot is its column arrays (``_slot``) and their corners,
+    and lies in S or another slot when each coset's corners lie on its
+    array there (``lattice._stair_within``).
     """
-    ring = q.ring
-    d = ring.dim
-    if total < d:
-        raise ValueError("split total must be at least the ring dimension")
-    if ring.is_cm:
-        return MonomialIdeal(ring, parameter_sums(q.ordered_generators, total - d + 1))
-    return _split_slot(q, total - 1)
+
+    def __init__(self, q, k):
+        self.eng = eng = q.ring._engine
+        self.stair = None if q.ring.is_cm else _slot(q, k)
+        if self.stair is None:
+            self.corners = _power_shifts(q, k)
+            self._known = set(self.corners).union(_power_shifts(q, k + 1))
+        else:
+            self._grid = {key: _stair_corners(cols) for key, cols in self.stair.items()}
+            self.corners = [(k1 + m1 * eng.D1, k2 + m2 * eng.D2)
+                            for (k1, k2), pts in self._grid.items() for m1, m2 in pts]
+
+    def holds(self, l):
+        """Whether the point with facet-form values ``l`` lies in the slot."""
+        if self.stair is not None:
+            return _stair_at(self.eng, self.stair, *l)
+        return l in self._known or any(self.eng.member_at(tuple(map(sub, l, h)))
+                                       for h in self.corners)
+
+    def in_ring(self):
+        """Whether the slot lies in S."""
+        if self.stair is None:
+            return all(map(self.eng.member_at, self.corners))
+        return _stair_within(self._grid, self.eng.stair)
+
+    def within(self, other):
+        """Whether the slot lies in slot ``other`` of the same ideal."""
+        if self.stair is None:
+            return all(map(other.holds, self.corners))
+        return _stair_within(self._grid, other.stair)
 
 
-def _split_slot(q, k):
-    """Q^k S' ∩ S for a parameter ideal of a 2-D ring, as an ideal that
-    keeps its staircase (``_slot_stair``).  Its generators are the
-    staircase's corners v with no v - g on it, g a ring generator other
-    than g1 and g2: v - g1 and v - g2 lie on v's coset below the corner."""
-    ring, eng, stair = q.ring, q.ring._engine, _slot_stair(q, k)
-    (g1x, g1y), (g2x, g2y) = eng.g1, eng.g2
-    # v - g on integers: its lam values are those of v minus those of g
-    offs = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in ring.generators
-            if g != eng.g1 and g != eng.g2]
-    gens = []
-    for key, cols in stair.items():
-        rx, ry = eng.box[key]
-        for m1, m2 in _stair_corners(cols):
-            l1, l2 = key[0] + m1 * eng.D1, key[1] + m2 * eng.D2
-            if not any(_stair_at(eng, stair, l1 - a, l2 - b) for a, b in offs):
-                gens.append((rx + m1 * g1x + m2 * g2x, ry + m1 * g1y + m2 * g2y))
-    return MonomialIdeal(ring, gens, stair)
+def _slot(q, k):
+    """The column arrays of slot k (``_slot_stair``), built once per q and
+    k and kept on q for the chain check and the split certificate."""
+    slots = q._cache.setdefault("slots", {})
+    if k not in slots:
+        slots[k] = _slot_stair(q, k)
+    return slots[k]
 
 
 def _slot_stair(q, k):
     """The column array of Q^k S' ∩ S on each coset of a 2-D ring.
 
-    S' is one quadrant per coset, at the least column and row that meet S,
-    the least m1 and the least m2 of the coset's Apéry corners, so Q^k S'
+    S' is one quadrant per coset, at its corner (``s2_corners``), so Q^k S'
     is there the union of the quadrants at the S' corners that
     i*u + (k - i)*v moves onto it (``_moved_corners``), and its meet with S
     the up-set generated by max(p, c), p the coset's Apéry corners and c
     those moved corners.
     """
     eng, shifts = q.ring._engine, _power_shifts(q, k)
-    s2 = {key: [(min(p1 for p1, _ in pts), min(p2 for _, p2 in pts))]
-          for key, pts in eng.apery.items()}
-    return {key: _staircase([(p1 if p1 > c1 else c1, p2 if p2 > c2 else c2)
-                             for (p1, p2), (c1, c2)
-                             in product(eng.apery[key], _moved_corners(eng, key, shifts, s2))])
-            for key in eng.apery}
+    return {key: _staircase([(p1 if p1 > c1 else c1, p2 if p2 > c2 else c2) for (p1, p2), (c1, c2)
+                             in product(pts, _moved_corners(eng, key, shifts, eng.s2_corners))])
+            for key, pts in eng.apery.items()}
 
 
 def split_lengths(q, n_max):
-    """The colengths of the split slots Q^k S' ∩ S, k = 1..n_max+1, with no
-    slot built.
+    """The colengths of the split slots Q^k S' ∩ S, k = 1..n_max+1, counted
+    from the holes.
 
     k[S'] is a module-finite CM overring, so S' ∖ Q^k S' has e(Q) C(k+d-1, d)
     points, and slot k misses besides them the holes h ∈ S' ∖ S with
@@ -236,15 +248,19 @@ def split_lengths(q, n_max):
     last length must equal those counted by columns from the slot's
     staircase (``_split_colength``): the first is then ell(S'/QS') = e(Q),
     which by Serre holds iff k[S'] is CM, and the last checks the holes.
-    On a CM ring S' = S has no holes and the check is colength(Q) = e(Q).
+    On a CM ring S' = S has no holes, the check is colength(Q) = e(Q), and
+    the ordinary lengths are the same: the sequence is kept on q.
     """
-    out = _split_counts(q, n_max)
-    if q.ring.is_cm:
-        counted = [(0, q.colength())]
-    else:
-        counted = [(n, _split_colength(q, n + 1)) for n in (0, n_max)]
-    _certify("split", out, counted)
-    return out
+    key = ("split_lengths", n_max)
+    if key not in q._cache:
+        out = _split_counts(q, n_max)
+        if q.ring.is_cm:
+            counted = [(0, q.colength())]
+        else:
+            counted = [(n, _split_colength(q, n + 1)) for n in (0, n_max)]
+        _certify("split", out, counted)
+        q._cache[key] = out
+    return q._cache[key]
 
 
 def ordinary_lengths(q, n_max):
@@ -315,8 +331,8 @@ def _hole_orders(q):
 
 
 def _split_colength(q, k):
-    """ell(R / Q^k S' ∩ S), counted by columns from ``_slot_stair``."""
-    return _stair_colength(q.ring._engine, _slot_stair(q, k).__getitem__)
+    """ell(R / Q^k S' ∩ S), counted by columns from its arrays (``_slot``)."""
+    return _stair_colength(q.ring._engine, _slot(q, k).__getitem__)
 
 
 def _hole_frame(q):
@@ -329,7 +345,7 @@ def _hole_frame(q):
     a, b = _steps(q)
 
     def in_s2(l1, l2):
-        c1, c2 = corners[l1 % d1, l2 % d2]
+        [(c1, c2)] = corners[l1 % d1, l2 % d2]
         return l1 // d1 >= c1 and l2 // d2 >= c2
 
     return a, b, in_s2

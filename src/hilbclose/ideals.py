@@ -1,5 +1,5 @@
-"""Parameter ideals over a fixed affine semigroup, and the monomial ideals
-the theorem checks test points against.
+"""Parameter ideals over a fixed affine semigroup, the facet-form values of
+their powers' generators, and the monomial ideal Q as generators.
 
 Every ideal the commands read is a parameter ideal Q = (u1, ..., ud): d
 monomials, each on its own extreme ray of the cone (``ParameterIdeal``).
@@ -21,75 +21,30 @@ engine's own data, one closed form per ring kind
   the sum over columns of its first row less the ring's
   (``lattice._stair_colength``).
 
-``MonomialIdeal`` is the one ideal that is built: generators and, on a 2-D
-ring, an optional column array per coset.  The chain check tests points
-against Q^n, generated by the sums of n parameters (``parameter_sums``),
-and against a non-CM ring's split slot (``closures._split_slot``), which
-comes with its arrays whole; ``member`` reads them (``lattice._stair_at``).
+``MonomialIdeal`` is the one ideal that is built, from generators, for
+``nu_m_mod_q``'s test of the minimal generators of m against Q.  The chain
+check builds no ideal: it reads Q^n in the facet-form values of its
+generators, the sums of n parameters (``_power_shifts``), and a non-CM
+ring's split slots as their column arrays (``closures.SplitSlot``).
 """
 
 from __future__ import annotations
 
-import itertools
 from math import comb, prod
 
 from .errors import DimensionMismatchError, NotMPrimaryError
-from .lattice import (
-    ExponentVector,
-    _moved_corners,
-    _stair_at,
-    _stair_colength,
-    _staircase,
-    vdot,
-    vsub,
-)
+from .lattice import ExponentVector, _moved_corners, _stair_colength, _staircase, vdot, vsub
 
 
 class MonomialIdeal:
-    """The ideal of S generated by monomials ``gens``.  On a 2-D ring it has
-    a column array per coset: a split slot's, kept whole as ``stair``, or
-    one built on first use from the generators' moved Apéry corners."""
+    """The ideal of S generated by monomials ``gens``."""
 
-    def __init__(self, ring, gens, stair=None):
+    def __init__(self, ring, gens):
         self.ring = ring
         self.gens = [tuple(g) for g in gens]
-        self._eng = ring._engine if ring.kind == "grid2" else None
-        self.stair = stair
-        self._built = {}
-
-    def cols(self, key):
-        """The column array of coset ``key``."""
-        if self.stair is not None:
-            return self.stair[key]
-        if key not in self._built:
-            eng = self._eng
-            shifts = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in self.gens]
-            self._built[key] = _staircase(_moved_corners(eng, key, shifts, eng.apery))
-        return self._built[key]
 
     def member(self, v):
-        eng = self._eng
-        if eng is not None:
-            if self.stair is not None:
-                return _stair_at(eng, self.stair, vdot(eng.lam1, v), vdot(eng.lam2, v))
-            x, y = v
-            for ux, uy in self.gens:
-                dx = x - ux
-                dy = y - uy
-                if dx >= 0 and dy >= 0 and eng.member((dx, dy)):
-                    return True
-            return False
-        for u in self.gens:
-            d = vsub(v, u)
-            if all(c >= 0 for c in d) and self.ring.member(d):
-                return True
-        return False
-
-
-def parameter_sums(params, n):
-    """The sums of n parameters, the generators of Q^n; they are pairwise
-    incomparable, as the parameters lie on distinct extreme rays."""
-    return [tuple(map(sum, zip(*c))) for c in itertools.combinations_with_replacement(params, n)]
+        return any(self.ring.member(vsub(v, u)) for u in self.gens)
 
 
 class ParameterIdeal:
@@ -180,16 +135,28 @@ class ParameterIdeal:
 
 
 def _steps(q):
-    """(a, b) for a 2-D parameter ideal (u, v), u and v on g1's and g2's
-    rays: u = (a, 0) and v = (0, b) in lam values."""
-    eng = q.ring._engine
-    return tuple(max(vdot(lam, u) for u in q.ordered_generators) for lam in (eng.lam1, eng.lam2))
+    """(a_1, ..., a_d), a_i the value of the i-th facet form
+    (``cone_halfspaces``) on the parameter off facet i: in facet-form values
+    that parameter is a_i e_i.  On a 2-D ring u = (a, 0) and v = (0, b) in
+    lam values.  Kept on q."""
+    if "steps" not in q._cache:
+        q._cache["steps"] = tuple(max(vdot(lam, u) for u in q.ordered_generators)
+                                  for lam in q.ring.cone_halfspaces())
+    return q._cache["steps"]
 
 
 def _power_shifts(q, k):
-    """The lam values of i*u + (k - i)*v, i = 0..k: the shifts of Q^k."""
-    a, b = _steps(q)
-    return [(i * a, (k - i) * b) for i in range(k + 1)]
+    """The facet-form values of the sums of k parameters, the generators of
+    Q^k and its shifts: b_1 a_1 e_1 + ... + b_d a_d e_d with b_1 + ... +
+    b_d = k (``_steps``); on a 2-D ring (i*a, (k - i)*b), i = 0..k.  Kept
+    on q."""
+    if ("shifts", k) not in q._cache:
+        *head, last = _steps(q)
+        out = [((), k)]  # (values so far, parameters left)
+        for a in head:
+            out = [(l + (b * a,), left - b) for l, left in out for b in range(left + 1)]
+        q._cache["shifts", k] = [l + (left * last,) for l, left in out]
+    return q._cache["shifts", k]
 
 
 def _det(rows):

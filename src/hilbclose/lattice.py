@@ -155,6 +155,20 @@ def _stair_at(eng, stair, l1, l2):
     return t is not None and l2 // eng.D2 >= t
 
 
+def _stair_within(corners, other):
+    """Whether the grid points ``corners`` (key -> [(m1, m2)]) lie on the
+    up-set with column arrays ``other``: column m1 of a coset reads its
+    entry, the last one past the array."""
+    for key, pts in corners.items():
+        own = other[key]
+        last = len(own) - 1
+        for m1, m2 in pts:
+            t = own[m1 if m1 < last else last]
+            if t is None or t > m2:
+                return False
+    return True
+
+
 def _moved_corners(eng, key, shifts, corners):
     """The points of coset ``key`` onto which the lam values ``shifts`` move
     the corners of their source cosets, ``corners`` mapping each coset to
@@ -240,6 +254,8 @@ class _Num1:
         x = v[0]
         return x % self.step == 0 and x >= self.apery[x % self.amin]
 
+    member_at = member  # the one facet form is x itself
+
 
 class _Free3:
     """Engine for the free semigroup Z>=0^3."""
@@ -254,6 +270,8 @@ class _Free3:
 
     def member(self, v):
         return all(c >= 0 for c in v)
+
+    member_at = member  # the facet forms are the coordinates
 
 
 class _Grid2:
@@ -342,14 +360,19 @@ class _Grid2:
         return _stair_at(self, self.stair, self._l1x * x + self._l1y * y,
                          self._l2x * x + self._l2y * y)
 
+    def member_at(self, lams):
+        """``member`` of the point with facet-form values ``lams``."""
+        return _stair_at(self, self.stair, *lams)
+
     # -- the S2-ification S' (Trung and Hoa, Trans. AMS 298, 1986)
 
     @cached_property
     def s2_corners(self):
-        """The corner (c1, c2) of S' on each coset: the least column and the
-        least row that meet S, the first column of its array that holds an
-        entry and the last entry.  S' is the quadrant m >= c there."""
-        return {key: (next(m for m, t in enumerate(cols) if t is not None), cols[-1])
+        """The corner (c1, c2) of S' on each coset, as a one-point list like
+        ``apery``'s: the least column and the least row that meet S, the
+        first column of its array that holds an entry and the last entry.
+        S' is the quadrant m >= c there."""
+        return {key: [(next(m for m, t in enumerate(cols) if t is not None), cols[-1])]
                 for key, cols in self.stair.items()}
 
     @cached_property
@@ -357,7 +380,7 @@ class _Grid2:
         """The lam values of S' ∖ S: the points of each coset's quadrant below
         its staircase.  Past the stored columns S starts at row c2."""
         out = []
-        for key, (c1, c2) in self.s2_corners.items():
+        for key, [(c1, c2)] in self.s2_corners.items():
             cols = self.stair[key]
             out += [(key[0] + m1 * self.D1, key[1] + m2 * self.D2)
                     for m1 in range(c1, len(cols)) for m2 in range(c2, cols[m1])]

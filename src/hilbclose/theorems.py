@@ -15,10 +15,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .closures import lim_intersection
+from .closures import SplitSlot
 from .errors import GenerationExhaustedError, NotMPrimaryError, UnsupportedRingError
 from .hilbert import CoefficientBundle, FiltrationKind
-from .ideals import MonomialIdeal, ParameterIdeal, nu_m_mod_q, parameter_sums
+from .ideals import ParameterIdeal, _power_shifts, nu_m_mod_q
 from .lattice import AffineSemigroup, vscale
 
 CHECK_N_MAX = 8
@@ -101,16 +101,16 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
                               bundle=None):
     """Verify the inclusion sandwich, the split-count bound, and the sign chain.
 
-    Q^n, generated by the sums of n parameters, must lie in split slot n,
-    and the slot in the integral closure of Q^n; with a characteristic the
-    slot must also lie in the tight closure (Q^n)*.  The integral and tight
-    closures are their rules (``ClosureRule``): a slot lies inside when its
-    generators do.  A CM ring builds no slot, as its slot n is Q^n; a
-    non-CM ring builds it (``lim_intersection``) and tests Q^n against it
-    point by point.  The lengths must then fall along the sandwich,
-    ordinary >= split >= tight >= integral: slot n ⊆ Q^n S̄ ∩ S ⊆ the
-    integral closure, so the tight lengths that reports print are checked
-    against both neighbours.
+    Q^n, generated by the sums of n parameters, must lie in split slot n
+    (``closures.SplitSlot``), and the slot in S, in the integral closure of
+    Q^n and in slot n - 1; with a characteristic also in the tight closure
+    (Q^n)*.  No ideal is built: points are read as facet-form values, and
+    the slot lies in an ideal when its corners do, the sums of n parameters
+    on a CM ring and its arrays' staircase corners otherwise.  The closures
+    are their rules, one integer inequality each (``ClosureRule.contains``).
+    The lengths must then fall along the sandwich, ordinary >= split >=
+    tight >= integral: slot n ⊆ Q^n S̄ ∩ S ⊆ the integral closure, so the
+    tight lengths that reports print are checked against both neighbours.
     """
     bundle = _bundle(ring, q, bundle, n_max, characteristic)
     q = bundle.parameter
@@ -123,30 +123,24 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
                "ring": [tuple(g) for g in ring.generators]}
     inclusions_ok = True
     lim_nested = True
-    prev = None  # split slot n - 1, as an up-set
+    prev = None  # split slot n - 1
     for n in range(1, bundle.n_max + 1):
-        gens = parameter_sums(q.ordered_generators, n)  # Q^n
-        if ring.is_cm:
-            # Q^n is split slot n (``lim_intersection``)
-            ok, up = True, MonomialIdeal(ring, gens)
-        else:
-            up = lim_intersection(q, n + 1)
-            ok = all(up.member(g) for g in gens)
-            gens = up.gens
-        ok = ok and all(integral.member(n, g) for g in gens)
-        if tight is not None and ok and not all(tight.member(n, g) for g in gens):
+        slot = SplitSlot(q, n)
+        ok = all(map(slot.holds, _power_shifts(q, n)))  # Q^n ⊆ slot n
+        ok = ok and slot.in_ring() and integral.contains(n, slot.corners)
+        if tight is not None and ok and not tight.contains(n, slot.corners):
             ok = False
             details.setdefault("failures", []).append(
                 {"n": n, "reason": "split intersection not inside tight closure"})
         if not ok:
             inclusions_ok = False
             details.setdefault("failures", []).append({"n": n, "reason": "inclusion"})
-        if prev is not None and not all(prev.member(g) for g in gens):
+        if prev is not None and not slot.within(prev):
             # slots nest as powers and as {A + B >= k} do
             lim_nested = inclusions_ok = False
             details.setdefault("failures", []).append(
                 {"n": n, "reason": "split slots not nested"})
-        prev = up
+        prev = slot
     details["lim_chain_nested"] = lim_nested
 
     ord_rep = bundle.report(FiltrationKind.ORDINARY)

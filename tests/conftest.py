@@ -15,9 +15,16 @@ fixed index, or by a bounded search over the chain index.  Report text is
 checked against the standard library's JSON encoder.
 
 One helper is not independent: ``colength`` counts a 2-D ideal by the
-package's own columns from its generators' moved corners.  Tests use it to
-check the other counts, from the holes and in closed form, and check it
-against the box enumeration on small cases.
+package's own columns from its generators' moved corners (``cols``).
+Tests use it to check the other counts, from the holes and in closed form,
+and check it against the box enumeration on small cases.
+
+The split slots as ideals (``lim_intersection``, ``split_slot``) and the
+chain check point by point (``chain_by_points``) are the package's former
+code, which built each slot, pulled out its minimal generators and tested
+exponent vectors against the closure rules.  They are kept here as the
+reference for the chain check, which reads facet-form values and column
+arrays instead.
 """
 
 import itertools
@@ -28,8 +35,21 @@ from math import gcd
 import pytest
 
 import hilbclose
-from hilbclose.ideals import MonomialIdeal, parameter_sums
-from hilbclose.lattice import AffineSemigroup, _stair_colength, vadd, vdot, vscale, vsub
+from hilbclose import closures
+from hilbclose.hilbert import CoefficientBundle, FiltrationKind
+from hilbclose.ideals import MonomialIdeal
+from hilbclose.lattice import (
+    AffineSemigroup,
+    _moved_corners,
+    _stair_at,
+    _stair_colength,
+    _stair_corners,
+    _staircase,
+    vadd,
+    vdot,
+    vscale,
+    vsub,
+)
 
 
 def child_env():
@@ -118,9 +138,26 @@ def brute_complement(sgens, igens, box):
     return sorted(out)
 
 
+def parameter_sums(params, n):
+    """The sums of n parameters, the generators of Q^n; they are pairwise
+    incomparable, as the parameters lie on distinct extreme rays."""
+    return [tuple(map(sum, zip(*c))) for c in itertools.combinations_with_replacement(params, n)]
+
+
 def parameter_power(q, n):
     """Q^n as an ideal, generated by the sums of n parameters."""
     return MonomialIdeal(q.ring, parameter_sums(q.ordered_generators, n))
+
+
+def cols(ideal, key):
+    """The column array of coset ``key`` of a 2-D ideal: a split slot's
+    own (``split_slot``), else the staircase of the Apéry corners that its
+    generators move onto the coset."""
+    if isinstance(ideal, StairIdeal):
+        return ideal.stair[key]
+    eng = ideal.ring._engine
+    shifts = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in ideal.gens]
+    return _staircase(_moved_corners(eng, key, shifts, eng.apery))
 
 
 def complement(ideal):
@@ -136,9 +173,10 @@ def complement(ideal):
         side = max(map(max, ideal.gens))
     else:
         side = 0
-        for key, cols in eng.stair.items():
-            own = ideal.cols(key)
-            m1, m2 = max(len(cols), len(own)), max(t for t in cols + own if t is not None)
+        for key, ring_cols in eng.stair.items():
+            own = cols(ideal, key)
+            m1 = max(len(ring_cols), len(own))
+            m2 = max(t for t in ring_cols + own if t is not None)
             side = max(side, *vadd(eng.box[key], vadd(vscale(m1, eng.g1), vscale(m2, eng.g2))))
     pts = box_semigroup(ring.generators, side)
     return sorted(v for v in pts if not any(vsub(v, g) in pts for g in ideal.gens))
@@ -148,7 +186,7 @@ def colength(ideal):
     """ell(R/I) of an m-primary ideal: by columns from its column arrays on
     a 2-D ring (``lattice._stair_colength``), else by ``complement``."""
     if ideal.ring.kind == "grid2":
-        return _stair_colength(ideal.ring._engine, ideal.cols)
+        return _stair_colength(ideal.ring._engine, lambda key: cols(ideal, key))
     return len(complement(ideal))
 
 
@@ -396,6 +434,12 @@ def integral_colengths(q, n_max):
     return [sum(1 for level in levels if level < n) for n in range(1, n_max + 1)]
 
 
+def rule_member(rule, k, v):
+    """v in the k-th closure of a ``ClosureRule``: v in S, and the rule's
+    one inequality at v's facet-form values (``ClosureRule.contains``)."""
+    return rule.ring.member(v) and rule.contains(k, [[vdot(lam, v) for lam, _ in rule.forms]])
+
+
 def rule_lengths_by_line(rule, n_max):
     """The colengths of a 2-D or free-Z^3 ``ClosureRule``'s k-th closures,
     k = 1..n_max+1, one term per line and k.  Column m1 of 2-D coset
@@ -508,6 +552,94 @@ def split_meet_member(q, total, v):
     tests draw, so the oracle shares no code with the closed form."""
     return all(limit_chain_member(q.split(alpha), 48, v)
                for alpha in compositions(total, q.ring.dim))
+
+
+class StairIdeal(MonomialIdeal):
+    """A split slot as an ideal: its minimal generators and, whole, its
+    column arrays ``stair``, which ``member`` reads."""
+
+    def __init__(self, ring, gens, stair):
+        super().__init__(ring, gens)
+        self.stair = stair
+
+    def member(self, v):
+        eng = self.ring._engine
+        return _stair_at(eng, self.stair, vdot(eng.lam1, v), vdot(eng.lam2, v))
+
+
+def lim_intersection(q, total):
+    """Intersection of the limit closures of the splits Q(alpha), |alpha| = total.
+
+    In a Cohen-Macaulay ring it is the power Q^(total - d + 1): the
+    parameters form a regular sequence, so every Q(alpha)^lim is Q(alpha),
+    and flatness carries the intersection of the monomial ideals (X^alpha)
+    to that of the Q(alpha).  Otherwise the ring is a 2-D grid and the
+    intersection is Q^(total - 1) S' ∩ S (``split_slot``).
+    """
+    d = q.ring.dim
+    if total < d:
+        raise ValueError("split total must be at least the ring dimension")
+    if q.ring.is_cm:
+        return parameter_power(q, total - d + 1)
+    return split_slot(q, total - 1)
+
+
+def split_slot(q, k):
+    """Q^k S' ∩ S for a parameter ideal of a 2-D ring, from the package's
+    column arrays (``closures._slot``).  Its generators are the corners v
+    with no v - g on the arrays, g a ring generator other than g1 and g2:
+    v - g1 and v - g2 lie on v's coset below the corner."""
+    ring, eng, stair = q.ring, q.ring._engine, closures._slot(q, k)
+    (g1x, g1y), (g2x, g2y) = eng.g1, eng.g2
+    # v - g on integers: its lam values are those of v minus those of g
+    offs = [(vdot(eng.lam1, g), vdot(eng.lam2, g)) for g in ring.generators
+            if g != eng.g1 and g != eng.g2]
+    gens = []
+    for key, key_cols in stair.items():
+        rx, ry = eng.box[key]
+        for m1, m2 in _stair_corners(key_cols):
+            l1, l2 = key[0] + m1 * eng.D1, key[1] + m2 * eng.D2
+            if not any(_stair_at(eng, stair, l1 - a, l2 - b) for a, b in offs):
+                gens.append((rx + m1 * g1x + m2 * g2x, ry + m1 * g1y + m2 * g2y))
+    return StairIdeal(ring, gens, stair)
+
+
+CHAIN_REASONS = ("inclusion", "split slots not nested",
+                 "split intersection not inside tight closure")
+
+
+def chain_by_points(ring, q, n_max, characteristic=None):
+    """(inclusions_ok, lim_chain_nested, failures) of the inclusion part of
+    ``theorems.check_nonnegativity_chain``, as the package once checked
+    it: Q^n by the sums of n parameters, a non-CM ring's split slot n as an
+    ideal (``lim_intersection``) with Q^n tested against it and its
+    minimal generators tested in turn, every test on exponent vectors
+    (``rule_member`` and ``MonomialIdeal.member``)."""
+    bundle = CoefficientBundle(ring, q, n_max=n_max, characteristic=characteristic)
+    integral = bundle.filtration(FiltrationKind.INTEGRAL).rule
+    tight = bundle.filtration(FiltrationKind.TIGHT).rule if characteristic else None
+    inclusions_ok = nested = True
+    failures, prev = [], None
+    for n in range(1, n_max + 1):
+        gens = parameter_sums(q.ordered_generators, n)
+        if ring.is_cm:
+            ok, up = True, MonomialIdeal(ring, gens)
+        else:
+            up = lim_intersection(q, n + 1)
+            ok = all(up.member(g) for g in gens)
+            gens = up.gens
+        ok = ok and all(rule_member(integral, n, g) for g in gens)
+        if tight is not None and ok and not all(rule_member(tight, n, g) for g in gens):
+            ok = False
+            failures.append({"n": n, "reason": CHAIN_REASONS[2]})
+        if not ok:
+            inclusions_ok = False
+            failures.append({"n": n, "reason": CHAIN_REASONS[0]})
+        if prev is not None and not all(prev.member(g) for g in gens):
+            nested = inclusions_ok = False
+            failures.append({"n": n, "reason": CHAIN_REASONS[1]})
+        prev = up
+    return inclusions_ok, nested, failures
 
 
 def _decimal_ints(value):

@@ -13,17 +13,20 @@ from conftest import (
     integral_colengths,
     integral_oracle,
     least_conductor,
+    lim_intersection,
     limit_chain_member,
     limit_member_by_search,
     newton_polyhedron,
     parameter_power,
     rule_lengths_by_line,
+    rule_member,
     split_meet_member,
+    split_slot,
     tight_colengths,
     tight_member,
 )
 from hilbclose.cli import _builtin_examples, example_instance
-from hilbclose.closures import ClosureRule, _floor_sum, _split_slot, lim_intersection
+from hilbclose.closures import ClosureRule, _floor_sum
 from hilbclose.errors import NotMPrimaryError
 from hilbclose.hilbert import CoefficientBundle, Filtration, FiltrationKind, fit_filtration
 from hilbclose.ideals import MonomialIdeal, ParameterIdeal
@@ -50,7 +53,7 @@ class TestIntegralClosure:
 
     def test_free_adds_diagonal(self, free2):
         rule = ClosureRule(ParameterIdeal(free2, [(2, 0), (0, 2)]))
-        assert min_points(lambda v: rule.member(1, v), 4) == [(0, 2), (1, 1), (2, 0)]
+        assert min_points(lambda v: rule_member(rule, 1, v), 4) == [(0, 2), (1, 1), (2, 0)]
 
     def test_maximal_is_closed(self, free2):
         q = ParameterIdeal(free2, [(1, 0), (0, 1)])
@@ -58,11 +61,11 @@ class TestIntegralClosure:
         for k in (1, 2, 3):
             power = parameter_power(q, k)
             for v in itertools.product(range(6), repeat=2):
-                assert rule.member(k, v) == power.member(v), (k, v)
+                assert rule_member(rule, k, v) == power.member(v), (k, v)
 
     def test_remark_closure_of_q(self, remark_ring):
         rule = ClosureRule(ParameterIdeal(remark_ring, [(1, 0), (0, 2)]))
-        assert rule.member(1, (1, 1)) and rule.member(1, (0, 3))
+        assert rule_member(rule, 1, (1, 1)) and rule_member(rule, 1, (0, 3))
         assert rule.lengths(5)[0] == 1
 
     def test_oracle_brute_force_newton_points(self, remark_ring):
@@ -72,13 +75,13 @@ class TestIntegralClosure:
         poly = newton_polyhedron([(1, 0), (0, 2)], remark_ring)
         for v in itertools.product(range(9), repeat=2):
             if remark_ring.member(v):
-                assert rule.member(1, v) == poly.contains(v), v
+                assert rule_member(rule, 1, v) == poly.contains(v), v
 
     def test_free3(self, free3):
         rule = ClosureRule(ParameterIdeal(free3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]))
-        assert rule.member(1, (1, 1, 0)) and rule.member(1, (1, 0, 1))
-        assert rule.member(1, (0, 1, 1))
-        assert not rule.member(1, (1, 0, 0))
+        assert rule_member(rule, 1, (1, 1, 0)) and rule_member(rule, 1, (1, 0, 1))
+        assert rule_member(rule, 1, (0, 1, 1))
+        assert not rule_member(rule, 1, (1, 0, 0))
 
     def test_free3_not_m_primary(self, free3):
         ideal = MonomialIdeal(free3, [(1, 0, 0), (0, 1, 0)])
@@ -111,7 +114,8 @@ class TestIntegralClosurePower:
                 bracket = ClosureRule(q.split((n, n)))
                 power = integral_oracle(parameter_power(q, n))
                 for v in itertools.product(range(4 * n + 4), repeat=2):
-                    assert rule.member(n, v) == bracket.member(1, v) == power(1, v), (ring, n, v)
+                    assert (rule_member(rule, n, v) == rule_member(bracket, 1, v)
+                            == power(1, v)), (ring, n, v)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5))
@@ -122,7 +126,7 @@ class TestIntegralClosurePower:
         for n in (2, 3):
             power = integral_oracle(parameter_power(q, n))
             for v in itertools.product(range(n * max(a, b) + 2), repeat=2):
-                assert rule.member(n, v) == power(1, v), (n, v)
+                assert rule_member(rule, n, v) == power(1, v), (n, v)
 
     def test_integral_lengths_against_halfspace_count(self, cm_ring):
         # independent oracle: count box points in S (brute search) outside the
@@ -148,9 +152,9 @@ class TestIntegralClosurePower:
         pts = sorted(box_semigroup(remark_ring.generators, 7))
         for a in range(1, 4):
             for b in range(1, 4):
-                for v in (v for v in pts if rule.member(a, v)):
-                    for w in (w for w in pts if rule.member(b, w)):
-                        assert rule.member(a + b, vadd(v, w)), (a, b, v, w)
+                for v in (v for v in pts if rule_member(rule, a, v)):
+                    for w in (w for w in pts if rule_member(rule, b, w)):
+                        assert rule_member(rule, a + b, vadd(v, w)), (a, b, v, w)
 
 
 class TestLimitClosure:
@@ -180,9 +184,9 @@ class TestLimitClosure:
     def test_cm_kinds_return_q(self, free3, monkeypatch):
         # numerical semigroups and free Z^3 are Cohen-Macaulay: Q^lim is Q,
         # returned without building a split slot
-        import hilbclose.closures as closures_mod
+        import conftest
 
-        monkeypatch.setattr(closures_mod, "_split_slot", None)
+        monkeypatch.setattr(conftest, "split_slot", None)
         for q in (ParameterIdeal(AffineSemigroup(1, [(3,), (5,)]), [(6,)]),
                   ParameterIdeal(free3, [(2, 0, 0), (0, 3, 0), (0, 0, 1)])):
             assert lim_intersection(q, q.ring.dim).gens == q.base.gens
@@ -230,7 +234,7 @@ class TestLimitClosedForm:
         q = ray_parameters(ring, k1, k2, pick, swap).split(alpha)
         closed = lim_intersection(q, 2)
         # the closed form a non-CM ring takes, here on every ring
-        up = _split_slot(q, 1)
+        up = split_slot(q, 1)
         # every ideal here contains Q, so agreeing outside Q they are equal
         assert all(closed.member(g) and up.member(g) for g in q.ordered_generators)
         for v in complement(q.base):
@@ -253,7 +257,7 @@ class TestSplitClosedForm:
         q = ray_parameters(ring, k1, k2, pick, swap)
         ideal = lim_intersection(q, total)
         # the closed form a non-CM ring takes, here on every ring
-        up = _split_slot(q, total - 1)
+        up = split_slot(q, total - 1)
         # a split (u1^a1, u2^a2), a1 + a2 = total, holds Q^(total - 1) by
         # pigeonhole; so do the meet and the slot, which agree outside it
         power = parameter_power(q, total - 1)
@@ -345,7 +349,7 @@ class TestLimIntersection:
         for n in range(1, 5):
             mid = lim_intersection(q, n + d - 1)
             assert all(mid.member(g) for g in parameter_power(q, n).gens), n
-            assert all(rule.member(n, g) for g in mid.gens), n
+            assert all(rule_member(rule, n, g) for g in mid.gens), n
 
     def test_contains_total_power(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
@@ -391,7 +395,7 @@ class TestTightClosure:
         for k in (1, 2, 3):
             inside = {v for v in in_s if tight_member(q, k, v)}
             for v in itertools.product(range(box + 1), repeat=2):
-                assert rule.member(k, v) == (v in inside), (k, v)
+                assert rule_member(rule, k, v) == (v in inside), (k, v)
             assert lengths[k - 1] == len(in_s - inside), k
 
     @settings(max_examples=60, deadline=None)
@@ -405,7 +409,7 @@ class TestTightClosure:
         # a minimal point is a point of the complement plus a generator
         box = 3 * max(vadd(*q.ordered_generators)) + max(map(max, ring.generators))
         for k in (1, 2, 3):
-            gens = min_points(lambda v: rule.member(k, v), box, ring.generators)
+            gens = min_points(lambda v: rule_member(rule, k, v), box, ring.generators)
             assert gens, k
             for s in gens:
                 for p in (2, 3):
@@ -419,7 +423,7 @@ class TestTightClosure:
             assert rule.lengths(2) == [len(complement(p)) for p in powers], q
             for k, power in enumerate(powers, 1):
                 for v in itertools.product(range(8), repeat=q.ring.dim):
-                    assert rule.member(k, v) == power.member(v), (q, k, v)
+                    assert rule_member(rule, k, v) == power.member(v), (q, k, v)
 
     @pytest.mark.parametrize("sgens,u", [([(3,), (5,), (7,)], 6), ([(4,), (6,), (9,)], 4)])
     def test_numerical_semigroup(self, sgens, u):
@@ -430,7 +434,7 @@ class TestTightClosure:
         top = max(g[0] for g in ring.generators)
         for k in (1, 2, 3):
             for x in range(k * u + 2 * top):
-                assert rule.member(k, (x,)) == (ring.member((x,)) and x >= k * u), (k, x)
+                assert rule_member(rule, k, (x,)) == (ring.member((x,)) and x >= k * u), (k, x)
 
     def test_remark_is_qbar(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
@@ -438,8 +442,8 @@ class TestTightClosure:
         closure = integral_oracle(q.base)
         box = list(itertools.product(range(8), repeat=2))
         for v in box:
-            assert rule.member(1, v) == closure(1, v), v
-        assert [v for v in box if remark_ring.member(v) and not rule.member(1, v)] == [(0, 0)]
+            assert rule_member(rule, 1, v) == closure(1, v), v
+        assert [v for v in box if remark_ring.member(v) and not rule_member(rule, 1, v)] == [(0, 0)]
         assert rule.lengths(0) == [1]
 
     def test_requires_parameter_ideal(self, free2):
@@ -497,8 +501,8 @@ class TestClosureRule:
         assert tight.lengths(3) == tight_colengths(q, 4)
         for k in (1, 2, 3, 4):
             for v in itertools.product(range(box + 1), repeat=2):
-                assert integral.member(k, v) == closure(k, v), (k, v)
-                assert tight.member(k, v) == tight_member(q, k, v), (k, v)
+                assert rule_member(integral, k, v) == closure(k, v), (k, v)
+                assert rule_member(tight, k, v) == tight_member(q, k, v), (k, v)
 
     def test_requires_parameter_ideal(self, free2):
         with pytest.raises(NotMPrimaryError):

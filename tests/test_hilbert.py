@@ -13,10 +13,12 @@ from conftest import (
     complement,
     compositions,
     finite_gaps,
+    lim_intersection,
     parameter_power,
+    parameter_sums,
+    rule_member,
 )
 from hilbclose.cli import example_instance
-from hilbclose.closures import lim_intersection
 from hilbclose.errors import NotMPrimaryError, NotStabilizedError, UncertifiedError
 from hilbclose.hilbert import (
     DEFAULT_WINDOW,
@@ -27,7 +29,7 @@ from hilbclose.hilbert import (
     fit_polynomial,
     length_sequence,
 )
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal, parameter_sums
+from hilbclose.ideals import MonomialIdeal, ParameterIdeal
 from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale
 from hilbclose.theorems import fuzz_corpus
 from test_closures import ray_parameters
@@ -137,7 +139,7 @@ class TestLengthSequence:
         q = ParameterIdeal(free2, [(2, 0), (0, 3)])
         for kind in FiltrationKind:
             assert not hasattr(Filtration(kind, q), "member"), kind
-        assert Filtration(FiltrationKind.INTEGRAL, q).rule.member(2, (2, 3))
+        assert rule_member(Filtration(FiltrationKind.INTEGRAL, q).rule, 2, (2, 3))
 
     @pytest.mark.parametrize("kind", list(FiltrationKind))
     def test_needs_parameter_ideal(self, kind, free2):
@@ -323,8 +325,8 @@ class TestNonCMCounts:
         # coset (0, 1) has the corner (0, 0), which is the one hole (0, 1)
         eng = remark_ring._engine
         corners = dict(eng.s2_corners)
-        assert corners[0, 1] == (0, 0)
-        corners[0, 1] = shift
+        assert corners[0, 1] == [(0, 0)]
+        corners[0, 1] = [shift]
         monkeypatch.setattr(eng, "s2_corners", corners)
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
         with pytest.raises(UncertifiedError):

@@ -11,19 +11,24 @@ from conftest import (
     brute_ideal_member,
     brute_member,
     brute_searcher,
+    cols,
     colength,
     complement,
     grid_first,
+    lim_intersection,
     limit_chain_member,
     line_first,
     parameter_power,
+    parameter_sums,
+    rule_member,
     split_meet_member,
+    split_slot,
     stabilization,
     tight_member,
 )
-from hilbclose.closures import ClosureRule, _split_slot, lim_intersection
+from hilbclose.closures import ClosureRule
 from hilbclose.errors import NotMPrimaryError, UnsupportedRingError
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal, nu_m_mod_q, parameter_sums
+from hilbclose.ideals import MonomialIdeal, ParameterIdeal, nu_m_mod_q
 from hilbclose.hilbert import Filtration, FiltrationKind, length_sequence
 from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale, vsub
 
@@ -239,8 +244,8 @@ class TestStaircaseSweep:
                 for f in range(stable, stable + 6):
                     assert grid_first(eng, key, axis, f) == consts[key]
                 count = stable + 6
-                cols = ideal.cols(key)
-                got = [line_first(cols, axis, m) for m in range(count)]
+                key_cols = cols(ideal, key)
+                got = [line_first(key_cols, axis, m) for m in range(count)]
                 for m in range(count):
                     v0 = vadd(eng.box[key], vscale(m, gfix))
                     firsts = [_first_shift(eng, vsub(v0, u), axis) for u in gens]
@@ -268,7 +273,7 @@ class TestProfiles:
         q = ParameterIdeal(ring, [vscale(k1, eng.g1), vscale(k2, eng.g2)])
         in_s = brute_searcher(sgens)
         upsets = [(MonomialIdeal(ring, gens), lambda v: any(in_s(vsub(v, g)) for g in gens))] + [
-            (_split_slot(q, k), lambda v, k=k: split_meet_member(q, k + 1, v))
+            (split_slot(q, k), lambda v, k=k: split_meet_member(q, k + 1, v))
             for k in (1, 2, 3)]
         hi = 12 * (k1 + k2 + 4)
         for axis in (0, 1):
@@ -276,13 +281,13 @@ class TestProfiles:
             count = stabilization(eng, axis)[0] + 4
             for key in sorted(eng.box):
                 for upset, member in upsets:
-                    cols = upset.cols(key)
-                    prof = [line_first(cols, axis, m) for m in range(count)]
+                    key_cols = cols(upset, key)
+                    prof = [line_first(key_cols, axis, m) for m in range(count)]
                     for m in range(count):
                         v0 = vadd(eng.box[key], vscale(m, gfix))
                         first = next((t for t in range(hi)
                                       if member(vadd(v0, vscale(t, gax)))), None)
-                        assert prof[m] == first, (upset.stair is not None, key, axis, m)
+                        assert prof[m] == first, (upset, key, axis, m)
 
 
 class TestStoredStaircase:
@@ -298,19 +303,19 @@ class TestStoredStaircase:
         powers = [vscale(k1, eng.g1), vscale(k2, eng.g2)]
         q = ParameterIdeal(ring, powers[::-1] if swap else powers)
         for k in (1, 2, 3):
-            slot = _split_slot(q, k)
+            slot = split_slot(q, k)
             stair = slot.stair
             assert sorted(stair) == sorted(eng.box), k
             gens = slot.gens
             for key in sorted(eng.box):
-                cols = stair[key]
+                key_cols = stair[key]
                 # past the last column and the first entry every line is level
-                span = max(len(cols), max(t for t in cols if t is not None) + 1) + 3
+                span = max(len(key_cols), max(t for t in key_cols if t is not None) + 1) + 3
                 for m1 in range(-1, span):
                     for m2 in range(-1, span):
                         v = vadd(eng.box[key], vadd(vscale(m1, eng.g1), vscale(m2, eng.g2)))
                         assert slot.member(v) == split_meet_member(q, k + 1, v), (k, v)
-                assert cols == MonomialIdeal(ring, gens).cols(key), (k, key)
+                assert key_cols == cols(MonomialIdeal(ring, gens), key), (k, key)
             assert colength(slot) == len(complement(slot)), k
 
 
@@ -347,7 +352,7 @@ class TestExtractionOracle:
     def test_colon_extraction(self, remark_ring, cm_ring):
         # Q^lim is the colon (u1^(t+1), u2^(t+1)) : (u1 u2)^t for large t
         for q in self.parameters(remark_ring, cm_ring):
-            closed = _split_slot(q, 1)
+            closed = split_slot(q, 1)
             expected = self.brute_min_gens(q.ring, lambda v: limit_chain_member(q, 48, v), 14)
             assert gens_of(closed) == expected, q
 
@@ -355,7 +360,7 @@ class TestExtractionOracle:
         # split slot k, the intersection of the splits' limit closures
         for q in self.parameters(remark_ring, cm_ring):
             for k in (2, 3):
-                met = _split_slot(q, k)
+                met = split_slot(q, k)
                 expected = self.brute_min_gens(
                     q.ring, lambda v: split_meet_member(q, k + 1, v), 14)
                 assert gens_of(met) == expected, (q, k)
@@ -369,7 +374,7 @@ class TestExtractionOracle:
         for q in self.parameters(remark_ring, cm_ring):
             rule = ClosureRule(q, tight=True)
             for k in (1, 2, 3):
-                got = self.brute_min_gens(q.ring, lambda v: rule.member(k, v), 14)
+                got = self.brute_min_gens(q.ring, lambda v: rule_member(rule, k, v), 14)
                 expected = self.brute_min_gens(q.ring, lambda v: tight_member(q, k, v), 14)
                 assert got == expected, (q, k)
 

@@ -2,14 +2,16 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import complement, tight_member
+from conftest import CHAIN_REASONS, chain_by_points, complement, lim_intersection, tight_member
 from hilbclose import closures, hilbert, theorems
-from hilbclose.closures import ClosureRule, lim_intersection
+from hilbclose.closures import ClosureRule
 from hilbclose.errors import GenerationExhaustedError, UnsupportedRingError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind, coefficient_report
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal
-from hilbclose.lattice import AffineSemigroup, vscale
+from hilbclose.ideals import MonomialIdeal, ParameterIdeal, _steps
+from hilbclose.lattice import AffineSemigroup, _stair_corners, _staircase, vdot, vscale
 from hilbclose.theorems import (
     CHECK_N_MAX,
     check_e1_zero_implies_cm,
@@ -19,6 +21,23 @@ from hilbclose.theorems import (
     ring_profile,
     verify_instances,
 )
+from test_closures import CORPUS_RINGS, ray_parameters
+from test_ideals import sweep_rings
+
+
+def mutate_slot(monkeypatch, n, change):
+    """Pass the corners of split slot n's column array on each coset through
+    ``change(q, key, corners)`` whenever the slot is built."""
+    real = closures._slot_stair
+
+    def mutated(q, k):
+        stair = real(q, k)
+        if k == n:
+            stair = {key: _staircase(change(q, key, _stair_corners(cols)))
+                     for key, cols in stair.items()}
+        return stair
+
+    monkeypatch.setattr(closures, "_slot_stair", mutated)
 
 
 class TestRingProfile:
@@ -87,19 +106,18 @@ class TestChain:
         assert verdict.passed
 
     def test_unnested_split_slots_fail(self, monkeypatch):
-        # slot 3 gains (4, 1), which lies in the integral closure of Q^3 but
-        # not in slot 2; every inclusion and length rise still holds.  The
-        # ring (fz42-032) is not CM: a CM ring's slot n is Q^n, which the
-        # chain reads off the parameters without asking for the slot
+        # slot 3 gains the corner (4, 1), which lies in the integral closure
+        # of Q^3 but not in slot 2; every inclusion and length rise still
+        # holds.  The ring (fz42-032) is not CM: a CM ring's slot n is Q^n,
+        # which the chain reads off the parameters with no arrays built
         ring = AffineSemigroup(2, [(0, 4), (0, 6), (1, 0), (4, 1), (4, 6)])
         q = ParameterIdeal(ring, [(1, 0), (0, 4)])
         assert not ring.is_cm
-        def split(q, total):
-            if total == 4:
-                return MonomialIdeal(ring, lim_intersection(q, total).gens + [(4, 1)])
-            return lim_intersection(q, total)
-
-        monkeypatch.setattr(theorems, "lim_intersection", split)
+        eng = ring._engine
+        l1, l2 = vdot(eng.lam1, (4, 1)), vdot(eng.lam2, (4, 1))
+        gained = (l1 // eng.D1, l2 // eng.D2)
+        mutate_slot(monkeypatch, 3, lambda q, key, corners: corners + [gained]
+                    if key == (l1 % eng.D1, l2 % eng.D2) else corners)
         verdict = check_nonnegativity_chain(ring, q, n_max=6)
         assert not verdict.inclusions_ok and not verdict.passed
         assert verdict.details["lim_chain_nested"] is False
@@ -107,7 +125,8 @@ class TestChain:
 
     def test_cm_ring_builds_no_power(self, monkeypatch):
         # slot n of a CM ring is Q^n: its generators, the sums of n
-        # parameters, are tested as points
+        # parameters, are read as facet-form values, with no ideal or slot
+        # array built and no exponent vector tested
         ring = AffineSemigroup(2, [(1, 0), (2, 1), (0, 3), (1, 3)])
         q = ParameterIdeal(ring, [(1, 0), (0, 3)])
         assert ring.is_cm
@@ -115,10 +134,37 @@ class TestChain:
         def refuse(*args):
             raise AssertionError("power or split slot built on a CM ring")
 
-        monkeypatch.setattr(closures, "MonomialIdeal", refuse)
-        monkeypatch.setattr(theorems, "lim_intersection", refuse)
+        monkeypatch.setattr(MonomialIdeal, "__init__", refuse)
+        monkeypatch.setattr(closures, "_slot_stair", refuse)
         verdict = check_nonnegativity_chain(ring, q, n_max=6, characteristic=2)
         assert verdict.passed and verdict.details["lim_chain_nested"] is True
+
+    def test_verify_path_reads_slot_arrays(self, monkeypatch):
+        # fz42-003, the one non-CM ring of the first 25 corpus instances:
+        # verify builds no ideal, and builds each slot's arrays once, slot 1
+        # and slot n_max + 1 for the split certificate too.  The point-by-
+        # point code lives on only in the tests (conftest.chain_by_points)
+        inst = fuzz_corpus(42, 4, max_coord=6)[3]
+        assert inst.instance_id == "fz42-003" and not inst.ring.is_cm
+        for owner, name in ((closures, "lim_intersection"), (closures, "_split_slot"),
+                            (ClosureRule, "member")):
+            assert not hasattr(owner, name), name
+
+        def refuse(*args):
+            raise AssertionError("ideal built or point tested on the verify path")
+
+        monkeypatch.setattr(MonomialIdeal, "__init__", refuse)
+        monkeypatch.setattr(MonomialIdeal, "member", refuse)
+        builds, real = Counter(), closures._slot_stair
+
+        def counted(q, k):
+            builds[k] += 1
+            return real(q, k)
+
+        monkeypatch.setattr(closures, "_slot_stair", counted)
+        summary = verify_instances([inst], n_max=CHECK_N_MAX)
+        assert summary.results[0]["chain"].inclusions_ok
+        assert builds == Counter(range(1, CHECK_N_MAX + 2))
 
     def test_tight_lengths_below_integral_fail(self, remark_ring, monkeypatch):
         # slot n ⊆ (Q^n)* ⊆ the integral closure of Q^n, so a tight length
@@ -136,6 +182,93 @@ class TestChain:
         assert verdict.details["failures"] == [
             {"n": n, "reason": "length comparison"} for n in range(7)]
         assert check_nonnegativity_chain(remark_ring, q, n_max=6).passed
+
+
+class TestChainByPoints:
+    """The chain check on facet-form values and slot arrays against the
+    point-by-point check it replaced (``conftest.chain_by_points``): the
+    same inclusions_ok, lim_chain_nested and failures, with and without a
+    characteristic."""
+
+    @staticmethod
+    def assert_same(ring, q, n_max=6):
+        failures = []
+        for char in (None, 2):
+            verdict = check_nonnegativity_chain(ring, q, n_max=n_max, characteristic=char)
+            got = [f for f in verdict.details.get("failures", ())
+                   if f["reason"] in CHAIN_REASONS]
+            assert (verdict.inclusions_ok, verdict.details["lim_chain_nested"], got) == \
+                chain_by_points(ring, q, n_max, char), char
+            failures.append(got)
+        return failures
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(sweep_rings, st.sampled_from(CORPUS_RINGS)),
+           st.integers(1, 3), st.integers(1, 3), st.integers(0, 5), st.booleans())
+    def test_ray_parameters(self, sgens, k1, k2, pick, swap):
+        # parameters on each ray, not always multiples of g1 or g2
+        ring = AffineSemigroup(2, sgens)
+        assert self.assert_same(ring, ray_parameters(ring, k1, k2, pick, swap)) == [[], []]
+
+    @pytest.mark.parametrize("dim,sgens,qgens", [
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(2, 0, 0), (0, 1, 0), (0, 0, 3)]),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 3), (2, 0, 0), (0, 1, 0)]),
+        (1, [(3,), (5,), (7,)], [(6,)]),
+        (1, [(3,), (5,), (7,)], [(5,)]),
+    ], ids=["free3", "free3-reordered", "num-3-5-7", "num-3-5-7-x5"])
+    def test_cm_kinds(self, dim, sgens, qgens):
+        ring = AffineSemigroup(dim, sgens)
+        assert self.assert_same(ring, ParameterIdeal(ring, qgens)) == [[], []]
+
+    NON_CM = [(AffineSemigroup(2, [(1, 0), (1, 1), (0, 2), (0, 3)]), [(1, 0), (0, 2)])] + [
+        (i.ring, i.parameter.ordered_generators)
+        for i in fuzz_corpus(42, 40, max_coord=6) if not i.ring.is_cm]
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("case", range(3))
+    def test_gained_corner(self, monkeypatch, case, n):
+        # slot n gains a corner below the first one of each coset in turn:
+        # outside S, the integral closure or slot n - 1, and failing at n
+        ring, gens = self.NON_CM[case]
+        target = []
+
+        def change(q, key, corners):
+            (m1, m2), *_ = corners
+            return corners + [(m1, m2 - 1)] if key in target and m2 else corners
+
+        mutate_slot(monkeypatch, n, change)
+        for key in sorted(ring._engine.stair):
+            target[:] = [key]
+            failures = self.assert_same(ring, ParameterIdeal(ring, gens))
+            assert all(f["n"] == n for got in failures for f in got), key
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("case", range(3))
+    def test_lost_corner(self, monkeypatch, case, n):
+        # slot n loses the corner n*u, on row 0 of its coset: Q^n leaves it
+        ring, gens = self.NON_CM[case]
+        eng = ring._engine
+
+        def change(q, key, corners):
+            a = _steps(q)[0]
+            return corners[:-1] if key == (n * a % eng.D1, 0) else corners
+
+        mutate_slot(monkeypatch, n, change)
+        failures = self.assert_same(ring, ParameterIdeal(ring, gens))
+        assert all(got[0] == {"n": n, "reason": "inclusion"} for got in failures)
+
+    def test_lost_corner_only_arrays_see(self, monkeypatch):
+        # fz42-032: slot 2 loses the first corner of coset (0, 1), and is no
+        # longer an ideal.  Slot 3 has a corner there outside it, which is
+        # no minimal generator: the check by points passes, and the check
+        # on the arrays, which tests every corner, fails at n = 3
+        ring = AffineSemigroup(2, [(0, 4), (0, 6), (1, 0), (4, 1), (4, 6)])
+        q = ParameterIdeal(ring, [(1, 0), (0, 4)])
+        mutate_slot(monkeypatch, 2, lambda q, key, corners: corners[1:] if key == (0, 1)
+                    else corners)
+        assert chain_by_points(ring, q, 6) == (True, True, [])
+        verdict = check_nonnegativity_chain(ring, q, n_max=6)
+        assert verdict.details["failures"] == [{"n": 3, "reason": "split slots not nested"}]
 
 
 class TestClaimBound:

@@ -30,9 +30,8 @@ violation, so paths taken only on a violation show up here and stay: for
 one, ``formats.reproducer_record``, which writes a violation's reproducer.
 The same goes for error paths, dunder methods that only tests call, and
 library functions kept for callers outside the CLI: ``ParameterIdeal.split``
-is the paper's Q(alpha), and ``MonomialIdeal.cols`` builds the column
-arrays of an ideal given by generators, which the tests count against a
-box enumeration.
+is the paper's Q(alpha).  Code that only tests call lives in
+``tests/conftest.py``, as the oracles do.
 
 It takes 10-15 s on a 2-core machine, so the test suite does not run
 it.  Stdlib only.
