@@ -392,6 +392,41 @@ class TestFuzz:
         assert code == 1
 
 
+class TestInputErrors:
+    """The bounds on the options, checked before any file is read: exit 1,
+    nothing on stdout, and one exact line on stderr."""
+
+    @staticmethod
+    def command(tmp_path, name):
+        if name == "analyze":
+            return ["analyze", "--ring", write(tmp_path, "ring.json", REMARK_RING),
+                    "--ideal", write(tmp_path, "q.json", REMARK_Q)]
+        if name == "verify":
+            corpus = {"instances": [{"id": "remark", "ring": REMARK_RING, "ideal": REMARK_Q}]}
+            return ["verify", "--corpus", write(tmp_path, "corpus.json", corpus)]
+        return ["fuzz", "--seed", "42", "--count", "2"]
+
+    @pytest.mark.parametrize("name", ["analyze", "verify", "fuzz"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--n-max", "4", "n-max must be at least 5"),
+        ("--char", "4", "characteristic must be prime"),
+        ("--char", "1", "characteristic must be prime"),
+    ])
+    def test_bounds(self, tmp_path, capsys, name, flag, value, message):
+        code = main(self.command(tmp_path, name) + [flag, value])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", "input error: %s\n" % message)
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--count", "-1", "count must be at least 0"),
+        ("--max-coord", "0", "max-coord must be at least 1"),
+    ])
+    def test_fuzz_sizes(self, capsys, flag, value, message):
+        code = main(["fuzz", "--seed", "42", "--count", "2", flag, value])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", "input error: %s\n" % message)
+
+
 class TestExample:
     @pytest.mark.parametrize("name", ["remark-s2", "free-x2y3", "free-maximal"])
     def test_builtin(self, name, capsys):

@@ -398,7 +398,44 @@ class TestFuzzCorpus:
             fuzz_corpus(1, 1, dim=3)
 
 
+def one_path_instance(name):
+    """An instance of each ring kind the checks read: numerical, free Z^3,
+    non-CM (the remark ring) and a non-CM corpus ring."""
+    from hilbclose.theorems import Instance
+
+    if name == "fz42-003":
+        return fuzz_corpus(42, 4, max_coord=6)[3]
+    sgens, qgens = {
+        "num-3-5-7-x5": ([(3,), (5,), (7,)], [(5,)]),
+        "free3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(2, 0, 0), (0, 1, 0), (0, 0, 3)]),
+        "remark": ([(1, 0), (1, 1), (0, 2), (0, 3)], [(1, 0), (0, 2)]),
+    }[name]
+    ring = AffineSemigroup(len(qgens), sgens)
+    return Instance(name, ring, ParameterIdeal(ring, qgens))
+
+
 class TestVerifyInstances:
+    @pytest.mark.parametrize("characteristic", [None, 2])
+    @pytest.mark.parametrize("name", ["num-3-5-7-x5", "free3", "remark", "fz42-003"])
+    def test_checks_read_the_bundle_alone(self, name, characteristic):
+        # each check is a function of the bundle: on a fresh bundle of the
+        # same run parameters it gives verify_instances' verdicts
+        inst = one_path_instance(name)
+        result, = verify_instances([inst], n_max=CHECK_N_MAX,
+                                   characteristic=characteristic).results
+        bundle = CoefficientBundle(inst.ring, inst.parameter, n_max=CHECK_N_MAX,
+                                   characteristic=characteristic)
+        chain = check_nonnegativity_chain(inst.ring, inst.parameter, instance_id=name,
+                                          bundle=bundle)
+        got = result["chain"]
+        assert (got.instance_id, got.inclusions_ok, got.claim_bound_ok,
+                got.coefficient_chain_ok, got.details) == \
+            (chain.instance_id, chain.inclusions_ok, chain.claim_bound_ok,
+             chain.coefficient_chain_ok, chain.details)
+        assert result["vanishing"] == check_vanishing(inst.ring, inst.parameter, bundle=bundle)
+        assert result["e1_zero_cm"] == check_e1_zero_implies_cm(
+            inst.ring, inst.parameter, bundle=bundle)
+
     def test_small_corpus_clean(self):
         corpus = fuzz_corpus(11, 6, max_coord=4)
         summary = verify_instances(corpus, n_max=6)
