@@ -19,11 +19,7 @@ from .hilbert import (
     fit_polynomial,
     length_sequence,
 )
-from .ideals import (
-    MonomialIdeal,
-    ParameterIdeal,
-    nu_m_mod_q,
-)
+from .ideals import ParameterIdeal, nu_m_mod_q
 from .lattice import AffineSemigroup, ExponentVector
 from .theorems import (
     ChainVerdict,

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from math import comb
 
 from . import formats
@@ -31,34 +30,6 @@ EXIT_INTERNAL = 4
 REPORT_FORMATS = ("json", "csv", "table")
 CHAR_HELP = ("a prime p: adds the tight filtration (Q^n)* = Q^n S̄ ∩ S, S̄ the "
              "normalization, the same for every p")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    ring_path: str | None = None
-    ideal_path: str | None = None
-    corpus_path: str | None = None
-    n_max: int = 10
-    characteristic: int | None = None
-    seed: int = 0
-    count: int = 0
-    max_coord: int = 6
-    report: str = "json"
-    out: str | None = None
-    example_name: str | None = None
-
-    def __post_init__(self):
-        if self.n_max < 5:
-            raise ValueError("n-max must be at least 5")
-        if self.count < 0:
-            raise ValueError("count must be at least 0")
-        if self.max_coord < 1:
-            raise ValueError("max-coord must be at least 1")
-        if self.characteristic is not None and not _is_prime(self.characteristic):
-            raise ValueError("characteristic must be prime")
-        if self.report not in REPORT_FORMATS:
-            raise ValueError("report format must be one of %s" % (REPORT_FORMATS,))
 
 
 def _emit(text, out_path):
@@ -81,50 +52,64 @@ def _load_json(path, what):
             % (what, path, exc.lineno, exc.colno, exc.msg))
 
 
+def _check_args(args):
+    """The bounds on the options, checked before any file is read; the
+    n_max bound is the 2-D one, as no ring is known yet (``_check_n_max``)."""
+    if args.command == "example":
+        return
+    if args.n_max < 5:
+        raise ValueError("n-max must be at least 5")
+    if args.command == "fuzz":
+        if args.count < 0:
+            raise ValueError("count must be at least 0")
+        if args.max_coord < 1:
+            raise ValueError("max-coord must be at least 1")
+    if args.char is not None and not _is_prime(args.char):
+        raise ValueError("characteristic must be prime")
+
+
 def _check_n_max(n_max, rings):
-    """Length fits need n_max >= dim + 3; RunConfig checks n_max before the
-    rings are read, so only the 2-D bound."""
+    """Length fits need n_max >= dim + 3; ``_check_args`` checks n_max
+    before the rings are read, so only the 2-D bound."""
     dim = max((ring.dim for ring in rings), default=0)
     if n_max < dim + 3:
         raise ValueError("n-max must be at least %d for a %d-dimensional ring"
                          % (dim + 3, dim))
 
 
-def run_analyze(config):
+def run_analyze(args):
     try:
-        ring = formats.ring_from_record(_load_json(config.ring_path, "ring"))
-        record = _load_json(config.ideal_path, "ideal")
+        ring = formats.ring_from_record(_load_json(args.ring, "ring"))
+        record = _load_json(args.ideal, "ideal")
         gens, _ = formats.ideal_from_record(record, ring)
         q = ParameterIdeal(ring, gens)
-        _check_n_max(config.n_max, [ring])
+        _check_n_max(args.n_max, [ring])
     except (HilbcloseError, ValueError) as exc:
         sys.stderr.write("input error [%s]: %s\n"
                          % (getattr(exc, "code", "INVALID"), exc))
         return EXIT_INPUT
-    bundle = coefficient_report(ring, q, n_max=config.n_max,
-                                characteristic=config.characteristic)
+    bundle = coefficient_report(ring, q, n_max=args.n_max, characteristic=args.char)
     report = formats.bundle_to_report(bundle, ring, record)
     if ring.is_free and ring.dim <= 2:
         # Q is (x^a) or (x^a, y^b) there, whose Newton-polyhedron volume is e(Q)
         report["multiplicity_volume"] = q.multiplicity()
-    if config.report == "json":
-        _emit(formats.dumps_report(report), config.out)
-    elif config.report == "csv":
-        _emit(formats.bundle_to_csv(bundle), config.out)
+    if args.report == "json":
+        _emit(formats.dumps_report(report), args.out)
+    elif args.report == "csv":
+        _emit(formats.bundle_to_csv(bundle), args.out)
     else:
-        _emit(formats.bundle_to_table(bundle), config.out)
+        _emit(formats.bundle_to_table(bundle), args.out)
     partial = any(rep.status != "ok" for rep in bundle.reports.values())
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
-def _run_verification(config, instances, params, command):
-    summary = verify_instances(instances, n_max=config.n_max,
-                               characteristic=config.characteristic)
-    report = formats.summary_to_report(summary, command, params)
-    _emit(formats.dumps_report(report), config.out)
+def _run_verification(args, instances, params):
+    summary = verify_instances(instances, n_max=args.n_max, characteristic=args.char)
+    report = formats.summary_to_report(summary, args.command, params)
+    _emit(formats.dumps_report(report), args.out)
     if summary.violations:
         repro = formats.reproducer_record(summary.violations[0])
-        path = (config.out or "violation") + ".reproducer.json"
+        path = (args.out or "violation") + ".reproducer.json"
         with open(path, "w") as fh:
             json.dump(repro, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -137,28 +122,26 @@ def _run_verification(config, instances, params, command):
     return EXIT_OK
 
 
-def run_verify(config):
+def run_verify(args):
     try:
-        instances = formats.corpus_from_record(_load_json(config.corpus_path, "corpus"))
-        _check_n_max(config.n_max, [inst.ring for inst in instances])
+        instances = formats.corpus_from_record(_load_json(args.corpus, "corpus"))
+        _check_n_max(args.n_max, [inst.ring for inst in instances])
     except (HilbcloseError, ValueError) as exc:
         sys.stderr.write("input error [%s]: %s\n"
                          % (getattr(exc, "code", "INVALID"), exc))
         return EXIT_INPUT
     # the file name alone, so the report does not depend on how the path is spelt
-    return _run_verification(config, instances,
-                             {"corpus": os.path.basename(config.corpus_path)}, "verify")
+    return _run_verification(args, instances, {"corpus": os.path.basename(args.corpus)})
 
 
-def run_fuzz(config):
+def run_fuzz(args):
     try:
-        instances = fuzz_corpus(config.seed, config.count, max_coord=config.max_coord)
+        instances = fuzz_corpus(args.seed, args.count, max_coord=args.max_coord)
     except HilbcloseError as exc:
         sys.stderr.write("input error [%s]: %s\n" % (exc.code, exc))
         return EXIT_INPUT
-    params = {"seed": config.seed, "count": config.count,
-              "max_coord": config.max_coord}
-    return _run_verification(config, instances, params, "fuzz")
+    params = {"seed": args.seed, "count": args.count, "max_coord": args.max_coord}
+    return _run_verification(args, instances, params)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +198,9 @@ def example_instance(name):
     return ring, ParameterIdeal(ring, gens)
 
 
-def run_example(config):
+def run_example(args):
     examples = _builtin_examples()
-    name = config.example_name
+    name = args.name
     if name not in examples:
         sys.stderr.write("unknown example %r; available: %s\n"
                          % (name, ", ".join(sorted(examples))))
@@ -240,7 +223,7 @@ def run_example(config):
         all_ok = all_ok and ok
         lines.append("%-24s %-8s expected=%r got=%r"
                      % (key, "ok" if ok else "MISMATCH", ex["expect"][key], got[key]))
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all_ok else EXIT_VIOLATION
 
 
@@ -282,34 +265,18 @@ def build_parser():
     return parser
 
 
-def config_from_args(args):
-    kwargs = {"command": args.command}
-    if args.command == "analyze":
-        kwargs.update(ring_path=args.ring, ideal_path=args.ideal, n_max=args.n_max,
-                      characteristic=args.char, report=args.report, out=args.out)
-    elif args.command == "verify":
-        kwargs.update(corpus_path=args.corpus, n_max=args.n_max,
-                      characteristic=args.char, out=args.out)
-    elif args.command == "fuzz":
-        kwargs.update(seed=args.seed, count=args.count, max_coord=args.max_coord,
-                      n_max=args.n_max, characteristic=args.char, out=args.out)
-    else:
-        kwargs.update(example_name=args.name, out=args.out)
-    return RunConfig(**kwargs)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
+        _check_args(args)
     except ValueError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
     runner = {"analyze": run_analyze, "verify": run_verify,
-              "fuzz": run_fuzz, "example": run_example}[config.command]
+              "fuzz": run_fuzz, "example": run_example}[args.command]
     try:
-        return runner(config)
+        return runner(args)
     except UncertifiedError as exc:
         # a certificate the theory guarantees did not hold: a bug, not bad input
         sys.stderr.write("internal error [%s]: %s\n" % (exc.code, exc))

@@ -118,7 +118,7 @@ def _forward_diffs(seq, order):
     return cur
 
 
-def fit_polynomial(lengths, d, window=DEFAULT_WINDOW):
+def fit_polynomial(lengths, d):
     """Exact (e_0, ..., e_d) and the earliest index the polynomial matches from.
 
     The coefficients are peeled off the last d + 1 lengths: e_i is, up to
@@ -127,13 +127,13 @@ def fit_polynomial(lengths, d, window=DEFAULT_WINDOW):
     on those d + 1, so they vanish from m on exactly when the d-th
     differences equal the last one, e_0, from m on: the earliest index is
     the least such m.  Raises NotStabilizedError when the d-th differences
-    have no constant trailing window.
+    have no constant trailing window of ``DEFAULT_WINDOW`` values.
     """
     lengths = list(lengths)
-    if len(lengths) < d + 1 + window:
+    if len(lengths) < d + 1 + DEFAULT_WINDOW:
         raise ValueError("need at least d + 1 + window length values")
     diffs = _forward_diffs(lengths, d)
-    tail = diffs[-window:]
+    tail = diffs[-DEFAULT_WINDOW:]
     if any(t != tail[0] for t in tail):
         raise NotStabilizedError("no constant window of degree-%d differences" % d)
     base = len(lengths) - (d + 1)
@@ -148,7 +148,7 @@ def fit_polynomial(lengths, d, window=DEFAULT_WINDOW):
     n0 = len(diffs) - 1
     while n0 and diffs[n0 - 1] == diffs[-1]:
         n0 -= 1
-    if n0 > len(lengths) - 1 - window:
+    if n0 > len(lengths) - 1 - DEFAULT_WINDOW:
         raise NotStabilizedError("trailing window matches no single polynomial")
     return coeffs, n0
 
@@ -176,7 +176,7 @@ def fit_filtration(filtration, n_max=DEFAULT_N_MAX):
     for n in sorted({n_max, max(n_max, RETRY_N_MAX)}):
         lengths = length_sequence(filtration, n)
         try:
-            coeffs, n0 = fit_polynomial(lengths, filtration.ring.dim, DEFAULT_WINDOW)
+            coeffs, n0 = fit_polynomial(lengths, filtration.ring.dim)
         except NotStabilizedError:
             continue
         if coeffs[0] < 1:
@@ -273,12 +273,15 @@ class CoefficientBundle:
     def claim_row(self, n):
         """The split-count bound at index n: the fitted split-intersection
         length at n, the colength of slot n+1, against C(n+d, d) e0(Q)."""
+        e0 = self.e0
+        if e0 is None:
+            raise NotStabilizedError("no e0(Q) to bound by: the ordinary fit did not stabilize")
         d = self.ring.dim
         lengths = self.report(FiltrationKind.LIM_INTERSECT).lengths
         if not 0 <= n < len(lengths):
             raise ValueError("index %d lies outside the fitted lengths 0..%d"
                              % (n, len(lengths) - 1))
-        return ClaimRow(n=n, length=lengths[n], bound=comb(n + d, d) * self.e0)
+        return ClaimRow(n=n, length=lengths[n], bound=comb(n + d, d) * e0)
 
     @property
     def claim_rows(self):

@@ -1,5 +1,5 @@
-"""Parameter ideals over a fixed affine semigroup, the facet-form values of
-their powers' generators, and the monomial ideal Q as generators.
+"""Parameter ideals over a fixed affine semigroup and the facet-form values
+of their powers' generators.
 
 Every ideal the commands read is a parameter ideal Q = (u1, ..., ud): d
 monomials, each on its own extreme ray of the cone (``ParameterIdeal``).
@@ -21,11 +21,11 @@ engine's own data, one closed form per ring kind
   the sum over columns of its first row less the ring's
   (``lattice._stair_colength``).
 
-``MonomialIdeal`` is the one ideal that is built, from generators, for
-``nu_m_mod_q``'s test of the minimal generators of m against Q.  The chain
-check builds no ideal: it reads Q^n in the facet-form values of its
-generators, the sums of n parameters (``_power_shifts``), and a non-CM
-ring's split slots as their column arrays (``closures.SplitSlot``).
+``ParameterIdeal`` is the one ideal class.  ``nu_m_mod_q`` tests the
+minimal generators of m against Q's generators, and the chain check reads
+Q^n in the facet-form values of its generators, the sums of n parameters
+(``_power_shifts``), and a non-CM ring's split slots as their column arrays
+(``closures.SplitSlot``).
 """
 
 from __future__ import annotations
@@ -34,17 +34,6 @@ from math import comb, prod
 
 from .errors import DimensionMismatchError, NotMPrimaryError
 from .lattice import ExponentVector, _moved_corners, _stair_colength, _staircase, vdot, vsub
-
-
-class MonomialIdeal:
-    """The ideal of S generated by monomials ``gens``."""
-
-    def __init__(self, ring, gens):
-        self.ring = ring
-        self.gens = [tuple(g) for g in gens]
-
-    def member(self, v):
-        return any(self.ring.member(vsub(v, u)) for u in self.gens)
 
 
 class ParameterIdeal:
@@ -78,7 +67,6 @@ class ParameterIdeal:
                 % ([tuple(g) for g in gens],))
         self.ring = ring
         self.ordered_generators = tuple(gens)
-        self.base = MonomialIdeal(ring, gens)
         self._cache = {}
 
     def __eq__(self, other):
@@ -170,4 +158,5 @@ def _det(rows):
 def nu_m_mod_q(q):
     """The dimension of m/(Q + m^2): the minimal generators of m outside Q.
     An irreducible element never lies in m^2, so those outside Q are a basis."""
-    return sum(1 for g in q.ring.minimal_generators() if not q.base.member(g))
+    return sum(1 for g in q.ring.minimal_generators()
+               if not any(q.ring.member(vsub(g, u)) for u in q.ordered_generators))

@@ -1,9 +1,10 @@
 """Instance-level verification of the coefficient theorems, ring predicates,
 and the randomized corpus driver.
 
-Every check reads one ``hilbert.CoefficientBundle`` per instance;
-``verify_instances`` builds it once and passes it as ``bundle=`` to each
-check, so no filtration is built or fitted twice.
+Every check is a function of one ``hilbert.CoefficientBundle``, which holds
+the instance and the run parameters; ``verify_instances`` builds it once per
+instance and passes it to each check, so no filtration is built or fitted
+twice.
 
 A FAIL from the chain or bound checks is a bug somewhere in the artifact (the
 statements are theorems); the vanishing check additionally classifies
@@ -32,7 +33,6 @@ class RingProfile:
     is_s2: bool
     dim: int
     embedding_dim: int
-    evidence: dict
 
     def __post_init__(self):
         # regular => CM => S2 for these models
@@ -42,42 +42,19 @@ class RingProfile:
         assert (self.embedding_dim == self.dim) == self.is_regular
 
 
-def _bundle(ring, q, bundle, n_max=CHECK_N_MAX, characteristic=None):
-    """The caller's bundle, or a fresh one for a standalone check.
-
-    A given bundle's n_max and characteristic win over the arguments.
-    """
-    if bundle is None:
-        bundle = CoefficientBundle(ring, q, n_max=n_max, characteristic=characteristic)
-    return bundle
-
-
-def ring_profile(ring, q, bundle=None):
-    """Regularity, Cohen-Macaulayness and S2 of the ring, with the
-    parameter ideal's colength and ordinary fit as evidence.
+def ring_profile(ring):
+    """Regularity, Cohen-Macaulayness and S2 of the ring.
 
     CM is read off the ring's Apéry elements (``AffineSemigroup.is_cm``),
-    not from the fit: in dimension 2, S is CM iff each coset of Z g1 + Z g2
-    holds one Apéry element (Rosales and García-Sánchez, 1998).  The evidence
-    shows the equivalent multiplicity criterion colength(Q) = e0(Q), which
-    is also enforced: on a CM ring the ordinary and split lengths are made
-    only once colength(Q) equals the determinant multiplicity
-    (``hilbert.length_sequence``).  S2 reduces to CM in dimension 2 and is
-    automatic in dimension 1.
+    not from a fit: in dimension 2, S is CM iff each coset of Z g1 + Z g2
+    holds one Apéry element (Rosales and García-Sánchez, 1998).  The
+    equivalent multiplicity criterion colength(Q) = e(Q) is enforced where
+    the lengths are made (``hilbert.length_sequence``).
     """
-    bundle = _bundle(ring, q, bundle)
-    rep = bundle.report(FiltrationKind.ORDINARY)
     embdim = len(ring.minimal_generators())
-    is_cm = ring.is_cm
-    return RingProfile(
-        is_regular=embdim == ring.dim, is_cm=is_cm,
-        is_s2=is_cm if ring.dim == 2 else True, dim=ring.dim, embedding_dim=embdim,
-        evidence={
-            "parameter": [tuple(g) for g in bundle.parameter.ordered_generators],
-            "colength": bundle.parameter.colength(),
-            "e0": rep.e0,
-            "ordinary_lengths": list(rep.lengths),
-        })
+    # S2 is CM in dimension 2, and 1-D and free Z^3 rings are CM
+    return RingProfile(is_regular=embdim == ring.dim, is_cm=ring.is_cm, is_s2=ring.is_cm,
+                       dim=ring.dim, embedding_dim=embdim)
 
 
 @dataclass
@@ -86,19 +63,14 @@ class ChainVerdict:
     inclusions_ok: bool
     claim_bound_ok: tuple
     coefficient_chain_ok: bool
-    vanishing_implication_ok: bool | None
     details: dict = field(default_factory=dict)
 
     @property
     def passed(self):
-        parts = [self.inclusions_ok, all(self.claim_bound_ok), self.coefficient_chain_ok]
-        if self.vanishing_implication_ok is not None:
-            parts.append(self.vanishing_implication_ok)
-        return all(parts)
+        return self.inclusions_ok and all(self.claim_bound_ok) and self.coefficient_chain_ok
 
 
-def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, instance_id="",
-                              bundle=None):
+def check_nonnegativity_chain(bundle, instance_id=""):
     """Verify the inclusion sandwich, the split-count bound, and the sign chain.
 
     Q^n, generated by the sums of n parameters, must lie in split slot n
@@ -112,7 +84,6 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
     tight >= integral: slot n ⊆ Q^n S̄ ∩ S ⊆ the integral closure, so the
     tight lengths that reports print are checked against both neighbours.
     """
-    bundle = _bundle(ring, q, bundle, n_max, characteristic)
     q = bundle.parameter
     integral = bundle.filtration(FiltrationKind.INTEGRAL).rule
     tight = None
@@ -120,7 +91,7 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
         tight = bundle.filtration(FiltrationKind.TIGHT).rule
 
     details = {"instance": [tuple(g) for g in q.ordered_generators],
-               "ring": [tuple(g) for g in ring.generators]}
+               "ring": [tuple(g) for g in bundle.ring.generators]}
     inclusions_ok = True
     lim_nested = True
     prev = None  # split slot n - 1
@@ -182,7 +153,6 @@ def check_nonnegativity_chain(ring, q, n_max=CHECK_N_MAX, characteristic=None, i
         inclusions_ok=inclusions_ok,
         claim_bound_ok=tuple(r.ok for r in bundle.claim_rows) or (False,),
         coefficient_chain_ok=coeff_ok,
-        vanishing_implication_ok=None,
         details=details)
 
 
@@ -198,23 +168,21 @@ class VanishingVerdict:
         return self.classification == "VIOLATION"
 
 
-def check_vanishing(ring, q, bundle=None):
+def check_vanishing(bundle):
     """The vanishing implication: integral e1 = 0 with S2 forces regularity.
 
     Instances with vanishing integral e1 but without S2 are recorded as
     hypothesis-violating witnesses (they are expected to exist), never as
     failures.
     """
-    bundle = _bundle(ring, q, bundle)
-    q = bundle.parameter
     rep = bundle.report(FiltrationKind.INTEGRAL)
-    profile = ring_profile(ring, q, bundle)
+    profile = ring_profile(bundle.ring)
     details = {"e1_integral": rep.e1}
     if rep.e1 is None or rep.e1 != 0:
         return VanishingVerdict("vacuous", rep.e1, profile, details)
     if not profile.is_s2:
         return VanishingVerdict("witness", 0, profile, details)
-    nu = nu_m_mod_q(q)
+    nu = nu_m_mod_q(bundle.parameter)
     details["nu_m_mod_q"] = nu
     if profile.is_regular and nu <= 1:
         return VanishingVerdict("pass", 0, profile, details)
@@ -228,22 +196,20 @@ class ImplicationVerdict:
     details: dict
 
 
-def check_e1_zero_implies_cm(ring, q, characteristic=None, bundle=None):
+def check_e1_zero_implies_cm(bundle):
     """Fitted e1(Q) = 0 forces Cohen-Macaulayness, and then a trivial limit closure.
 
     The characteristic-p collapse (tight closure of Q equal to Q) is asserted
     only when the bracket certifies the first big-CM coefficient to be zero,
     i.e. on instances the vanishing theorem makes regular.
     """
-    bundle = _bundle(ring, q, bundle, characteristic=characteristic)
     q = bundle.parameter
     ord_rep = bundle.report(FiltrationKind.ORDINARY)
     details = {"e1_ordinary": ord_rep.e1}
     if ord_rep.e1 is None or ord_rep.e1 != 0:
         return ImplicationVerdict(False, True, details)
-    profile = ring_profile(ring, q, bundle)
-    ok = profile.is_cm
-    details["is_cm"] = profile.is_cm
+    ok = bundle.ring.is_cm
+    details["is_cm"] = ok
     lim_rep = bundle.report(FiltrationKind.LIM_INTERSECT)
     details["e1_lim"] = lim_rep.e1
     if lim_rep.e1 == 0:
@@ -272,10 +238,9 @@ class Instance:
     parameter: ParameterIdeal
 
 
-def fuzz_corpus(seed, count, max_coord=6, max_generators=5, dim=2):
-    """Deterministic corpus of verified instances; duplicates are filtered."""
-    if dim != 2:
-        raise UnsupportedRingError("the fuzz corpus generates 2-dimensional instances")
+def fuzz_corpus(seed, count, max_coord=6, max_generators=5):
+    """Deterministic corpus of verified 2-dimensional instances; duplicates
+    are filtered."""
     if count == 0:
         return []
     rng = random.Random(seed)
@@ -351,13 +316,11 @@ def verify_instances(instances, n_max=CHECK_N_MAX, characteristic=None):
     stabilize (``_uncertified_only``)."""
     summary = VerificationSummary(characteristic=characteristic)
     for inst in instances:
-        ring, q = inst.ring, inst.parameter
-        bundle = CoefficientBundle(ring, q, n_max=n_max, characteristic=characteristic)
-        chain = check_nonnegativity_chain(ring, q, instance_id=inst.instance_id,
-                                          bundle=bundle)
-        vanish = check_vanishing(ring, q, bundle=bundle)
-        chain.vanishing_implication_ok = not vanish.failed
-        e1cm = check_e1_zero_implies_cm(ring, q, bundle=bundle)
+        bundle = CoefficientBundle(inst.ring, inst.parameter, n_max=n_max,
+                                   characteristic=characteristic)
+        chain = check_nonnegativity_chain(bundle, inst.instance_id)
+        vanish = check_vanishing(bundle)
+        e1cm = check_e1_zero_implies_cm(bundle)
         result = {
             "instance": inst,
             "chain": chain,

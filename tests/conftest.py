@@ -37,7 +37,6 @@ import pytest
 import hilbclose
 from hilbclose import closures
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind
-from hilbclose.ideals import MonomialIdeal
 from hilbclose.lattice import (
     AffineSemigroup,
     _moved_corners,
@@ -50,6 +49,17 @@ from hilbclose.lattice import (
     vscale,
     vsub,
 )
+
+
+class MonomialIdeal:
+    """The ideal of S generated by monomials ``gens``."""
+
+    def __init__(self, ring, gens):
+        self.ring = ring
+        self.gens = [tuple(g) for g in gens]
+
+    def member(self, v):
+        return any(self.ring.member(vsub(v, u)) for u in self.gens)
 
 
 def child_env():
@@ -145,7 +155,8 @@ def parameter_sums(params, n):
 
 
 def parameter_power(q, n):
-    """Q^n as an ideal, generated by the sums of n parameters."""
+    """Q^n as an ideal, generated by the sums of n parameters; Q itself at
+    n = 1, its generators in order."""
     return MonomialIdeal(q.ring, parameter_sums(q.ordered_generators, n))
 
 

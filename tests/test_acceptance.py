@@ -18,9 +18,16 @@ import pytest
 from conftest import brute_member, child_env, integral_oracle, parameter_power, rule_member
 from hilbclose.cli import example_instance
 from hilbclose.closures import ClosureRule
-from hilbclose.hilbert import Filtration, FiltrationKind, coefficient_report, fit_filtration
+from hilbclose.hilbert import (
+    CoefficientBundle,
+    Filtration,
+    FiltrationKind,
+    coefficient_report,
+    fit_filtration,
+)
 from hilbclose.ideals import ParameterIdeal
 from hilbclose.theorems import (
+    CHECK_N_MAX,
     check_nonnegativity_chain,
     check_vanishing,
     fuzz_corpus,
@@ -58,7 +65,7 @@ def test_criterion_1_paper_counterexample(remark_ring):
     expected = [2 * comb(n + 2, 2) - 1 for n in range(11)]
     lengths_ok = list(rep.lengths) == expected
     fit_ok = rep.coefficients[:2] == (2, 0)
-    prof = ring_profile(remark_ring, q)
+    prof = ring_profile(remark_ring)
     profile_ok = (not prof.is_regular) and (not prof.is_s2)
     elapsed = time.time() - t0
     ok = lengths_ok and fit_ok and profile_ok and elapsed < 10
@@ -124,7 +131,7 @@ def test_criterion_4_vanishing_suite(corpus_run, remark_ring):
     classifications = {}
     for name in ("remark-s2", "free-x2y3", "free-maximal"):
         ring, q = example_instance(name)
-        verdict = check_vanishing(ring, q)
+        verdict = check_vanishing(CoefficientBundle(ring, q, n_max=CHECK_N_MAX))
         classifications[name] = verdict.classification
         builtins_ok = builtins_ok and not verdict.failed
     witness_ok = classifications["remark-s2"] == "witness"
@@ -145,8 +152,8 @@ def test_criterion_5_e1_zero_implies_cm(corpus_run):
         if not verdict.applicable:
             continue
         checked += 1
-        prof = r["vanishing"].profile
-        if not (prof.evidence["colength"] == prof.evidence["e0"]):
+        q = r["instance"].parameter
+        if not (r["vanishing"].profile.is_cm and q.colength() == q.multiplicity()):
             ok = False
         if verdict.details.get("e1_lim") == 0:
             lim_checked += 1
@@ -167,7 +174,8 @@ def test_criterion_6_characteristic_p_bracket():
     for name in ("remark-s2", "free-x2y3", "free-maximal"):
         ring, q = example_instance(name)
         for p in (2, 3):
-            verdict = check_nonnegativity_chain(ring, q, n_max=6, characteristic=p)
+            verdict = check_nonnegativity_chain(
+                CoefficientBundle(ring, q, n_max=6, characteristic=p))
             bundle = coefficient_report(ring, q, n_max=8, characteristic=p)
             chain_ok = verdict.passed
             e1_lim, e1_tight = bundle.tight_bracket
@@ -192,7 +200,7 @@ def test_criterion_7_oracle_equivalence(corpus_run):
     for inst in corpus:
         # the run path's integral rule against the Newton polyhedra of Q,
         # scaled by n, and of Q^n
-        ideal = inst.parameter.base
+        ideal = parameter_power(inst.parameter, 1)
         rule = ClosureRule(inst.parameter)
         scaled = integral_oracle(ideal)
         for n in (2, 3, 4):

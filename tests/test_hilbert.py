@@ -8,6 +8,7 @@ import hilbclose.closures as closures_mod
 import hilbclose.ideals as ideals_mod
 from conftest import (
     REMARK_GENS,
+    MonomialIdeal,
     brute_complement,
     colength,
     complement,
@@ -22,6 +23,7 @@ from hilbclose.cli import example_instance
 from hilbclose.errors import NotMPrimaryError, NotStabilizedError, UncertifiedError
 from hilbclose.hilbert import (
     DEFAULT_WINDOW,
+    CoefficientBundle,
     Filtration,
     FiltrationKind,
     coefficient_report,
@@ -29,7 +31,7 @@ from hilbclose.hilbert import (
     fit_polynomial,
     length_sequence,
 )
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal
+from hilbclose.ideals import ParameterIdeal
 from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale
 from hilbclose.theorems import fuzz_corpus
 from test_closures import ray_parameters
@@ -520,6 +522,15 @@ class TestCoefficientReport:
             with pytest.raises(ValueError):
                 bundle.claim_row(n)
 
+    def test_claim_row_without_e0(self):
+        # fz5-033 of fuzz_corpus(5, 60, max_coord=12): the ordinary fit does
+        # not stabilize by n_max 8, so there is no e0(Q) to bound by
+        ring = AffineSemigroup(2, [(5, 9), (6, 1), (9, 8), (10, 0)])
+        bundle = CoefficientBundle(ring, ParameterIdeal(ring, [(10, 0), (10, 18)]), n_max=8)
+        assert bundle.e0 is None and bundle.claim_rows == ()
+        with pytest.raises(NotStabilizedError, match="no e0"):
+            bundle.claim_row(0)
+
     def test_free_x2y3(self, free2):
         q = ParameterIdeal(free2, [(2, 0), (0, 3)])
         bundle = coefficient_report(free2, q, n_max=8)
@@ -561,7 +572,7 @@ class TestCoefficientReport:
         # a wrong answer
         import hilbclose.hilbert as hilbert_mod
 
-        def unstable(lengths, d, window):
+        def unstable(lengths, d):
             raise NotStabilizedError("no constant window (forced)")
 
         monkeypatch.setattr(hilbert_mod, "fit_polynomial", unstable)

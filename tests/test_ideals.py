@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     REMARK_GENS,
+    MonomialIdeal,
     brute_complement,
     brute_ideal_member,
     brute_member,
@@ -28,7 +29,7 @@ from conftest import (
 )
 from hilbclose.closures import ClosureRule
 from hilbclose.errors import NotMPrimaryError, UnsupportedRingError
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal, nu_m_mod_q
+from hilbclose.ideals import ParameterIdeal, nu_m_mod_q
 from hilbclose.hilbert import Filtration, FiltrationKind, length_sequence
 from hilbclose.lattice import AffineSemigroup, vadd, vdot, vscale, vsub
 
@@ -119,7 +120,7 @@ class TestColength:
     def test_remark_parameter(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
         assert q.colength() == 3
-        assert complement(q.base) == [(0, 0), (0, 3), (1, 1)]
+        assert complement(parameter_power(q, 1)) == [(0, 0), (0, 3), (1, 1)]
 
     def test_free_maximal(self, free2):
         assert ParameterIdeal(free2, [(1, 0), (0, 1)]).colength() == 1
@@ -133,7 +134,7 @@ class TestColength:
     def test_cm_ring_colengths(self, cm_ring):
         q = ParameterIdeal(cm_ring, [(2, 0), (0, 1)])
         assert q.colength() == 2
-        assert complement(q.base) == [(0, 0), (3, 0)]
+        assert complement(parameter_power(q, 1)) == [(0, 0), (3, 0)]
         assert q.power_colength(2) == 6
 
     def test_complement_matches_bruteforce_deep(self, cm_ring):
@@ -150,9 +151,9 @@ class TestColength:
 
     def test_complement_witness_present(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        comp = complement(q.base)
+        comp = complement(parameter_power(q, 1))
         assert comp == [(0, 0), (0, 3), (1, 1)]
-        assert not any(q.base.member(v) for v in comp)
+        assert not any(parameter_power(q, 1).member(v) for v in comp)
 
     def test_colength_monotone(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
@@ -165,11 +166,11 @@ class TestColength:
         q = ParameterIdeal(ring, [(4,)])
         # complement: S-points below the up-set of 4: {0, 2, 3, 5}
         assert q.colength() == 4
-        assert complement(q.base) == [(0,), (2,), (3,), (5,)]
+        assert complement(parameter_power(q, 1)) == [(0,), (2,), (3,), (5,)]
 
     def test_free3_colength(self, free3):
         q = ParameterIdeal(free3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
-        assert q.colength() == len(complement(q.base)) == 8
+        assert q.colength() == len(complement(parameter_power(q, 1))) == 8
         assert q.power_colength(2) == len(complement(parameter_power(q, 2))) == 32
 
     @settings(max_examples=25, deadline=None)
@@ -180,8 +181,8 @@ class TestColength:
         ring = AffineSemigroup(2, [(1, 0), (0, 1)])
         q = ParameterIdeal(ring, [(x, 0), (0, y)])
         split = q.split((a, b))
-        assert all(q.base.member(g) for g in split.ordered_generators)
-        assert all(split.base.member(g) for g in parameter_power(q, a + b).gens)
+        assert all(parameter_power(q, 1).member(g) for g in split.ordered_generators)
+        assert all(parameter_power(split, 1).member(g) for g in parameter_power(q, a + b).gens)
         assert q.power_colength(a + b) >= split.colength() >= q.colength()
 
 
@@ -438,7 +439,7 @@ class TestParameterIdeal:
     def test_order_preserved(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(0, 2), (1, 0)])
         assert [tuple(g) for g in q.ordered_generators] == [(0, 2), (1, 0)]
-        assert q.base.gens == [(0, 2), (1, 0)]
+        assert parameter_power(q, 1).gens == [(0, 2), (1, 0)]
 
     def test_split(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
@@ -464,7 +465,7 @@ class TestParameterIdeal:
     def test_large_pure_power_closure_and_colon(self, free3):
         # the pure powers are read in closed form, so no scan cap applies
         q = ParameterIdeal(free3, [(5000, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert lim_intersection(q, 3).gens == q.base.gens
+        assert lim_intersection(q, 3).gens == parameter_power(q, 1).gens
         assert ClosureRule(q, tight=True).lengths(0) == [q.colength()]
         # (Q : x) = (x^4999, y, z)
         colon = ParameterIdeal(free3, [(4999, 0, 0), (0, 1, 0), (0, 0, 1)])

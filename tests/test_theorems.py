@@ -5,15 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHAIN_REASONS, chain_by_points, complement, lim_intersection, tight_member
-from hilbclose import closures, hilbert, theorems
+from conftest import (
+    CHAIN_REASONS,
+    chain_by_points,
+    complement,
+    lim_intersection,
+    parameter_power,
+    tight_member,
+)
+from hilbclose import closures, hilbert, ideals, theorems
 from hilbclose.closures import ClosureRule
-from hilbclose.errors import GenerationExhaustedError, UnsupportedRingError
+from hilbclose.errors import GenerationExhaustedError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind, coefficient_report
-from hilbclose.ideals import MonomialIdeal, ParameterIdeal, _steps
+from hilbclose.ideals import ParameterIdeal, _steps
 from hilbclose.lattice import AffineSemigroup, _stair_corners, _staircase, vdot, vscale
 from hilbclose.theorems import (
     CHECK_N_MAX,
+    Instance,
     check_e1_zero_implies_cm,
     check_nonnegativity_chain,
     check_vanishing,
@@ -42,22 +50,22 @@ def mutate_slot(monkeypatch, n, change):
 
 class TestRingProfile:
     def test_remark(self, remark_ring):
-        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        prof = ring_profile(remark_ring, q)
+        prof = ring_profile(remark_ring)
         assert not prof.is_cm          # colength 3 vs e0 = 2
         assert not prof.is_s2
         assert not prof.is_regular
         assert prof.embedding_dim == 4
-        assert prof.evidence["colength"] == 3
-        assert prof.evidence["e0"] == 2
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        assert q.colength() == 3
+        assert CoefficientBundle(remark_ring, q, n_max=CHECK_N_MAX).e0 == 2
 
     def test_free(self, free2):
-        prof = ring_profile(free2, ParameterIdeal(free2, [(1, 0), (0, 1)]))
+        prof = ring_profile(free2)
         assert prof.is_regular and prof.is_cm and prof.is_s2
         assert prof.embedding_dim == 2
 
     def test_cm_not_regular(self, cm_ring):
-        prof = ring_profile(cm_ring, ParameterIdeal(cm_ring, [(2, 0), (0, 1)]))
+        prof = ring_profile(cm_ring)
         assert prof.is_cm and prof.is_s2
         assert not prof.is_regular
         assert prof.embedding_dim == 3
@@ -67,13 +75,16 @@ class TestRingProfile:
         assert not remark_ring.is_cm
         assert cm_ring.is_cm and free3.is_cm
         assert AffineSemigroup(1, [(3,), (5,)]).is_cm
+        # 1-D and free Z^3 rings are CM, hence S2
+        assert ring_profile(free3).is_s2
+        assert ring_profile(AffineSemigroup(1, [(3,), (5,)])).is_s2
 
     def test_cm_matches_multiplicity_on_corpus(self):
         verdicts = []
         for inst in fuzz_corpus(42, 25, max_coord=6):
-            prof = ring_profile(inst.ring, inst.parameter)
-            ev = prof.evidence
-            assert prof.is_cm == (ev["colength"] == ev["e0"]), inst.instance_id
+            prof = ring_profile(inst.ring)
+            e0 = CoefficientBundle(inst.ring, inst.parameter, n_max=CHECK_N_MAX).e0
+            assert prof.is_cm == (inst.parameter.colength() == e0), inst.instance_id
             verdicts.append(prof.is_cm)
         assert True in verdicts and False in verdicts
 
@@ -81,7 +92,7 @@ class TestRingProfile:
 class TestChain:
     def test_remark_chain(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        verdict = check_nonnegativity_chain(remark_ring, q, n_max=6)
+        verdict = check_nonnegativity_chain(CoefficientBundle(remark_ring, q, n_max=6))
         assert verdict.passed
         assert verdict.details["e1_ordinary"] == -1
         assert verdict.details["e1_lim"] == 0
@@ -89,20 +100,21 @@ class TestChain:
 
     def test_free_x2y3(self, free2):
         q = ParameterIdeal(free2, [(2, 0), (0, 3)])
-        verdict = check_nonnegativity_chain(free2, q, n_max=6)
+        verdict = check_nonnegativity_chain(CoefficientBundle(free2, q, n_max=6))
         assert verdict.passed
         assert (verdict.details["e1_ordinary"], verdict.details["e1_lim"],
                 verdict.details["e1_integral"]) == (0, 0, 1)
 
     def test_free_maximal(self, free2):
         q = ParameterIdeal(free2, [(1, 0), (0, 1)])
-        verdict = check_nonnegativity_chain(free2, q, n_max=6)
+        verdict = check_nonnegativity_chain(CoefficientBundle(free2, q, n_max=6))
         assert verdict.passed
         assert verdict.details["e1_integral"] == 0
 
     def test_char_p_chain(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        verdict = check_nonnegativity_chain(remark_ring, q, n_max=5, characteristic=2)
+        verdict = check_nonnegativity_chain(
+            CoefficientBundle(remark_ring, q, n_max=5, characteristic=2))
         assert verdict.passed
 
     def test_unnested_split_slots_fail(self, monkeypatch):
@@ -118,7 +130,7 @@ class TestChain:
         gained = (l1 // eng.D1, l2 // eng.D2)
         mutate_slot(monkeypatch, 3, lambda q, key, corners: corners + [gained]
                     if key == (l1 % eng.D1, l2 % eng.D2) else corners)
-        verdict = check_nonnegativity_chain(ring, q, n_max=6)
+        verdict = check_nonnegativity_chain(CoefficientBundle(ring, q, n_max=6))
         assert not verdict.inclusions_ok and not verdict.passed
         assert verdict.details["lim_chain_nested"] is False
         assert verdict.details["failures"] == [{"n": 3, "reason": "split slots not nested"}]
@@ -132,11 +144,11 @@ class TestChain:
         assert ring.is_cm
 
         def refuse(*args):
-            raise AssertionError("power or split slot built on a CM ring")
+            raise AssertionError("split slot built on a CM ring")
 
-        monkeypatch.setattr(MonomialIdeal, "__init__", refuse)
         monkeypatch.setattr(closures, "_slot_stair", refuse)
-        verdict = check_nonnegativity_chain(ring, q, n_max=6, characteristic=2)
+        verdict = check_nonnegativity_chain(
+            CoefficientBundle(ring, q, n_max=6, characteristic=2))
         assert verdict.passed and verdict.details["lim_chain_nested"] is True
 
     def test_verify_path_reads_slot_arrays(self, monkeypatch):
@@ -147,14 +159,8 @@ class TestChain:
         inst = fuzz_corpus(42, 4, max_coord=6)[3]
         assert inst.instance_id == "fz42-003" and not inst.ring.is_cm
         for owner, name in ((closures, "lim_intersection"), (closures, "_split_slot"),
-                            (ClosureRule, "member")):
+                            (ClosureRule, "member"), (ideals, "MonomialIdeal")):
             assert not hasattr(owner, name), name
-
-        def refuse(*args):
-            raise AssertionError("ideal built or point tested on the verify path")
-
-        monkeypatch.setattr(MonomialIdeal, "__init__", refuse)
-        monkeypatch.setattr(MonomialIdeal, "member", refuse)
         builds, real = Counter(), closures._slot_stair
 
         def counted(q, k):
@@ -177,11 +183,12 @@ class TestChain:
             return [ell - 1 for ell in out] if rule.tight else out
 
         monkeypatch.setattr(ClosureRule, "lengths", lowered)
-        verdict = check_nonnegativity_chain(remark_ring, q, n_max=6, characteristic=2)
+        verdict = check_nonnegativity_chain(
+            CoefficientBundle(remark_ring, q, n_max=6, characteristic=2))
         assert verdict.inclusions_ok and not verdict.coefficient_chain_ok
         assert verdict.details["failures"] == [
             {"n": n, "reason": "length comparison"} for n in range(7)]
-        assert check_nonnegativity_chain(remark_ring, q, n_max=6).passed
+        assert check_nonnegativity_chain(CoefficientBundle(remark_ring, q, n_max=6)).passed
 
 
 class TestChainByPoints:
@@ -194,7 +201,8 @@ class TestChainByPoints:
     def assert_same(ring, q, n_max=6):
         failures = []
         for char in (None, 2):
-            verdict = check_nonnegativity_chain(ring, q, n_max=n_max, characteristic=char)
+            verdict = check_nonnegativity_chain(
+                CoefficientBundle(ring, q, n_max=n_max, characteristic=char))
             got = [f for f in verdict.details.get("failures", ())
                    if f["reason"] in CHAIN_REASONS]
             assert (verdict.inclusions_ok, verdict.details["lim_chain_nested"], got) == \
@@ -267,7 +275,7 @@ class TestChainByPoints:
         mutate_slot(monkeypatch, 2, lambda q, key, corners: corners[1:] if key == (0, 1)
                     else corners)
         assert chain_by_points(ring, q, 6) == (True, True, [])
-        verdict = check_nonnegativity_chain(ring, q, n_max=6)
+        verdict = check_nonnegativity_chain(CoefficientBundle(ring, q, n_max=6))
         assert verdict.details["failures"] == [{"n": 3, "reason": "split slots not nested"}]
 
 
@@ -295,30 +303,32 @@ class TestClaimBound:
             assert [(r.n, r.length, r.bound) for r in rows] == [
                 (n, ell, comb(n + 2, 2) * bundle.e0) for n, ell in enumerate(lengths)]
             oks = tuple(r.ok for r in rows)
-            assert check_nonnegativity_chain(ring, q).claim_bound_ok == oks
+            chain = check_nonnegativity_chain(CoefficientBundle(ring, q, n_max=CHECK_N_MAX))
+            assert chain.claim_bound_ok == oks
 
 
 class TestVanishing:
     def test_remark_is_witness(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        verdict = check_vanishing(remark_ring, q)
+        verdict = check_vanishing(CoefficientBundle(remark_ring, q, n_max=CHECK_N_MAX))
         assert verdict.classification == "witness"
         assert not verdict.failed
 
     def test_free_maximal_passes(self, free2):
         q = ParameterIdeal(free2, [(1, 0), (0, 1)])
-        verdict = check_vanishing(free2, q)
+        verdict = check_vanishing(CoefficientBundle(free2, q, n_max=CHECK_N_MAX))
         assert verdict.classification == "pass"
         assert verdict.details["nu_m_mod_q"] == 0
 
     def test_x2y3_vacuous(self, free2):
         q = ParameterIdeal(free2, [(2, 0), (0, 3)])
-        assert check_vanishing(free2, q).classification == "vacuous"
+        verdict = check_vanishing(CoefficientBundle(free2, q, n_max=CHECK_N_MAX))
+        assert verdict.classification == "vacuous"
 
     def test_regular_with_nu_one(self, free2):
         # Q = (x, y^2): regular ring, nu(m/Q) = 1
         q = ParameterIdeal(free2, [(1, 0), (0, 2)])
-        verdict = check_vanishing(free2, q)
+        verdict = check_vanishing(CoefficientBundle(free2, q, n_max=CHECK_N_MAX))
         assert verdict.classification == "pass"
         assert verdict.details["nu_m_mod_q"] == 1
 
@@ -326,23 +336,24 @@ class TestVanishing:
 class TestE1ZeroImpliesCM:
     def test_free_regular_sequence(self, free2):
         q = ParameterIdeal(free2, [(2, 0), (0, 3)])
-        verdict = check_e1_zero_implies_cm(free2, q)
+        verdict = check_e1_zero_implies_cm(CoefficientBundle(free2, q, n_max=CHECK_N_MAX))
         assert verdict.applicable and verdict.ok
         assert verdict.details["limit_closure_trivial"]
 
     def test_remark_vacuous(self, remark_ring):
         q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
-        verdict = check_e1_zero_implies_cm(remark_ring, q)
+        verdict = check_e1_zero_implies_cm(CoefficientBundle(remark_ring, q, n_max=CHECK_N_MAX))
         assert not verdict.applicable
 
     def test_cm_instance(self, cm_ring):
         q = ParameterIdeal(cm_ring, [(2, 0), (0, 1)])
-        verdict = check_e1_zero_implies_cm(cm_ring, q)
+        verdict = check_e1_zero_implies_cm(CoefficientBundle(cm_ring, q, n_max=CHECK_N_MAX))
         assert verdict.applicable and verdict.ok
 
     def test_char_p_on_regular(self, free2):
         q = ParameterIdeal(free2, [(1, 0), (0, 2)])
-        verdict = check_e1_zero_implies_cm(free2, q, characteristic=3)
+        verdict = check_e1_zero_implies_cm(
+            CoefficientBundle(free2, q, n_max=CHECK_N_MAX, characteristic=3))
         assert verdict.applicable and verdict.ok
         assert verdict.details.get("tight_closure_trivial") is True
 
@@ -357,9 +368,10 @@ class TestE1ZeroImpliesCM:
             lim = bundle.report(FiltrationKind.LIM_INTERSECT).lengths[0] == q.colength()
             tight = bundle.report(FiltrationKind.TIGHT).lengths[0] == q.colength()
             slot = lim_intersection(q, 2)
-            assert lim == (sorted(slot.gens) == sorted(q.base.gens)), inst.instance_id
+            base = parameter_power(q, 1)
+            assert lim == (sorted(slot.gens) == sorted(base.gens)), inst.instance_id
             assert tight == (not any(tight_member(q, 1, v)
-                                     for v in complement(q.base))), inst.instance_id
+                                     for v in complement(base))), inst.instance_id
             trivial.update(lim=lim, tight=tight)
         assert 0 < trivial["tight"] <= trivial["lim"] < count
 
@@ -382,7 +394,8 @@ class TestFuzzCorpus:
         for inst in fuzz_corpus(7, 5, max_coord=5):
             # some multiple of each extreme generator lies in Q
             q = inst.parameter
-            assert all(any(q.base.member(vscale(k, g)) for k in range(1, 40))
+            base = parameter_power(q, 1)
+            assert all(any(base.member(vscale(k, g)) for k in range(1, 40))
                        for g in inst.ring.extreme_generators()), inst.instance_id
             assert inst.ring.dim == 2
 
@@ -393,16 +406,10 @@ class TestFuzzCorpus:
         with pytest.raises(GenerationExhaustedError):
             fuzz_corpus(1, 50, max_coord=1, max_generators=2)
 
-    def test_dim_restriction(self):
-        with pytest.raises(UnsupportedRingError):
-            fuzz_corpus(1, 1, dim=3)
-
 
 def one_path_instance(name):
     """An instance of each ring kind the checks read: numerical, free Z^3,
     non-CM (the remark ring) and a non-CM corpus ring."""
-    from hilbclose.theorems import Instance
-
     if name == "fz42-003":
         return fuzz_corpus(42, 4, max_coord=6)[3]
     sgens, qgens = {
@@ -425,16 +432,9 @@ class TestVerifyInstances:
                                    characteristic=characteristic).results
         bundle = CoefficientBundle(inst.ring, inst.parameter, n_max=CHECK_N_MAX,
                                    characteristic=characteristic)
-        chain = check_nonnegativity_chain(inst.ring, inst.parameter, instance_id=name,
-                                          bundle=bundle)
-        got = result["chain"]
-        assert (got.instance_id, got.inclusions_ok, got.claim_bound_ok,
-                got.coefficient_chain_ok, got.details) == \
-            (chain.instance_id, chain.inclusions_ok, chain.claim_bound_ok,
-             chain.coefficient_chain_ok, chain.details)
-        assert result["vanishing"] == check_vanishing(inst.ring, inst.parameter, bundle=bundle)
-        assert result["e1_zero_cm"] == check_e1_zero_implies_cm(
-            inst.ring, inst.parameter, bundle=bundle)
+        assert result["chain"] == check_nonnegativity_chain(bundle, name)
+        assert result["vanishing"] == check_vanishing(bundle)
+        assert result["e1_zero_cm"] == check_e1_zero_implies_cm(bundle)
 
     def test_small_corpus_clean(self):
         corpus = fuzz_corpus(11, 6, max_coord=4)
