@@ -358,7 +358,7 @@ class TestFuzz:
         ("--count", "-1", "count must be at least 0"),
         ("--max-coord", "-1", "max-coord must be at least 1"),
         ("--max-coord", "0", "max-coord must be at least 1"),
-    ])
+    ], ids=["--count--3", "--count--1", "--max-coord--1", "--max-coord-0"])
     def test_bad_fuzz_sizes_exit_1(self, flag, value, message, capsys):
         args = {"--count": "2", "--max-coord": "4"}
         args[flag] = value
