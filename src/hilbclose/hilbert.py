@@ -28,7 +28,7 @@ which is the same for every p.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .closures import ClosureRule, ordinary_lengths, split_lengths
@@ -153,14 +153,11 @@ def fit_polynomial(lengths, d):
     return coeffs, n0
 
 
-@dataclass(frozen=True)
-class HilbertReport:
-    kind: FiltrationKind
-    n_max: int
-    lengths: tuple
-    coefficients: tuple | None
-    stabilization_index: int | None
-    status: str  # "ok" or an error code
+class HilbertReport(namedtuple("HilbertReport", "kind n_max lengths coefficients "
+                                                "stabilization_index status")):
+    """One fit: ``coefficients`` and ``stabilization_index`` are None unless
+    ``status`` is "ok"; otherwise it is an error code."""
+    __slots__ = ()
 
     @property
     def e1(self):
@@ -185,11 +182,8 @@ def fit_filtration(filtration, n_max=DEFAULT_N_MAX):
     return HilbertReport(filtration.kind, n, tuple(lengths), None, None, "NOT_STABILIZED")
 
 
-@dataclass(frozen=True)
-class ClaimRow:
-    n: int
-    length: int
-    bound: int
+class ClaimRow(namedtuple("ClaimRow", "n length bound")):
+    __slots__ = ()
 
     @property
     def ok(self):

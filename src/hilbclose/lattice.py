@@ -308,8 +308,9 @@ class _Grid2:
             self.lam2 = vscale(-1, self.lam2)
         self.D1 = vdot(self.lam1, self.g1)
         self.D2 = vdot(self.lam2, self.g2)
-        assert self.D1 > 0 and self.D2 > 0
-        assert all(vdot(self.lam1, g) >= 0 and vdot(self.lam2, g) >= 0 for g in gens)
+        if not (self.D1 > 0 and self.D2 > 0 and all(
+                vdot(self.lam1, g) >= 0 and vdot(self.lam2, g) >= 0 for g in gens)):
+            raise UncertifiedError("facet forms are not positive on the cone (internal bug)")
         self._l1x, self._l1y = self.lam1
         self._l2x, self._l2y = self.lam2
         self.gens, self.lams = (self.g1, self.g2), (self.lam1, self.lam2)

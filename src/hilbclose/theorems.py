@@ -14,10 +14,11 @@ hypothesis-violating witnesses, which are expected to exist.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .closures import SplitSlot
-from .errors import GenerationExhaustedError, NotMPrimaryError, UnsupportedRingError
+from .errors import (GenerationExhaustedError, NotMPrimaryError, UncertifiedError,
+                     UnsupportedRingError)
 from .hilbert import CoefficientBundle, FiltrationKind
 from .ideals import ParameterIdeal, _power_shifts, nu_m_mod_q
 from .lattice import AffineSemigroup, vscale
@@ -26,20 +27,7 @@ CHECK_N_MAX = 8
 UNCERTIFIED_E1 = "e1(Q) uncertified"
 
 
-@dataclass(frozen=True)
-class RingProfile:
-    is_regular: bool
-    is_cm: bool
-    is_s2: bool
-    dim: int
-    embedding_dim: int
-
-    def __post_init__(self):
-        # regular => CM => S2 for these models
-        assert not self.is_regular or self.is_cm
-        assert not self.is_cm or self.is_s2
-        assert self.embedding_dim >= self.dim
-        assert (self.embedding_dim == self.dim) == self.is_regular
+RingProfile = namedtuple("RingProfile", "is_regular is_cm is_s2 dim embedding_dim")
 
 
 def ring_profile(ring):
@@ -53,17 +41,29 @@ def ring_profile(ring):
     """
     embdim = len(ring.minimal_generators())
     # S2 is CM in dimension 2, and 1-D and free Z^3 rings are CM
-    return RingProfile(is_regular=embdim == ring.dim, is_cm=ring.is_cm, is_s2=ring.is_cm,
-                       dim=ring.dim, embedding_dim=embdim)
+    profile = RingProfile(is_regular=embdim == ring.dim, is_cm=ring.is_cm, is_s2=ring.is_cm,
+                          dim=ring.dim, embedding_dim=embdim)
+    # regular => CM => S2; S2 is CM and regular is embdim = dim by construction
+    if embdim < ring.dim or (profile.is_regular and not profile.is_cm):
+        raise UncertifiedError("inconsistent ring profile %r (internal bug)" % (profile,))
+    return profile
 
 
-@dataclass
 class ChainVerdict:
-    instance_id: str
-    inclusions_ok: bool
-    claim_bound_ok: tuple
-    coefficient_chain_ok: bool
-    details: dict = field(default_factory=dict)
+    __slots__ = ("instance_id", "inclusions_ok", "claim_bound_ok", "coefficient_chain_ok",
+                 "details")
+
+    def __init__(self, instance_id, inclusions_ok, claim_bound_ok, coefficient_chain_ok, details):
+        self.instance_id = instance_id
+        self.inclusions_ok = inclusions_ok
+        self.claim_bound_ok = claim_bound_ok
+        self.coefficient_chain_ok = coefficient_chain_ok
+        self.details = details
+
+    def __eq__(self, other):
+        if type(other) is not ChainVerdict:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
     @property
     def passed(self):
@@ -156,12 +156,10 @@ def check_nonnegativity_chain(bundle, instance_id=""):
         details=details)
 
 
-@dataclass(frozen=True)
-class VanishingVerdict:
-    classification: str  # "pass" | "vacuous" | "witness" | "VIOLATION"
-    e1_integral: int | None
-    profile: RingProfile
-    details: dict
+class VanishingVerdict(namedtuple("VanishingVerdict",
+                                  "classification e1_integral profile details")):
+    """``classification`` is "pass", "vacuous", "witness" or "VIOLATION"."""
+    __slots__ = ()
 
     @property
     def failed(self):
@@ -189,11 +187,7 @@ def check_vanishing(bundle):
     return VanishingVerdict("VIOLATION", 0, profile, details)
 
 
-@dataclass(frozen=True)
-class ImplicationVerdict:
-    applicable: bool
-    ok: bool
-    details: dict
+ImplicationVerdict = namedtuple("ImplicationVerdict", "applicable ok details")
 
 
 def check_e1_zero_implies_cm(bundle):
@@ -231,11 +225,7 @@ def check_e1_zero_implies_cm(bundle):
 # ---------------------------------------------------------------------------
 # corpus
 
-@dataclass(frozen=True)
-class Instance:
-    instance_id: str
-    ring: AffineSemigroup
-    parameter: ParameterIdeal
+Instance = namedtuple("Instance", "instance_id ring parameter")
 
 
 def fuzz_corpus(seed, count, max_coord=6, max_generators=5):
@@ -282,16 +272,15 @@ def fuzz_corpus(seed, count, max_coord=6, max_generators=5):
     return out
 
 
-@dataclass
 class VerificationSummary:
-    instances: int = 0
-    chain_passes: int = 0
-    violations: list = field(default_factory=list)
-    partial: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
-    specimens: list = field(default_factory=list)
-    results: list = field(default_factory=list)
-    characteristic: int | None = None
+    __slots__ = ("instances", "chain_passes", "violations", "partial", "witnesses",
+                 "specimens", "results", "characteristic")
+
+    def __init__(self, characteristic=None):
+        self.instances = self.chain_passes = 0
+        self.violations, self.partial, self.witnesses = [], [], []
+        self.specimens, self.results = [], []
+        self.characteristic = characteristic
 
 
 def result_passed(result):

@@ -518,6 +518,26 @@ class TestExitContracts:
         assert code == 4
         assert capsys.readouterr().err.startswith("internal error [UNCERTIFIED]")
 
+    def test_broken_invariant_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a regular ring whose engine reports it not CM breaks ring_profile's
+        # invariant: exit 4, not a traceback with the bad-input code
+        from hilbclose import lattice
+
+        class NotCM(lattice._Grid2):
+            def __init__(self, ring):
+                super().__init__(ring)
+                self.is_cm = False
+
+        monkeypatch.setattr(lattice, "_Grid2", NotCM)
+        corpus = {"instances": [{"id": "free2", "ring": FREE2_RING,
+                                 "ideal": {"generators": [[1, 0], [0, 1]], "ordered": True}}]}
+        path = write(tmp_path, "corpus.json", corpus)
+        code = main(["verify", "--corpus", path, "--n-max", "6",
+                     "--out", str(tmp_path / "verdicts.json")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error [UNCERTIFIED]: inconsistent ring profile")
+
     def test_analyze_byte_determinism(self, tmp_path):
         ring = write(tmp_path, "ring.json", REMARK_RING)
         ideal = write(tmp_path, "q.json", REMARK_Q)
@@ -529,6 +549,16 @@ class TestExitContracts:
 
 
 class TestSubprocess:
+    def test_import_loads_no_code_generators(self):
+        # in a child: pytest itself has imported dataclasses here
+        probe = ("import sys; before = set(sys.modules); import hilbclose.cli; "
+                 "print(' '.join(sorted(set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=child_env(), check=True)
+        loaded = set(proc.stdout.split())
+        assert "hilbclose.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
     def test_console_entry(self, tmp_path):
         ring = write(tmp_path, "ring.json", REMARK_RING)
         ideal = write(tmp_path, "q.json", REMARK_Q)

@@ -23,9 +23,11 @@ from hilbclose.cli import example_instance
 from hilbclose.errors import NotMPrimaryError, NotStabilizedError, UncertifiedError
 from hilbclose.hilbert import (
     DEFAULT_WINDOW,
+    ClaimRow,
     CoefficientBundle,
     Filtration,
     FiltrationKind,
+    HilbertReport,
     coefficient_report,
     fit_filtration,
     fit_polynomial,
@@ -521,6 +523,22 @@ class TestCoefficientReport:
         for n in (-1, len(lengths)):
             with pytest.raises(ValueError):
                 bundle.claim_row(n)
+
+    def test_report_records(self, remark_ring):
+        q = ParameterIdeal(remark_ring, [(1, 0), (0, 2)])
+        rep = CoefficientBundle(remark_ring, q, n_max=8).report(FiltrationKind.INTEGRAL)
+        with pytest.raises(AttributeError):
+            rep.status = "NOT_STABILIZED"
+        assert rep == HilbertReport(FiltrationKind.INTEGRAL, 8, rep.lengths, (2, 0, -1),
+                                    rep.stabilization_index, "ok")
+        assert (rep.e0, rep.e1) == (2, 0)
+        stuck = HilbertReport(FiltrationKind.INTEGRAL, 8, rep.lengths, None, None,
+                              "NOT_STABILIZED")
+        assert stuck != rep and stuck.e0 is stuck.e1 is None
+        row = ClaimRow(n=2, length=11, bound=12)
+        with pytest.raises(AttributeError):
+            row.bound = 0
+        assert row == ClaimRow(2, 11, 12) and row.ok and not ClaimRow(n=2, length=13, bound=12).ok
 
     def test_claim_row_without_e0(self):
         # fz5-033 of fuzz_corpus(5, 60, max_coord=12): the ordinary fit does

@@ -15,13 +15,14 @@ from conftest import (
 )
 from hilbclose import closures, hilbert, ideals, theorems
 from hilbclose.closures import ClosureRule
-from hilbclose.errors import GenerationExhaustedError
+from hilbclose.errors import GenerationExhaustedError, UncertifiedError
 from hilbclose.hilbert import CoefficientBundle, FiltrationKind, coefficient_report
 from hilbclose.ideals import ParameterIdeal, _steps
 from hilbclose.lattice import AffineSemigroup, _stair_corners, _staircase, vdot, vscale
 from hilbclose.theorems import (
     CHECK_N_MAX,
     Instance,
+    VerificationSummary,
     check_e1_zero_implies_cm,
     check_nonnegativity_chain,
     check_vanishing,
@@ -78,6 +79,19 @@ class TestRingProfile:
         # 1-D and free Z^3 rings are CM, hence S2
         assert ring_profile(free3).is_s2
         assert ring_profile(AffineSemigroup(1, [(3,), (5,)])).is_s2
+
+    def test_regular_but_not_cm_is_uncertified(self, free2, monkeypatch):
+        # regular => CM is an invariant, not an input condition: it raises
+        # under python -O too
+        monkeypatch.setattr(free2._engine, "is_cm", False)
+        with pytest.raises(UncertifiedError, match="inconsistent ring profile"):
+            ring_profile(free2)
+
+    def test_profile_is_frozen_and_compared_by_value(self, free2, cm_ring):
+        prof = ring_profile(free2)
+        with pytest.raises(AttributeError):
+            prof.is_cm = False
+        assert prof == ring_profile(free2) != ring_profile(cm_ring)
 
     def test_cm_matches_multiplicity_on_corpus(self):
         verdicts = []
@@ -464,6 +478,29 @@ class TestVerifyInstances:
         assert chain.details["e1_ordinary"] is None
         assert chain.details["failures"] == [{"reason": "e1(Q) uncertified"}]
         assert chain.claim_bound_ok == (False,)
+
+    def test_verdict_records(self):
+        inst = one_path_instance("remark")
+        with pytest.raises(AttributeError):
+            inst.ring = None
+        assert inst == Instance("remark", inst.ring, inst.parameter)
+        bundle = CoefficientBundle(inst.ring, inst.parameter, n_max=CHECK_N_MAX)
+        vanish, e1cm = check_vanishing(bundle), check_e1_zero_implies_cm(bundle)
+        for record, name in ((vanish, "classification"), (e1cm, "ok")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert (vanish, e1cm) == (check_vanishing(bundle), check_e1_zero_implies_cm(bundle))
+        # the chain verdict and the summary are filled in, so mutable
+        chain = check_nonnegativity_chain(bundle, "remark")
+        other = check_nonnegativity_chain(bundle, "remark")
+        assert chain == other and chain != check_nonnegativity_chain(bundle, "other")
+        other.inclusions_ok = False
+        assert chain != other and not other.passed
+        summary = VerificationSummary(characteristic=2)
+        assert (summary.characteristic, summary.instances, summary.chain_passes) == (2, 0, 0)
+        assert summary.results == summary.violations == summary.partial == []
+        summary.instances += 1
+        assert VerificationSummary().characteristic is None
 
     def test_determinism_of_verdicts(self):
         corpus = fuzz_corpus(5, 4, max_coord=4)
