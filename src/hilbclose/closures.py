@@ -40,10 +40,10 @@ of ``ParameterIdeal.power_colength``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate, product
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, product, repeat
 from math import comb, gcd, inf, prod
-from operator import floordiv, mul, sub
+from operator import add, floordiv, mul, sub
 
 from .errors import NotMPrimaryError, UncertifiedError
 from .ideals import ParameterIdeal, _power_shifts, _steps
@@ -79,13 +79,24 @@ class ClosureRule:
         self.forms = list(zip(self.ring.cone_halfspaces(), self._steps))
         self._prod = prod(self._steps)
         self._weights = [self._prod // a for a in self._steps]
+        self._counted = []  # the lengths at k = 1, 2, ... counted so far
 
     def contains(self, k, points):
         """Whether the k-th closure holds the points of S whose facet-form
-        values ``points`` lists: the rule's one integer inequality at each."""
+        values ``points`` lists: the rule's one integer inequality at each.
+        The rule is read one facet form at a time over all points, and the
+        least value is compared with the bound once.  An empty list passes."""
+        if not points:
+            return True
         if self.tight:
-            return all(sum(map(floordiv, l, self._steps)) >= k for l in points)
-        return all(sum(map(mul, l, self._weights)) >= k * self._prod for l in points)
+            op, factors, bound = floordiv, self._steps, k
+        else:
+            op, factors, bound = mul, self._weights, k * self._prod
+        (col, f), *others = zip(zip(*points), factors)
+        values = map(op, col, repeat(f))
+        for col, f in others:
+            values = map(add, values, map(op, col, repeat(f)))
+        return min(values) >= bound
 
     def lengths(self, n_max):
         """The colengths of the k-th closures, k = 1..n_max+1, from the rule.
@@ -109,48 +120,59 @@ class ClosureRule:
         the tight rule).  Under the tight rule w depends on x // ax and
         y // ay alone, so the ax*ay classes of the rows of one block of ax
         are equal runs: one run stands for them, counted with weight ax*ay.
+
+        w is a sum of one term per other form, lam_i * P/a_i under the
+        integral rule and a * floor(lam_i / a_i) under the tight one, taken
+        term by term.  The lines and runs are sorted by b once, and at each
+        k only those with b < alpha*k are visited: the others add nothing.
+        No length depends on n_max, so the counted ones are kept on the rule
+        and a later call with a larger n_max counts only the new k.
         """
-        ring, top = self.ring, n_max + 1
+        ring, top, counted = self.ring, n_max + 1, self._counted
+        if len(counted) >= top:
+            return counted[:top]
         *rest, (_, a) = self.forms
         if self.tight:
-            # floor(lam/a) >= k - floor(w/a), w a times the other forms' floors
-            alpha, c = a, 1
-            w = lambda lams: sum(l // b for l, (_, b) in zip(lams, rest)) * a
+            # floor(lam/a) >= k - floor(w/a): w's term floor(lam_i/a_i) * a
+            alpha, c, terms = a, 1, [(b, a) for _, b in rest]
         else:
-            # lam * P/a >= k*P - w, w the other forms' lam * P/b
-            alpha, c = self._prod, self._prod // a
-            w = lambda lams: sum(l * (self._prod // b) for l, (_, b) in zip(lams, rest))
+            # lam * P/a >= k*P - w: w's term lam_i * P/a_i
+            alpha, c, terms = self._prod, self._prod // a, [(1, self._prod // b) for _, b in rest]
         lines, runs = [], []  # b per line; (b at the first line, slope, weight) per run
         if ring.kind == "num1":
             eng = ring._engine
             step, lines = eng.amin, [c * x for x in eng.apery.values()]
         elif ring.kind == "grid2":
             eng = ring._engine
-            (_, a1), step = rest[0], eng.D2
-            period = a1 // gcd(eng.D1, a1) if self.tight else 1
+            ((_, a1),), ((div, mult),), step, D1 = rest, terms, eng.D2, eng.D1
+            period = a1 // gcd(D1, a1) if self.tight else 1
+            rise = period * D1 // div * mult  # w(lam1 + period*D1) - w(lam1)
             for (k1, k2), cols in eng.stair.items():
                 # past the coset's last stored column t0 is its last value
                 stable = len(cols) - 1
-                for m1 in range(min(stable, -(-(top * a1 - k1) // eng.D1))):
+                for m1 in range(min(stable, -(-(top * a1 - k1) // D1))):
                     if cols[m1] is not None:
-                        lines.append(w((k1 + m1 * eng.D1,)) + c * (k2 + cols[m1] * step))
-                for l1 in range(k1 + stable * eng.D1, k1 + (stable + period) * eng.D1, eng.D1):
-                    runs.append((w((l1,)) + c * (k2 + cols[-1] * step),
-                                 w((l1 + period * eng.D1,)) - w((l1,)), 1))
+                        lines.append((k1 + m1 * D1) // div * mult + c * (k2 + cols[m1] * step))
+                last = c * (k2 + cols[-1] * step)
+                for l1 in range(k1 + stable * D1, k1 + (stable + period) * D1, D1):
+                    runs.append((l1 // div * mult + last, rise, 1))
         else:
-            # w is constant on the tight rule's ax-by-ay blocks
-            step, ((_, ax), (_, ay)) = 1, rest
-            bx, by = (ax, ay) if self.tight else (1, 1)
-            runs = [(w((x, 0)), w((x, by)) - w((x, 0)), bx * by) for x in range(0, top * ax, bx)]
-        gamma, out = c * step, []
-        for k in range(1, top + 1):
-            n = sum(max(0, -((b - alpha * k) // gamma)) for b in lines)
-            for b, slope, weight in runs:
+            # the rows of a block of dx = ax (tight) or 1 (integral) are
+            # one run of slope w(x, dy) - w(x, 0), with weight dx*dy
+            step, ((_, ax), _), ((dx, mx), (dy, my)) = 1, rest, terms
+            runs = [(i * mx, my, dx * dy) for i in range(top * ax // dx)]
+        lines.sort()
+        runs.sort()
+        starts = [b for b, _, _ in runs]
+        gamma = c * step
+        for k in range(len(counted) + 1, top + 1):
+            ak = alpha * k
+            n = sum(-((b - ak) // gamma) for b in lines[:bisect_left(lines, ak)])
+            for b, slope, weight in runs[:bisect_left(starts, ak)]:
                 # ceil((alpha*k - b - slope*j) / gamma) > 0 for j < count
-                count = max(0, -((b - alpha * k) // slope))
-                n -= weight * _floor_sum(count, gamma, slope, b - alpha * k)
-            out.append(n)
-        return out
+                n -= weight * _floor_sum(-((b - ak) // slope), gamma, slope, b - ak)
+            counted.append(n)
+        return counted[:top]
 
 
 def _floor_sum(n, m, a, b):

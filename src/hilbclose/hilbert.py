@@ -267,23 +267,24 @@ class CoefficientBundle:
     def claim_row(self, n):
         """The split-count bound at index n: the fitted split-intersection
         length at n, the colength of slot n+1, against C(n+d, d) e0(Q)."""
-        e0 = self.e0
-        if e0 is None:
+        if self.e0 is None:
             raise NotStabilizedError("no e0(Q) to bound by: the ordinary fit did not stabilize")
-        d = self.ring.dim
-        lengths = self.report(FiltrationKind.LIM_INTERSECT).lengths
-        if not 0 <= n < len(lengths):
+        rows = self.claim_rows
+        if not 0 <= n < len(rows):
             raise ValueError("index %d lies outside the fitted lengths 0..%d"
-                             % (n, len(lengths) - 1))
-        return ClaimRow(n=n, length=lengths[n], bound=comb(n + d, d) * e0)
+                             % (n, len(rows) - 1))
+        return rows[n]
 
     @property
     def claim_rows(self):
-        """One row per fitted split-intersection length; none without e0."""
-        if self.e0 is None:
+        """One row per fitted split-intersection length, made in one pass;
+        none without e0."""
+        e0 = self.e0
+        if e0 is None:
             return ()
+        d = self.ring.dim
         lengths = self.report(FiltrationKind.LIM_INTERSECT).lengths
-        return tuple(self.claim_row(n) for n in range(len(lengths)))
+        return tuple(ClaimRow(n, ell, comb(n + d, d) * e0) for n, ell in enumerate(lengths))
 
 
 def coefficient_report(ring, q, n_max=DEFAULT_N_MAX, characteristic=None, e_max=None):

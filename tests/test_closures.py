@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -577,3 +579,68 @@ class TestFloorSums:
         assert ClosureRule(q, True).lengths(6) == want
         report = fit_filtration(Filtration(FiltrationKind.INTEGRAL, q), 6)
         assert report.coefficients == (120000, 89600, 7400, 0)
+
+
+class TestRuleKernel:
+    """``ClosureRule.lengths`` as kept on the rule and extended, and
+    ``ClosureRule.contains`` read one facet form at a time, against the
+    count with one term per line and a per-point scalar evaluation."""
+
+    CALLS = [(5,), (8,), (14,), (40,), (40, 8), (8, 14)]
+
+    @staticmethod
+    def check_calls(q, tight, want):
+        # ``want`` holds the lengths at k = 1..41; each k's count does not
+        # depend on n_max, so a call's lengths are a prefix of it
+        for calls in TestRuleKernel.CALLS:
+            rule = ClosureRule(q, tight)
+            for n_max in calls:
+                assert rule.lengths(n_max) == want[:n_max + 1], (calls, tight)
+
+    def test_acceptance_corpus(self):
+        for inst in fuzz_corpus(42, 100):
+            for tight in (False, True):
+                want = rule_lengths_by_line(ClosureRule(inst.parameter, tight), 40)
+                self.check_calls(inst.parameter, tight, want)
+
+    def test_numerical_and_free3(self):
+        for q in rule_cases():
+            if q.ring.kind == "grid2":
+                continue
+            for tight in (False, True):
+                if q.ring.kind == "free3":
+                    want = rule_lengths_by_line(ClosureRule(q, tight), 40)
+                else:
+                    # in dimension 1 both closures are {s >= k*u}
+                    want = integral_colengths(q, 41)
+                self.check_calls(q, tight, want)
+
+    @staticmethod
+    def scalar(rule, k, values):
+        """The rule at one point, from its facet-form values."""
+        if rule.tight:
+            return sum(lam // a for lam, (_, a) in zip(values, rule.forms)) >= k
+        return sum(Fraction(lam, a) for lam, (_, a) in zip(values, rule.forms)) >= k
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_contains_by_point(self, dim, tight):
+        q = {1: ParameterIdeal(AffineSemigroup(1, [(3,), (5,), (7,)]), [(6,)]),
+             2: fuzz_corpus(42, 1)[0].parameter,
+             3: free3_box(2, 3, 4, (2, 0, 1))}[dim]
+        rule, rng = ClosureRule(q, tight), random.Random(dim)
+        top = 3 * max(a for _, a in rule.forms)
+        assert rule.contains(1, [])
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            points = [tuple(rng.randint(0, top) for _ in range(dim))
+                      for _ in range(rng.randint(1, 6))]
+            want = all(self.scalar(rule, k, p) for p in points)
+            assert rule.contains(k, points) == want, (k, points)
+            assert rule.contains(k, points[:1]) == self.scalar(rule, k, points[0])
+            # only the last point fails
+            held = [p for p in points if self.scalar(rule, k, p)]
+            missed = [p for p in points if not self.scalar(rule, k, p)]
+            if held and missed:
+                assert not rule.contains(k, held + missed[:1])
+                assert rule.contains(k, held)
